@@ -20,7 +20,7 @@ from .analysis import (
 )
 from .element import (
     LocalElementMatrices,
-    ell_rule,
+    effective_ell,
     sfvem_local,
     standard_vem_local,
 )
@@ -53,21 +53,12 @@ from .poly import (
     build_benchmark_coefficients,
     bubble_problem,
     harmonic_basis,
-    harmonic_gradients,
     manufactured_problem,
     poisson_problem,
 )
 from .problem import ProblemSpec
-from .projectors import (
-    ElementDofs,
-    HGradProjection,
-    NablaProjection,
-    hgrad_gram,
-    hgrad_projection,
-    nabla_projection,
-    pi0_projection,
-)
-from .quadrature import EdgeRule, PolygonRule, edge_integral, gauss_legendre, polygon_rule
+from .projectors import hgrad_gram, hgrad_matrix, nabla_matrix, pi0_row
+from .quadrature import EdgeRule, PolygonRule, gauss_legendre, polygon_rule
 from .system import (
     DiscreteSolution,
     GlobalSystem,
@@ -84,9 +75,7 @@ __all__ = [
     "DegenerateElementError",
     "DiscreteSolution",
     "EdgeRule",
-    "ElementDofs",
     "GlobalSystem",
-    "HGradProjection",
     "HarmonicBasis",
     "LocalElementMatrices",
     "MeshFormatError",
@@ -94,7 +83,6 @@ __all__ = [
     "MeshIndexError",
     "MeshQualityReport",
     "MeshTopologyError",
-    "NablaProjection",
     "Poly2",
     "PolyMesh",
     "PolygonRule",
@@ -111,21 +99,19 @@ __all__ = [
     "bubble_problem",
     "catalog_polygons",
     "convergence_study",
-    "edge_integral",
-    "ell_rule",
+    "effective_ell",
     "error_norms",
     "fit_rates",
     "gauss_legendre",
     "generate_distorted_grid",
     "generate_voronoi",
     "harmonic_basis",
-    "harmonic_gradients",
     "hgrad_gram",
-    "hgrad_projection",
+    "hgrad_matrix",
     "jacobi_singular_values",
     "manufactured_problem",
-    "nabla_projection",
-    "pi0_projection",
+    "nabla_matrix",
+    "pi0_row",
     "poisson_problem",
     "polygon_rule",
     "quality_report",

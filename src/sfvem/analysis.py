@@ -121,36 +121,33 @@ def audit_catalog(ell_offset: int = 0) -> list:
 # error norms and rates
 
 
-def error_norms(solution, spec: ProblemSpec,
-                quad_degree: int | None = None) -> tuple:
+def error_norms(solution, spec: ProblemSpec) -> tuple:
     """Relative L2 error of the projected solution and relative K-weighted
     gradient seminorm error, both against the exact solution.
 
     The discrete field enters through its element-wise linear projection
     (the virtual function itself is not pointwise available). Quadrature
-    defaults to degree 2 deg(u) + 2, exact for polynomial data. A zero
+    has degree 2 deg(u) + 2, exact for the polynomial exact solution. A zero
     exact-solution norm is degenerate: returns (0, 0) under a warning when
     the numerators vanish too.
     """
     if spec.exact_u is None or spec.exact_grad_u is None:
         raise ValueError("error norms require exact_u and exact_grad_u")
-    K = spec.constant_K
-    if quad_degree is None:
-        deg = getattr(spec.exact_u, "degree", None)
-        quad_degree = 2 * deg + 2 if deg is not None else 20
+    K = spec.K
+    degree = 2 * spec.exact_u.degree + 2
     mesh = solution.mesh
     num0 = den0 = num1 = den1 = 0.0
     for ci, cell in enumerate(mesh.cells):
         pts = mesh.cell_points(ci)
         frame = ScaledFrame.from_polygon(pts)
         coef = nabla_matrix(pts, frame) @ solution.values[list(cell)]
-        rule = polygon_rule(pts, quad_degree)
+        rule = polygon_rule(pts, degree)
         loc = frame.local(rule.points)
         uh = coef[0] + loc @ coef[1:]
         gh = coef[1:] / frame.scale
-        u = np.asarray(spec.exact_u(rule.points), dtype=float)
-        gx = np.asarray(spec.exact_grad_u[0](rule.points), dtype=float)
-        gy = np.asarray(spec.exact_grad_u[1](rule.points), dtype=float)
+        u = spec.exact_u(rule.points)
+        gx = spec.exact_grad_u[0](rule.points)
+        gy = spec.exact_grad_u[1](rule.points)
         d0 = u - uh
         dx = gx - gh[0]
         dy = gy - gh[1]
@@ -210,9 +207,8 @@ def fit_rates(records: list) -> dict:
 def convergence_study(spec: ProblemSpec, levels, generator: str = "grid",
                       delta: float = 0.3, seed: int = 42,
                       lloyd_iters: int = 3, distortion: float = 0.25,
-                      ell_offset: int = 0, quad_degree: int | None = None,
-                      error_degree: int | None = None,
-                      methods=("sfvem", "vem"), on_record=None) -> list:
+                      ell_offset: int = 0, methods=("sfvem", "vem"),
+                      on_record=None) -> list:
     """Run the refinement study and return one ConvergenceRecord per level.
 
     Grid levels refine as n x n cells; Voronoi levels use level^2 seeds so
@@ -237,9 +233,9 @@ def convergence_study(spec: ProblemSpec, levels, generator: str = "grid",
         prev_h = h
         results = {}
         for method in methods:
-            sysm = assemble(mesh, spec, method, ell_offset, quad_degree)
+            sysm = assemble(mesh, spec, method, ell_offset)
             sol = solve(sysm)
-            results[method] = error_norms(sol, spec, error_degree)
+            results[method] = error_norms(sol, spec)
         nan = float("nan")
         e0s, e1s = results.get("sfvem", (nan, nan))
         e0v, e1v = results.get("vem", (nan, nan))

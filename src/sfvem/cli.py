@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import analysis
-from .element import effective_ell, ell_rule
+from .element import effective_ell
 from .errors import SfvemError
 from .geometry import is_simple, signed_area
 from .mesh import (
@@ -55,7 +55,6 @@ class RunConfig:
     theta: float = math.pi / 6
     r1: float = 0.9
     r2: float = 0.3
-    quad_degree: int | None = None
     levels: tuple = (8, 16, 32, 64)
     out: str = "."
     problem: str = "benchmark"
@@ -76,13 +75,11 @@ class RunConfig:
             raise ValueError(f"distortion must lie in [0, 1), got {self.distortion}")
         if not (0.0 <= self.r1 <= 1.0 and 0.0 <= self.r2 <= 1.0):
             raise ValueError("r1 and r2 must lie in [0, 1]")
-        if self.quad_degree is not None and self.quad_degree < 0:
-            raise ValueError("quad-degree must be nonnegative")
         if not self.levels or any(n < 1 for n in self.levels):
             raise ValueError("levels must be positive integers")
 
 
-_INT_KEYS = {"n", "seeds", "lloyd_iters", "seed", "ell_offset", "quad_degree"}
+_INT_KEYS = {"n", "seeds", "lloyd_iters", "seed", "ell_offset"}
 _FLOAT_KEYS = {"delta", "distortion", "theta", "r1", "r2"}
 
 
@@ -119,10 +116,10 @@ class _Parser(argparse.ArgumentParser):
     # input errors exit 1; argparse's default of 2 is reserved for audit failures
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit2(message)
+        raise _UsageError(message)
 
 
-class SystemExit2(SystemExit):
+class _UsageError(SystemExit):
     def __init__(self, message):
         print(f"error: {message}", file=sys.stderr)
         super().__init__(1)
@@ -150,7 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta", type=float, help="diffusion rotation angle")
         p.add_argument("--r1", type=float, help="benchmark parameter R1")
         p.add_argument("--r2", type=float, help="benchmark parameter R2")
-        p.add_argument("--quad-degree", type=int, help="volume quadrature degree")
         p.add_argument("--levels", help="comma-separated refinement levels")
         p.add_argument("--out", help="output directory")
         p.add_argument("--problem", choices=["benchmark", "poisson", "bubble"])
@@ -263,7 +259,7 @@ def cmd_check_polygon(config: RunConfig) -> int:
 
     failed = 0
     for audit in audits:
-        compliant = audit.ell >= ell_rule(audit.n_vertices)
+        compliant = audit.ell >= effective_ell(audit.n_vertices)
         ok = audit.sigma_r_over_max >= AUDIT_THRESHOLD
         marker = "" if ok else ("  [below rule, exploratory]"
                                 if not compliant else "  [FAIL]")
@@ -287,7 +283,7 @@ def cmd_solve(config: RunConfig) -> int:
     mesh = _load_or_generate_mesh(config)
     spec = _make_problem(config)
     method = config.method if config.method != "both" else "sfvem"
-    system = assemble(mesh, spec, method, config.ell_offset, config.quad_degree)
+    system = assemble(mesh, spec, method, config.ell_offset)
     solution = solve(system)
     path = _outpath(config, "solution.csv")
     write_solution_csv(solution, path)
@@ -323,8 +319,8 @@ def cmd_convergence(config: RunConfig) -> int:
             spec, config.levels, generator=config.generator,
             delta=config.delta, seed=config.seed,
             lloyd_iters=config.lloyd_iters, distortion=config.distortion,
-            ell_offset=config.ell_offset, quad_degree=config.quad_degree,
-            methods=methods, on_record=flush_record,
+            ell_offset=config.ell_offset, methods=methods,
+            on_record=flush_record,
         )
     print(f"wrote {path}")
     if len(records) < 2:
@@ -447,7 +443,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         config = _resolve_config(args)
         return _COMMANDS[args.command](config)
-    except SystemExit2 as exc:
+    except _UsageError as exc:
         return exc.code
     except (SfvemError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

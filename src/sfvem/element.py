@@ -23,7 +23,6 @@ from .quadrature import polygon_rule
 __all__ = [
     "ProblemSpec",
     "LocalElementMatrices",
-    "ell_rule",
     "effective_ell",
     "sfvem_local",
     "standard_vem_local",
@@ -43,69 +42,33 @@ class LocalElementMatrices:
     hgrad: np.ndarray | None  # harmonic coefficient matrix, (2 ell + 2, N)
     nabla: np.ndarray         # linear projection matrix, (3, N)
     pi0: np.ndarray           # element-mean row, (N,)
-    exact_quadrature: bool = True
 
     @property
     def A(self) -> np.ndarray:
         return self.A_diff + self.A_adv + self.A_reac
 
 
-def ell_rule(n_vertices: int, offset: int = 0) -> int:
-    """Minimal harmonic degree parameter for a polygon with n_vertices.
+def effective_ell(n_vertices: int, offset: int = 0) -> int:
+    """Harmonic degree parameter for a polygon with n_vertices.
 
-    Returns the smallest ell >= 0 with 2 ell + 2 >= n_vertices - 1, which
-    guarantees local solvability, plus the caller's offset.
+    The rule degree is the smallest ell >= 0 with 2 ell + 2 >= n_vertices - 1,
+    which guarantees local solvability. The offset is added to it and the
+    result clamped at 0, so a negative offset probes below the rule on
+    purpose.
     """
     if n_vertices < 3:
         raise ValueError(f"a polygon needs at least 3 vertices, got {n_vertices}")
-    if offset < 0:
-        raise ValueError(f"offset must be nonnegative, got {offset}")
-    return max(0, math.ceil((n_vertices - 3) / 2)) + offset
+    return max(0, math.ceil((n_vertices - 3) / 2) + offset)
 
 
-def effective_ell(n_vertices: int, offset: int) -> int:
-    """Degree used in exploratory runs; offsets below the minimal rule are
-    allowed (clamped at 0) so instability can be demonstrated on purpose."""
-    if n_vertices < 3:
-        raise ValueError(f"a polygon needs at least 3 vertices, got {n_vertices}")
-    return max(0, max(0, math.ceil((n_vertices - 3) / 2)) + offset)
-
-
-def _poly_degree(p) -> int | None:
-    if p is None:
-        return 0
-    return getattr(p, "degree", None)
-
-
-def _needed_degree(spec: ProblemSpec, ell: int) -> int | None:
-    degs = [2 * ell, 2]
-    parts = [(spec.beta[0], ell), (spec.beta[1], ell),
-             (spec.gamma, 0), (spec.f, 0)]
-    for p, extra in parts:
-        d = _poly_degree(p)
-        if d is None:
-            return None
-        degs.append(d + extra)
-    return max(degs)
-
-
-def _resolve_quad_degree(spec: ProblemSpec, ell: int, quad_degree):
-    needed = _needed_degree(spec, ell)
-    if quad_degree is None:
-        # exact by default when the coefficient degrees are known
-        return (needed if needed is not None else max(2 * ell, 4)), True
-    exact = needed is not None and quad_degree >= needed
-    return int(quad_degree), exact
-
-
-def _scalar_integral(p, rule) -> float:
-    if p is None:
-        return 0.0
-    return rule.integrate(p)
+def _volume_degree(spec: ProblemSpec, ell: int) -> int:
+    # highest total degree among the volume integrands: grad h_i . K grad h_j,
+    # grad h_i . beta, gamma and f
+    return max(2 * ell, 2, spec.beta[0].degree + ell, spec.beta[1].degree + ell,
+               spec.gamma.degree, spec.f.degree)
 
 
 def sfvem_local(vertices, spec: ProblemSpec, ell: int,
-                quad_degree: int | None = None,
                 element_id: int = -1) -> LocalElementMatrices:
     """Local matrices of the stabilization-free form on one polygon.
 
@@ -114,14 +77,11 @@ def sfvem_local(vertices, spec: ProblemSpec, ell: int,
     vertices : (N, 2) array
         Element polygon, counterclockwise.
     spec : ProblemSpec
-        Coefficients K, beta, gamma, f.
+        Coefficients K, beta, gamma, f. The volume integrals use the
+        smallest polygon rule that integrates every term exactly.
     ell : int
-        Harmonic degree parameter; pass ell_rule(N) unless deliberately
+        Harmonic degree parameter; pass effective_ell(N) unless deliberately
         probing below the solvability bound.
-    quad_degree : int, optional
-        Polygon rule degree for the volume integrals. Defaults to the
-        smallest degree that integrates every term exactly; an explicit
-        lower value marks the result exact_quadrature=False.
     """
     vertices = np.asarray(vertices, dtype=float)
     n = len(vertices)
@@ -131,46 +91,36 @@ def sfvem_local(vertices, spec: ProblemSpec, ell: int,
     nabla = nabla_matrix(vertices, frame)
     r = pi0_row(vertices, frame, nabla)
 
-    qdeg, exact = _resolve_quad_degree(spec, ell, quad_degree)
-    rule = polygon_rule(vertices, qdeg)
+    rule = polygon_rule(vertices, _volume_degree(spec, ell))
     grads = basis.gradients(rule.points)
 
     K = spec.K
-    if callable(K):
-        Kq = np.asarray(K(rule.points), dtype=float)
-        KG = np.einsum("qab,iqb->iqa", Kq, grads)
-        MK = np.einsum("jqa,iqa,q->ij", grads, KG, rule.weights)
+    if abs(K[0, 1]) == 0.0 and K[0, 0] == K[1, 1]:
+        MK = K[0, 0] * G  # isotropic shortcut: weighted Gram is a multiple
     else:
-        K = np.asarray(K, dtype=float)
-        if abs(K[0, 1]) == 0.0 and K[0, 0] == K[1, 1]:
-            MK = K[0, 0] * G  # isotropic shortcut: weighted Gram is a multiple
-        else:
-            KG = np.einsum("ab,iqb->iqa", K, grads)
-            MK = np.einsum("jqa,iqa,q->ij", grads, KG, rule.weights)
+        KG = np.einsum("ab,iqb->iqa", K, grads)
+        MK = np.einsum("jqa,iqa,q->ij", grads, KG, rule.weights)
     A_diff = P.T @ MK @ P
     A_diff = 0.5 * (A_diff + A_diff.T)
 
     A_adv = np.zeros((n, n))
-    if spec.beta[0] is not None and not _is_zero(spec.beta[0], spec.beta[1]):
-        bvals = np.column_stack([
-            np.asarray(spec.beta[0](rule.points), dtype=float),
-            np.asarray(spec.beta[1](rule.points), dtype=float),
-        ])
+    if not (spec.beta[0].is_zero() and spec.beta[1].is_zero()):
+        bvals = np.column_stack([spec.beta[0](rule.points),
+                                 spec.beta[1](rule.points)])
         t = np.einsum("iqa,qa,q->i", grads, bvals, rule.weights)
         A_adv = np.outer(r, t @ P)
 
     A_reac = np.zeros((n, n))
-    if spec.gamma is not None and not _is_zero(spec.gamma):
-        A_reac = _scalar_integral(spec.gamma, rule) * np.outer(r, r)
+    if not spec.gamma.is_zero():
+        A_reac = rule.integrate(spec.gamma) * np.outer(r, r)
 
-    b = _scalar_integral(spec.f, rule) * r
+    b = rule.integrate(spec.f) * r
     return LocalElementMatrices(element_id, ell, A_diff, A_adv, A_reac, b,
-                                P, nabla, r, exact)
+                                P, nabla, r)
 
 
 def standard_vem_local(vertices, spec: ProblemSpec,
                        stab: str = "dofi-dofi", tau: float | None = None,
-                       quad_degree: int | None = None,
                        element_id: int = -1) -> LocalElementMatrices:
     """Local matrices of the stabilized first-order comparator.
 
@@ -189,7 +139,7 @@ def standard_vem_local(vertices, spec: ProblemSpec,
     r = pi0_row(vertices, frame, nabla)
     area = signed_area(vertices)
     h = frame.scale
-    K = spec.constant_K
+    K = spec.K
     S = nabla[1:]  # gradient rows, frame scaled
     consistency = (area / h**2) * (S.T @ K @ S)
     if tau is None:
@@ -198,29 +148,18 @@ def standard_vem_local(vertices, spec: ProblemSpec,
     A_diff = consistency + tau * (Q.T @ Q)
     A_diff = 0.5 * (A_diff + A_diff.T)
 
-    qdeg, exact = _resolve_quad_degree(spec, 0, quad_degree)
-    rule = polygon_rule(vertices, qdeg)
+    rule = polygon_rule(vertices, _volume_degree(spec, 0))
 
     A_adv = np.zeros((n, n))
-    if spec.beta[0] is not None and not _is_zero(spec.beta[0], spec.beta[1]):
-        bbar = np.array([
-            _scalar_integral(spec.beta[0], rule),
-            _scalar_integral(spec.beta[1], rule),
-        ])
+    if not (spec.beta[0].is_zero() and spec.beta[1].is_zero()):
+        bbar = np.array([rule.integrate(spec.beta[0]),
+                         rule.integrate(spec.beta[1])])
         A_adv = np.outer(r, (bbar @ S) / h)
 
     A_reac = np.zeros((n, n))
-    if spec.gamma is not None and not _is_zero(spec.gamma):
-        A_reac = _scalar_integral(spec.gamma, rule) * np.outer(r, r)
+    if not spec.gamma.is_zero():
+        A_reac = rule.integrate(spec.gamma) * np.outer(r, r)
 
-    b = _scalar_integral(spec.f, rule) * r
+    b = rule.integrate(spec.f) * r
     return LocalElementMatrices(element_id, 0, A_diff, A_adv, A_reac, b,
-                                None, nabla, r, exact)
-
-
-def _is_zero(*polys) -> bool:
-    for p in polys:
-        probe = getattr(p, "is_zero", None)
-        if probe is None or not probe():
-            return False
-    return True
+                                None, nabla, r)

@@ -205,11 +205,6 @@ def harmonic_basis(frame: ScaledFrame, ell: int) -> HarmonicBasis:
     return HarmonicBasis(frame, int(ell))
 
 
-def harmonic_gradients(basis: HarmonicBasis, point) -> np.ndarray:
-    """Gradients of all basis members at one point, shape (2l+2, 2)."""
-    return basis.gradients(np.atleast_2d(point))[:, 0, :]
-
-
 def manufactured_problem(K, beta, gamma, exact_u: Poly2, **params) -> ProblemSpec:
     """Derive f = -div(K grad u) + beta . grad u + gamma u symbolically."""
     K = np.asarray(K, dtype=float)

@@ -28,13 +28,15 @@ def _sample_points():
 class ProblemSpec:
     """Problem coefficients plus optional exact solution for error studies.
 
-    K is a constant 2x2 SPD array (a position-dependent callable is accepted
-    but only constant tensors are exercised here). beta is a pair of Poly2,
-    gamma and f are Poly2. theta, R1, R2 record benchmark parameters when
-    the coefficients come from the rotated-anisotropy benchmark.
+    K is a constant 2x2 SPD array. beta is a pair of Poly2, gamma and f are
+    Poly2, and the exact solution, when given, is a Poly2 with a Poly2
+    gradient pair. Polynomial data is what lets every volume integral be
+    exact; anything else raises ValueError. theta, R1, R2 record benchmark
+    parameters when the coefficients come from the rotated-anisotropy
+    benchmark.
     """
 
-    K: object
+    K: np.ndarray
     beta: tuple
     gamma: object
     f: object
@@ -46,18 +48,29 @@ class ProblemSpec:
     name: str = field(default="custom")
 
     def __post_init__(self):
-        if not callable(self.K):
+        from .poly import Poly2  # poly imports this module
+
+        try:
             K = np.asarray(self.K, dtype=float)
-            if K.shape != (2, 2):
-                raise ValueError("K must be a 2x2 tensor")
-            scale = np.abs(K).max()
-            if np.abs(K - K.T).max() > 1e-12 * scale:
-                raise ValueError("K must be symmetric")
-            if np.linalg.eigvalsh(K).min() <= 0:
-                raise ValueError("K must have positive eigenvalues")
-            object.__setattr__(self, "K", K)
-        pts = _sample_points()
+        except (TypeError, ValueError):
+            raise ValueError("K must be a constant 2x2 tensor") from None
+        if K.shape != (2, 2):
+            raise ValueError("K must be a constant 2x2 tensor")
+        scale = np.abs(K).max()
+        if np.abs(K - K.T).max() > 1e-12 * scale:
+            raise ValueError("K must be symmetric")
+        if np.linalg.eigvalsh(K).min() <= 0:
+            raise ValueError("K must have positive eigenvalues")
+        object.__setattr__(self, "K", K)
         bx, by = self.beta
+        polys = [("beta", bx), ("beta", by), ("gamma", self.gamma), ("f", self.f)]
+        if self.exact_u is not None:
+            polys.append(("exact_u", self.exact_u))
+        if self.exact_grad_u is not None:
+            polys += [("exact_grad_u", g) for g in self.exact_grad_u]
+        for label, p in polys:
+            if not isinstance(p, Poly2):
+                raise ValueError(f"{label} must be a Poly2, got {type(p).__name__}")
         # the divergence check runs on coefficients: high-order stream
         # functions carry coefficients far larger than their values, and
         # mixed-partial rounding is an ulp at coefficient scale
@@ -66,12 +79,6 @@ class ProblemSpec:
         scale = max(1.0, np.abs(dxx.coeffs).max(), np.abs(dyy.coeffs).max())
         if np.abs(div.coeffs).max() > 1e-12 * scale:
             raise ValueError("beta must be divergence free")
-        g = self.gamma(pts)
+        g = self.gamma(_sample_points())
         if g.min() < -1e-12 * max(1.0, np.abs(g).max()):
             raise ValueError("gamma must be nonnegative on the domain")
-
-    @property
-    def constant_K(self) -> np.ndarray:
-        if callable(self.K):
-            raise ValueError("position-dependent K has no constant value")
-        return self.K

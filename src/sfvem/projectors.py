@@ -1,22 +1,20 @@
 """Computable projections from vertex degrees of freedom.
 
 Three projections, all evaluated through boundary integrals only (the
-underlying function is virtual and cannot be sampled inside the element):
+underlying function is virtual and cannot be sampled inside the element),
+each a matrix acting on all N_E vertex values at once:
 
-* ``nabla_projection``: H1 projection onto linears, gradient from the
-  divergence identity, constant from boundary-mean matching.
-* ``hgrad_projection``: L2 projection of the gradient onto gradients of
+* ``nabla_matrix``: H1 projection onto linears, gradient from the
+  divergence identity, constant from boundary-mean matching;
+  ``dof_matrix`` evaluates the result back at the vertices.
+* ``hgrad_matrix``: L2 projection of the gradient onto gradients of
   harmonic polynomials of degree ell+1, via the Gram system G d = b.
-* ``pi0_projection``: L2 projection onto constants, the mean of the
-  linear projection.
-
-Matrix-valued helpers (acting on all N_E hat functions at once) back the
-per-dof-vector operations and are what element assembly consumes.
+* ``pi0_row``: L2 projection onto constants, the mean of the linear
+  projection.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -31,56 +29,6 @@ log = logging.getLogger(__name__)
 # relative eigenvalue floor below which the Gram solve degrades to a
 # pseudo-inverse with a logged warning instead of failing silently
 GRAM_RANK_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ElementDofs:
-    """Vertex values of a virtual function on one element."""
-
-    element_id: int
-    vertices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if len(self.values) != len(self.vertices):
-            raise ValueError(
-                f"element {self.element_id}: {len(self.values)} dof values "
-                f"for {len(self.vertices)} vertices"
-            )
-
-
-@dataclass(frozen=True)
-class NablaProjection:
-    """P1 coefficients (a1, a2, a3) of the H1 projection in the frame
-    {1, xhat, yhat}, xhat = (x - x_E)/h_E."""
-
-    coefficients: np.ndarray
-    frame: ScaledFrame
-
-    def __call__(self, points) -> np.ndarray:
-        loc = self.frame.local(points)
-        a = self.coefficients
-        return a[0] + a[1] * loc[:, 0] + a[2] * loc[:, 1]
-
-    def gradient(self) -> np.ndarray:
-        """Constant gradient in global coordinates."""
-        return self.coefficients[1:] / self.frame.scale
-
-
-@dataclass(frozen=True)
-class HGradProjection:
-    """Coefficients over the gradient-of-harmonics basis, Gram retained."""
-
-    coefficients: np.ndarray
-    gram: np.ndarray
-    basis: HarmonicBasis
-
-    def gradient(self, points) -> np.ndarray:
-        """Projected gradient field at the given points, shape (npts, 2)."""
-        grads = self.basis.gradients(points)
-        return np.einsum("j,jpd->pd", self.coefficients, grads)
 
 
 def _check_element(vertices: np.ndarray) -> float:
@@ -148,13 +96,6 @@ def pi0_row(vertices: np.ndarray, frame: ScaledFrame,
     mean_xhat = (mx / area - frame.center[0]) / frame.scale
     mean_yhat = (my / area - frame.center[1]) / frame.scale
     return nabla[0] + mean_xhat * nabla[1] + mean_yhat * nabla[2]
-
-
-def nabla_projection(dofs: ElementDofs) -> NablaProjection:
-    """H1 projection of the virtual function onto linears."""
-    frame = ScaledFrame.from_polygon(dofs.vertices)
-    P = nabla_matrix(dofs.vertices, frame)
-    return NablaProjection(P @ dofs.values, frame)
 
 
 def hgrad_gram(vertices: np.ndarray, basis: HarmonicBasis,
@@ -250,23 +191,3 @@ def hgrad_matrix(vertices: np.ndarray, basis: HarmonicBasis):
         B[:, e] += lengths[e] * dn @ (w * (1.0 - t))
         B[:, j] += lengths[e] * dn @ (w * t)
     return _solve_gram(G, B), G
-
-
-def hgrad_projection(dofs: ElementDofs, basis: HarmonicBasis) -> HGradProjection:
-    """L2 projection of the virtual gradient onto gradients of harmonics."""
-    P, G = hgrad_matrix(dofs.vertices, basis)
-    return HGradProjection(P @ dofs.values, G, basis)
-
-
-def pi0_projection(dofs: ElementDofs, nabla: NablaProjection) -> float:
-    """Mean value of the linear projection over the element.
-
-    Exact: the integrand is linear, so the shoelace first moments give the
-    element mean of {1, xhat, yhat} and the coefficients do the rest.
-    """
-    area = signed_area(dofs.vertices)
-    mx, my = first_moments(dofs.vertices)
-    mean_xhat = (mx / area - nabla.frame.center[0]) / nabla.frame.scale
-    mean_yhat = (my / area - nabla.frame.center[1]) / nabla.frame.scale
-    a = nabla.coefficients
-    return float(a[0] + a[1] * mean_xhat + a[2] * mean_yhat)

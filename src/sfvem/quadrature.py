@@ -78,17 +78,6 @@ def gauss_legendre(n: int) -> EdgeRule:
     return EdgeRule(nodes, weights)
 
 
-def edge_integral(f, a, b, n: int) -> float:
-    """Integrate f(points) along the segment from a to b with n Gauss nodes."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    rule = gauss_legendre(n)
-    t = 0.5 * (rule.nodes + 1.0)
-    pts = a[None, :] + t[:, None] * (b - a)[None, :]
-    jac = 0.5 * float(np.hypot(*(b - a)))
-    return jac * float(rule.weights @ np.asarray(f(pts), dtype=float))
-
-
 def _gauss01(n: int):
     rule = gauss_legendre(n)
     return 0.5 * (rule.nodes + 1.0), 0.5 * rule.weights

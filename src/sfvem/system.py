@@ -55,7 +55,7 @@ class DiscreteSolution:
 
 
 def assemble(mesh: PolyMesh, spec: ProblemSpec, method: str = "sfvem",
-             ell_offset: int = 0, quad_degree: int | None = None,
+             ell_offset: int = 0,
              dirichlet_values: np.ndarray | None = None) -> GlobalSystem:
     """Scatter-add the local matrices of every cell into a reduced system.
 
@@ -67,8 +67,6 @@ def assemble(mesh: PolyMesh, spec: ProblemSpec, method: str = "sfvem",
     ell_offset : int
         Added to the per-cell minimal degree rule; negative values probe
         below the solvability bound (clamped at 0).
-    quad_degree : int, optional
-        Volume quadrature override, passed to the local builders.
     dirichlet_values : array, optional
         Per-vertex Dirichlet data (used at boundary vertices only);
         defaults to homogeneous zero. Nonzero data lifts into the RHS.
@@ -94,21 +92,17 @@ def assemble(mesh: PolyMesh, spec: ProblemSpec, method: str = "sfvem",
     rows, cols, vals = [], [], []
     rhs = np.zeros(n_free)
     ell_by_cell = np.zeros(mesh.n_cells, dtype=int)
-    inexact = 0
     for ci, cell in enumerate(mesh.cells):
         pts = mesh.cell_points(ci)
         try:
             if method == "sfvem":
                 ell = effective_ell(len(cell), ell_offset)
-                local = sfvem_local(pts, spec, ell, quad_degree, element_id=ci)
+                local = sfvem_local(pts, spec, ell, element_id=ci)
             else:
-                local = standard_vem_local(pts, spec, quad_degree=quad_degree,
-                                           element_id=ci)
+                local = standard_vem_local(pts, spec, element_id=ci)
         except SfvemError as exc:
             raise type(exc)(f"element {ci}: {exc}") from exc
         ell_by_cell[ci] = local.ell
-        if not local.exact_quadrature:
-            inexact += 1
         A = local.A
         idx = np.array(cell)
         red = free_index[idx]
@@ -125,9 +119,6 @@ def assemble(mesh: PolyMesh, spec: ProblemSpec, method: str = "sfvem",
                     rows.append(ra)
                     cols.append(rb)
                     vals.append(A[a, b])
-    if inexact:
-        log.warning("quadrature degree below exactness on %d of %d cells",
-                    inexact, mesh.n_cells)
     matrix = sparse.coo_matrix((vals, (rows, cols)),
                                shape=(n_free, n_free)).tocsr()
     return GlobalSystem(matrix, rhs, free_index, method, mesh, ell_by_cell, g)

@@ -12,12 +12,12 @@ import pytest
 
 from sfvem.analysis import audit_catalog, convergence_study, fit_rates
 from sfvem.cli import main
-from sfvem.element import ell_rule
+from sfvem.element import effective_ell
 from sfvem.mesh import catalog_polygons, generate_distorted_grid
 from sfvem.poly import (HarmonicBasis, Poly2, ScaledFrame,
                         build_benchmark_coefficients, manufactured_problem)
-from sfvem.projectors import (ElementDofs, hgrad_gram, hgrad_matrix,
-                              nabla_projection)
+from sfvem.projectors import (dof_matrix, hgrad_gram, hgrad_matrix,
+                              nabla_matrix)
 from sfvem.system import assemble, solve
 
 from oracles import monomial_integral
@@ -46,11 +46,12 @@ def test_projector_exactness_suite(capsys):
     for p in catalog_polygons():
         frame = ScaledFrame.from_polygon(p.vertices)
         vals = 2.0 * p.vertices[:, 0] - 3.0 * p.vertices[:, 1] + 0.5
-        proj = nabla_projection(ElementDofs(0, p.vertices, vals))
+        coef = nabla_matrix(p.vertices, frame) @ vals
         worst_p1 = max(
             worst_p1,
-            np.abs(proj(p.vertices) - vals).max() / np.abs(vals).max(),
-            np.abs(proj.gradient() - [2.0, -3.0]).max() / 3.0,
+            np.abs(dof_matrix(p.vertices, frame) @ coef - vals).max()
+            / np.abs(vals).max(),
+            np.abs(coef[1:] / frame.scale - [2.0, -3.0]).max() / 3.0,
         )
         for ell in range(11):
             basis = HarmonicBasis(frame, ell)
@@ -84,7 +85,7 @@ def test_spectral_stability_audit(capsys):
     assert len(audits) == 18
     worst_kernel = max(a.sigma_min / a.sigma_max for a in audits)
     worst_rank = min(a.sigma_r_over_max for a in audits)
-    pairs = [(n, ell_rule(n)) for n in range(3, 19)]
+    pairs = [(n, effective_ell(n)) for n in range(3, 19)]
     elapsed = time.perf_counter() - t0
     ok = (worst_kernel <= 1e-11 and worst_rank >= 1e-8
           and pairs == RULE_TABLE and elapsed < 10.0)

@@ -7,7 +7,7 @@ from sfvem.analysis import (AUDIT_HEADER, CONVERGENCE_HEADER,
                             fit_rates, jacobi_singular_values, spectral_audit,
                             unit_diffusion_matrix, write_audit_csv,
                             write_convergence_csv)
-from sfvem.element import ell_rule
+from sfvem.element import effective_ell
 from sfvem.mesh import CatalogPolygon, catalog_polygons, generate_distorted_grid
 from sfvem.poly import (Poly2, build_benchmark_coefficients, bubble_problem,
                         manufactured_problem)
@@ -55,7 +55,7 @@ def test_jacobi_identity():
 
 def test_audit_kernel_always_present():
     for p in catalog_polygons()[::4]:
-        audit = spectral_audit(p, ell_rule(p.n_vertices))
+        audit = spectral_audit(p, effective_ell(p.n_vertices))
         assert audit.sigma_min <= 1e-11 * audit.sigma_max, p.name
 
 
@@ -82,7 +82,7 @@ def test_audit_catalog_rule_pairs_and_margins():
     audits = audit_catalog()
     assert len(audits) == 18
     assert [(a.n_vertices, a.ell) for a in audits] == [
-        (n, ell_rule(n)) for n in range(3, 21)]
+        (n, effective_ell(n)) for n in range(3, 21)]
     for a in audits:
         assert a.sigma_min <= 1e-11 * a.sigma_max, a.name
         assert a.sigma_r_over_max >= 1e-8, a.name

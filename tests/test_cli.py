@@ -42,8 +42,10 @@ def test_generate_mesh_bad_delta(tmp_path, capsys):
 
 
 def test_unknown_flag_exits_one(capsys):
-    assert run("generate-mesh", "--sides", "4") == 1
-    assert "error" in capsys.readouterr().err
+    for argv in (("generate-mesh", "--sides", "4"),
+                 ("solve", "--quad-degree", "4")):
+        assert run(*argv) == 1
+        assert "error" in capsys.readouterr().err
 
 
 def test_missing_subcommand_exits_one(capsys):
@@ -245,10 +247,12 @@ def test_config_file_applies_and_flags_win(tmp_path, capsys):
 
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("mesh_size = 4\n")
-    code = run("generate-mesh", "--config", str(cfg), "--out", str(tmp_path))
-    assert code == 1
-    assert "unknown keys" in capsys.readouterr().err
+    for text in ("mesh_size = 4\n", "quad_degree = 4\n"):
+        cfg.write_text(text)
+        code = run("generate-mesh", "--config", str(cfg), "--out",
+                   str(tmp_path))
+        assert code == 1
+        assert "unknown keys" in capsys.readouterr().err
 
 
 def test_config_file_malformed_line(tmp_path, capsys):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from sfvem.element import (LocalElementMatrices, effective_ell, ell_rule,
-                           sfvem_local, standard_vem_local)
+from sfvem.element import (LocalElementMatrices, effective_ell, sfvem_local,
+                           standard_vem_local)
 from sfvem.mesh import catalog_polygons
-from sfvem.poly import Poly2, ScaledFrame, build_benchmark_coefficients
+from sfvem.poly import Poly2, ScaledFrame
 from sfvem.problem import ProblemSpec
 from sfvem.projectors import dof_matrix, nabla_matrix
 from sfvem.quadrature import polygon_rule
@@ -34,7 +34,7 @@ def plain_spec(K=None, beta=None, gamma=None, f=None):
     (18, 8), (19, 8), (20, 9),
 ])
 def test_minimal_degree_rule(n, expected):
-    ell = ell_rule(n)
+    ell = effective_ell(n)
     assert ell == expected
     # minimality: the solvability inequality holds here and fails one lower
     assert 2 * ell + 2 >= n - 1
@@ -43,11 +43,9 @@ def test_minimal_degree_rule(n, expected):
 
 
 def test_degree_rule_offset():
-    assert ell_rule(8, offset=2) == 5
+    assert effective_ell(8, offset=2) == 5
     with pytest.raises(ValueError):
-        ell_rule(8, offset=-1)
-    with pytest.raises(ValueError):
-        ell_rule(2)
+        effective_ell(2)
 
 
 def test_effective_degree_clamps_below_zero():
@@ -75,7 +73,7 @@ def test_linear_consistency_identity_tensor():
     # v^T A u = |E| grad(u) . grad(v) when K = I and u, v are linear dofs
     from sfvem.geometry import signed_area
     for p in catalog_polygons():
-        ell = ell_rule(p.n_vertices)
+        ell = effective_ell(p.n_vertices)
         mats = sfvem_local(p.vertices, plain_spec(), ell=ell)
         area = signed_area(p.vertices)
         gu, gv = np.array([2.0, -1.0]), np.array([0.5, 3.0])
@@ -89,7 +87,7 @@ def test_linear_consistency_anisotropic_tensor():
     from sfvem.geometry import signed_area
     K = np.array([[3.0, 1.0], [1.0, 2.0]])
     for p in catalog_polygons()[::5]:
-        ell = ell_rule(p.n_vertices)
+        ell = effective_ell(p.n_vertices)
         mats = sfvem_local(p.vertices, plain_spec(K=K), ell=ell)
         area = signed_area(p.vertices)
         gu, gv = np.array([1.0, 2.0]), np.array([-1.0, 1.0])
@@ -100,48 +98,54 @@ def test_linear_consistency_anisotropic_tensor():
 
 def test_constant_kernel_all_catalog():
     for p in catalog_polygons():
-        ell = ell_rule(p.n_vertices)
+        ell = effective_ell(p.n_vertices)
         mats = sfvem_local(p.vertices, plain_spec(), ell=ell)
         ones = np.ones(p.n_vertices)
         assert np.abs(mats.A_diff @ ones).max() <= 1e-11 * np.abs(mats.A_diff).max()
 
 
-def test_isotropic_shortcut_matches_general_path():
-    # scaled identity takes the boundary-Gram shortcut; a callable returning
-    # the same tensor forces area quadrature. Both must agree.
-    p = catalog_polygons()[6]
-    ell = ell_rule(p.n_vertices)
-    direct = sfvem_local(p.vertices, plain_spec(K=2.0 * np.eye(2)), ell=ell)
-    viaq = sfvem_local(p.vertices, plain_spec(
-        K=lambda pts: np.broadcast_to(2.0 * np.eye(2), (len(pts), 2, 2))),
-        ell=ell, quad_degree=2 * ell)
-    np.testing.assert_allclose(direct.A_diff, viaq.A_diff, atol=1e-12)
-
-
-def test_diffusion_matches_dense_quadrature_oracle():
-    # rebuild P^T M_K P with an independent, deliberately overshot rule
+def _dense_quadrature_diffusion(vertices, K, ell):
+    # P^T M_K P with an independent, deliberately overshot rule and the
+    # general einsum path, whatever the shape of K
     from sfvem.poly import harmonic_basis
     from sfvem.projectors import hgrad_matrix
-    K = np.array([[2.0, 0.7], [0.7, 1.0]])
-    p = catalog_polygons()[3]
-    ell = ell_rule(p.n_vertices)
-    mats = sfvem_local(p.vertices, plain_spec(K=K), ell=ell)
-    frame = ScaledFrame.from_polygon(p.vertices)
+    frame = ScaledFrame.from_polygon(vertices)
     basis = harmonic_basis(frame, ell)
-    P, _G = hgrad_matrix(p.vertices, basis)
-    rule = polygon_rule(p.vertices, 2 * ell + 6)
+    P, _G = hgrad_matrix(vertices, basis)
+    rule = polygon_rule(vertices, 2 * ell + 6)
     grads = basis.gradients(rule.points)
     KG = np.einsum("ab,iqb->iqa", K, grads)
     MK = np.einsum("jqa,iqa,q->ij", grads, KG, rule.weights)
-    np.testing.assert_allclose(mats.A_diff, P.T @ MK @ P, rtol=1e-11,
-                               atol=1e-13)
+    return P.T @ MK @ P
+
+
+def test_diffusion_matches_dense_quadrature_oracle():
+    K = np.array([[2.0, 0.7], [0.7, 1.0]])
+    p = catalog_polygons()[3]
+    ell = effective_ell(p.n_vertices)
+    mats = sfvem_local(p.vertices, plain_spec(K=K), ell=ell)
+    np.testing.assert_allclose(mats.A_diff,
+                               _dense_quadrature_diffusion(p.vertices, K, ell),
+                               rtol=1e-11, atol=1e-13)
+
+
+def test_isotropic_shortcut_matches_general_path():
+    # a scaled identity takes the boundary-Gram shortcut; the quadrature
+    # path on the same tensor must agree
+    K = 2.0 * np.eye(2)
+    for p in (catalog_polygons()[3], catalog_polygons()[6]):
+        ell = effective_ell(p.n_vertices)
+        direct = sfvem_local(p.vertices, plain_spec(K=K), ell=ell)
+        np.testing.assert_allclose(
+            direct.A_diff, _dense_quadrature_diffusion(p.vertices, K, ell),
+            atol=1e-12)
 
 
 def test_reaction_is_rank_one_mean_outer_product():
     from sfvem.geometry import signed_area
     spec = plain_spec(gamma=Poly2.const(1.0))
     for p in catalog_polygons()[::6]:
-        ell = ell_rule(p.n_vertices)
+        ell = effective_ell(p.n_vertices)
         mats = sfvem_local(p.vertices, spec, ell=ell)
         area = signed_area(p.vertices)
         np.testing.assert_allclose(mats.A_reac,
@@ -165,7 +169,7 @@ def test_advection_constant_field_hand_value():
 def test_load_is_source_integral_times_mean_row():
     spec = plain_spec(f=Poly2.const(3.0))
     p = catalog_polygons()[8]
-    ell = ell_rule(p.n_vertices)
+    ell = effective_ell(p.n_vertices)
     mats = sfvem_local(p.vertices, spec, ell=ell)
     from sfvem.geometry import signed_area
     np.testing.assert_allclose(mats.b, 3.0 * signed_area(p.vertices) * mats.pi0,
@@ -176,17 +180,6 @@ def test_total_matrix_property():
     spec = plain_spec(gamma=Poly2.const(1.0), f=Poly2.const(1.0))
     mats = sfvem_local(SQUARE, spec, ell=1)
     np.testing.assert_array_equal(mats.A, mats.A_diff + mats.A_adv + mats.A_reac)
-
-
-def test_quadrature_exactness_flag():
-    spec = build_benchmark_coefficients()
-    # default resolves to the full polynomial degree of every term
-    mats = sfvem_local(SQUARE, spec, ell=1)
-    assert mats.exact_quadrature
-    low = sfvem_local(SQUARE, spec, ell=1, quad_degree=4)
-    assert not low.exact_quadrature
-    explicit = sfvem_local(SQUARE, spec, ell=1, quad_degree=40)
-    assert explicit.exact_quadrature
 
 
 def test_element_id_recorded():
@@ -251,17 +244,11 @@ def test_vem_rejects_unknown_stabilization():
         standard_vem_local(SQUARE, plain_spec(), stab="projection-jump")
 
 
-def test_vem_rejects_callable_tensor():
-    spec = plain_spec(K=lambda pts: np.broadcast_to(np.eye(2), (len(pts), 2, 2)))
-    with pytest.raises(ValueError, match="constant"):
-        standard_vem_local(SQUARE, spec)
-
-
 def test_both_methods_same_reaction_and_load():
     spec = plain_spec(gamma=Poly2.from_separable([0.0, 1.0], [1.0]),
                       f=Poly2.const(2.0))
     p = catalog_polygons()[2]
-    ell = ell_rule(p.n_vertices)
+    ell = effective_ell(p.n_vertices)
     a = sfvem_local(p.vertices, spec, ell=ell)
     b = standard_vem_local(p.vertices, spec)
     np.testing.assert_allclose(a.A_reac, b.A_reac, rtol=1e-12, atol=1e-15)

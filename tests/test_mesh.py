@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,16 @@ def test_read_single_square(tmp_path):
     mesh = read_mesh(write_text(tmp_path, SQUARE_FILE))
     assert mesh.n_cells == 1
     assert mesh.n_vertices == 4
+    assert mesh.boundary_vertices == frozenset({0, 1, 2, 3})
+    assert total_area(mesh) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_readme_example_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Mesh text format", 1)[1]
+    example = section.split("```\n", 2)[1]
+    mesh = read_mesh(write_text(tmp_path, example))
+    assert (mesh.n_vertices, mesh.n_cells) == (5, 4)
     assert mesh.boundary_vertices == frozenset({0, 1, 2, 3})
     assert total_area(mesh) == pytest.approx(1.0, abs=1e-15)
 

@@ -3,8 +3,9 @@ import pytest
 
 from sfvem.poly import (HarmonicBasis, Poly2, ScaledFrame,
                         build_benchmark_coefficients, bubble_problem,
-                        harmonic_basis, harmonic_gradients,
-                        manufactured_problem, poisson_problem)
+                        harmonic_basis, manufactured_problem,
+                        poisson_problem)
+from sfvem.problem import ProblemSpec
 
 RNG = np.random.default_rng(11)
 
@@ -140,7 +141,7 @@ def test_first_pair_is_scaled_coordinates():
 
 def test_gradient_helper_single_point():
     fr = ScaledFrame(np.zeros(2), 1.0)
-    g = harmonic_gradients(HarmonicBasis(fr, 1), [0.3, 0.4])
+    g = HarmonicBasis(fr, 1).gradients(np.array([[0.3, 0.4]]))[:, 0, :]
     assert g.shape == (4, 2)
     # grad Re z = (1, 0), grad Im z = (0, 1) for unit frame
     np.testing.assert_allclose(g[0], [1.0, 0.0], atol=1e-15)
@@ -295,3 +296,21 @@ def test_problem_spec_rejects_bad_tensor():
     with pytest.raises(ValueError, match="symmetric"):
         manufactured_problem([[1.0, 0.5], [0.0, 1.0]], (zero, zero), zero,
                              Poly2.const(1.0))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("K", lambda pts: np.broadcast_to(np.eye(2), (len(pts), 2, 2))),
+    # a degree-4 rule integrates this load to 0.173 on the unit square,
+    # against a true (1 - cos 40)/40 = 0.0417
+    ("f", lambda pts: np.sin(40.0 * pts[:, 0])),
+    ("gamma", lambda pts: np.ones(len(pts))),
+    ("exact_u", lambda pts: pts[:, 0]),
+])
+def test_problem_spec_rejects_non_polynomial_data(field, value):
+    zero = Poly2.zero()
+    data = dict(K=np.eye(2), beta=(zero, zero), gamma=zero,
+                f=Poly2.const(1.0), exact_u=Poly2.zero(),
+                exact_grad_u=(zero, zero))
+    data[field] = value
+    with pytest.raises(ValueError, match=field):
+        ProblemSpec(**data)

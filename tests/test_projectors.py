@@ -6,10 +6,8 @@ import pytest
 from sfvem.errors import DegenerateElementError, SingularGramError
 from sfvem.mesh import catalog_polygons
 from sfvem.poly import HarmonicBasis, ScaledFrame
-from sfvem.projectors import (ElementDofs, hgrad_gram, hgrad_matrix,
-                              hgrad_projection, nabla_matrix,
-                              nabla_projection, pi0_projection, pi0_row,
-                              _solve_gram)
+from sfvem.projectors import (dof_matrix, hgrad_gram, hgrad_matrix,
+                              nabla_matrix, pi0_row, _solve_gram)
 from sfvem.quadrature import gauss_legendre, polygon_rule
 
 from oracles import trapezoid_boundary_flux, trapezoid_boundary_mean
@@ -49,19 +47,22 @@ def boundary_rhs_oracle(vertices, basis, n_nodes=24):
 
 def test_reproduces_linears_on_catalog():
     for p in catalog_polygons():
-        dofs = ElementDofs(0, p.vertices, linear(p.vertices))
-        proj = nabla_projection(dofs)
-        got = proj(p.vertices)
-        scale = np.abs(dofs.values).max()
-        assert np.abs(got - dofs.values).max() <= 1e-13 * scale, p.name
-        np.testing.assert_allclose(proj.gradient(), [2.0, 3.0], atol=1e-13)
+        frame = ScaledFrame.from_polygon(p.vertices)
+        values = linear(p.vertices)
+        coef = nabla_matrix(p.vertices, frame) @ values
+        got = dof_matrix(p.vertices, frame) @ coef
+        scale = np.abs(values).max()
+        assert np.abs(got - values).max() <= 1e-13 * scale, p.name
+        np.testing.assert_allclose(coef[1:] / frame.scale, [2.0, 3.0],
+                                   atol=1e-13)
 
 
 def test_constant_projects_to_itself():
-    dofs = ElementDofs(0, SQUARE, np.ones(4))
-    proj = nabla_projection(dofs)
-    np.testing.assert_allclose(proj.gradient(), [0.0, 0.0], atol=1e-15)
-    assert proj(np.array([[0.3, 0.9]]))[0] == pytest.approx(1.0, abs=1e-15)
+    frame = ScaledFrame.from_polygon(SQUARE)
+    coef = nabla_matrix(SQUARE, frame) @ np.ones(4)
+    np.testing.assert_allclose(coef[1:] / frame.scale, [0.0, 0.0], atol=1e-15)
+    point = np.array([[0.3, 0.9]])
+    assert (dof_matrix(point, frame) @ coef)[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_x_squared_on_unit_square():
@@ -69,28 +70,19 @@ def test_x_squared_on_unit_square():
     # gradient part is the trapezoid flux and the constant comes from
     # matching the trapezoid boundary mean
     values = SQUARE[:, 0] ** 2
-    dofs = ElementDofs(0, SQUARE, values)
-    proj = nabla_projection(dofs)
+    frame = ScaledFrame.from_polygon(SQUARE)
+    coef = nabla_matrix(SQUARE, frame) @ values
     flux = trapezoid_boundary_flux(SQUARE, values)  # = (1, 0) by hand
     np.testing.assert_allclose(flux, [1.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(proj.gradient(), flux / 1.0, atol=1e-14)
+    np.testing.assert_allclose(coef[1:] / frame.scale, flux / 1.0, atol=1e-14)
     v_mean = trapezoid_boundary_mean(SQUARE, values)             # 1/2
     g_mean = trapezoid_boundary_mean(SQUARE, SQUARE[:, 0] - 0.5)  # 0
     assert v_mean == pytest.approx(0.5, abs=1e-15)
     # projection = (x - 1/2) + (v_mean - g_mean) = x
     pts = RNG.uniform(0, 1, (20, 2))
-    np.testing.assert_allclose(proj(pts), pts[:, 0], atol=1e-14)
+    np.testing.assert_allclose(dof_matrix(pts, frame) @ coef, pts[:, 0],
+                               atol=1e-14)
     assert v_mean - g_mean == pytest.approx(0.5, abs=1e-14)
-
-
-def test_matrix_and_vector_paths_agree():
-    p = catalog_polygons()[7]
-    frame = ScaledFrame.from_polygon(p.vertices)
-    P = nabla_matrix(p.vertices, frame)
-    values = RNG.standard_normal(p.n_vertices)
-    proj = nabla_projection(ElementDofs(0, p.vertices, values))
-    np.testing.assert_allclose(P @ values, proj.coefficients, rtol=1e-13,
-                               atol=1e-15)
 
 
 def test_degenerate_element_rejected():
@@ -153,22 +145,21 @@ def test_linear_dofs_project_to_first_pair():
     for p in catalog_polygons()[::5]:
         frame = ScaledFrame.from_polygon(p.vertices)
         basis = HarmonicBasis(frame, 4)
-        dofs = ElementDofs(0, p.vertices, linear(p.vertices, 2.0, 3.0, -1.0))
-        proj = hgrad_projection(dofs, basis)
+        P, _G = hgrad_matrix(p.vertices, basis)
+        d = P @ linear(p.vertices, 2.0, 3.0, -1.0)
         # projected gradient is the constant (2, 3)
         pts = frame.center[None, :] + RNG.uniform(-0.2, 0.2, (9, 2))
-        grads = proj.gradient(pts)
+        grads = np.einsum("j,jpd->pd", d, basis.gradients(pts))
         np.testing.assert_allclose(grads[:, 0], 2.0, atol=1e-12)
         np.testing.assert_allclose(grads[:, 1], 3.0, atol=1e-12)
         # all energy sits on the k=1 coefficients
-        d = proj.coefficients
         assert np.abs(d[2:]).max() <= 1e-12 * max(1.0, np.abs(d).max())
 
 
 def test_constant_dofs_project_to_zero():
     basis = HarmonicBasis(ScaledFrame.from_polygon(SQUARE), 3)
-    proj = hgrad_projection(ElementDofs(0, SQUARE, np.full(4, 7.0)), basis)
-    assert np.abs(proj.coefficients).max() <= 1e-13
+    P, _G = hgrad_matrix(SQUARE, basis)
+    assert np.abs(P @ np.full(4, 7.0)).max() <= 1e-13
 
 
 def test_orthogonality_residual_z2_on_square():
@@ -218,9 +209,9 @@ def test_projection_energy_grows_with_ell():
         energies = []
         for ell in range(0, 6):
             basis = HarmonicBasis(frame, ell)
-            proj = hgrad_projection(ElementDofs(0, p.vertices, values), basis)
-            d = proj.coefficients
-            energies.append(float(d @ proj.gram @ d))
+            P, G = hgrad_matrix(p.vertices, basis)
+            d = P @ values
+            energies.append(float(d @ G @ d))
         for lo, hi in zip(energies, energies[1:]):
             assert hi >= lo - 1e-12 * max(1.0, lo), p.name
 
@@ -243,37 +234,22 @@ def test_nonpositive_gram_raises():
 
 
 def test_pi0_of_constant():
-    dofs = ElementDofs(0, SQUARE, np.ones(4))
-    assert pi0_projection(dofs, nabla_projection(dofs)) == pytest.approx(1.0, abs=1e-15)
+    row = pi0_row(SQUARE, ScaledFrame.from_polygon(SQUARE))
+    assert row @ np.ones(4) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_pi0_of_x_on_unit_square():
-    dofs = ElementDofs(0, SQUARE, SQUARE[:, 0])
-    assert pi0_projection(dofs, nabla_projection(dofs)) == pytest.approx(0.5, abs=1e-14)
+    row = pi0_row(SQUARE, ScaledFrame.from_polygon(SQUARE))
+    assert row @ SQUARE[:, 0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_pi0_matches_quadrature_of_linear_projection():
     for p in catalog_polygons()[::4]:
+        frame = ScaledFrame.from_polygon(p.vertices)
         values = RNG.standard_normal(p.n_vertices)
-        dofs = ElementDofs(0, p.vertices, values)
-        nabla = nabla_projection(dofs)
-        got = pi0_projection(dofs, nabla)
+        coef = nabla_matrix(p.vertices, frame) @ values
+        got = pi0_row(p.vertices, frame) @ values
         rule = polygon_rule(p.vertices, 1)
         area = rule.weights.sum()
-        want = rule.integrate(lambda q: nabla(q)) / area
+        want = rule.integrate(lambda q: dof_matrix(q, frame) @ coef) / area
         assert got == pytest.approx(want, abs=1e-13 * max(1, abs(want))), p.name
-
-
-def test_pi0_row_matches_scalar_path():
-    p = catalog_polygons()[9]
-    frame = ScaledFrame.from_polygon(p.vertices)
-    row = pi0_row(p.vertices, frame)
-    values = RNG.standard_normal(p.n_vertices)
-    dofs = ElementDofs(0, p.vertices, values)
-    want = pi0_projection(dofs, nabla_projection(dofs))
-    assert row @ values == pytest.approx(want, rel=1e-13, abs=1e-15)
-
-
-def test_dof_count_mismatch_rejected():
-    with pytest.raises(ValueError, match="dof values"):
-        ElementDofs(3, SQUARE, np.ones(5))

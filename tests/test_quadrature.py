@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from sfvem.mesh import catalog_polygons
-from sfvem.quadrature import (QuadratureError, edge_integral, gauss_legendre,
-                              polygon_rule)
+from sfvem.quadrature import QuadratureError, gauss_legendre, polygon_rule
 
 from oracles import monomial_integral
 
@@ -62,20 +61,6 @@ def test_polynomial_exactness_to_2n_minus_1(n):
 def test_rule_requires_positive_count():
     with pytest.raises(QuadratureError):
         gauss_legendre(0)
-
-
-def test_edge_integral_line_segment():
-    # integral of x^2 y along the segment (0,0) -> (3,4), length 5
-    a, b = np.array([0.0, 0.0]), np.array([3.0, 4.0])
-    got = edge_integral(lambda p: p[:, 0] ** 2 * p[:, 1], a, b, 4)
-    # parametrize: x=3t, y=4t, ds=5dt -> 180 int t^3 dt = 45
-    assert got == pytest.approx(45.0, rel=1e-14)
-
-
-def test_edge_integral_constant_gives_length():
-    a, b = np.array([1.0, 2.0]), np.array([4.0, 6.0])
-    got = edge_integral(lambda p: np.ones(len(p)), a, b, 1)
-    assert got == pytest.approx(5.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

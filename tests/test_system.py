@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sfvem.element import sfvem_local, standard_vem_local
-from sfvem.errors import SingularSystemError
+from sfvem.errors import DegenerateElementError, SingularSystemError
 from sfvem.mesh import PolyMesh, generate_distorted_grid
 from sfvem.poly import Poly2, bubble_problem, poisson_problem
 from sfvem.problem import ProblemSpec
@@ -86,14 +86,12 @@ def test_method_validation():
 
 
 def test_element_errors_carry_element_id():
-    # a callable K reaches the comparator path and fails inside element 0
-    spec = ProblemSpec(K=np.eye(2), beta=(ZERO, ZERO), gamma=ZERO,
-                       f=Poly2.const(1.0))
-    object.__setattr__(spec, "K", lambda pts: np.broadcast_to(
-        np.eye(2), (len(pts), 2, 2)))
-    mesh = generate_distorted_grid(2, delta=0.0)
-    with pytest.raises(ValueError, match="constant"):
-        assemble(mesh, spec, method="vem")
+    # a sliver passes mesh validation but not the element area check
+    mesh = PolyMesh([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-16]], ((0, 1, 2),),
+                    {0, 1, 2})
+    for method in ("sfvem", "vem"):
+        with pytest.raises(DegenerateElementError, match="element 0"):
+            assemble(mesh, poisson_problem(), method=method)
 
 
 def test_permuting_elements_preserves_solution():
@@ -104,15 +102,6 @@ def test_permuting_elements_preserves_solution():
     a = solve(assemble(mesh, spec))
     b = solve(assemble(permuted, spec))
     assert np.abs(a.values - b.values).max() <= 1e-12 * np.abs(a.values).max()
-
-
-def test_inexact_quadrature_logged_once(caplog):
-    import logging
-    mesh = generate_distorted_grid(2, delta=0.0)
-    with caplog.at_level(logging.WARNING, logger="sfvem.system"):
-        assemble(mesh, bubble_problem(), quad_degree=1)
-    messages = [r for r in caplog.records if "quadrature" in r.message]
-    assert len(messages) == 1
 
 
 # ---------------------------------------------------------------------------
