@@ -29,17 +29,23 @@ from .quadrature import polygon_rule
 from .system import assemble, solve
 
 
-def jacobi_singular_values(A: np.ndarray, tol: float = 1e-14,
-                           max_sweeps: int = 60) -> np.ndarray:
+# one-sided Jacobi stops once every column pair is orthogonal to this
+# relative tolerance, or after this many sweeps
+JACOBI_TOL = 1e-14
+JACOBI_MAX_SWEEPS = 60
+
+
+def jacobi_singular_values(A: np.ndarray) -> np.ndarray:
     """Singular values of a small dense matrix by one-sided Jacobi rotations.
 
-    Columns are rotated pairwise until mutually orthogonal relative to tol;
-    the singular values are then the column norms. Accurate for the tiny
-    trailing values this module cares about. Returned in descending order.
+    Columns are rotated pairwise until mutually orthogonal relative to
+    JACOBI_TOL; the singular values are then the column norms. Accurate for
+    the tiny trailing values this module cares about. Returned in descending
+    order.
     """
     U = np.array(A, dtype=float)
     n = U.shape[1]
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = 0.0
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -50,7 +56,7 @@ def jacobi_singular_values(A: np.ndarray, tol: float = 1e-14,
                 if app * aqq == 0.0:
                     continue
                 rel = abs(apq) / np.sqrt(app * aqq)
-                if rel <= tol:
+                if rel <= JACOBI_TOL:
                     continue
                 off = max(off, rel)
                 tau = (aqq - app) / (2.0 * apq)
@@ -59,7 +65,7 @@ def jacobi_singular_values(A: np.ndarray, tol: float = 1e-14,
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
                 U[:, p], U[:, q] = c * ap - s * aq, s * ap + c * aq
-        if off <= tol:
+        if off <= JACOBI_TOL:
             break
     sv = np.sqrt((U * U).sum(axis=0))
     return np.sort(sv)[::-1]

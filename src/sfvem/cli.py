@@ -125,39 +125,55 @@ class _UsageError(SystemExit):
         super().__init__(1)
 
 
+# every flag, in --help order; each subcommand registers only those it reads
+_FLAGS = {
+    "mesh": dict(help="mesh file (overrides the generator)"),
+    "generator": dict(choices=["grid", "voronoi"]),
+    "n": dict(type=int, help="grid cells per side"),
+    "seeds": dict(type=int, help="voronoi seed count"),
+    "delta": dict(type=float, help="grid distortion fraction"),
+    "distortion": dict(type=float, help="voronoi vertex distortion"),
+    "lloyd_iters": dict(type=int, help="voronoi relaxation sweeps"),
+    "seed": dict(type=int, help="RNG seed"),
+    "method": dict(choices=["sfvem", "vem", "both"]),
+    "ell_offset": dict(type=int,
+                       help="added to the per-cell degree rule (may be negative)"),
+    "theta": dict(type=float, help="diffusion rotation angle"),
+    "r1": dict(type=float, help="benchmark parameter R1"),
+    "r2": dict(type=float, help="benchmark parameter R2"),
+    "levels": dict(help="comma-separated refinement levels"),
+    "out": dict(help="output directory"),
+    "problem": dict(choices=["benchmark", "poisson", "bubble"]),
+    "polygon": dict(help="polygon file (one 'x y' pair per line, CCW)"),
+}
+_MESH_FLAGS = {"mesh", "generator", "n", "seeds", "delta", "distortion",
+               "lloyd_iters", "seed", "out"}
+_PROBLEM_FLAGS = {"problem", "theta", "r1", "r2"}
+_STUDY_FLAGS = ((_MESH_FLAGS - {"mesh", "n", "seeds"}) | _PROBLEM_FLAGS
+                | {"levels", "ell_offset"})
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sfvem",
                      description="Stabilization-free virtual element experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, flags):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value file; flags override it")
-        p.add_argument("--mesh", help="mesh file (overrides the generator)")
-        p.add_argument("--generator", choices=["grid", "voronoi"])
-        p.add_argument("--n", type=int, help="grid cells per side")
-        p.add_argument("--seeds", type=int, help="voronoi seed count")
-        p.add_argument("--delta", type=float, help="grid distortion fraction")
-        p.add_argument("--distortion", type=float, help="voronoi vertex distortion")
-        p.add_argument("--lloyd-iters", type=int, help="voronoi relaxation sweeps")
-        p.add_argument("--seed", type=int, help="RNG seed")
-        p.add_argument("--method", choices=["sfvem", "vem", "both"])
-        p.add_argument("--ell-offset", type=int,
-                       help="added to the per-cell degree rule (may be negative)")
-        p.add_argument("--theta", type=float, help="diffusion rotation angle")
-        p.add_argument("--r1", type=float, help="benchmark parameter R1")
-        p.add_argument("--r2", type=float, help="benchmark parameter R2")
-        p.add_argument("--levels", help="comma-separated refinement levels")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--problem", choices=["benchmark", "poisson", "bubble"])
-        p.add_argument("--polygon", help="polygon file (one 'x y' pair per line, CCW)")
-        return p
+        for flag, kwargs in _FLAGS.items():
+            if flag in flags:
+                p.add_argument("--" + flag.replace("_", "-"), **kwargs)
 
-    add("generate-mesh", "write a mesh file for the chosen generator")
-    add("check-polygon", "run the spectral stability audit")
-    add("solve", "assemble and solve once, export the nodal solution")
-    add("convergence", "refinement study with error table, rates, and plot")
-    add("compare", "convergence with both methods forced")
+    add("generate-mesh", "write a mesh file for the chosen generator",
+        _MESH_FLAGS)
+    add("check-polygon", "run the spectral stability audit",
+        {"polygon", "ell_offset", "out"})
+    add("solve", "assemble and solve once, export the nodal solution",
+        _MESH_FLAGS | _PROBLEM_FLAGS | {"method", "ell_offset"})
+    add("convergence", "refinement study with error table, rates, and plot",
+        _STUDY_FLAGS | {"method"})
+    add("compare", "convergence with both methods forced", _STUDY_FLAGS)
     return parser
 
 

@@ -33,15 +33,12 @@ __all__ = [
 class LocalElementMatrices:
     """Per-element blocks of the discrete bilinear form and load."""
 
-    element_id: int
     ell: int
     A_diff: np.ndarray
     A_adv: np.ndarray
     A_reac: np.ndarray
     b: np.ndarray
-    hgrad: np.ndarray | None  # harmonic coefficient matrix, (2 ell + 2, N)
-    nabla: np.ndarray         # linear projection matrix, (3, N)
-    pi0: np.ndarray           # element-mean row, (N,)
+    pi0: np.ndarray  # element-mean row, (N,)
 
     @property
     def A(self) -> np.ndarray:
@@ -68,8 +65,7 @@ def _volume_degree(spec: ProblemSpec, ell: int) -> int:
                spec.gamma.degree, spec.f.degree)
 
 
-def sfvem_local(vertices, spec: ProblemSpec, ell: int,
-                element_id: int = -1) -> LocalElementMatrices:
+def sfvem_local(vertices, spec: ProblemSpec, ell: int) -> LocalElementMatrices:
     """Local matrices of the stabilization-free form on one polygon.
 
     Parameters
@@ -84,7 +80,6 @@ def sfvem_local(vertices, spec: ProblemSpec, ell: int,
         probing below the solvability bound.
     """
     vertices = np.asarray(vertices, dtype=float)
-    n = len(vertices)
     frame = ScaledFrame.from_polygon(vertices)
     basis = harmonic_basis(frame, ell)
     P, G = hgrad_matrix(vertices, basis)
@@ -103,36 +98,24 @@ def sfvem_local(vertices, spec: ProblemSpec, ell: int,
     A_diff = P.T @ MK @ P
     A_diff = 0.5 * (A_diff + A_diff.T)
 
-    A_adv = np.zeros((n, n))
-    if not (spec.beta[0].is_zero() and spec.beta[1].is_zero()):
-        bvals = np.column_stack([spec.beta[0](rule.points),
-                                 spec.beta[1](rule.points)])
-        t = np.einsum("iqa,qa,q->i", grads, bvals, rule.weights)
-        A_adv = np.outer(r, t @ P)
-
-    A_reac = np.zeros((n, n))
-    if not spec.gamma.is_zero():
-        A_reac = rule.integrate(spec.gamma) * np.outer(r, r)
-
+    bvals = np.column_stack([spec.beta[0](rule.points),
+                             spec.beta[1](rule.points)])
+    t = np.einsum("iqa,qa,q->i", grads, bvals, rule.weights)
+    A_adv = np.outer(r, t @ P)
+    A_reac = rule.integrate(spec.gamma) * np.outer(r, r)
     b = rule.integrate(spec.f) * r
-    return LocalElementMatrices(element_id, ell, A_diff, A_adv, A_reac, b,
-                                P, nabla, r)
+    return LocalElementMatrices(ell, A_diff, A_adv, A_reac, b, r)
 
 
-def standard_vem_local(vertices, spec: ProblemSpec,
-                       stab: str = "dofi-dofi", tau: float | None = None,
-                       element_id: int = -1) -> LocalElementMatrices:
+def standard_vem_local(vertices, spec: ProblemSpec) -> LocalElementMatrices:
     """Local matrices of the stabilized first-order comparator.
 
     Diffusion is the P1 consistency term plus the dofi-dofi stabilization
-    tau * sum_i dof_i((I - Pi)u) dof_i((I - Pi)v); tau defaults to
-    trace(K)/2. Advection and reaction use the P1 projected gradient and
-    the element mean, matching the stabilization-free form term by term.
+    tau * sum_i dof_i((I - Pi)u) dof_i((I - Pi)v) with tau = trace(K)/2.
+    Advection and reaction use the P1 projected gradient and the element
+    mean, matching the stabilization-free form term by term.
     """
-    if stab != "dofi-dofi":
-        raise ValueError(f"unknown stabilization {stab!r}")
     vertices = np.asarray(vertices, dtype=float)
-    n = len(vertices)
     frame = ScaledFrame.from_polygon(vertices)
     nabla = nabla_matrix(vertices, frame)
     D = dof_matrix(vertices, frame)
@@ -142,24 +125,15 @@ def standard_vem_local(vertices, spec: ProblemSpec,
     K = spec.K
     S = nabla[1:]  # gradient rows, frame scaled
     consistency = (area / h**2) * (S.T @ K @ S)
-    if tau is None:
-        tau = 0.5 * float(np.trace(K))
-    Q = np.eye(n) - D @ nabla
+    tau = 0.5 * float(np.trace(K))
+    Q = np.eye(len(vertices)) - D @ nabla
     A_diff = consistency + tau * (Q.T @ Q)
     A_diff = 0.5 * (A_diff + A_diff.T)
 
     rule = polygon_rule(vertices, _volume_degree(spec, 0))
-
-    A_adv = np.zeros((n, n))
-    if not (spec.beta[0].is_zero() and spec.beta[1].is_zero()):
-        bbar = np.array([rule.integrate(spec.beta[0]),
-                         rule.integrate(spec.beta[1])])
-        A_adv = np.outer(r, (bbar @ S) / h)
-
-    A_reac = np.zeros((n, n))
-    if not spec.gamma.is_zero():
-        A_reac = rule.integrate(spec.gamma) * np.outer(r, r)
-
+    bbar = np.array([rule.integrate(spec.beta[0]),
+                     rule.integrate(spec.beta[1])])
+    A_adv = np.outer(r, (bbar @ S) / h)
+    A_reac = rule.integrate(spec.gamma) * np.outer(r, r)
     b = rule.integrate(spec.f) * r
-    return LocalElementMatrices(element_id, 0, A_diff, A_adv, A_reac, b,
-                                None, nabla, r)
+    return LocalElementMatrices(0, A_diff, A_adv, A_reac, b, r)

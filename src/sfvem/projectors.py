@@ -51,23 +51,17 @@ def nabla_matrix(vertices: np.ndarray, frame: ScaledFrame) -> np.ndarray:
     """
     vertices = np.asarray(vertices, dtype=float)
     area = _check_element(vertices)
-    n = len(vertices)
     _, lengths, normals = edge_lengths_normals(vertices)
-    W = np.zeros((2, n))
-    for e in range(n):
-        j = (e + 1) % n
-        half = 0.5 * lengths[e] * normals[e]
-        W[:, e] += half
-        W[:, j] += half
-    P = np.zeros((3, n))
-    P[1] = frame.scale * W[0] / area
-    P[2] = frame.scale * W[1] / area
+    # each vertex collects half of both adjacent edges: the trapezoid stencil
+    half = 0.5 * lengths
+    wtrap = half + np.roll(half, 1)
+    half_n = half[:, None] * normals
+    W = half_n + np.roll(half_n, 1, axis=0)
+    P = np.empty((3, len(vertices)))
+    P[1] = frame.scale * W[:, 0] / area
+    P[2] = frame.scale * W[:, 1] / area
     # boundary means: of v (trapezoid weights) and of the frame monomials
     perim = lengths.sum()
-    wtrap = np.zeros(n)
-    for e in range(n):
-        wtrap[e] += 0.5 * lengths[e]
-        wtrap[(e + 1) % n] += 0.5 * lengths[e]
     loc = frame.local(vertices)
     mean_x = wtrap @ loc[:, 0] / perim
     mean_y = wtrap @ loc[:, 1] / perim
@@ -82,20 +76,48 @@ def dof_matrix(vertices: np.ndarray, frame: ScaledFrame) -> np.ndarray:
 
 
 def pi0_row(vertices: np.ndarray, frame: ScaledFrame,
-            nabla: np.ndarray | None = None) -> np.ndarray:
-    """Row (N,) such that row @ values is the mean of the linear projection.
+            nabla: np.ndarray) -> np.ndarray:
+    """Row (N,) such that row @ values is the mean of the linear projection,
+    given nabla = nabla_matrix(vertices, frame).
 
     Exact for the linear integrand: the element mean of a1 + a2 xhat + a3 yhat
     uses the shoelace first moments, no quadrature.
     """
     vertices = np.asarray(vertices, dtype=float)
-    if nabla is None:
-        nabla = nabla_matrix(vertices, frame)
     area = signed_area(vertices)
     mx, my = first_moments(vertices)
     mean_xhat = (mx / area - frame.center[0]) / frame.scale
     mean_yhat = (my / area - frame.center[1]) / frame.scale
     return nabla[0] + mean_xhat * nabla[1] + mean_yhat * nabla[2]
+
+
+def _edge_normal_derivatives(vertices, basis, normals, n_nodes: int):
+    # Gauss points on all N edges at once, edge-major (N * n_nodes, 2), the
+    # node parameters t in [0, 1] and weights w of the rule, and dh_i/dn at
+    # the points, (N, 2 ell + 2, n_nodes)
+    rule = gauss_legendre(n_nodes)
+    t = 0.5 * (rule.nodes + 1.0)
+    w = 0.5 * rule.weights
+    edges = np.roll(vertices, -1, axis=0) - vertices
+    pts = (vertices[:, None, :] + t[None, :, None] * edges[:, None, :]).reshape(-1, 2)
+    grads = basis.gradients(pts).reshape(basis.size, len(vertices), n_nodes, 2)
+    return pts, t, w, (grads @ normals[:, :, None])[..., 0].transpose(1, 0, 2)
+
+
+def _boundary_gram(vertices, basis, lengths, normals) -> np.ndarray:
+    # sum over edges of the edge integrals of h_j dh_i/dn with ell + 1 Gauss
+    # nodes per edge (exact, degree 2 ell + 1 integrands); not symmetrized
+    pts, _, w, dn = _edge_normal_derivatives(vertices, basis, normals, basis.ell + 1)
+    vals = basis.values(pts).reshape(basis.size, len(vertices), -1)
+    per_edge = (lengths[:, None, None] * (dn * w)) @ vals.transpose(1, 2, 0)
+    return per_edge.sum(axis=0)
+
+
+def _symmetrized(G: np.ndarray) -> np.ndarray:
+    G = 0.5 * (G + G.T)
+    if not np.isfinite(G).all():
+        raise SingularGramError("gram matrix has non-finite entries")
+    return G
 
 
 def hgrad_gram(vertices: np.ndarray, basis: HarmonicBasis,
@@ -120,31 +142,16 @@ def hgrad_gram(vertices: np.ndarray, basis: HarmonicBasis,
     """
     vertices = np.asarray(vertices, dtype=float)
     _check_element(vertices)
-    m = basis.size
     if mode == "area":
         rule = polygon_rule(vertices, 2 * basis.ell)
         grads = basis.gradients(rule.points)
         G = np.einsum("ipd,jpd,p->ij", grads, grads, rule.weights)
     elif mode == "boundary":
-        G = np.zeros((m, m))
         _, lengths, normals = edge_lengths_normals(vertices)
-        rule = gauss_legendre(basis.ell + 1)
-        t = 0.5 * (rule.nodes + 1.0)
-        w = 0.5 * rule.weights
-        n = len(vertices)
-        for e in range(n):
-            a = vertices[e]
-            b = vertices[(e + 1) % n]
-            pts = a[None, :] + t[:, None] * (b - a)[None, :]
-            vals = basis.values(pts)
-            dn = basis.gradients(pts) @ normals[e]
-            G += lengths[e] * (dn * w) @ vals.T
+        G = _boundary_gram(vertices, basis, lengths, normals)
     else:
         raise ValueError(f"unknown gram mode {mode!r}")
-    G = 0.5 * (G + G.T)
-    if not np.isfinite(G).all():
-        raise SingularGramError("gram matrix has non-finite entries")
-    return G
+    return _symmetrized(G)
 
 
 def _solve_gram(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -176,18 +183,12 @@ def hgrad_matrix(vertices: np.ndarray, basis: HarmonicBasis):
     ceil((ell + 2)/2) Gauss nodes per edge are exact.
     """
     vertices = np.asarray(vertices, dtype=float)
-    n = len(vertices)
-    G = hgrad_gram(vertices, basis, mode="boundary")
-    rule = gauss_legendre((basis.ell + 3) // 2)
-    t = 0.5 * (rule.nodes + 1.0)
-    w = 0.5 * rule.weights
+    _check_element(vertices)
     _, lengths, normals = edge_lengths_normals(vertices)
-    B = np.zeros((basis.size, n))
-    for e in range(n):
-        j = (e + 1) % n
-        a, b = vertices[e], vertices[j]
-        pts = a[None, :] + t[:, None] * (b - a)[None, :]
-        dn = basis.gradients(pts) @ normals[e]
-        B[:, e] += lengths[e] * dn @ (w * (1.0 - t))
-        B[:, j] += lengths[e] * dn @ (w * t)
+    G = _symmetrized(_boundary_gram(vertices, basis, lengths, normals))
+    _, t, w, dn = _edge_normal_derivatives(vertices, basis, normals,
+                                           (basis.ell + 3) // 2)
+    dn = lengths[:, None, None] * dn
+    # edge e feeds its start vertex with weight 1 - t and its end vertex with t
+    B = (dn @ (w * (1.0 - t))).T + np.roll((dn @ (w * t)).T, 1, axis=1)
     return _solve_gram(G, B), G

@@ -72,8 +72,6 @@ def gauss_legendre(n: int) -> EdgeRule:
     """n-point Gauss-Legendre rule on [-1, 1], exact through degree 2n - 1."""
     if n < 1:
         raise QuadratureError(f"need at least one node, got n={n}")
-    if n == 1:
-        return EdgeRule(np.zeros(1), np.full(1, 2.0))
     nodes, weights = _gauss_legendre_cached(int(n))
     return EdgeRule(nodes, weights)
 
@@ -83,9 +81,11 @@ def _gauss01(n: int):
     return 0.5 * (rule.nodes + 1.0), 0.5 * rule.weights
 
 
-def _triangle_points(v0, v1, v2, degree: int):
+@lru_cache(maxsize=None)
+def _duffy_reference(degree: int):
     # Duffy collapse of a tensor rule: x = u, y = u v on the reference
-    # triangle picks up one extra u power from the Jacobian.
+    # triangle picks up one extra u power from the Jacobian. Returns the
+    # node coordinates u and u v and the weights, shared by every triangle.
     nu = (degree + 3) // 2
     nv = (degree + 2) // 2
     xu, wu = _gauss01(nu)
@@ -93,25 +93,23 @@ def _triangle_points(v0, v1, v2, degree: int):
     u = np.repeat(xu, nv)
     v = np.tile(xv, nu)
     w = np.repeat(wu, nv) * np.tile(wv, nu) * u
-    e1 = v1 - v0
-    e2 = v2 - v1
-    pts = v0[None, :] + u[:, None] * e1[None, :] + (u * v)[:, None] * e2[None, :]
-    area2 = e1[0] * (v2 - v0)[1] - e1[1] * (v2 - v0)[0]
-    return pts, w * area2
+    uv = u * v
+    for arr in (u, uv, w):
+        arr.setflags(write=False)
+    return u, uv, w
 
 
 def _fan_triangles(vertices: np.ndarray):
+    # (n, 3, 2) triangles (c, v_i, v_{i+1}) around the vertex average c, or
+    # None when the polygon is not strictly star shaped about c
     c = vertices.mean(axis=0)
-    tris = []
-    n = len(vertices)
+    a = vertices
+    b = np.roll(vertices, -1, axis=0)
     scale2 = max(np.abs(vertices - c).max(), 1.0) ** 2
-    for i in range(n):
-        a, b = vertices[i], vertices[(i + 1) % n]
-        cross = (a[0] - c[0]) * (b[1] - c[1]) - (a[1] - c[1]) * (b[0] - c[0])
-        if cross <= 1e-14 * scale2:
-            return None
-        tris.append((c, a, b))
-    return tris
+    cross = (a[:, 0] - c[0]) * (b[:, 1] - c[1]) - (a[:, 1] - c[1]) * (b[:, 0] - c[0])
+    if (cross <= 1e-14 * scale2).any():
+        return None
+    return np.stack([np.broadcast_to(c, a.shape), a, b], axis=1)
 
 
 def _ear_clip(vertices: np.ndarray):
@@ -167,10 +165,12 @@ def polygon_rule(vertices, degree: int) -> PolygonRule:
         raise QuadratureError("polygon must be counterclockwise with positive area")
     tris = _fan_triangles(vertices)
     if tris is None:
-        tris = _ear_clip(vertices)
-    pts, wts = [], []
-    for v0, v1, v2 in tris:
-        p, w = _triangle_points(np.asarray(v0), np.asarray(v1), np.asarray(v2), degree)
-        pts.append(p)
-        wts.append(w)
-    return PolygonRule(np.vstack(pts), np.concatenate(wts), int(degree))
+        tris = np.array(_ear_clip(vertices))
+    u, uv, w = _duffy_reference(int(degree))
+    v0, v1, v2 = tris[:, 0, None], tris[:, 1, None], tris[:, 2, None]
+    e1 = v1 - v0
+    e2 = v2 - v1
+    d = v2 - v0
+    pts = v0 + u[:, None] * e1 + uv[:, None] * e2
+    area2 = e1[..., 0] * d[..., 1] - e1[..., 1] * d[..., 0]
+    return PolygonRule(pts.reshape(-1, 2), (w * area2).ravel(), int(degree))

@@ -75,19 +75,18 @@ def assemble(mesh: PolyMesh, spec: ProblemSpec, method: str = "sfvem",
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     nv = mesh.n_vertices
+    boundary = np.zeros(nv, dtype=bool)
+    boundary[list(mesh.boundary_vertices)] = True
     g = np.zeros(nv)
     if dirichlet_values is not None:
         data = np.asarray(dirichlet_values, dtype=float)
         if data.shape != (nv,):
             raise ValueError(f"dirichlet_values must have shape ({nv},)")
-        for i in mesh.boundary_vertices:
-            g[i] = data[i]
+        g[boundary] = data[boundary]
 
+    n_free = nv - int(boundary.sum())
     free_index = np.full(nv, -1, dtype=int)
-    free = [i for i in range(nv) if i not in mesh.boundary_vertices]
-    for k, i in enumerate(free):
-        free_index[i] = k
-    n_free = len(free)
+    free_index[~boundary] = np.arange(n_free)
 
     rows, cols, vals = [], [], []
     rhs = np.zeros(n_free)
@@ -96,29 +95,24 @@ def assemble(mesh: PolyMesh, spec: ProblemSpec, method: str = "sfvem",
         pts = mesh.cell_points(ci)
         try:
             if method == "sfvem":
-                ell = effective_ell(len(cell), ell_offset)
-                local = sfvem_local(pts, spec, ell, element_id=ci)
+                local = sfvem_local(pts, spec, effective_ell(len(cell), ell_offset))
             else:
-                local = standard_vem_local(pts, spec, element_id=ci)
+                local = standard_vem_local(pts, spec)
         except SfvemError as exc:
             raise type(exc)(f"element {ci}: {exc}") from exc
         ell_by_cell[ci] = local.ell
-        A = local.A
         idx = np.array(cell)
         red = free_index[idx]
-        for a in range(len(cell)):
-            ra = red[a]
-            if ra < 0:
-                continue
-            rhs[ra] += local.b[a]
-            for b in range(len(cell)):
-                rb = red[b]
-                if rb < 0:
-                    rhs[ra] -= A[a, b] * g[idx[b]]
-                else:
-                    rows.append(ra)
-                    cols.append(rb)
-                    vals.append(A[a, b])
+        inner = red >= 0
+        fr = red[inner]
+        A = local.A[inner]
+        # row-major COO entries of the free-free block; the free-boundary
+        # block lifts the Dirichlet data into the right-hand side
+        rows.append(np.repeat(fr, len(fr)))
+        cols.append(np.tile(fr, len(fr)))
+        vals.append(A[:, inner].ravel())
+        rhs[fr] += local.b[inner] - A[:, ~inner] @ g[idx[~inner]]
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
     matrix = sparse.coo_matrix((vals, (rows, cols)),
                                shape=(n_free, n_free)).tocsr()
     return GlobalSystem(matrix, rhs, free_index, method, mesh, ell_by_cell, g)
@@ -157,10 +151,8 @@ def solve(system: GlobalSystem) -> DiscreteSolution:
     residual = rnorm / bnorm if bnorm > 0.0 else rnorm
     if residual > 1e-10:
         log.warning("solver residual %.3e exceeds 1e-10", residual)
-    for i in range(len(values)):
-        k = system.free_index[i]
-        if k >= 0:
-            values[i] = x[k]
+    free = system.free_index >= 0
+    values[free] = x[system.free_index[free]]
     return DiscreteSolution(values, system.mesh, system.ell_by_cell,
                             system.method, float(residual))
 

@@ -67,3 +67,103 @@ def trapezoid_boundary_mean(vertices, values) -> float:
         total += 0.5 * (values[i] + values[(i + 1) % n]) * L
         perim += L
     return total / perim
+
+
+def loop_polygon_rule(vertices, degree: int):
+    """Polygon rule built triangle by triangle, each with its own Duffy map.
+
+    The same fan/ear-clip split and the same floating-point operations per
+    point as ``polygon_rule``, one triangle at a time, so the two must agree
+    bit for bit. Returns (points, weights).
+    """
+    from sfvem.quadrature import _ear_clip, _gauss01
+
+    vertices = np.asarray(vertices, dtype=float)
+    c = vertices.mean(axis=0)
+    n = len(vertices)
+    scale2 = max(np.abs(vertices - c).max(), 1.0) ** 2
+    tris = []
+    for i in range(n):
+        a, b = vertices[i], vertices[(i + 1) % n]
+        cross = (a[0] - c[0]) * (b[1] - c[1]) - (a[1] - c[1]) * (b[0] - c[0])
+        if cross <= 1e-14 * scale2:
+            tris = _ear_clip(vertices)
+            break
+        tris.append((c, a, b))
+    nu = (degree + 3) // 2
+    nv = (degree + 2) // 2
+    xu, wu = _gauss01(nu)
+    xv, wv = _gauss01(nv)
+    u = np.repeat(xu, nv)
+    v = np.tile(xv, nu)
+    w = np.repeat(wu, nv) * np.tile(wv, nu) * u
+    pts, wts = [], []
+    for v0, v1, v2 in tris:
+        v0, v1, v2 = np.asarray(v0), np.asarray(v1), np.asarray(v2)
+        e1 = v1 - v0
+        e2 = v2 - v1
+        pts.append(v0[None, :] + u[:, None] * e1[None, :]
+                   + (u * v)[:, None] * e2[None, :])
+        area2 = e1[0] * (v2 - v0)[1] - e1[1] * (v2 - v0)[0]
+        wts.append(w * area2)
+    return np.vstack(pts), np.concatenate(wts)
+
+
+def loop_nabla_matrix(vertices, frame) -> np.ndarray:
+    """H1 projection matrix (3, N) with the trapezoid stencils accumulated
+    edge by edge; ``nabla_matrix`` must reproduce it bit for bit."""
+    from sfvem.geometry import edge_lengths_normals, signed_area
+
+    vertices = np.asarray(vertices, dtype=float)
+    area = signed_area(vertices)
+    n = len(vertices)
+    _, lengths, normals = edge_lengths_normals(vertices)
+    W = np.zeros((2, n))
+    wtrap = np.zeros(n)
+    for e in range(n):
+        j = (e + 1) % n
+        half = 0.5 * lengths[e] * normals[e]
+        W[:, e] += half
+        W[:, j] += half
+        wtrap[e] += 0.5 * lengths[e]
+        wtrap[j] += 0.5 * lengths[e]
+    P = np.zeros((3, n))
+    P[1] = frame.scale * W[0] / area
+    P[2] = frame.scale * W[1] / area
+    perim = lengths.sum()
+    loc = frame.local(vertices)
+    mean_x = wtrap @ loc[:, 0] / perim
+    mean_y = wtrap @ loc[:, 1] / perim
+    P[0] = wtrap / perim - mean_x * P[1] - mean_y * P[2]
+    return P
+
+
+def loop_hgrad_matrix(vertices, basis):
+    """Harmonic-gradient projector (P, G) with the boundary Gram and the
+    right-hand side accumulated edge by edge, three basis evaluations per
+    edge; ``hgrad_matrix`` must reproduce both bit for bit."""
+    from sfvem.geometry import edge_lengths_normals
+    from sfvem.projectors import _solve_gram
+
+    vertices = np.asarray(vertices, dtype=float)
+    n = len(vertices)
+    _, lengths, normals = edge_lengths_normals(vertices)
+
+    def edge_points(e, rule):
+        t = 0.5 * (rule.nodes + 1.0)
+        a, b = vertices[e], vertices[(e + 1) % n]
+        return a[None, :] + t[:, None] * (b - a)[None, :], t, 0.5 * rule.weights
+
+    G = np.zeros((basis.size, basis.size))
+    for e in range(n):
+        pts, _, w = edge_points(e, gauss_legendre(basis.ell + 1))
+        dn = basis.gradients(pts) @ normals[e]
+        G += lengths[e] * (dn * w) @ basis.values(pts).T
+    G = 0.5 * (G + G.T)
+    B = np.zeros((basis.size, n))
+    for e in range(n):
+        pts, t, w = edge_points(e, gauss_legendre((basis.ell + 3) // 2))
+        dn = basis.gradients(pts) @ normals[e]
+        B[:, e] += lengths[e] * dn @ (w * (1.0 - t))
+        B[:, (e + 1) % n] += lengths[e] * dn @ (w * t)
+    return _solve_gram(G, B), G

@@ -43,7 +43,9 @@ def test_generate_mesh_bad_delta(tmp_path, capsys):
 
 def test_unknown_flag_exits_one(capsys):
     for argv in (("generate-mesh", "--sides", "4"),
-                 ("solve", "--quad-degree", "4")):
+                 ("solve", "--quad-degree", "4"),
+                 ("convergence", "--mesh", "/nonexistent.txt"),
+                 ("compare", "--method", "vem")):
         assert run(*argv) == 1
         assert "error" in capsys.readouterr().err
 
@@ -195,7 +197,10 @@ def test_convergence_single_method(tmp_path, capsys):
 
 
 def test_compare_forces_both_methods(tmp_path, capsys):
-    code = run("compare", "--problem", "bubble", "--method", "sfvem",
+    # compare has no --method flag; a config file's method is overridden
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("method = sfvem\n")
+    code = run("compare", "--config", str(cfg), "--problem", "bubble",
                "--levels", "3,6", "--delta", "0.1", "--out", str(tmp_path))
     assert code == 0
     out = capsys.readouterr().out

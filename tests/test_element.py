@@ -180,11 +180,6 @@ def test_total_matrix_property():
     spec = plain_spec(gamma=Poly2.const(1.0), f=Poly2.const(1.0))
     mats = sfvem_local(SQUARE, spec, ell=1)
     np.testing.assert_array_equal(mats.A, mats.A_diff + mats.A_adv + mats.A_reac)
-
-
-def test_element_id_recorded():
-    mats = sfvem_local(SQUARE, plain_spec(), ell=1, element_id=12)
-    assert mats.element_id == 12
     assert mats.ell == 1
 
 
@@ -227,21 +222,6 @@ def test_vem_diffusion_homogeneous_in_tensor():
     a = standard_vem_local(p.vertices, plain_spec(K=K))
     b = standard_vem_local(p.vertices, plain_spec(K=2.0 * K))
     np.testing.assert_allclose(b.A_diff, 2.0 * a.A_diff, rtol=1e-13)
-
-
-def test_vem_custom_tau():
-    a = standard_vem_local(SQUARE, plain_spec(), tau=1.0)
-    b = standard_vem_local(SQUARE, plain_spec(), tau=2.0)
-    diff = b.A_diff - a.A_diff
-    # the difference is exactly the dofi-dofi outer-product term
-    w = np.linalg.eigvalsh(diff)
-    assert w.min() >= -1e-13
-    assert np.abs(diff).max() > 0
-
-
-def test_vem_rejects_unknown_stabilization():
-    with pytest.raises(ValueError, match="stabilization"):
-        standard_vem_local(SQUARE, plain_spec(), stab="projection-jump")
 
 
 def test_both_methods_same_reaction_and_load():

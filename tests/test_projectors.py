@@ -234,12 +234,14 @@ def test_nonpositive_gram_raises():
 
 
 def test_pi0_of_constant():
-    row = pi0_row(SQUARE, ScaledFrame.from_polygon(SQUARE))
+    frame = ScaledFrame.from_polygon(SQUARE)
+    row = pi0_row(SQUARE, frame, nabla_matrix(SQUARE, frame))
     assert row @ np.ones(4) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_pi0_of_x_on_unit_square():
-    row = pi0_row(SQUARE, ScaledFrame.from_polygon(SQUARE))
+    frame = ScaledFrame.from_polygon(SQUARE)
+    row = pi0_row(SQUARE, frame, nabla_matrix(SQUARE, frame))
     assert row @ SQUARE[:, 0] == pytest.approx(0.5, abs=1e-14)
 
 
@@ -247,8 +249,9 @@ def test_pi0_matches_quadrature_of_linear_projection():
     for p in catalog_polygons()[::4]:
         frame = ScaledFrame.from_polygon(p.vertices)
         values = RNG.standard_normal(p.n_vertices)
-        coef = nabla_matrix(p.vertices, frame) @ values
-        got = pi0_row(p.vertices, frame) @ values
+        nabla = nabla_matrix(p.vertices, frame)
+        coef = nabla @ values
+        got = pi0_row(p.vertices, frame, nabla) @ values
         rule = polygon_rule(p.vertices, 1)
         area = rule.weights.sum()
         want = rule.integrate(lambda q: dof_matrix(q, frame) @ coef) / area
