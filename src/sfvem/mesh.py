@@ -275,45 +275,87 @@ def generate_distorted_grid(n: int, delta: float = 0.3, seed: int = 42) -> PolyM
 
 
 def _halfplane_clip(poly, nx, ny, c):
-    # keep the region nx*x + ny*y <= c (Sutherland-Hodgman)
+    # keep the region nx*x + ny*y <= c (Sutherland-Hodgman). Points are
+    # (x, y) float tuples: the same double arithmetic as (2,) numpy arrays,
+    # at a fraction of the cost per call. Every point kept is the input
+    # object itself.
     out = []
-    m = len(poly)
-    for i in range(m):
-        P = poly[i - 1]
-        Q = poly[i]
-        fp = nx * P[0] + ny * P[1] - c
+    P = poly[-1]
+    fp = nx * P[0] + ny * P[1] - c
+    for Q in poly:
         fq = nx * Q[0] + ny * Q[1] - c
         if fq <= 0.0:
             if fp > 0.0:
                 t = fp / (fp - fq)
-                out.append(P + t * (Q - P))
+                out.append((P[0] + t * (Q[0] - P[0]), P[1] + t * (Q[1] - P[1])))
             out.append(Q)
         elif fp < 0.0:
             t = fp / (fp - fq)
-            out.append(P + t * (Q - P))
+            out.append((P[0] + t * (Q[0] - P[0]), P[1] + t * (Q[1] - P[1])))
+        P, fp = Q, fq
     return out
 
 
-_UNIT_SQUARE = [np.array([0.0, 0.0]), np.array([1.0, 0.0]),
-                np.array([1.0, 1.0]), np.array([0.0, 1.0])]
+_UNIT_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+
+# a seed t with |t - s|^2 > _REACH r^2 cannot cut the cell of seed s whose
+# farthest vertex lies at distance r (see _voronoi_cells)
+_REACH = 4.0 * (1.0 + 1e-4)
 
 
 def _voronoi_cells(seeds: np.ndarray):
+    # Clip each seed's square against the bisectors of the other seeds in
+    # ascending index order, skipping the clips that cannot cut the cell.
+    #
+    # Why a skip is exact: let r be the largest distance from s to a vertex
+    # of the cell as clipped so far. For a vertex x and another seed t with
+    # d = t - s, the clip tests d.x - d.(s + t)/2 = d.(x - s) - |d|^2/2,
+    # which is at most |d| r - |d|^2/2 < 0 once |d| > 2r. So a bisector
+    # beyond the farthest vertex cuts nothing: _halfplane_clip takes its
+    # fq <= 0 branch at every vertex and returns the same points in the same
+    # order. The test |d|^2 > 4 r^2 (1 + 1e-4) leaves fq below -5e-5 |d| r,
+    # many orders of magnitude beyond its rounding error (about 1e-15 |d| in
+    # the unit square, while r >= 5e-7 for seeds 1e-6 apart), so every clip
+    # that could cut still runs, in the same order and on exactly the same
+    # input as the all-pairs loop. r only shrinks as the cell is clipped, so
+    # a test against an older, larger r keeps extra clips and is safe too.
+    pts = seeds.tolist()
     cells = []
-    for i, s in enumerate(seeds):
+    for i, (sx, sy) in enumerate(pts):
         poly = list(_UNIT_SQUARE)
-        for j, t in enumerate(seeds):
-            if j == i:
+        bound = _REACH * _farthest2(poly, sx, sy)
+        dist2 = ((seeds - seeds[i]) ** 2).sum(axis=1)
+        # candidates: the seeds within reach of the cell's farthest vertex,
+        # filtered again each time the bound halves; in between, a stale
+        # candidate costs one scalar compare
+        cand = np.flatnonzero(dist2 <= bound)
+        refresh = 0.5 * bound
+        k = 0
+        while k < len(cand):
+            j = cand[k]
+            k += 1
+            if j == i or dist2[j] > bound:
                 continue
-            d = t - s
-            m = 0.5 * (s + t)
-            poly = _halfplane_clip(poly, d[0], d[1], d[0] * m[0] + d[1] * m[1])
+            tx, ty = pts[j]
+            dx, dy = tx - sx, ty - sy
+            mx, my = 0.5 * (sx + tx), 0.5 * (sy + ty)
+            poly = _halfplane_clip(poly, dx, dy, dx * mx + dy * my)
             if len(poly) < 3:
                 raise MeshGenerationError(
                     f"seed {i} produced an empty Voronoi cell"
                 )
+            bound = _REACH * _farthest2(poly, sx, sy)
+            if bound < refresh:
+                rest = cand[k:]
+                cand = rest[dist2[rest] <= bound]
+                k = 0
+                refresh = 0.5 * bound
         cells.append(np.array(poly))
     return cells
+
+
+def _farthest2(poly, sx, sy):
+    return max((x - sx) * (x - sx) + (y - sy) * (y - sy) for x, y in poly)
 
 
 def _weld(float_cells):
@@ -345,12 +387,17 @@ def generate_voronoi(n_seeds: int, lloyd_iters: int = 0, seed: int = 0,
                      distortion: float = 0.0, points=None) -> PolyMesh:
     """Bounded Voronoi mesh of the unit square.
 
-    Cells come from clipping the square against the perpendicular bisector
-    of every seed pair (quadratic in n_seeds, fine at experiment scale),
-    optionally relaxed by Lloyd centroid sweeps, then distorted by moving
-    each interior vertex a fraction of its shortest incident edge in a
-    random direction. Inverted cells trigger halved displacements; repeated
-    failure raises MeshGenerationError.
+    Each cell comes from clipping the square against the perpendicular
+    bisectors of the other seeds in ascending seed order. A bisector beyond
+    the cell's farthest vertex (another seed more than twice that distance
+    away) cannot cut the cell and is skipped, so the cells are bit for bit
+    those of clipping against every seed pair, with about 40 to 70 clips per
+    seed instead of n_seeds - 1; finding the candidates stays a vectorized
+    O(n_seeds) pass per seed. The cells are optionally relaxed by Lloyd
+    centroid sweeps, then distorted by moving each interior vertex a
+    fraction of its shortest incident edge in a random direction. Inverted
+    cells trigger halved displacements; repeated failure raises
+    MeshGenerationError.
 
     Passing `points` (an (n, 2) array inside the open unit square) uses
     those seeds verbatim instead of drawing them, which pins the cell
@@ -431,11 +478,13 @@ def generate_voronoi(n_seeds: int, lloyd_iters: int = 0, seed: int = 0,
 
 
 def _closest_pair_too_close(seeds):
-    n = len(seeds)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.hypot(*(seeds[i] - seeds[j])) < 1e-6:
-                return j
+    # j of the first pair (i, j), i < j, in lexicographic order that is
+    # closer than 1e-6
+    for i in range(len(seeds) - 1):
+        diff = seeds[i] - seeds[i + 1:]
+        hits = np.flatnonzero(np.hypot(diff[:, 0], diff[:, 1]) < 1e-6)
+        if hits.size:
+            return i + 1 + int(hits[0])
     return None
 
 

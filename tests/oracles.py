@@ -167,3 +167,63 @@ def loop_hgrad_matrix(vertices, basis):
         B[:, e] += lengths[e] * dn @ (w * (1.0 - t))
         B[:, (e + 1) % n] += lengths[e] * dn @ (w * t)
     return _solve_gram(G, B), G
+
+
+def loop_voronoi_cells(seeds):
+    """Voronoi cells of the unit square by clipping against the bisector of
+    every other seed, in ascending seed order.
+
+    The all-pairs loop the generator's skipping loop must reproduce bit for
+    bit: the skipped clips cut nothing, so the clips that remain see the
+    same input.
+    """
+    from sfvem.errors import MeshGenerationError
+    from sfvem.mesh import _UNIT_SQUARE, _halfplane_clip
+
+    pts = np.asarray(seeds, dtype=float).tolist()
+    cells = []
+    for i, (sx, sy) in enumerate(pts):
+        poly = list(_UNIT_SQUARE)
+        for j, (tx, ty) in enumerate(pts):
+            if j == i:
+                continue
+            dx, dy = tx - sx, ty - sy
+            mx, my = 0.5 * (sx + tx), 0.5 * (sy + ty)
+            poly = _halfplane_clip(poly, dx, dy, dx * mx + dy * my)
+            if len(poly) < 3:
+                raise MeshGenerationError(f"seed {i} produced an empty Voronoi cell")
+        cells.append(np.array(poly))
+    return cells
+
+
+def loop_closest_pair(seeds):
+    """The j of the first pair (i, j), i < j, in lexicographic order whose
+    seeds are closer than 1e-6, or None."""
+    n = len(seeds)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if np.hypot(*(seeds[i] - seeds[j])) < 1e-6:
+                return j
+    return None
+
+
+def array_halfplane_clip(poly, nx, ny, c):
+    """Sutherland-Hodgman clip to nx*x + ny*y <= c on numpy (2,) points,
+    one numpy operation per coordinate pair; the tuple-point clip of the
+    mesh generator must give the same coordinates bit for bit."""
+    out = []
+    m = len(poly)
+    for i in range(m):
+        P = poly[i - 1]
+        Q = poly[i]
+        fp = nx * P[0] + ny * P[1] - c
+        fq = nx * Q[0] + ny * Q[1] - c
+        if fq <= 0.0:
+            if fp > 0.0:
+                t = fp / (fp - fq)
+                out.append(P + t * (Q - P))
+            out.append(Q)
+        elif fp < 0.0:
+            t = fp / (fp - fq)
+            out.append(P + t * (Q - P))
+    return out

@@ -2,13 +2,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sfvem.mesh
 from sfvem.geometry import diameter, signed_area
 from sfvem.mesh import (CatalogPolygon, MeshFormatError, MeshGenerationError,
                         MeshIndexError, MeshTopologyError, PolyMesh,
                         catalog_polygons, generate_distorted_grid,
                         generate_voronoi, quality_report, read_mesh,
                         write_mesh)
+
+from oracles import loop_voronoi_cells
 
 SQUARE_FILE = """vem-mesh 1
 vertices 4
@@ -300,6 +305,65 @@ def test_lloyd_iterations_change_mesh():
     b = generate_voronoi(16, 5, seed=5)
     assert a.n_vertices != b.n_vertices or np.abs(
         a.vertices - b.vertices[: len(a.vertices)]).max() > 1e-6
+
+
+def _count_clips(monkeypatch):
+    calls = []
+    clip = sfvem.mesh._halfplane_clip
+
+    def counted(poly, nx, ny, c):
+        calls.append((nx, ny, c))
+        return clip(poly, nx, ny, c)
+
+    monkeypatch.setattr(sfvem.mesh, "_halfplane_clip", counted)
+    return calls
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(n=st.integers(3, 12),
+       radii=st.lists(st.floats(0.05, 1.0), min_size=12, max_size=12),
+       seed=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       size=st.floats(1e-6, 0.5), phi=st.floats(0.0, 2.0 * np.pi),
+       beyond=st.floats(0.0, 2.0))
+def test_clip_beyond_farthest_vertex_returns_its_input(n, radii, seed, size, phi,
+                                                       beyond):
+    # the skip in the Voronoi generator: a neighbour t with
+    # |t - s|^2 > 4 r^2 (1 + 1e-4), r the farthest vertex distance from s,
+    # is never clipped, which is exact only if such a clip is a no-op
+    sx, sy = seed
+    theta = 2.0 * np.pi * np.arange(n) / n
+    r = size * np.array(radii[:n])
+    poly = [(sx + a, sy + b) for a, b in
+            zip((r * np.cos(theta)).tolist(), (r * np.sin(theta)).tolist())]
+    far = max(np.hypot(x - sx, y - sy) for x, y in poly)
+    dist = 2.0 * far * np.sqrt(1.0 + 1e-4) * (1.0 + beyond)
+    tx, ty = sx + dist * np.cos(phi), sy + dist * np.sin(phi)
+    dx, dy = tx - sx, ty - sy
+    mx, my = 0.5 * (sx + tx), 0.5 * (sy + ty)
+    out = sfvem.mesh._halfplane_clip(poly, dx, dy, dx * mx + dy * my)
+    assert len(out) == len(poly)
+    assert all(a is b for a, b in zip(out, poly))
+
+
+def test_clip_through_a_vertex_is_run(monkeypatch):
+    # seed 0's cell is [0, 1/2]^2 after the bisectors of seeds 1 and 2; the
+    # bisector of seed 3, x + y = 1, passes exactly through its corner
+    # (1/2, 1/2) at |d|^2 = 4 r^2, inside the skip margin
+    seeds = np.array([[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]])
+    calls = _count_clips(monkeypatch)
+    cells = sfvem.mesh._voronoi_cells(seeds)
+    assert calls[:3] == [(0.5, 0.0, 0.25), (0.0, 0.5, 0.25), (0.5, 0.5, 0.5)]
+    nx, ny, c = calls[2]
+    assert nx * 0.5 + ny * 0.5 - c == 0.0  # fq at the corner
+    for cell, ref in zip(cells, loop_voronoi_cells(seeds)):
+        assert np.array_equal(cell, ref)
+
+
+def test_voronoi_clip_count_is_not_quadratic(monkeypatch):
+    # the all-pairs loop makes n - 1 = 255 clips per seed per sweep
+    calls = _count_clips(monkeypatch)
+    generate_voronoi(256, 3, 1, 0.25)
+    assert len(calls) <= 80 * 256 * 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The array-level element kernels against their edge-by-edge and
-triangle-by-triangle loop versions in ``oracles``.
+triangle-by-triangle loop versions in ``oracles``, and the Voronoi
+generator's skipping clip loop against the all-pairs loop.
 
 The loops perform the same floating-point operations per entry, so the
 comparison is exact equality, not a tolerance: the benchmark's degree-33
@@ -9,13 +10,16 @@ its reference tolerance.
 import numpy as np
 import pytest
 
+import sfvem.mesh
 from sfvem.element import effective_ell
-from sfvem.mesh import catalog_polygons, generate_distorted_grid, generate_voronoi
+from sfvem.mesh import (_closest_pair_too_close, _halfplane_clip, _voronoi_cells,
+                        catalog_polygons, generate_distorted_grid, generate_voronoi)
 from sfvem.poly import ScaledFrame, harmonic_basis
 from sfvem.projectors import hgrad_matrix, nabla_matrix
 from sfvem.quadrature import _fan_triangles, polygon_rule
 
-from oracles import loop_hgrad_matrix, loop_nabla_matrix, loop_polygon_rule
+from oracles import (array_halfplane_clip, loop_closest_pair, loop_hgrad_matrix,
+                     loop_nabla_matrix, loop_polygon_rule, loop_voronoi_cells)
 
 # thin U whose vertex average falls outside it: the only ear-clip case here,
 # since every catalog polygon and mesh cell is star shaped about its average
@@ -62,3 +66,81 @@ def test_hgrad_matrix_matches_edge_loop(polygons):
             P_loop, G_loop = loop_hgrad_matrix(v, basis)
             assert np.array_equal(G, G_loop), (i, offset)
             assert np.array_equal(P, P_loop), (i, offset)
+
+
+def _seed_sets():
+    rng = np.random.default_rng(20231)
+    sets = {f"random{n}": rng.random((n, 2)) for n in (1, 2, 3, 16, 64, 256)}
+    # co-circular ties: four seeds share every interior lattice vertex
+    g = (np.arange(8) + 0.5) / 8
+    sets["lattice8x8"] = np.array([[x, y] for y in g for x in g])
+    sets["cluster"] = np.vstack([0.5 + 1e-3 * (rng.random((24, 2)) - 0.5),
+                                 rng.random((40, 2))])
+    sets["collinear"] = np.column_stack([np.linspace(0.01, 0.99, 50),
+                                         np.full(50, 0.3)])
+    return sets
+
+
+@pytest.mark.parametrize("name, seeds", _seed_sets().items())
+def test_voronoi_cells_match_all_pairs_loop(name, seeds):
+    cells = _voronoi_cells(seeds)
+    oracle = loop_voronoi_cells(seeds)
+    assert len(cells) == len(oracle) == len(seeds)
+    for i, (cell, ref) in enumerate(zip(cells, oracle)):
+        assert np.array_equal(cell, ref), (name, i)
+
+
+@pytest.mark.parametrize("args, points", [
+    ((64, 3, 7, 0.25), None),
+    ((256, 3, 1, 0.25), None),
+    ((256, 3, 12, 0.0), None),
+    ((5, 2, 0, 0.2), [[0.1, 0.1], [0.9, 0.2], [0.5, 0.5], [0.2, 0.8], [0.7, 0.9]]),
+])
+def test_generate_voronoi_matches_all_pairs_loop(monkeypatch, args, points):
+    mesh = generate_voronoi(*args, points=points)
+    monkeypatch.setattr(sfvem.mesh, "_voronoi_cells", loop_voronoi_cells)
+    monkeypatch.setattr(sfvem.mesh, "_closest_pair_too_close", loop_closest_pair)
+    oracle = generate_voronoi(*args, points=points)
+    assert np.array_equal(mesh.vertices, oracle.vertices)
+    assert mesh.cells == oracle.cells
+    assert mesh.boundary_vertices == oracle.boundary_vertices
+
+
+def _planted(n, pairs, seed=3):
+    seeds = np.random.default_rng(seed).random((n, 2))
+    for i, j in pairs:
+        seeds[j] = seeds[i] + [3e-7, -4e-7]
+    return seeds
+
+
+@pytest.mark.parametrize("seeds, first", [
+    (_planted(1, []), None), (_planted(2, []), None), (_planted(200, []), None),
+    (_planted(2, [(0, 1)]), 1), (_planted(50, [(0, 49)]), 49),
+    (_planted(50, [(48, 49)]), 49), (_planted(50, [(10, 11)]), 11),
+    (_planted(50, [(30, 5)]), 30), (_planted(50, [(20, 40), (7, 45)]), 45),
+    (_planted(50, [(3, 30), (3, 12)]), 12),
+    (np.array([[0.5, 0.5], [0.2, 0.2], [0.5, 0.5]]), 2),
+])
+def test_closest_pair_matches_pair_loop(seeds, first):
+    assert loop_closest_pair(seeds) == first
+    assert _closest_pair_too_close(seeds) == first
+
+
+def test_tuple_clip_matches_array_clip():
+    # random polygons and lines through their bounding box, so most clips cut
+    rng = np.random.default_rng(11)
+    cuts = 0
+    for _ in range(400):
+        n = int(rng.integers(3, 12))
+        theta = np.sort(rng.random(n)) * 2.0 * np.pi
+        pts = 0.5 + 0.4 * rng.random((n, 1)) * np.column_stack(
+            [np.cos(theta), np.sin(theta)])
+        nx, ny = rng.normal(size=2)
+        c = float(np.array([nx, ny]) @ pts[int(rng.integers(n))]) + 0.1 * rng.normal()
+        out = _halfplane_clip([tuple(p) for p in pts.tolist()], nx, ny, c)
+        ref = array_halfplane_clip(list(pts), np.float64(nx), np.float64(ny),
+                                   np.float64(c))
+        assert np.array_equal(np.array(out).reshape(-1, 2),
+                              np.array(ref).reshape(-1, 2))
+        cuts += len(out) != n
+    assert cuts > 100
