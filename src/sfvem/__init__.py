@@ -12,6 +12,7 @@ from .analysis import (
     audit_catalog,
     convergence_study,
     error_norms,
+    error_norms_many,
     fit_rates,
     jacobi_singular_values,
     spectral_audit,
@@ -63,6 +64,7 @@ from .system import (
     DiscreteSolution,
     GlobalSystem,
     assemble,
+    assemble_many,
     solve,
     write_solution_csv,
 )
@@ -94,6 +96,7 @@ __all__ = [
     "SingularSystemError",
     "SpectralAudit",
     "assemble",
+    "assemble_many",
     "audit_catalog",
     "build_benchmark_coefficients",
     "bubble_problem",
@@ -101,6 +104,7 @@ __all__ = [
     "convergence_study",
     "effective_ell",
     "error_norms",
+    "error_norms_many",
     "fit_rates",
     "gauss_legendre",
     "generate_distorted_grid",

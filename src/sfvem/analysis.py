@@ -26,7 +26,9 @@ from .poly import ScaledFrame, harmonic_basis
 from .problem import ProblemSpec
 from .projectors import hgrad_matrix, nabla_matrix
 from .quadrature import polygon_rule
-from .system import assemble, solve
+# assemble is not called here; the benchmark's tracer re-binds it by this
+# module's name, with the other names in perfbench/tracing.py
+from .system import assemble, assemble_many, check_methods, solve  # noqa: F401
 
 
 # one-sided Jacobi stops once every column pair is orthogonal to this
@@ -137,41 +139,64 @@ def error_norms(solution, spec: ProblemSpec) -> tuple:
     exact-solution norm is degenerate: returns (0, 0) under a warning when
     the numerators vanish too.
     """
+    return error_norms_many([solution], spec)[0]
+
+
+def error_norms_many(solutions, spec: ProblemSpec) -> list:
+    """``error_norms`` of several solutions on one mesh, in one pass over
+    its cells.
+
+    Each cell's rule, linear projection matrix and exact-solution values are
+    computed once; each solution keeps its own numerators and all share the
+    denominators, accumulated in cell order, so every pair equals what
+    ``error_norms`` returns for that solution alone.
+    """
     if spec.exact_u is None or spec.exact_grad_u is None:
         raise ValueError("error norms require exact_u and exact_grad_u")
+    solutions = list(solutions)
+    if not solutions:
+        return []
+    mesh = solutions[0].mesh
+    if any(s.mesh is not mesh for s in solutions):
+        raise ValueError("solutions must share one mesh")
     K = spec.K
     degree = 2 * spec.exact_u.degree + 2
-    mesh = solution.mesh
-    num0 = den0 = num1 = den1 = 0.0
+    num0 = [0.0] * len(solutions)
+    num1 = [0.0] * len(solutions)
+    den0 = den1 = 0.0
     for ci, cell in enumerate(mesh.cells):
         pts = mesh.cell_points(ci)
         frame = ScaledFrame.from_polygon(pts)
-        coef = nabla_matrix(pts, frame) @ solution.values[list(cell)]
+        nabla = nabla_matrix(pts, frame)
         rule = polygon_rule(pts, degree)
         loc = frame.local(rule.points)
-        uh = coef[0] + loc @ coef[1:]
-        gh = coef[1:] / frame.scale
         u = spec.exact_u(rule.points)
         gx = spec.exact_grad_u[0](rule.points)
         gy = spec.exact_grad_u[1](rule.points)
-        d0 = u - uh
-        dx = gx - gh[0]
-        dy = gy - gh[1]
         w = rule.weights
-        num0 += w @ (d0 * d0)
         den0 += w @ (u * u)
-        num1 += w @ (K[0, 0] * dx * dx + 2.0 * K[0, 1] * dx * dy
-                     + K[1, 1] * dy * dy)
         den1 += w @ (K[0, 0] * gx * gx + 2.0 * K[0, 1] * gx * gy
                      + K[1, 1] * gy * gy)
+        idx = list(cell)
+        for k, solution in enumerate(solutions):
+            coef = nabla @ solution.values[idx]
+            uh = coef[0] + loc @ coef[1:]
+            gh = coef[1:] / frame.scale
+            d0 = u - uh
+            dx = gx - gh[0]
+            dy = gy - gh[1]
+            num0[k] += w @ (d0 * d0)
+            num1[k] += w @ (K[0, 0] * dx * dx + 2.0 * K[0, 1] * dx * dy
+                            + K[1, 1] * dy * dy)
     if den0 <= 0.0 or den1 <= 0.0:
-        if max(num0, num1) <= 1e-28:
+        if max(max(num0), max(num1)) <= 1e-28:
             warnings.warn("exact solution has zero norm; errors reported as 0",
                           RuntimeWarning, stacklevel=2)
-            return 0.0, 0.0
+            return [(0.0, 0.0)] * len(solutions)
         raise ValueError("exact solution has zero norm but the discrete "
                          "solution does not")
-    return float(np.sqrt(num0 / den0)), float(np.sqrt(num1 / den1))
+    return [(float(np.sqrt(n0 / den0)), float(np.sqrt(n1 / den1)))
+            for n0, n1 in zip(num0, num1)]
 
 
 @dataclass(frozen=True)
@@ -220,7 +245,11 @@ def convergence_study(spec: ProblemSpec, levels, generator: str = "grid",
     Grid levels refine as n x n cells; Voronoi levels use level^2 seeds so
     cell diameters shrink comparably. on_record, when given, is called with
     each fresh record (the CLI uses it to flush CSV rows level by level).
+    methods are checked before the first mesh is generated: an unknown or
+    repeated name raises ValueError. Per level, the methods share one
+    assembly pass and one error pass over the cells.
     """
+    methods = check_methods(methods)
     records = []
     prev_h = np.inf
     for level in levels:
@@ -237,11 +266,9 @@ def convergence_study(spec: ProblemSpec, levels, generator: str = "grid",
                 f"(level {level}: h={h} after {prev_h})"
             )
         prev_h = h
-        results = {}
-        for method in methods:
-            sysm = assemble(mesh, spec, method, ell_offset)
-            sol = solve(sysm)
-            results[method] = error_norms(sol, spec)
+        systems = assemble_many(mesh, spec, methods, ell_offset)
+        solutions = [solve(system) for system in systems.values()]
+        results = dict(zip(methods, error_norms_many(solutions, spec)))
         nan = float("nan")
         e0s, e1s = results.get("sfvem", (nan, nan))
         e0v, e1v = results.get("vem", (nan, nan))

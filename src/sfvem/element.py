@@ -18,14 +18,17 @@ from .geometry import signed_area
 from .poly import ScaledFrame, harmonic_basis
 from .problem import ProblemSpec
 from .projectors import dof_matrix, hgrad_matrix, nabla_matrix, pi0_row
-from .quadrature import polygon_rule
+from .quadrature import PolygonRule, polygon_rule
 
 __all__ = [
     "ProblemSpec",
+    "CellData",
     "LocalElementMatrices",
+    "cell_data",
     "effective_ell",
     "sfvem_local",
     "standard_vem_local",
+    "volume_degree",
 ]
 
 
@@ -58,14 +61,56 @@ def effective_ell(n_vertices: int, offset: int = 0) -> int:
     return max(0, math.ceil((n_vertices - 3) / 2) + offset)
 
 
-def _volume_degree(spec: ProblemSpec, ell: int) -> int:
-    # highest total degree among the volume integrands: grad h_i . K grad h_j,
-    # grad h_i . beta, gamma and f
+def volume_degree(spec: ProblemSpec, ell: int) -> int:
+    """Degree of the polygon rule both builders integrate with: the highest
+    total degree among the volume integrands grad h_i . K grad h_j,
+    grad h_i . beta, gamma and f (the comparator has ell = 0)."""
     return max(2 * ell, 2, spec.beta[0].degree + ell, spec.beta[1].degree + ell,
                spec.gamma.degree, spec.f.degree)
 
 
-def sfvem_local(vertices, spec: ProblemSpec, ell: int) -> LocalElementMatrices:
+@dataclass(frozen=True)
+class CellData:
+    """What the builders read of one cell at one rule degree.
+
+    The frame, the H1 projection matrix and the element-mean row; the
+    polygon rule; beta at the rule points as an (npts, 2) array; and the
+    rule integrals of beta, gamma and f, each weights @ values as
+    PolygonRule.integrate computes them. Both methods build from one record
+    when their rule degrees agree, and then get the floats they get alone.
+    """
+
+    frame: ScaledFrame
+    nabla: np.ndarray
+    pi0: np.ndarray
+    rule: PolygonRule
+    beta: np.ndarray
+    int_beta: np.ndarray
+    int_gamma: float
+    int_f: float
+
+
+def cell_data(vertices, spec: ProblemSpec, degree: int) -> CellData:
+    """The record of one cell at the given rule degree."""
+    vertices = np.asarray(vertices, dtype=float)
+    frame = ScaledFrame.from_polygon(vertices)
+    nabla = nabla_matrix(vertices, frame)
+    r = pi0_row(vertices, frame, nabla)
+    rule = polygon_rule(vertices, degree)
+    w = rule.weights
+    b0 = spec.beta[0](rule.points)
+    b1 = spec.beta[1](rule.points)
+    # sfvem's einsum reads beta as this C-ordered stack and the integrals
+    # use the 1-D value arrays: an F-ordered stack, or a dot over a strided
+    # column of it, rounds differently
+    return CellData(frame, nabla, r, rule, np.column_stack([b0, b1]),
+                    np.array([float(w @ b0), float(w @ b1)]),
+                    float(w @ spec.gamma(rule.points)),
+                    float(w @ spec.f(rule.points)))
+
+
+def sfvem_local(vertices, spec: ProblemSpec, ell: int,
+                data: CellData | None = None) -> LocalElementMatrices:
     """Local matrices of the stabilization-free form on one polygon.
 
     Parameters
@@ -78,15 +123,16 @@ def sfvem_local(vertices, spec: ProblemSpec, ell: int) -> LocalElementMatrices:
     ell : int
         Harmonic degree parameter; pass effective_ell(N) unless deliberately
         probing below the solvability bound.
+    data : CellData, optional
+        The cell's record at volume_degree(spec, ell); built here when
+        omitted.
     """
     vertices = np.asarray(vertices, dtype=float)
-    frame = ScaledFrame.from_polygon(vertices)
-    basis = harmonic_basis(frame, ell)
+    if data is None:
+        data = cell_data(vertices, spec, volume_degree(spec, ell))
+    rule, r = data.rule, data.pi0
+    basis = harmonic_basis(data.frame, ell)
     P, G = hgrad_matrix(vertices, basis)
-    nabla = nabla_matrix(vertices, frame)
-    r = pi0_row(vertices, frame, nabla)
-
-    rule = polygon_rule(vertices, _volume_degree(spec, ell))
     grads = basis.gradients(rule.points)
 
     K = spec.K
@@ -98,28 +144,28 @@ def sfvem_local(vertices, spec: ProblemSpec, ell: int) -> LocalElementMatrices:
     A_diff = P.T @ MK @ P
     A_diff = 0.5 * (A_diff + A_diff.T)
 
-    bvals = np.column_stack([spec.beta[0](rule.points),
-                             spec.beta[1](rule.points)])
-    t = np.einsum("iqa,qa,q->i", grads, bvals, rule.weights)
+    t = np.einsum("iqa,qa,q->i", grads, data.beta, rule.weights)
     A_adv = np.outer(r, t @ P)
-    A_reac = rule.integrate(spec.gamma) * np.outer(r, r)
-    b = rule.integrate(spec.f) * r
+    A_reac = data.int_gamma * np.outer(r, r)
+    b = data.int_f * r
     return LocalElementMatrices(ell, A_diff, A_adv, A_reac, b, r)
 
 
-def standard_vem_local(vertices, spec: ProblemSpec) -> LocalElementMatrices:
+def standard_vem_local(vertices, spec: ProblemSpec,
+                       data: CellData | None = None) -> LocalElementMatrices:
     """Local matrices of the stabilized first-order comparator.
 
     Diffusion is the P1 consistency term plus the dofi-dofi stabilization
     tau * sum_i dof_i((I - Pi)u) dof_i((I - Pi)v) with tau = trace(K)/2.
     Advection and reaction use the P1 projected gradient and the element
-    mean, matching the stabilization-free form term by term.
+    mean, matching the stabilization-free form term by term. data is the
+    cell's record at volume_degree(spec, 0), built here when omitted.
     """
     vertices = np.asarray(vertices, dtype=float)
-    frame = ScaledFrame.from_polygon(vertices)
-    nabla = nabla_matrix(vertices, frame)
+    if data is None:
+        data = cell_data(vertices, spec, volume_degree(spec, 0))
+    frame, nabla, r = data.frame, data.nabla, data.pi0
     D = dof_matrix(vertices, frame)
-    r = pi0_row(vertices, frame, nabla)
     area = signed_area(vertices)
     h = frame.scale
     K = spec.K
@@ -130,10 +176,7 @@ def standard_vem_local(vertices, spec: ProblemSpec) -> LocalElementMatrices:
     A_diff = consistency + tau * (Q.T @ Q)
     A_diff = 0.5 * (A_diff + A_diff.T)
 
-    rule = polygon_rule(vertices, _volume_degree(spec, 0))
-    bbar = np.array([rule.integrate(spec.beta[0]),
-                     rule.integrate(spec.beta[1])])
-    A_adv = np.outer(r, (bbar @ S) / h)
-    A_reac = rule.integrate(spec.gamma) * np.outer(r, r)
-    b = rule.integrate(spec.f) * r
+    A_adv = np.outer(r, (data.int_beta @ S) / h)
+    A_reac = data.int_gamma * np.outer(r, r)
+    b = data.int_f * r
     return LocalElementMatrices(0, A_diff, A_adv, A_reac, b, r)

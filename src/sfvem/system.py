@@ -16,7 +16,8 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .element import effective_ell, sfvem_local, standard_vem_local
+from .element import (cell_data, effective_ell, sfvem_local, standard_vem_local,
+                      volume_degree)
 from .errors import SfvemError, SingularSystemError
 from .mesh import PolyMesh
 from .problem import ProblemSpec
@@ -54,6 +55,17 @@ class DiscreteSolution:
     residual: float
 
 
+def check_methods(methods) -> tuple:
+    """The method names lower-cased, each one of METHODS and none repeated."""
+    names = tuple(m.lower() for m in methods)
+    for name in names:
+        if name not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {name!r}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"methods must not repeat, got {names}")
+    return names
+
+
 def assemble(mesh: PolyMesh, spec: ProblemSpec, method: str = "sfvem",
              ell_offset: int = 0,
              dirichlet_values: np.ndarray | None = None) -> GlobalSystem:
@@ -71,9 +83,23 @@ def assemble(mesh: PolyMesh, spec: ProblemSpec, method: str = "sfvem",
         Per-vertex Dirichlet data (used at boundary vertices only);
         defaults to homogeneous zero. Nonzero data lifts into the RHS.
     """
-    method = method.lower()
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    (system,) = assemble_many(mesh, spec, (method,), ell_offset,
+                              dirichlet_values).values()
+    return system
+
+
+def assemble_many(mesh: PolyMesh, spec: ProblemSpec, methods=METHODS,
+                  ell_offset: int = 0,
+                  dirichlet_values: np.ndarray | None = None) -> dict:
+    """The systems of several methods on one mesh, in one pass over the cells.
+
+    Each cell's frame, projections, polygon rule and data integrals are
+    built once per rule degree and shared by the methods that integrate at
+    it, so every system equals what ``assemble`` returns for its method
+    alone. Returns {method: GlobalSystem} in the order of ``methods``; the
+    other parameters are those of ``assemble``.
+    """
+    methods = check_methods(methods)
     nv = mesh.n_vertices
     boundary = np.zeros(nv, dtype=bool)
     boundary[list(mesh.boundary_vertices)] = True
@@ -88,34 +114,65 @@ def assemble(mesh: PolyMesh, spec: ProblemSpec, method: str = "sfvem",
     free_index = np.full(nv, -1, dtype=int)
     free_index[~boundary] = np.arange(n_free)
 
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(n_free)
-    ell_by_cell = np.zeros(mesh.n_cells, dtype=int)
+    # the rule degree of each ell, worked out once per mesh, not per cell
+    degrees = {ell: volume_degree(spec, ell) for ell in
+               {0} | {effective_ell(len(cell), ell_offset) for cell in mesh.cells}}
+
+    # row-major COO entries of the free-free blocks depend on the mesh only:
+    # one index for every method, each method's values in its own array
+    n_entries = sum(int((~boundary[list(cell)]).sum()) ** 2 for cell in mesh.cells)
+    rows = np.empty(n_entries, dtype=int)
+    cols = np.empty(n_entries, dtype=int)
+    vals = {m: np.empty(n_entries) for m in methods}
+    rhs = {m: np.zeros(n_free) for m in methods}
+    ell_by_cell = {m: np.zeros(mesh.n_cells, dtype=int) for m in methods}
+    start = 0
     for ci, cell in enumerate(mesh.cells):
         pts = mesh.cell_points(ci)
         try:
-            if method == "sfvem":
-                local = sfvem_local(pts, spec, effective_ell(len(cell), ell_offset))
-            else:
-                local = standard_vem_local(pts, spec)
+            local = _local_matrices(pts, spec, methods,
+                                    effective_ell(len(cell), ell_offset), degrees)
         except SfvemError as exc:
             raise type(exc)(f"element {ci}: {exc}") from exc
-        ell_by_cell[ci] = local.ell
         idx = np.array(cell)
         red = free_index[idx]
         inner = red >= 0
         fr = red[inner]
-        A = local.A[inner]
-        # row-major COO entries of the free-free block; the free-boundary
-        # block lifts the Dirichlet data into the right-hand side
-        rows.append(np.repeat(fr, len(fr)))
-        cols.append(np.tile(fr, len(fr)))
-        vals.append(A[:, inner].ravel())
-        rhs[fr] += local.b[inner] - A[:, ~inner] @ g[idx[~inner]]
-    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-    matrix = sparse.coo_matrix((vals, (rows, cols)),
-                               shape=(n_free, n_free)).tocsr()
-    return GlobalSystem(matrix, rhs, free_index, method, mesh, ell_by_cell, g)
+        end = start + len(fr) ** 2
+        rows[start:end] = np.repeat(fr, len(fr))
+        cols[start:end] = np.tile(fr, len(fr))
+        for m, loc in zip(methods, local):
+            ell_by_cell[m][ci] = loc.ell
+            A = loc.A[inner]
+            # the free-boundary block lifts the Dirichlet data into the rhs
+            vals[m][start:end] = A[:, inner].ravel()
+            rhs[m][fr] += loc.b[inner] - A[:, ~inner] @ g[idx[~inner]]
+        start = end
+    out = {}
+    for m in methods:
+        matrix = sparse.coo_matrix((vals[m], (rows, cols)),
+                                   shape=(n_free, n_free)).tocsr()
+        out[m] = GlobalSystem(matrix, rhs[m], free_index, m, mesh,
+                              ell_by_cell[m], g)
+    return out
+
+
+def _local_matrices(pts, spec, methods, ell, degrees) -> list:
+    # each method's local matrices on one cell, sfvem at ell and vem at 0,
+    # from one CellData per rule degree. The builders are called through
+    # this module's names, which the benchmark's tracer re-binds.
+    records: dict = {}
+    out = []
+    for method in methods:
+        method_ell = ell if method == "sfvem" else 0
+        degree = degrees[method_ell]
+        if degree not in records:
+            records[degree] = cell_data(pts, spec, degree)
+        if method == "sfvem":
+            out.append(sfvem_local(pts, spec, ell, records[degree]))
+        else:
+            out.append(standard_vem_local(pts, spec, records[degree]))
+    return out
 
 
 def solve(system: GlobalSystem) -> DiscreteSolution:

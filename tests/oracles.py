@@ -2,9 +2,12 @@
 
 The monomial integrator here reduces area integrals to boundary integrals
 by the divergence theorem and never triangulates, so it shares no code
-path with the production polygon rule.
+path with the production polygon rule. The ``loop_*`` functions are the
+loop versions of the array-level and shared-pass production code, kept as
+the references it must match bit for bit.
 """
 import numpy as np
+import scipy.sparse as sparse
 
 from sfvem.quadrature import gauss_legendre
 
@@ -227,3 +230,141 @@ def array_halfplane_clip(poly, nx, ny, c):
             t = fp / (fp - fq)
             out.append(P + t * (Q - P))
     return out
+
+
+def _loop_volume_degree(spec, ell):
+    return max(2 * ell, 2, spec.beta[0].degree + ell, spec.beta[1].degree + ell,
+               spec.gamma.degree, spec.f.degree)
+
+
+def loop_sfvem_local(vertices, spec, ell):
+    """Stabilization-free local matrices built from nothing but the
+    vertices, with every volume integral through ``PolygonRule.integrate``;
+    ``sfvem_local`` must reproduce them bit for bit, with or without a
+    shared cell record."""
+    from sfvem.element import LocalElementMatrices
+    from sfvem.poly import ScaledFrame, harmonic_basis
+    from sfvem.projectors import hgrad_matrix, nabla_matrix, pi0_row
+    from sfvem.quadrature import polygon_rule
+
+    vertices = np.asarray(vertices, dtype=float)
+    frame = ScaledFrame.from_polygon(vertices)
+    basis = harmonic_basis(frame, ell)
+    P, G = hgrad_matrix(vertices, basis)
+    r = pi0_row(vertices, frame, nabla_matrix(vertices, frame))
+    rule = polygon_rule(vertices, _loop_volume_degree(spec, ell))
+    grads = basis.gradients(rule.points)
+    K = spec.K
+    if abs(K[0, 1]) == 0.0 and K[0, 0] == K[1, 1]:
+        MK = K[0, 0] * G
+    else:
+        KG = np.einsum("ab,iqb->iqa", K, grads)
+        MK = np.einsum("jqa,iqa,q->ij", grads, KG, rule.weights)
+    A_diff = P.T @ MK @ P
+    A_diff = 0.5 * (A_diff + A_diff.T)
+    bvals = np.column_stack([spec.beta[0](rule.points), spec.beta[1](rule.points)])
+    t = np.einsum("iqa,qa,q->i", grads, bvals, rule.weights)
+    A_adv = np.outer(r, t @ P)
+    A_reac = rule.integrate(spec.gamma) * np.outer(r, r)
+    b = rule.integrate(spec.f) * r
+    return LocalElementMatrices(ell, A_diff, A_adv, A_reac, b, r)
+
+
+def loop_vem_local(vertices, spec):
+    """Stabilized comparator's local matrices built from nothing but the
+    vertices; ``standard_vem_local`` must reproduce them bit for bit."""
+    from sfvem.element import LocalElementMatrices
+    from sfvem.geometry import signed_area
+    from sfvem.poly import ScaledFrame
+    from sfvem.projectors import dof_matrix, nabla_matrix, pi0_row
+    from sfvem.quadrature import polygon_rule
+
+    vertices = np.asarray(vertices, dtype=float)
+    frame = ScaledFrame.from_polygon(vertices)
+    nabla = nabla_matrix(vertices, frame)
+    D = dof_matrix(vertices, frame)
+    r = pi0_row(vertices, frame, nabla)
+    h = frame.scale
+    K = spec.K
+    S = nabla[1:]
+    consistency = (signed_area(vertices) / h**2) * (S.T @ K @ S)
+    Q = np.eye(len(vertices)) - D @ nabla
+    A_diff = consistency + 0.5 * float(np.trace(K)) * (Q.T @ Q)
+    A_diff = 0.5 * (A_diff + A_diff.T)
+    rule = polygon_rule(vertices, _loop_volume_degree(spec, 0))
+    bbar = np.array([rule.integrate(spec.beta[0]), rule.integrate(spec.beta[1])])
+    A_adv = np.outer(r, (bbar @ S) / h)
+    A_reac = rule.integrate(spec.gamma) * np.outer(r, r)
+    b = rule.integrate(spec.f) * r
+    return LocalElementMatrices(0, A_diff, A_adv, A_reac, b, r)
+
+
+def loop_assemble(mesh, spec, method, ell_offset=0, dirichlet_values=None):
+    """One method's reduced system, each cell built on its own and its COO
+    entries appended cell by cell; ``assemble_many`` must give every method
+    this system bit for bit."""
+    from sfvem.element import effective_ell
+    from sfvem.system import GlobalSystem
+
+    nv = mesh.n_vertices
+    boundary = np.zeros(nv, dtype=bool)
+    boundary[list(mesh.boundary_vertices)] = True
+    g = np.zeros(nv)
+    if dirichlet_values is not None:
+        g[boundary] = np.asarray(dirichlet_values, dtype=float)[boundary]
+    n_free = nv - int(boundary.sum())
+    free_index = np.full(nv, -1, dtype=int)
+    free_index[~boundary] = np.arange(n_free)
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(n_free)
+    ell_by_cell = np.zeros(mesh.n_cells, dtype=int)
+    for ci, cell in enumerate(mesh.cells):
+        pts = mesh.cell_points(ci)
+        if method == "sfvem":
+            local = loop_sfvem_local(pts, spec, effective_ell(len(cell), ell_offset))
+        else:
+            local = loop_vem_local(pts, spec)
+        ell_by_cell[ci] = local.ell
+        idx = np.array(cell)
+        red = free_index[idx]
+        inner = red >= 0
+        fr = red[inner]
+        A = local.A[inner]
+        rows.append(np.repeat(fr, len(fr)))
+        cols.append(np.tile(fr, len(fr)))
+        vals.append(A[:, inner].ravel())
+        rhs[fr] += local.b[inner] - A[:, ~inner] @ g[idx[~inner]]
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    matrix = sparse.coo_matrix((vals, (rows, cols)), shape=(n_free, n_free)).tocsr()
+    return GlobalSystem(matrix, rhs, free_index, method, mesh, ell_by_cell, g)
+
+
+def loop_error_norms(solution, spec):
+    """Relative (L2, energy) errors of one solution, its own rule, linear
+    projection and exact-solution values on every cell; ``error_norms_many``
+    must give each solution this pair exactly."""
+    from sfvem.poly import ScaledFrame
+    from sfvem.projectors import nabla_matrix
+    from sfvem.quadrature import polygon_rule
+
+    K = spec.K
+    degree = 2 * spec.exact_u.degree + 2
+    mesh = solution.mesh
+    num0 = den0 = num1 = den1 = 0.0
+    for ci, cell in enumerate(mesh.cells):
+        pts = mesh.cell_points(ci)
+        frame = ScaledFrame.from_polygon(pts)
+        coef = nabla_matrix(pts, frame) @ solution.values[list(cell)]
+        rule = polygon_rule(pts, degree)
+        uh = coef[0] + frame.local(rule.points) @ coef[1:]
+        gh = coef[1:] / frame.scale
+        u = spec.exact_u(rule.points)
+        gx = spec.exact_grad_u[0](rule.points)
+        gy = spec.exact_grad_u[1](rule.points)
+        d0, dx, dy = u - uh, gx - gh[0], gy - gh[1]
+        w = rule.weights
+        num0 += w @ (d0 * d0)
+        den0 += w @ (u * u)
+        num1 += w @ (K[0, 0] * dx * dx + 2.0 * K[0, 1] * dx * dy + K[1, 1] * dy * dy)
+        den1 += w @ (K[0, 0] * gx * gx + 2.0 * K[0, 1] * gx * gy + K[1, 1] * gy * gy)
+    return float(np.sqrt(num0 / den0)), float(np.sqrt(num1 / den1))

@@ -4,6 +4,7 @@ import pytest
 from sfvem.analysis import (AUDIT_HEADER, CONVERGENCE_HEADER,
                             ConvergenceRecord, audit_catalog, audit_row,
                             convergence_row, convergence_study, error_norms,
+                            error_norms_many,
                             fit_rates, jacobi_singular_values, spectral_audit,
                             unit_diffusion_matrix, write_audit_csv,
                             write_convergence_csv)
@@ -154,6 +155,16 @@ def test_error_norms_missing_exact_solution():
         error_norms(sol, poisson_problem())
 
 
+def test_error_norms_many_requires_one_mesh():
+    spec = bubble_problem()
+    a = interpolant_solution(generate_distorted_grid(2, delta=0.0), spec.exact_u)
+    b = interpolant_solution(generate_distorted_grid(2, delta=0.0), spec.exact_u)
+    assert error_norms_many([], spec) == []
+    assert error_norms_many([a, a], spec) == [error_norms(a, spec)] * 2
+    with pytest.raises(ValueError, match="one mesh"):
+        error_norms_many([a, b], spec)
+
+
 def test_error_norms_scale_invariant():
     zero = Poly2.zero()
     u = Poly2.from_separable([0.0, 1.0, -1.0], [0.0, 1.0, -1.0])
@@ -286,6 +297,49 @@ def test_convergence_study_requires_decreasing_h():
 def test_convergence_study_unknown_generator():
     with pytest.raises(ValueError, match="generator"):
         convergence_study(bubble_problem(), [2, 4], generator="quadtree")
+
+
+@pytest.mark.parametrize("methods", [("sfvem", "fem"), ("vem", "vem"),
+                                     ("sfvem", "SFVEM")])
+def test_convergence_study_rejects_methods_before_meshing(monkeypatch, methods):
+    import sfvem.analysis
+
+    def no_mesh(*args):
+        raise AssertionError("mesh generated before the methods were checked")
+
+    monkeypatch.setattr(sfvem.analysis, "generate_distorted_grid", no_mesh)
+    with pytest.raises(ValueError, match="method"):
+        convergence_study(bubble_problem(), [2, 4], methods=methods)
+
+
+@pytest.mark.parametrize("methods, rules, evals", [
+    (("sfvem", "vem"), 2, 7),   # the parent built 4 rules and made 14 calls
+    (("vem",), 2, 7),
+    (("sfvem",), 2, 7),
+])
+def test_convergence_study_builds_each_cell_once(monkeypatch, methods, rules, evals):
+    # one element rule and one error rule per cell; beta, gamma and f on the
+    # first, u and grad u on the second, each evaluated once
+    import sfvem.analysis
+    import sfvem.element
+
+    spec = build_benchmark_coefficients()  # its gamma check evaluates once
+    calls = {"rule": 0, "eval": 0}
+
+    def counting(fn, key):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module in (sfvem.element, sfvem.analysis):
+        monkeypatch.setattr(module, "polygon_rule",
+                            counting(module.polygon_rule, "rule"))
+    monkeypatch.setattr(Poly2, "__call__", counting(Poly2.__call__, "eval"))
+    records = convergence_study(spec, [4], methods=methods)
+    cells = 16
+    assert calls == {"rule": rules * cells, "eval": evals * cells}
+    assert all(np.isfinite(getattr(records[0], f"e0_{m}")) for m in methods)
 
 
 def test_convergence_study_streams_records():

@@ -1,6 +1,8 @@
 """The array-level element kernels against their edge-by-edge and
-triangle-by-triangle loop versions in ``oracles``, and the Voronoi
-generator's skipping clip loop against the all-pairs loop.
+triangle-by-triangle loop versions in ``oracles``, the Voronoi
+generator's skipping clip loop against the all-pairs loop, and the
+shared per-cell passes of assembly and error norms against one method
+and one solution at a time.
 
 The loops perform the same floating-point operations per entry, so the
 comparison is exact equality, not a tolerance: the benchmark's degree-33
@@ -11,15 +13,21 @@ import numpy as np
 import pytest
 
 import sfvem.mesh
-from sfvem.element import effective_ell
+from sfvem.analysis import error_norms_many
+from sfvem.element import (cell_data, effective_ell, sfvem_local, standard_vem_local,
+                           volume_degree)
 from sfvem.mesh import (_closest_pair_too_close, _halfplane_clip, _voronoi_cells,
                         catalog_polygons, generate_distorted_grid, generate_voronoi)
-from sfvem.poly import ScaledFrame, harmonic_basis
+from sfvem.poly import (ScaledFrame, build_benchmark_coefficients, bubble_problem,
+                        harmonic_basis)
 from sfvem.projectors import hgrad_matrix, nabla_matrix
 from sfvem.quadrature import _fan_triangles, polygon_rule
+from sfvem.system import assemble_many, solve
 
-from oracles import (array_halfplane_clip, loop_closest_pair, loop_hgrad_matrix,
-                     loop_nabla_matrix, loop_polygon_rule, loop_voronoi_cells)
+from oracles import (array_halfplane_clip, loop_assemble, loop_closest_pair,
+                     loop_error_norms, loop_hgrad_matrix, loop_nabla_matrix,
+                     loop_polygon_rule, loop_sfvem_local, loop_vem_local,
+                     loop_voronoi_cells)
 
 # thin U whose vertex average falls outside it: the only ear-clip case here,
 # since every catalog polygon and mesh cell is star shaped about its average
@@ -144,3 +152,72 @@ def test_tuple_clip_matches_array_clip():
                               np.array(ref).reshape(-1, 2))
         cuts += len(out) != n
     assert cuts > 100
+
+
+PROBLEMS = {"benchmark": build_benchmark_coefficients(), "bubble": bubble_problem()}
+MESHES = {
+    "grid8": lambda: generate_distorted_grid(8, 0.3, 5),
+    "grid16": lambda: generate_distorted_grid(16, 0.3, 2),
+    "voronoi64": lambda: generate_voronoi(64, 3, 7, 0.25),
+    "voronoi256": lambda: generate_voronoi(256, 3, 1, 0.25),
+}
+
+
+def _same_local(a, b):
+    return (a.ell == b.ell and all(np.array_equal(getattr(a, f), getattr(b, f))
+                                   for f in ("A_diff", "A_adv", "A_reac", "b", "pi0")))
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+def test_local_builders_match_standalone_build(problem):
+    # with no record and with one built at their degree
+    spec = PROBLEMS[problem]
+    for i, v in enumerate([p.vertices for p in catalog_polygons()] + [USHAPE]):
+        for offset in (0, 1):
+            ell = effective_ell(len(v), offset)
+            ref = loop_sfvem_local(v, spec, ell)
+            for data in (None, cell_data(v, spec, volume_degree(spec, ell))):
+                assert _same_local(sfvem_local(v, spec, ell, data), ref), (i, offset)
+        ref = loop_vem_local(v, spec)
+        for data in (None, cell_data(v, spec, volume_degree(spec, 0))):
+            assert _same_local(standard_vem_local(v, spec, data), ref), i
+
+
+@pytest.mark.parametrize("mesh_name, problem, ell_offset, dirichlet", [
+    ("grid8", "benchmark", 0, False),
+    ("grid8", "benchmark", 1, True),
+    ("grid8", "bubble", 1, False),
+    ("grid16", "benchmark", 0, True),
+    ("grid16", "bubble", 1, True),
+    ("voronoi64", "benchmark", 0, False),
+    ("voronoi64", "benchmark", 1, True),
+    ("voronoi64", "bubble", 0, True),
+    ("voronoi64", "bubble", 1, False),
+    ("voronoi256", "benchmark", 0, True),
+    ("voronoi256", "bubble", 1, False),
+])
+def test_shared_passes_match_one_method_at_a_time(mesh_name, problem, ell_offset,
+                                                  dirichlet):
+    mesh, spec = MESHES[mesh_name](), PROBLEMS[problem]
+    if problem == "bubble" and ell_offset == 1:
+        # quads and larger cells need a second, higher rule degree than vem's
+        assert any(volume_degree(spec, effective_ell(len(c), 1)) != volume_degree(spec, 0)
+                   for c in mesh.cells)
+    g = np.random.default_rng(4).random(mesh.n_vertices) if dirichlet else None
+    ref = {m: loop_assemble(mesh, spec, m, ell_offset, g) for m in ("sfvem", "vem")}
+    ref_errors = {m: loop_error_norms(solve(ref[m]), spec) for m in ref}
+    # each order on the small meshes; the large ones only add cell shapes
+    orders = [("vem", "sfvem")] + ([("sfvem",), ("vem",)] if mesh.n_cells <= 64 else [])
+    for methods in orders:
+        systems = assemble_many(mesh, spec, methods, ell_offset, g)
+        assert tuple(systems) == methods
+        for m, system in systems.items():
+            a, b = system.matrix, ref[m].matrix
+            assert system.method == m
+            assert np.array_equal(a.data, b.data), (methods, m)
+            assert np.array_equal(a.indices, b.indices), (methods, m)
+            assert np.array_equal(a.indptr, b.indptr), (methods, m)
+            assert np.array_equal(system.rhs, ref[m].rhs), (methods, m)
+            assert np.array_equal(system.ell_by_cell, ref[m].ell_by_cell), (methods, m)
+        errors = error_norms_many([solve(s) for s in systems.values()], spec)
+        assert errors == [ref_errors[m] for m in methods], methods
