@@ -36,6 +36,7 @@ from .errors import (
     SingularGramError,
     SingularSystemError,
 )
+from .geometry import PolygonGeometry, polygon_geometry
 from .mesh import (
     CatalogPolygon,
     MeshQualityReport,
@@ -87,6 +88,7 @@ __all__ = [
     "MeshTopologyError",
     "Poly2",
     "PolyMesh",
+    "PolygonGeometry",
     "PolygonRule",
     "ProblemSpec",
     "QuadratureError",
@@ -117,6 +119,7 @@ __all__ = [
     "nabla_matrix",
     "pi0_row",
     "poisson_problem",
+    "polygon_geometry",
     "polygon_rule",
     "quality_report",
     "read_mesh",

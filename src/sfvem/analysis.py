@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .element import effective_ell
+from .geometry import polygon_geometry
 from .mesh import (
     CatalogPolygon,
     catalog_polygons,
@@ -102,9 +103,9 @@ class SpectralAudit:
 
 def unit_diffusion_matrix(vertices: np.ndarray, ell: int) -> np.ndarray:
     """Local diffusion matrix with K = identity: P^T G P."""
-    frame = ScaledFrame.from_polygon(vertices)
-    basis = harmonic_basis(frame, ell)
-    P, G = hgrad_matrix(vertices, basis)
+    poly = polygon_geometry(vertices)
+    basis = harmonic_basis(ScaledFrame.from_polygon(poly), ell)
+    P, G = hgrad_matrix(poly, basis)
     A = P.T @ G @ P
     return 0.5 * (A + A.T)
 
@@ -165,10 +166,10 @@ def error_norms_many(solutions, spec: ProblemSpec) -> list:
     num1 = [0.0] * len(solutions)
     den0 = den1 = 0.0
     for ci, cell in enumerate(mesh.cells):
-        pts = mesh.cell_points(ci)
-        frame = ScaledFrame.from_polygon(pts)
-        nabla = nabla_matrix(pts, frame)
-        rule = polygon_rule(pts, degree)
+        poly = polygon_geometry(mesh.cell_points(ci))
+        frame = ScaledFrame.from_polygon(poly)
+        nabla = nabla_matrix(poly, frame)
+        rule = polygon_rule(poly.vertices, degree)
         loc = frame.local(rule.points)
         u = spec.exact_u(rule.points)
         gx = spec.exact_grad_u[0](rule.points)

@@ -41,7 +41,6 @@ AUDIT_THRESHOLD = 1e-8
 class RunConfig:
     """Resolved parameters of one CLI invocation."""
 
-    command: str = ""
     mesh: str | None = None
     generator: str = "grid"
     n: int = 16
@@ -79,10 +78,6 @@ class RunConfig:
             raise ValueError("levels must be positive integers")
 
 
-_INT_KEYS = {"n", "seeds", "lloyd_iters", "seed", "ell_offset"}
-_FLOAT_KEYS = {"delta", "distortion", "theta", "r1", "r2"}
-
-
 def _parse_levels(text: str) -> tuple:
     try:
         return tuple(int(t) for t in text.replace(",", " ").split())
@@ -101,14 +96,10 @@ def _read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{ln}: expected key=value")
             key, value = (s.strip() for s in line.split("=", 1))
             key = key.replace("-", "_")
-            if key in _INT_KEYS:
-                out[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                out[key] = float(value)
-            elif key == "levels":
+            if key == "levels":
                 out[key] = _parse_levels(value)
             else:
-                out[key] = value
+                out[key] = _FLAGS.get(key, {}).get("type", str)(value)
     return out
 
 
@@ -178,19 +169,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
+    config = RunConfig()
     if args.config:
         file_values = _read_config_file(args.config)
         unknown = set(file_values) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ValueError(f"{args.config}: unknown keys {sorted(unknown)}")
-        if "levels" in file_values and isinstance(file_values["levels"], str):
-            file_values["levels"] = _parse_levels(file_values["levels"])
         config = replace(config, **file_values)
     flag_values = {}
     for f in fields(RunConfig):
-        if f.name in ("command",):
-            continue
         value = getattr(args, f.name, None)
         if value is not None:
             flag_values[f.name] = value

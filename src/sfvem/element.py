@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import signed_area
+from .geometry import PolygonGeometry, polygon_geometry
 from .poly import ScaledFrame, harmonic_basis
 from .problem import ProblemSpec
 from .projectors import dof_matrix, hgrad_matrix, nabla_matrix, pi0_row
@@ -73,13 +73,14 @@ def volume_degree(spec: ProblemSpec, ell: int) -> int:
 class CellData:
     """What the builders read of one cell at one rule degree.
 
-    The frame, the H1 projection matrix and the element-mean row; the
-    polygon rule; beta at the rule points as an (npts, 2) array; and the
-    rule integrals of beta, gamma and f, each weights @ values as
-    PolygonRule.integrate computes them. Both methods build from one record
+    The geometry record, the frame, the H1 projection matrix and the
+    element-mean row; the polygon rule; beta at the rule points as an
+    (npts, 2) array; and the rule integrals of beta, gamma and f, each
+    weights @ values as PolygonRule.integrate computes them. Both methods build from one record
     when their rule degrees agree, and then get the floats they get alone.
     """
 
+    poly: PolygonGeometry
     frame: ScaledFrame
     nabla: np.ndarray
     pi0: np.ndarray
@@ -90,20 +91,19 @@ class CellData:
     int_f: float
 
 
-def cell_data(vertices, spec: ProblemSpec, degree: int) -> CellData:
-    """The record of one cell at the given rule degree."""
-    vertices = np.asarray(vertices, dtype=float)
-    frame = ScaledFrame.from_polygon(vertices)
-    nabla = nabla_matrix(vertices, frame)
-    r = pi0_row(vertices, frame, nabla)
-    rule = polygon_rule(vertices, degree)
+def cell_data(poly: PolygonGeometry, spec: ProblemSpec, degree: int) -> CellData:
+    """The record of one cell, given its geometry, at the given rule degree."""
+    frame = ScaledFrame.from_polygon(poly)
+    nabla = nabla_matrix(poly, frame)
+    r = pi0_row(poly, frame, nabla)
+    rule = polygon_rule(poly.vertices, degree)
     w = rule.weights
     b0 = spec.beta[0](rule.points)
     b1 = spec.beta[1](rule.points)
     # sfvem's einsum reads beta as this C-ordered stack and the integrals
     # use the 1-D value arrays: an F-ordered stack, or a dot over a strided
     # column of it, rounds differently
-    return CellData(frame, nabla, r, rule, np.column_stack([b0, b1]),
+    return CellData(poly, frame, nabla, r, rule, np.column_stack([b0, b1]),
                     np.array([float(w @ b0), float(w @ b1)]),
                     float(w @ spec.gamma(rule.points)),
                     float(w @ spec.f(rule.points)))
@@ -124,15 +124,14 @@ def sfvem_local(vertices, spec: ProblemSpec, ell: int,
         Harmonic degree parameter; pass effective_ell(N) unless deliberately
         probing below the solvability bound.
     data : CellData, optional
-        The cell's record at volume_degree(spec, ell); built here when
-        omitted.
+        The record of this polygon at volume_degree(spec, ell), whose
+        geometry the builder reads; built from vertices when omitted.
     """
-    vertices = np.asarray(vertices, dtype=float)
     if data is None:
-        data = cell_data(vertices, spec, volume_degree(spec, ell))
+        data = cell_data(polygon_geometry(vertices), spec, volume_degree(spec, ell))
     rule, r = data.rule, data.pi0
     basis = harmonic_basis(data.frame, ell)
-    P, G = hgrad_matrix(vertices, basis)
+    P, G = hgrad_matrix(data.poly, basis)
     grads = basis.gradients(rule.points)
 
     K = spec.K
@@ -159,20 +158,19 @@ def standard_vem_local(vertices, spec: ProblemSpec,
     tau * sum_i dof_i((I - Pi)u) dof_i((I - Pi)v) with tau = trace(K)/2.
     Advection and reaction use the P1 projected gradient and the element
     mean, matching the stabilization-free form term by term. data is the
-    cell's record at volume_degree(spec, 0), built here when omitted.
+    record of this polygon at volume_degree(spec, 0), built from vertices
+    when omitted.
     """
-    vertices = np.asarray(vertices, dtype=float)
     if data is None:
-        data = cell_data(vertices, spec, volume_degree(spec, 0))
+        data = cell_data(polygon_geometry(vertices), spec, volume_degree(spec, 0))
     frame, nabla, r = data.frame, data.nabla, data.pi0
-    D = dof_matrix(vertices, frame)
-    area = signed_area(vertices)
+    D = dof_matrix(data.poly.vertices, frame)
     h = frame.scale
     K = spec.K
     S = nabla[1:]  # gradient rows, frame scaled
-    consistency = (area / h**2) * (S.T @ K @ S)
+    consistency = (data.poly.area / h**2) * (S.T @ K @ S)
     tau = 0.5 * float(np.trace(K))
-    Q = np.eye(len(vertices)) - D @ nabla
+    Q = np.eye(len(D)) - D @ nabla
     A_diff = consistency + tau * (Q.T @ Q)
     A_diff = 0.5 * (A_diff + A_diff.T)
 

@@ -1,8 +1,11 @@
 """Planar polygon primitives used by the mesh, quadrature, and projector code.
 
-All functions take an (N, 2) array of CCW vertex coordinates.
+All functions take an (N, 2) array of CCW vertex coordinates;
+polygon_geometry bundles what the per-cell passes read of one polygon.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,40 +16,46 @@ def signed_area(vertices: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def centroid(vertices: np.ndarray) -> np.ndarray:
-    """Area centroid from the shoelace first moments."""
-    x, y = vertices[:, 0], vertices[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    area = 0.5 * np.sum(cross)
-    cx = np.sum((x + xn) * cross) / (6.0 * area)
-    cy = np.sum((y + yn) * cross) / (6.0 * area)
-    return np.array([cx, cy])
-
-
-def first_moments(vertices: np.ndarray) -> tuple[float, float]:
-    """Exact integrals of x and y over the polygon."""
-    x, y = vertices[:, 0], vertices[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    return float(np.sum((x + xn) * cross) / 6.0), float(np.sum((y + yn) * cross) / 6.0)
-
-
 def diameter(vertices: np.ndarray) -> float:
     """Max pairwise vertex distance."""
     d = vertices[:, None, :] - vertices[None, :, :]
     return float(np.sqrt(np.max(np.sum(d * d, axis=-1))))
 
 
-def edge_lengths_normals(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge vectors, lengths, and outward unit normals for a CCW polygon.
+@dataclass(frozen=True)
+class PolygonGeometry:
+    """What the projectors, frames and mesh reports read of one polygon.
 
-    Edge i runs from vertex i to vertex i+1 (cyclic).
+    Edge i runs from vertex i to vertex i+1 (cyclic); the normals are the
+    outward unit normals of a CCW loop. moments are the exact integrals of
+    x and y over the polygon.
     """
-    e = np.roll(vertices, -1, axis=0) - vertices
+
+    vertices: np.ndarray
+    edges: np.ndarray
+    lengths: np.ndarray
+    normals: np.ndarray
+    area: float
+    moments: tuple[float, float]
+    centroid: np.ndarray
+    diameter: float
+
+
+def polygon_geometry(vertices) -> PolygonGeometry:
+    """The geometry record of one polygon: one roll, one shoelace pass."""
+    v = np.asarray(vertices, dtype=float)
+    nxt = np.roll(v, -1, axis=0)
+    x, y, xn, yn = v[:, 0], v[:, 1], nxt[:, 0], nxt[:, 1]
+    cross = x * yn - xn * y
+    area = 0.5 * float(np.sum(cross))
+    sx = np.sum((x + xn) * cross)
+    sy = np.sum((y + yn) * cross)
+    e = nxt - v
     lengths = np.sqrt(np.sum(e * e, axis=1))
     normals = np.column_stack([e[:, 1], -e[:, 0]]) / lengths[:, None]
-    return e, lengths, normals
+    center = np.array([sx / (6.0 * area), sy / (6.0 * area)])
+    return PolygonGeometry(v, e, lengths, normals, area,
+                           (float(sx / 6.0), float(sy / 6.0)), center, diameter(v))
 
 
 def _segments_properly_intersect(p1, p2, q1, q2) -> bool:

@@ -18,7 +18,7 @@ from .errors import (
     MeshIndexError,
     MeshTopologyError,
 )
-from .geometry import centroid, diameter, edge_lengths_normals, is_simple, signed_area
+from .geometry import diameter, is_simple, polygon_geometry, signed_area
 from .rng import XorShift
 
 # welding grid for Voronoi vertices; shared corners computed from different
@@ -207,6 +207,9 @@ def read_mesh(path) -> PolyMesh:
         except ValueError:
             raise MeshFormatError(f"line {ln + 1}: bad vertex index") from None
         ln += 1
+    if ln < len(lines):
+        raise MeshFormatError(
+            f"line {ln + 1}: unexpected line after the boundary section")
 
     for i in boundary:
         if not 0 <= i < nv:
@@ -431,7 +434,7 @@ def generate_voronoi(n_seeds: int, lloyd_iters: int = 0, seed: int = 0,
 
     float_cells = _voronoi_cells(seeds)
     for _ in range(lloyd_iters):
-        seeds = np.array([centroid(c) for c in float_cells])
+        seeds = np.array([polygon_geometry(c).centroid for c in float_cells])
         float_cells = _voronoi_cells(seeds)
 
     verts, cells = _weld(float_cells)
@@ -595,9 +598,8 @@ def quality_report(mesh: PolyMesh) -> MeshQualityReport:
     diams = np.empty(mesh.n_cells)
     ratios = np.empty(mesh.n_cells)
     for i in range(mesh.n_cells):
-        pts = mesh.cell_points(i)
-        diams[i] = diameter(pts)
-        _, lengths, _n = edge_lengths_normals(pts)
-        ratios[i] = lengths.min() / diams[i]
+        poly = polygon_geometry(mesh.cell_points(i))
+        diams[i] = poly.diameter
+        ratios[i] = poly.lengths.min() / poly.diameter
     return MeshQualityReport(diams, ratios, float(diams.max()),
                              float(ratios.min()))

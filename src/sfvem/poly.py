@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import centroid, diameter
+from .geometry import PolygonGeometry
 from .problem import ProblemSpec
 
 
@@ -134,9 +134,8 @@ class ScaledFrame:
             raise ValueError("frame scale must be positive")
 
     @classmethod
-    def from_polygon(cls, vertices) -> "ScaledFrame":
-        vertices = np.asarray(vertices, dtype=float)
-        return cls(centroid(vertices), diameter(vertices))
+    def from_polygon(cls, poly: PolygonGeometry) -> "ScaledFrame":
+        return cls(poly.centroid, poly.diameter)
 
     def local(self, points: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(points) - self.center) / self.scale

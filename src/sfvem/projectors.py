@@ -2,7 +2,8 @@
 
 Three projections, all evaluated through boundary integrals only (the
 underlying function is virtual and cannot be sampled inside the element),
-each a matrix acting on all N_E vertex values at once:
+each a matrix acting on all N_E vertex values at once and reading the
+element through its ``geometry.polygon_geometry`` record:
 
 * ``nabla_matrix``: H1 projection onto linears, gradient from the
   divergence identity, constant from boundary-mean matching;
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateElementError, SingularGramError
-from .geometry import diameter, edge_lengths_normals, first_moments, signed_area
+from .geometry import PolygonGeometry
 from .poly import HarmonicBasis, ScaledFrame
 from .quadrature import gauss_legendre, polygon_rule
 
@@ -31,17 +32,14 @@ log = logging.getLogger(__name__)
 GRAM_RANK_TOL = 1e-12
 
 
-def _check_element(vertices: np.ndarray) -> float:
-    area = signed_area(vertices)
-    h = diameter(vertices)
-    if area <= 1e-14 * h * h:
+def _check_element(poly: PolygonGeometry) -> None:
+    if poly.area <= 1e-14 * poly.diameter * poly.diameter:
         raise DegenerateElementError(
-            f"element has area {area:.3e} below 1e-14 * diameter^2"
+            f"element has area {poly.area:.3e} below 1e-14 * diameter^2"
         )
-    return area
 
 
-def nabla_matrix(vertices: np.ndarray, frame: ScaledFrame) -> np.ndarray:
+def nabla_matrix(poly: PolygonGeometry, frame: ScaledFrame) -> np.ndarray:
     """Matrix (3, N) mapping vertex values to the P1 coefficients of the
     H1 projection in the scaled frame.
 
@@ -49,20 +47,19 @@ def nabla_matrix(vertices: np.ndarray, frame: ScaledFrame) -> np.ndarray:
     with the piecewise linear trace integrated by the trapezoid rule (exact);
     the constant row matches the boundary mean of v.
     """
-    vertices = np.asarray(vertices, dtype=float)
-    area = _check_element(vertices)
-    _, lengths, normals = edge_lengths_normals(vertices)
+    _check_element(poly)
+    area, lengths = poly.area, poly.lengths
     # each vertex collects half of both adjacent edges: the trapezoid stencil
     half = 0.5 * lengths
     wtrap = half + np.roll(half, 1)
-    half_n = half[:, None] * normals
+    half_n = half[:, None] * poly.normals
     W = half_n + np.roll(half_n, 1, axis=0)
-    P = np.empty((3, len(vertices)))
+    P = np.empty((3, len(lengths)))
     P[1] = frame.scale * W[:, 0] / area
     P[2] = frame.scale * W[:, 1] / area
     # boundary means: of v (trapezoid weights) and of the frame monomials
     perim = lengths.sum()
-    loc = frame.local(vertices)
+    loc = frame.local(poly.vertices)
     mean_x = wtrap @ loc[:, 0] / perim
     mean_y = wtrap @ loc[:, 1] / perim
     P[0] = wtrap / perim - mean_x * P[1] - mean_y * P[2]
@@ -75,41 +72,39 @@ def dof_matrix(vertices: np.ndarray, frame: ScaledFrame) -> np.ndarray:
     return np.column_stack([np.ones(len(loc)), loc[:, 0], loc[:, 1]])
 
 
-def pi0_row(vertices: np.ndarray, frame: ScaledFrame,
+def pi0_row(poly: PolygonGeometry, frame: ScaledFrame,
             nabla: np.ndarray) -> np.ndarray:
     """Row (N,) such that row @ values is the mean of the linear projection,
-    given nabla = nabla_matrix(vertices, frame).
+    given nabla = nabla_matrix(poly, frame).
 
     Exact for the linear integrand: the element mean of a1 + a2 xhat + a3 yhat
     uses the shoelace first moments, no quadrature.
     """
-    vertices = np.asarray(vertices, dtype=float)
-    area = signed_area(vertices)
-    mx, my = first_moments(vertices)
-    mean_xhat = (mx / area - frame.center[0]) / frame.scale
-    mean_yhat = (my / area - frame.center[1]) / frame.scale
+    mx, my = poly.moments
+    mean_xhat = (mx / poly.area - frame.center[0]) / frame.scale
+    mean_yhat = (my / poly.area - frame.center[1]) / frame.scale
     return nabla[0] + mean_xhat * nabla[1] + mean_yhat * nabla[2]
 
 
-def _edge_normal_derivatives(vertices, basis, normals, n_nodes: int):
+def _edge_normal_derivatives(poly, basis, n_nodes: int):
     # Gauss points on all N edges at once, edge-major (N * n_nodes, 2), the
     # node parameters t in [0, 1] and weights w of the rule, and dh_i/dn at
     # the points, (N, 2 ell + 2, n_nodes)
     rule = gauss_legendre(n_nodes)
     t = 0.5 * (rule.nodes + 1.0)
     w = 0.5 * rule.weights
-    edges = np.roll(vertices, -1, axis=0) - vertices
-    pts = (vertices[:, None, :] + t[None, :, None] * edges[:, None, :]).reshape(-1, 2)
-    grads = basis.gradients(pts).reshape(basis.size, len(vertices), n_nodes, 2)
-    return pts, t, w, (grads @ normals[:, :, None])[..., 0].transpose(1, 0, 2)
+    v = poly.vertices
+    pts = (v[:, None, :] + t[None, :, None] * poly.edges[:, None, :]).reshape(-1, 2)
+    grads = basis.gradients(pts).reshape(basis.size, len(v), n_nodes, 2)
+    return pts, t, w, (grads @ poly.normals[:, :, None])[..., 0].transpose(1, 0, 2)
 
 
-def _boundary_gram(vertices, basis, lengths, normals) -> np.ndarray:
+def _boundary_gram(poly, basis) -> np.ndarray:
     # sum over edges of the edge integrals of h_j dh_i/dn with ell + 1 Gauss
     # nodes per edge (exact, degree 2 ell + 1 integrands); not symmetrized
-    pts, _, w, dn = _edge_normal_derivatives(vertices, basis, normals, basis.ell + 1)
-    vals = basis.values(pts).reshape(basis.size, len(vertices), -1)
-    per_edge = (lengths[:, None, None] * (dn * w)) @ vals.transpose(1, 2, 0)
+    pts, _, w, dn = _edge_normal_derivatives(poly, basis, basis.ell + 1)
+    vals = basis.values(pts).reshape(basis.size, len(poly.lengths), -1)
+    per_edge = (poly.lengths[:, None, None] * (dn * w)) @ vals.transpose(1, 2, 0)
     return per_edge.sum(axis=0)
 
 
@@ -120,14 +115,14 @@ def _symmetrized(G: np.ndarray) -> np.ndarray:
     return G
 
 
-def hgrad_gram(vertices: np.ndarray, basis: HarmonicBasis,
+def hgrad_gram(poly: PolygonGeometry, basis: HarmonicBasis,
                mode: str = "boundary") -> np.ndarray:
     """Gram matrix G_ij = <grad h_j, grad h_i> on the element.
 
     Parameters
     ----------
-    vertices : (N, 2) array
-        Element polygon, counterclockwise.
+    poly : PolygonGeometry
+        Geometry record of the element polygon, counterclockwise.
     basis : HarmonicBasis
         Scaled harmonic basis of size 2 ell + 2.
     mode : {"boundary", "area"}
@@ -140,15 +135,13 @@ def hgrad_gram(vertices: np.ndarray, basis: HarmonicBasis,
     -------
     (2 ell + 2, 2 ell + 2) symmetric matrix (symmetrized as (A + A^T)/2).
     """
-    vertices = np.asarray(vertices, dtype=float)
-    _check_element(vertices)
+    _check_element(poly)
     if mode == "area":
-        rule = polygon_rule(vertices, 2 * basis.ell)
+        rule = polygon_rule(poly.vertices, 2 * basis.ell)
         grads = basis.gradients(rule.points)
         G = np.einsum("ipd,jpd,p->ij", grads, grads, rule.weights)
     elif mode == "boundary":
-        _, lengths, normals = edge_lengths_normals(vertices)
-        G = _boundary_gram(vertices, basis, lengths, normals)
+        G = _boundary_gram(poly, basis)
     else:
         raise ValueError(f"unknown gram mode {mode!r}")
     return _symmetrized(G)
@@ -174,7 +167,7 @@ def _solve_gram(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve(factor, rhs)
 
 
-def hgrad_matrix(vertices: np.ndarray, basis: HarmonicBasis):
+def hgrad_matrix(poly: PolygonGeometry, basis: HarmonicBasis):
     """Projection matrix P (2 ell + 2, N) with P @ values = coefficients,
     plus the boundary Gram matrix it solves against.
 
@@ -182,13 +175,10 @@ def hgrad_matrix(vertices: np.ndarray, basis: HarmonicBasis):
     piecewise linear hat trace with the degree-ell normal derivative, so
     ceil((ell + 2)/2) Gauss nodes per edge are exact.
     """
-    vertices = np.asarray(vertices, dtype=float)
-    _check_element(vertices)
-    _, lengths, normals = edge_lengths_normals(vertices)
-    G = _symmetrized(_boundary_gram(vertices, basis, lengths, normals))
-    _, t, w, dn = _edge_normal_derivatives(vertices, basis, normals,
-                                           (basis.ell + 3) // 2)
-    dn = lengths[:, None, None] * dn
+    _check_element(poly)
+    G = _symmetrized(_boundary_gram(poly, basis))
+    _, t, w, dn = _edge_normal_derivatives(poly, basis, (basis.ell + 3) // 2)
+    dn = poly.lengths[:, None, None] * dn
     # edge e feeds its start vertex with weight 1 - t and its end vertex with t
     B = (dn @ (w * (1.0 - t))).T + np.roll((dn @ (w * t)).T, 1, axis=1)
     return _solve_gram(G, B), G

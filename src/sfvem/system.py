@@ -19,6 +19,7 @@ import scipy.sparse.linalg as spla
 from .element import (cell_data, effective_ell, sfvem_local, standard_vem_local,
                       volume_degree)
 from .errors import SfvemError, SingularSystemError
+from .geometry import polygon_geometry
 from .mesh import PolyMesh
 from .problem import ProblemSpec
 
@@ -159,15 +160,17 @@ def assemble_many(mesh: PolyMesh, spec: ProblemSpec, methods=METHODS,
 
 def _local_matrices(pts, spec, methods, ell, degrees) -> list:
     # each method's local matrices on one cell, sfvem at ell and vem at 0,
-    # from one CellData per rule degree. The builders are called through
-    # this module's names, which the benchmark's tracer re-binds.
+    # from one geometry record and one CellData per rule degree. The
+    # builders are called through this module's names, which the
+    # benchmark's tracer re-binds.
+    poly = polygon_geometry(pts)
     records: dict = {}
     out = []
     for method in methods:
         method_ell = ell if method == "sfvem" else 0
         degree = degrees[method_ell]
         if degree not in records:
-            records[degree] = cell_data(pts, spec, degree)
+            records[degree] = cell_data(poly, spec, degree)
         if method == "sfvem":
             out.append(sfvem_local(pts, spec, ell, records[degree]))
         else:

@@ -2,14 +2,48 @@
 
 The monomial integrator here reduces area integrals to boundary integrals
 by the divergence theorem and never triangulates, so it shares no code
-path with the production polygon rule. The ``loop_*`` functions are the
-loop versions of the array-level and shared-pass production code, kept as
-the references it must match bit for bit.
+path with the production polygon rule. ``centroid``, ``first_moments``
+and ``edge_lengths_normals`` are the one-quantity geometry functions that
+``geometry.polygon_geometry`` replaced, kept as the references its record
+must match bit for bit. The ``loop_*`` functions are the loop versions of
+the array-level and shared-pass production code, kept as the references
+it must match bit for bit.
 """
 import numpy as np
 import scipy.sparse as sparse
 
+from sfvem.geometry import polygon_geometry, signed_area
 from sfvem.quadrature import gauss_legendre
+
+
+def centroid(vertices: np.ndarray) -> np.ndarray:
+    """Area centroid from the shoelace first moments."""
+    x, y = vertices[:, 0], vertices[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    area = 0.5 * np.sum(cross)
+    cx = np.sum((x + xn) * cross) / (6.0 * area)
+    cy = np.sum((y + yn) * cross) / (6.0 * area)
+    return np.array([cx, cy])
+
+
+def first_moments(vertices: np.ndarray) -> tuple[float, float]:
+    """Exact integrals of x and y over the polygon."""
+    x, y = vertices[:, 0], vertices[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    return float(np.sum((x + xn) * cross) / 6.0), float(np.sum((y + yn) * cross) / 6.0)
+
+
+def edge_lengths_normals(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge vectors, lengths, and outward unit normals for a CCW polygon.
+
+    Edge i runs from vertex i to vertex i+1 (cyclic).
+    """
+    e = np.roll(vertices, -1, axis=0) - vertices
+    lengths = np.sqrt(np.sum(e * e, axis=1))
+    normals = np.column_stack([e[:, 1], -e[:, 0]]) / lengths[:, None]
+    return e, lengths, normals
 
 
 def monomial_integral(vertices, a: int, b: int) -> float:
@@ -115,8 +149,6 @@ def loop_polygon_rule(vertices, degree: int):
 def loop_nabla_matrix(vertices, frame) -> np.ndarray:
     """H1 projection matrix (3, N) with the trapezoid stencils accumulated
     edge by edge; ``nabla_matrix`` must reproduce it bit for bit."""
-    from sfvem.geometry import edge_lengths_normals, signed_area
-
     vertices = np.asarray(vertices, dtype=float)
     area = signed_area(vertices)
     n = len(vertices)
@@ -145,7 +177,6 @@ def loop_hgrad_matrix(vertices, basis):
     """Harmonic-gradient projector (P, G) with the boundary Gram and the
     right-hand side accumulated edge by edge, three basis evaluations per
     edge; ``hgrad_matrix`` must reproduce both bit for bit."""
-    from sfvem.geometry import edge_lengths_normals
     from sfvem.projectors import _solve_gram
 
     vertices = np.asarray(vertices, dtype=float)
@@ -248,10 +279,11 @@ def loop_sfvem_local(vertices, spec, ell):
     from sfvem.quadrature import polygon_rule
 
     vertices = np.asarray(vertices, dtype=float)
-    frame = ScaledFrame.from_polygon(vertices)
+    poly = polygon_geometry(vertices)
+    frame = ScaledFrame.from_polygon(poly)
     basis = harmonic_basis(frame, ell)
-    P, G = hgrad_matrix(vertices, basis)
-    r = pi0_row(vertices, frame, nabla_matrix(vertices, frame))
+    P, G = hgrad_matrix(poly, basis)
+    r = pi0_row(poly, frame, nabla_matrix(poly, frame))
     rule = polygon_rule(vertices, _loop_volume_degree(spec, ell))
     grads = basis.gradients(rule.points)
     K = spec.K
@@ -274,16 +306,16 @@ def loop_vem_local(vertices, spec):
     """Stabilized comparator's local matrices built from nothing but the
     vertices; ``standard_vem_local`` must reproduce them bit for bit."""
     from sfvem.element import LocalElementMatrices
-    from sfvem.geometry import signed_area
     from sfvem.poly import ScaledFrame
     from sfvem.projectors import dof_matrix, nabla_matrix, pi0_row
     from sfvem.quadrature import polygon_rule
 
     vertices = np.asarray(vertices, dtype=float)
-    frame = ScaledFrame.from_polygon(vertices)
-    nabla = nabla_matrix(vertices, frame)
+    poly = polygon_geometry(vertices)
+    frame = ScaledFrame.from_polygon(poly)
+    nabla = nabla_matrix(poly, frame)
     D = dof_matrix(vertices, frame)
-    r = pi0_row(vertices, frame, nabla)
+    r = pi0_row(poly, frame, nabla)
     h = frame.scale
     K = spec.K
     S = nabla[1:]
@@ -353,8 +385,9 @@ def loop_error_norms(solution, spec):
     num0 = den0 = num1 = den1 = 0.0
     for ci, cell in enumerate(mesh.cells):
         pts = mesh.cell_points(ci)
-        frame = ScaledFrame.from_polygon(pts)
-        coef = nabla_matrix(pts, frame) @ solution.values[list(cell)]
+        poly = polygon_geometry(pts)
+        frame = ScaledFrame.from_polygon(poly)
+        coef = nabla_matrix(poly, frame) @ solution.values[list(cell)]
         rule = polygon_rule(pts, degree)
         uh = coef[0] + frame.local(rule.points) @ coef[1:]
         gh = coef[1:] / frame.scale

@@ -13,6 +13,7 @@ import pytest
 from sfvem.analysis import audit_catalog, convergence_study, fit_rates
 from sfvem.cli import main
 from sfvem.element import effective_ell
+from sfvem.geometry import polygon_geometry
 from sfvem.mesh import catalog_polygons, generate_distorted_grid
 from sfvem.poly import (HarmonicBasis, Poly2, ScaledFrame,
                         build_benchmark_coefficients, manufactured_problem)
@@ -44,9 +45,10 @@ def test_projector_exactness_suite(capsys):
     t0 = time.perf_counter()
     worst_orth = worst_gram = worst_p1 = 0.0
     for p in catalog_polygons():
-        frame = ScaledFrame.from_polygon(p.vertices)
+        poly = polygon_geometry(p.vertices)
+        frame = ScaledFrame.from_polygon(poly)
         vals = 2.0 * p.vertices[:, 0] - 3.0 * p.vertices[:, 1] + 0.5
-        coef = nabla_matrix(p.vertices, frame) @ vals
+        coef = nabla_matrix(poly, frame) @ vals
         worst_p1 = max(
             worst_p1,
             np.abs(dof_matrix(p.vertices, frame) @ coef - vals).max()
@@ -55,8 +57,8 @@ def test_projector_exactness_suite(capsys):
         )
         for ell in range(11):
             basis = HarmonicBasis(frame, ell)
-            P, G = hgrad_matrix(p.vertices, basis)
-            Ga = hgrad_gram(p.vertices, basis, mode="area")
+            P, G = hgrad_matrix(poly, basis)
+            Ga = hgrad_gram(poly, basis, mode="area")
             worst_gram = max(worst_gram,
                              np.abs(G - Ga).max() / np.abs(G).max())
             v = RNG.standard_normal(p.n_vertices)

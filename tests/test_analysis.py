@@ -342,6 +342,63 @@ def test_convergence_study_builds_each_cell_once(monkeypatch, methods, rules, ev
     assert all(np.isfinite(getattr(records[0], f"e0_{m}")) for m in methods)
 
 
+@pytest.mark.parametrize("methods", [("sfvem", "vem"), ("vem",), ("sfvem",)])
+def test_convergence_study_computes_each_cell_geometry_once_per_pass(monkeypatch,
+                                                                     methods):
+    # one geometry record per cell in each of the quality report, the build
+    # pass and the error pass; signed_area runs only inside polygon_rule and
+    # diameter only inside the record. Every sfvem module's name for the four
+    # functions is counted, under the pass that is running.
+    import sys
+
+    import sfvem.analysis
+    import sfvem.geometry
+    import sfvem.quadrature
+
+    mesh = generate_distorted_grid(4)  # generated outside the counted study
+    monkeypatch.setattr(sfvem.analysis, "generate_distorted_grid",
+                        lambda *args: mesh)
+    counted = {"polygon_geometry": sfvem.geometry.polygon_geometry,
+               "signed_area": sfvem.geometry.signed_area,
+               "diameter": sfvem.geometry.diameter,
+               "polygon_rule": sfvem.quadrature.polygon_rule}
+    running = ["outside"]
+    calls: dict = {}
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[running[0], key] = calls.get((running[0], key), 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def in_pass(fn, name):
+        def wrapper(*args, **kwargs):
+            running[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                running[0] = "outside"
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name == "sfvem" or name.startswith("sfvem."):
+            for key, fn in counted.items():
+                if getattr(module, key, None) is fn:
+                    monkeypatch.setattr(module, key, counting(fn, key))
+    for fn, name in (("quality_report", "quality"), ("assemble_many", "build"),
+                     ("error_norms_many", "error")):
+        monkeypatch.setattr(sfvem.analysis, fn,
+                            in_pass(getattr(sfvem.analysis, fn), name))
+    convergence_study(build_benchmark_coefficients(), [4], methods=methods)
+    cells = mesh.n_cells
+    want = {}
+    for name in ("quality", "build", "error"):
+        want[name, "polygon_geometry"] = want[name, "diameter"] = cells
+    for name in ("build", "error"):
+        want[name, "polygon_rule"] = want[name, "signed_area"] = cells
+    assert calls == want
+
+
 def test_convergence_study_streams_records():
     seen = []
     convergence_study(bubble_problem(), [2, 4], delta=0.1,

@@ -252,7 +252,7 @@ def test_config_file_applies_and_flags_win(tmp_path, capsys):
 
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    for text in ("mesh_size = 4\n", "quad_degree = 4\n"):
+    for text in ("mesh_size = 4\n", "quad_degree = 4\n", "command = solve\n"):
         cfg.write_text(text)
         code = run("generate-mesh", "--config", str(cfg), "--out",
                    str(tmp_path))

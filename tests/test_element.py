@@ -3,6 +3,7 @@ import pytest
 
 from sfvem.element import (LocalElementMatrices, effective_ell, sfvem_local,
                            standard_vem_local)
+from sfvem.geometry import polygon_geometry
 from sfvem.mesh import catalog_polygons
 from sfvem.poly import Poly2, ScaledFrame
 from sfvem.problem import ProblemSpec
@@ -109,9 +110,9 @@ def _dense_quadrature_diffusion(vertices, K, ell):
     # general einsum path, whatever the shape of K
     from sfvem.poly import harmonic_basis
     from sfvem.projectors import hgrad_matrix
-    frame = ScaledFrame.from_polygon(vertices)
-    basis = harmonic_basis(frame, ell)
-    P, _G = hgrad_matrix(vertices, basis)
+    poly = polygon_geometry(vertices)
+    basis = harmonic_basis(ScaledFrame.from_polygon(poly), ell)
+    P, _G = hgrad_matrix(poly, basis)
     rule = polygon_rule(vertices, 2 * ell + 6)
     grads = basis.gradients(rule.points)
     KG = np.einsum("ab,iqb->iqa", K, grads)
@@ -188,8 +189,9 @@ def test_total_matrix_property():
 
 
 def test_vem_stabilization_vanishes_on_linears():
-    frame = ScaledFrame.from_polygon(SQUARE)
-    nabla = nabla_matrix(SQUARE, frame)
+    poly = polygon_geometry(SQUARE)
+    frame = ScaledFrame.from_polygon(poly)
+    nabla = nabla_matrix(poly, frame)
     D = dof_matrix(SQUARE, frame)
     u = 2.0 * SQUARE[:, 0] + 3.0 * SQUARE[:, 1] - 1.0
     np.testing.assert_allclose(u - D @ (nabla @ u), 0.0, atol=1e-13)

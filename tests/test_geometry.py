@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from sfvem.geometry import (centroid, diameter, edge_lengths_normals,
-                            first_moments, is_simple, signed_area)
+from sfvem.geometry import diameter, is_simple, polygon_geometry, signed_area
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TRIANGLE = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
@@ -18,30 +17,32 @@ def test_signed_area_triangle():
 
 
 def test_centroid_square():
-    np.testing.assert_allclose(centroid(SQUARE), [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(polygon_geometry(SQUARE).centroid, [0.5, 0.5],
+                               atol=1e-15)
 
 
 def test_centroid_triangle():
-    np.testing.assert_allclose(centroid(TRIANGLE), [2 / 3, 1 / 3], atol=1e-14)
+    np.testing.assert_allclose(polygon_geometry(TRIANGLE).centroid, [2 / 3, 1 / 3],
+                               atol=1e-14)
 
 
 def test_centroid_translation_invariance():
     shift = np.array([3.0, -2.0])
-    np.testing.assert_allclose(centroid(SQUARE + shift),
-                               centroid(SQUARE) + shift, atol=1e-13)
+    np.testing.assert_allclose(polygon_geometry(SQUARE + shift).centroid,
+                               polygon_geometry(SQUARE).centroid + shift, atol=1e-13)
 
 
 def test_first_moments_square():
-    mx, my = first_moments(SQUARE)
+    mx, my = polygon_geometry(SQUARE).moments
     assert mx == pytest.approx(0.5, abs=1e-15)
     assert my == pytest.approx(0.5, abs=1e-15)
 
 
 def test_first_moments_match_centroid_times_area():
     pts = np.array([[0.0, 0.0], [3.0, 0.5], [2.5, 2.0], [0.5, 1.5]])
-    area = signed_area(pts)
-    c = centroid(pts)
-    mx, my = first_moments(pts)
+    poly = polygon_geometry(pts)
+    area, c = poly.area, poly.centroid
+    mx, my = poly.moments
     assert mx == pytest.approx(area * c[0], rel=1e-14)
     assert my == pytest.approx(area * c[1], rel=1e-14)
 
@@ -58,29 +59,29 @@ def test_diameter_is_max_pairwise_distance():
 
 
 def test_edge_lengths_normals_square():
-    edges, lengths, normals = edge_lengths_normals(SQUARE)
-    np.testing.assert_allclose(lengths, np.ones(4), atol=1e-15)
+    poly = polygon_geometry(SQUARE)
+    np.testing.assert_allclose(poly.lengths, np.ones(4), atol=1e-15)
     expected = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    np.testing.assert_allclose(normals, expected, atol=1e-15)
-    np.testing.assert_allclose(edges, np.roll(SQUARE, -1, axis=0) - SQUARE,
+    np.testing.assert_allclose(poly.normals, expected, atol=1e-15)
+    np.testing.assert_allclose(poly.edges, np.roll(SQUARE, -1, axis=0) - SQUARE,
                                atol=1e-15)
 
 
 def test_normals_are_unit_and_outward():
     pts = np.array([[0.0, 0.0], [2.0, 0.3], [1.7, 1.9], [0.2, 1.4]])
-    c = centroid(pts)
-    edges, lengths, normals = edge_lengths_normals(pts)
+    poly = polygon_geometry(pts)
+    normals = poly.normals
     np.testing.assert_allclose(np.hypot(normals[:, 0], normals[:, 1]),
                                np.ones(4), atol=1e-14)
     mids = 0.5 * (pts + np.roll(pts, -1, axis=0))
-    assert np.all(np.einsum("ij,ij->i", mids - c, normals) > 0)
+    assert np.all(np.einsum("ij,ij->i", mids - poly.centroid, normals) > 0)
 
 
 def test_outward_flux_of_constant_field_vanishes():
     # closed polygon: sum of length-weighted normals is zero
     pts = np.array([[0.0, 0.0], [4.0, 1.0], [3.0, 3.0], [1.0, 4.0], [-1.0, 2.0]])
-    _, lengths, normals = edge_lengths_normals(pts)
-    np.testing.assert_allclose(lengths @ normals, [0.0, 0.0], atol=1e-13)
+    poly = polygon_geometry(pts)
+    np.testing.assert_allclose(poly.lengths @ poly.normals, [0.0, 0.0], atol=1e-13)
 
 
 def test_is_simple_accepts_convex_and_nonconvex():

@@ -115,6 +115,12 @@ def test_truncated_file(tmp_path):
         read_mesh(write_text(tmp_path, "vem-mesh 1\nvertices 4\n0.0 0.0\n"))
 
 
+@pytest.mark.parametrize("tail", ["vertices 99\ngarbage\n", "4\n", "\n"])
+def test_trailing_lines_rejected(tmp_path, tail):
+    with pytest.raises(MeshFormatError, match="line 14"):
+        read_mesh(write_text(tmp_path, SQUARE_FILE + tail))
+
+
 def test_wrong_cell_arity(tmp_path):
     bad = SQUARE_FILE.replace("4 0 1 2 3", "5 0 1 2 3")
     with pytest.raises(MeshFormatError, match="followed by"):

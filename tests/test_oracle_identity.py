@@ -1,4 +1,5 @@
-"""The array-level element kernels against their edge-by-edge and
+"""The per-polygon geometry record against the one-quantity functions it
+replaced, the array-level element kernels against their edge-by-edge and
 triangle-by-triangle loop versions in ``oracles``, the Voronoi
 generator's skipping clip loop against the all-pairs loop, and the
 shared per-cell passes of assembly and error norms against one method
@@ -16,6 +17,7 @@ import sfvem.mesh
 from sfvem.analysis import error_norms_many
 from sfvem.element import (cell_data, effective_ell, sfvem_local, standard_vem_local,
                            volume_degree)
+from sfvem.geometry import diameter, polygon_geometry, signed_area
 from sfvem.mesh import (_closest_pair_too_close, _halfplane_clip, _voronoi_cells,
                         catalog_polygons, generate_distorted_grid, generate_voronoi)
 from sfvem.poly import (ScaledFrame, build_benchmark_coefficients, bubble_problem,
@@ -24,7 +26,8 @@ from sfvem.projectors import hgrad_matrix, nabla_matrix
 from sfvem.quadrature import _fan_triangles, polygon_rule
 from sfvem.system import assemble_many, solve
 
-from oracles import (array_halfplane_clip, loop_assemble, loop_closest_pair,
+from oracles import (array_halfplane_clip, centroid, edge_lengths_normals,
+                     first_moments, loop_assemble, loop_closest_pair,
                      loop_error_norms, loop_hgrad_matrix, loop_nabla_matrix,
                      loop_polygon_rule, loop_sfvem_local, loop_vem_local,
                      loop_voronoi_cells)
@@ -59,18 +62,35 @@ def test_polygon_rule_matches_per_triangle_loop(polygons, degree):
         assert np.array_equal(rule.weights, wts), i
 
 
+def test_polygon_geometry_matches_reference_functions(polygons):
+    # one roll and one shoelace pass give the one-quantity functions' floats
+    for i, v in enumerate(polygons):
+        poly = polygon_geometry(v)
+        edges, lengths, normals = edge_lengths_normals(v)
+        assert np.array_equal(poly.vertices, v), i
+        assert np.array_equal(poly.edges, edges), i
+        assert np.array_equal(poly.lengths, lengths), i
+        assert np.array_equal(poly.normals, normals), i
+        assert poly.area == signed_area(v), i
+        assert poly.moments == first_moments(v), i
+        assert np.array_equal(poly.centroid, centroid(v)), i
+        assert poly.diameter == diameter(v), i
+
+
 def test_nabla_matrix_matches_edge_loop(polygons):
     for i, v in enumerate(polygons):
-        frame = ScaledFrame.from_polygon(v)
-        assert np.array_equal(nabla_matrix(v, frame), loop_nabla_matrix(v, frame)), i
+        poly = polygon_geometry(v)
+        frame = ScaledFrame.from_polygon(poly)
+        assert np.array_equal(nabla_matrix(poly, frame), loop_nabla_matrix(v, frame)), i
 
 
 def test_hgrad_matrix_matches_edge_loop(polygons):
     for i, v in enumerate(polygons):
-        frame = ScaledFrame.from_polygon(v)
+        poly = polygon_geometry(v)
+        frame = ScaledFrame.from_polygon(poly)
         for offset in (-1, 0, 2):
             basis = harmonic_basis(frame, effective_ell(len(v), offset))
-            P, G = hgrad_matrix(v, basis)
+            P, G = hgrad_matrix(poly, basis)
             P_loop, G_loop = loop_hgrad_matrix(v, basis)
             assert np.array_equal(G, G_loop), (i, offset)
             assert np.array_equal(P, P_loop), (i, offset)
@@ -176,10 +196,11 @@ def test_local_builders_match_standalone_build(problem):
         for offset in (0, 1):
             ell = effective_ell(len(v), offset)
             ref = loop_sfvem_local(v, spec, ell)
-            for data in (None, cell_data(v, spec, volume_degree(spec, ell))):
+            for data in (None, cell_data(polygon_geometry(v), spec,
+                                         volume_degree(spec, ell))):
                 assert _same_local(sfvem_local(v, spec, ell, data), ref), (i, offset)
         ref = loop_vem_local(v, spec)
-        for data in (None, cell_data(v, spec, volume_degree(spec, 0))):
+        for data in (None, cell_data(polygon_geometry(v), spec, volume_degree(spec, 0))):
             assert _same_local(standard_vem_local(v, spec, data), ref), i
 
 

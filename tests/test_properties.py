@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from sfvem.analysis import spectral_audit
 from sfvem.element import effective_ell
+from sfvem.geometry import polygon_geometry
 from sfvem.mesh import CatalogPolygon, generate_voronoi
 from sfvem.poly import Poly2, ScaledFrame, harmonic_basis
 from sfvem.problem import ProblemSpec
@@ -67,10 +68,11 @@ def _audit_ratios(vertices):
 @SETTINGS
 @given(star_polygons(), st.integers(0, 2))
 def test_boundary_gram_matches_area_gram(vertices, offset):
-    basis = harmonic_basis(ScaledFrame.from_polygon(vertices),
+    poly = polygon_geometry(vertices)
+    basis = harmonic_basis(ScaledFrame.from_polygon(poly),
                            effective_ell(len(vertices), offset))
-    _, G = hgrad_matrix(vertices, basis)
-    G_area = hgrad_gram(vertices, basis, mode="area")
+    _, G = hgrad_matrix(poly, basis)
+    G_area = hgrad_gram(poly, basis, mode="area")
     assert np.abs(G - G_area).max() <= 1e-12 * np.abs(G_area).max()
 
 
