@@ -59,7 +59,7 @@ from .poly import (
     poisson_problem,
 )
 from .problem import ProblemSpec
-from .projectors import hgrad_gram, hgrad_matrix, nabla_matrix, pi0_row
+from .projectors import hgrad_matrix, nabla_matrix, pi0_row
 from .quadrature import EdgeRule, PolygonRule, gauss_legendre, polygon_rule
 from .system import (
     DiscreteSolution,
@@ -112,7 +112,6 @@ __all__ = [
     "generate_distorted_grid",
     "generate_voronoi",
     "harmonic_basis",
-    "hgrad_gram",
     "hgrad_matrix",
     "jacobi_singular_values",
     "manufactured_problem",

@@ -23,7 +23,7 @@ from .mesh import (
     generate_voronoi,
     quality_report,
 )
-from .poly import ScaledFrame, harmonic_basis
+from .poly import harmonic_basis
 from .problem import ProblemSpec
 from .projectors import hgrad_matrix, nabla_matrix
 from .quadrature import polygon_rule
@@ -104,7 +104,7 @@ class SpectralAudit:
 def unit_diffusion_matrix(vertices: np.ndarray, ell: int) -> np.ndarray:
     """Local diffusion matrix with K = identity: P^T G P."""
     poly = polygon_geometry(vertices)
-    basis = harmonic_basis(ScaledFrame.from_polygon(poly), ell)
+    basis = harmonic_basis(poly.frame, ell)
     P, G = hgrad_matrix(poly, basis)
     A = P.T @ G @ P
     return 0.5 * (A + A.T)
@@ -167,10 +167,9 @@ def error_norms_many(solutions, spec: ProblemSpec) -> list:
     den0 = den1 = 0.0
     for ci, cell in enumerate(mesh.cells):
         poly = polygon_geometry(mesh.cell_points(ci))
-        frame = ScaledFrame.from_polygon(poly)
-        nabla = nabla_matrix(poly, frame)
+        nabla = nabla_matrix(poly)
         rule = polygon_rule(poly.vertices, degree)
-        loc = frame.local(rule.points)
+        loc = poly.frame.local(rule.points)
         u = spec.exact_u(rule.points)
         gx = spec.exact_grad_u[0](rule.points)
         gy = spec.exact_grad_u[1](rule.points)
@@ -182,7 +181,7 @@ def error_norms_many(solutions, spec: ProblemSpec) -> list:
         for k, solution in enumerate(solutions):
             coef = nabla @ solution.values[idx]
             uh = coef[0] + loc @ coef[1:]
-            gh = coef[1:] / frame.scale
+            gh = coef[1:] / poly.frame.scale
             d0 = u - uh
             dx = gx - gh[0]
             dy = gy - gh[1]

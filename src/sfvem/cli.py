@@ -235,7 +235,13 @@ def _read_polygon_file(path: str) -> CatalogPolygon:
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{ln}: expected 'x y'")
-            points.append([float(parts[0]), float(parts[1])])
+            try:
+                x, y = float(parts[0]), float(parts[1])
+            except ValueError:
+                raise ValueError(f"{path}:{ln}: bad coordinate") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"{path}:{ln}: non-finite coordinate")
+            points.append([x, y])
     pts = np.asarray(points, dtype=float)
     if len(pts) < 3:
         raise ValueError(f"{path}: polygon needs at least 3 vertices")
@@ -249,14 +255,11 @@ def _read_polygon_file(path: str) -> CatalogPolygon:
 
 def cmd_check_polygon(config: RunConfig) -> int:
     if config.polygon is not None:
-        polys = [_read_polygon_file(config.polygon)]
-    else:
-        from .mesh import catalog_polygons
-        polys = catalog_polygons()
-    audits = []
-    for poly in polys:
+        poly = _read_polygon_file(config.polygon)
         ell = effective_ell(poly.n_vertices, config.ell_offset)
-        audits.append(analysis.spectral_audit(poly, ell))
+        audits = [analysis.spectral_audit(poly, ell)]
+    else:
+        audits = analysis.audit_catalog(config.ell_offset)
     path = _outpath(config, "audit.csv")
     analysis.write_audit_csv(audits, path)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PolygonGeometry, polygon_geometry
-from .poly import ScaledFrame, harmonic_basis
+from .poly import harmonic_basis
 from .problem import ProblemSpec
 from .projectors import dof_matrix, hgrad_matrix, nabla_matrix, pi0_row
 from .quadrature import PolygonRule, polygon_rule
@@ -73,15 +73,14 @@ def volume_degree(spec: ProblemSpec, ell: int) -> int:
 class CellData:
     """What the builders read of one cell at one rule degree.
 
-    The geometry record, the frame, the H1 projection matrix and the
-    element-mean row; the polygon rule; beta at the rule points as an
+    The geometry record (which carries the frame), the H1 projection matrix
+    and the element-mean row; the polygon rule; beta at the rule points as an
     (npts, 2) array; and the rule integrals of beta, gamma and f, each
     weights @ values as PolygonRule.integrate computes them. Both methods build from one record
     when their rule degrees agree, and then get the floats they get alone.
     """
 
     poly: PolygonGeometry
-    frame: ScaledFrame
     nabla: np.ndarray
     pi0: np.ndarray
     rule: PolygonRule
@@ -93,9 +92,8 @@ class CellData:
 
 def cell_data(poly: PolygonGeometry, spec: ProblemSpec, degree: int) -> CellData:
     """The record of one cell, given its geometry, at the given rule degree."""
-    frame = ScaledFrame.from_polygon(poly)
-    nabla = nabla_matrix(poly, frame)
-    r = pi0_row(poly, frame, nabla)
+    nabla = nabla_matrix(poly)
+    r = pi0_row(poly, nabla)
     rule = polygon_rule(poly.vertices, degree)
     w = rule.weights
     b0 = spec.beta[0](rule.points)
@@ -103,7 +101,7 @@ def cell_data(poly: PolygonGeometry, spec: ProblemSpec, degree: int) -> CellData
     # sfvem's einsum reads beta as this C-ordered stack and the integrals
     # use the 1-D value arrays: an F-ordered stack, or a dot over a strided
     # column of it, rounds differently
-    return CellData(poly, frame, nabla, r, rule, np.column_stack([b0, b1]),
+    return CellData(poly, nabla, r, rule, np.column_stack([b0, b1]),
                     np.array([float(w @ b0), float(w @ b1)]),
                     float(w @ spec.gamma(rule.points)),
                     float(w @ spec.f(rule.points)))
@@ -130,7 +128,7 @@ def sfvem_local(vertices, spec: ProblemSpec, ell: int,
     if data is None:
         data = cell_data(polygon_geometry(vertices), spec, volume_degree(spec, ell))
     rule, r = data.rule, data.pi0
-    basis = harmonic_basis(data.frame, ell)
+    basis = harmonic_basis(data.poly.frame, ell)
     P, G = hgrad_matrix(data.poly, basis)
     grads = basis.gradients(rule.points)
 
@@ -163,7 +161,7 @@ def standard_vem_local(vertices, spec: ProblemSpec,
     """
     if data is None:
         data = cell_data(polygon_geometry(vertices), spec, volume_degree(spec, 0))
-    frame, nabla, r = data.frame, data.nabla, data.pi0
+    frame, nabla, r = data.poly.frame, data.nabla, data.pi0
     D = dof_matrix(data.poly.vertices, frame)
     h = frame.scale
     K = spec.K

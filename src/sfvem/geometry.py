@@ -1,7 +1,8 @@
 """Planar polygon primitives used by the mesh, quadrature, and projector code.
 
 All functions take an (N, 2) array of CCW vertex coordinates;
-polygon_geometry bundles what the per-cell passes read of one polygon.
+polygon_geometry bundles what the per-cell passes read of one polygon,
+including the scaled frame (centroid, diameter) every projector works in.
 """
 from __future__ import annotations
 
@@ -23,12 +24,29 @@ def diameter(vertices: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
+class ScaledFrame:
+    """Element-local coordinates (x - center) / scale."""
+
+    center: np.ndarray
+    scale: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        if not self.scale > 0:
+            raise ValueError("frame scale must be positive")
+
+    def local(self, points: np.ndarray) -> np.ndarray:
+        return (np.atleast_2d(points) - self.center) / self.scale
+
+
+@dataclass(frozen=True)
 class PolygonGeometry:
-    """What the projectors, frames and mesh reports read of one polygon.
+    """What the projectors and mesh reports read of one polygon.
 
     Edge i runs from vertex i to vertex i+1 (cyclic); the normals are the
     outward unit normals of a CCW loop. moments are the exact integrals of
-    x and y over the polygon.
+    x and y over the polygon. frame is the scaled frame of the centroid and
+    the diameter.
     """
 
     vertices: np.ndarray
@@ -39,10 +57,14 @@ class PolygonGeometry:
     moments: tuple[float, float]
     centroid: np.ndarray
     diameter: float
+    frame: ScaledFrame
 
 
 def polygon_geometry(vertices) -> PolygonGeometry:
-    """The geometry record of one polygon: one roll, one shoelace pass."""
+    """The geometry record of one polygon: one roll, one shoelace pass.
+
+    Raises ValueError when the diameter is zero or NaN (no frame exists).
+    """
     v = np.asarray(vertices, dtype=float)
     nxt = np.roll(v, -1, axis=0)
     x, y, xn, yn = v[:, 0], v[:, 1], nxt[:, 0], nxt[:, 1]
@@ -54,8 +76,10 @@ def polygon_geometry(vertices) -> PolygonGeometry:
     lengths = np.sqrt(np.sum(e * e, axis=1))
     normals = np.column_stack([e[:, 1], -e[:, 0]]) / lengths[:, None]
     center = np.array([sx / (6.0 * area), sy / (6.0 * area)])
+    d = diameter(v)
     return PolygonGeometry(v, e, lengths, normals, area,
-                           (float(sx / 6.0), float(sy / 6.0)), center, diameter(v))
+                           (float(sx / 6.0), float(sy / 6.0)), center, d,
+                           ScaledFrame(center, d))
 
 
 def _segments_properly_intersect(p1, p2, q1, q2) -> bool:

@@ -47,6 +47,9 @@ class PolyMesh:
         nv = len(self.vertices)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshFormatError("vertices must be an (n, 2) array")
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if bad.size:
+            raise MeshFormatError(f"vertex {bad[0]} has a non-finite coordinate")
         edge_count: dict = {}
         for ci, cell in enumerate(self.cells):
             if len(cell) < 3:
@@ -179,6 +182,8 @@ def read_mesh(path) -> PolyMesh:
             verts[i] = [float(tok[0]), float(tok[1])]
         except ValueError:
             raise MeshFormatError(f"line {ln + 1}: bad coordinate") from None
+        if not np.isfinite(verts[i]).all():
+            raise MeshFormatError(f"line {ln + 1}: non-finite coordinate")
         ln += 1
 
     nc = section("cells")
@@ -268,13 +273,16 @@ def generate_distorted_grid(n: int, delta: float = 0.3, seed: int = 42) -> PolyM
                 k = j * (n + 1) + i
                 verts[k, 0] += rng.uniform(-delta / n, delta / n)
                 verts[k, 1] += rng.uniform(-delta / n, delta / n)
-        if all(signed_area(verts[list(c)]) > 0.0 for c in cells):
+        try:
             mesh = PolyMesh(verts, tuple(cells), frozenset(boundary))
-            _check_unit_area(mesh)
-            return mesh
+        except MeshTopologyError as exc:
+            last = exc
+            continue
+        _check_unit_area(mesh)
+        return mesh
     raise MeshGenerationError(
         f"distorted grid kept inverting cells after 20 attempts (delta={delta})"
-    )
+    ) from last
 
 
 def _halfplane_clip(poly, nx, ny, c):
@@ -438,12 +446,15 @@ def generate_voronoi(n_seeds: int, lloyd_iters: int = 0, seed: int = 0,
         float_cells = _voronoi_cells(seeds)
 
     verts, cells = _weld(float_cells)
-    boundary = {
+    cells = tuple(cells)
+    boundary = frozenset(
         i for i, (x, y) in enumerate(verts)
         if x == 0.0 or x == 1.0 or y == 0.0 or y == 1.0
-    }
+    )
 
-    if distortion > 0.0:
+    if distortion == 0.0:
+        mesh = PolyMesh(verts, cells, boundary)
+    else:
         min_edge = np.full(len(verts), np.inf)
         for cell in cells:
             pts = verts[list(cell)]
@@ -461,21 +472,17 @@ def generate_voronoi(n_seeds: int, lloyd_iters: int = 0, seed: int = 0,
                                                             math.sin(phi)])
         factor = 1.0
         for _ in range(20):
-            moved = verts + factor * moves
-            ok = all(
-                signed_area(moved[list(c)]) > 0.0 and is_simple(moved[list(c)])
-                for c in cells
-            )
-            if ok:
-                verts = moved
+            try:
+                mesh = PolyMesh(verts + factor * moves, cells, boundary)
                 break
+            except MeshTopologyError as exc:
+                last = exc
             factor *= 0.5
         else:
             raise MeshGenerationError(
                 "vertex distortion kept inverting cells after 20 halvings"
-            )
+            ) from last
 
-    mesh = PolyMesh(verts, tuple(cells), frozenset(boundary))
     _check_unit_area(mesh)
     return mesh
 

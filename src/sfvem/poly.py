@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PolygonGeometry
+from .geometry import ScaledFrame
 from .problem import ProblemSpec
 
 
@@ -119,26 +119,6 @@ class Poly2:
 
     def __repr__(self):
         return f"Poly2(degree={self.degree}, terms={int(np.count_nonzero(self.coeffs))})"
-
-
-@dataclass(frozen=True)
-class ScaledFrame:
-    """Element-local coordinates (x - center) / scale."""
-
-    center: np.ndarray
-    scale: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if not self.scale > 0:
-            raise ValueError("frame scale must be positive")
-
-    @classmethod
-    def from_polygon(cls, poly: PolygonGeometry) -> "ScaledFrame":
-        return cls(poly.centroid, poly.diameter)
-
-    def local(self, points: np.ndarray) -> np.ndarray:
-        return (np.atleast_2d(points) - self.center) / self.scale
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_SAMPLE_GRID = None
-
-
-def _sample_points():
-    global _SAMPLE_GRID
-    if _SAMPLE_GRID is None:
-        t = np.linspace(0.05, 0.95, 7)
-        X, Y = np.meshgrid(t, t)
-        _SAMPLE_GRID = np.column_stack([X.ravel(), Y.ravel()])
-    return _SAMPLE_GRID
+# 7 x 7 interior points where gamma's sign is checked
+_SAMPLE_GRID = np.column_stack(
+    [g.ravel() for g in np.meshgrid(np.linspace(0.05, 0.95, 7),
+                                    np.linspace(0.05, 0.95, 7))])
 
 
 @dataclass(frozen=True)
@@ -79,6 +73,6 @@ class ProblemSpec:
         scale = max(1.0, np.abs(dxx.coeffs).max(), np.abs(dyy.coeffs).max())
         if np.abs(div.coeffs).max() > 1e-12 * scale:
             raise ValueError("beta must be divergence free")
-        g = self.gamma(_sample_points())
+        g = self.gamma(_SAMPLE_GRID)
         if g.min() < -1e-12 * max(1.0, np.abs(g).max()):
             raise ValueError("gamma must be nonnegative on the domain")

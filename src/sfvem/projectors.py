@@ -3,13 +3,15 @@
 Three projections, all evaluated through boundary integrals only (the
 underlying function is virtual and cannot be sampled inside the element),
 each a matrix acting on all N_E vertex values at once and reading the
-element through its ``geometry.polygon_geometry`` record:
+element, and its scaled frame, through its ``geometry.polygon_geometry``
+record:
 
 * ``nabla_matrix``: H1 projection onto linears, gradient from the
   divergence identity, constant from boundary-mean matching;
   ``dof_matrix`` evaluates the result back at the vertices.
 * ``hgrad_matrix``: L2 projection of the gradient onto gradients of
-  harmonic polynomials of degree ell+1, via the Gram system G d = b.
+  harmonic polynomials of degree ell+1, via the Gram system G d = b; it
+  returns the boundary Gram matrix G with the projection.
 * ``pi0_row``: L2 projection onto constants, the mean of the linear
   projection.
 """
@@ -21,9 +23,11 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateElementError, SingularGramError
-from .geometry import PolygonGeometry
-from .poly import HarmonicBasis, ScaledFrame
-from .quadrature import gauss_legendre, polygon_rule
+from .geometry import PolygonGeometry, ScaledFrame
+from .poly import HarmonicBasis
+from .quadrature import gauss_legendre
+# not called here; the benchmark's tracer re-binds it by this module's name
+from .quadrature import polygon_rule  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -39,16 +43,16 @@ def _check_element(poly: PolygonGeometry) -> None:
         )
 
 
-def nabla_matrix(poly: PolygonGeometry, frame: ScaledFrame) -> np.ndarray:
+def nabla_matrix(poly: PolygonGeometry) -> np.ndarray:
     """Matrix (3, N) mapping vertex values to the P1 coefficients of the
-    H1 projection in the scaled frame.
+    H1 projection in the record's scaled frame.
 
     The gradient rows come from (1/|E|) integral over the boundary of v n ds
     with the piecewise linear trace integrated by the trapezoid rule (exact);
     the constant row matches the boundary mean of v.
     """
     _check_element(poly)
-    area, lengths = poly.area, poly.lengths
+    area, lengths, frame = poly.area, poly.lengths, poly.frame
     # each vertex collects half of both adjacent edges: the trapezoid stencil
     half = 0.5 * lengths
     wtrap = half + np.roll(half, 1)
@@ -72,15 +76,15 @@ def dof_matrix(vertices: np.ndarray, frame: ScaledFrame) -> np.ndarray:
     return np.column_stack([np.ones(len(loc)), loc[:, 0], loc[:, 1]])
 
 
-def pi0_row(poly: PolygonGeometry, frame: ScaledFrame,
-            nabla: np.ndarray) -> np.ndarray:
+def pi0_row(poly: PolygonGeometry, nabla: np.ndarray) -> np.ndarray:
     """Row (N,) such that row @ values is the mean of the linear projection,
-    given nabla = nabla_matrix(poly, frame).
+    given nabla = nabla_matrix(poly).
 
     Exact for the linear integrand: the element mean of a1 + a2 xhat + a3 yhat
     uses the shoelace first moments, no quadrature.
     """
     mx, my = poly.moments
+    frame = poly.frame
     mean_xhat = (mx / poly.area - frame.center[0]) / frame.scale
     mean_yhat = (my / poly.area - frame.center[1]) / frame.scale
     return nabla[0] + mean_xhat * nabla[1] + mean_yhat * nabla[2]
@@ -97,54 +101,6 @@ def _edge_normal_derivatives(poly, basis, n_nodes: int):
     pts = (v[:, None, :] + t[None, :, None] * poly.edges[:, None, :]).reshape(-1, 2)
     grads = basis.gradients(pts).reshape(basis.size, len(v), n_nodes, 2)
     return pts, t, w, (grads @ poly.normals[:, :, None])[..., 0].transpose(1, 0, 2)
-
-
-def _boundary_gram(poly, basis) -> np.ndarray:
-    # sum over edges of the edge integrals of h_j dh_i/dn with ell + 1 Gauss
-    # nodes per edge (exact, degree 2 ell + 1 integrands); not symmetrized
-    pts, _, w, dn = _edge_normal_derivatives(poly, basis, basis.ell + 1)
-    vals = basis.values(pts).reshape(basis.size, len(poly.lengths), -1)
-    per_edge = (poly.lengths[:, None, None] * (dn * w)) @ vals.transpose(1, 2, 0)
-    return per_edge.sum(axis=0)
-
-
-def _symmetrized(G: np.ndarray) -> np.ndarray:
-    G = 0.5 * (G + G.T)
-    if not np.isfinite(G).all():
-        raise SingularGramError("gram matrix has non-finite entries")
-    return G
-
-
-def hgrad_gram(poly: PolygonGeometry, basis: HarmonicBasis,
-               mode: str = "boundary") -> np.ndarray:
-    """Gram matrix G_ij = <grad h_j, grad h_i> on the element.
-
-    Parameters
-    ----------
-    poly : PolygonGeometry
-        Geometry record of the element polygon, counterclockwise.
-    basis : HarmonicBasis
-        Scaled harmonic basis of size 2 ell + 2.
-    mode : {"boundary", "area"}
-        "boundary" reduces to edge integrals of h_j dh_i/dn with ell+1
-        Gauss nodes per edge (exact, degree 2 ell + 1 integrands);
-        "area" integrates grad h_i . grad h_j with a degree-2ell polygon
-        rule. The two agree to rounding and serve as mutual checks.
-
-    Returns
-    -------
-    (2 ell + 2, 2 ell + 2) symmetric matrix (symmetrized as (A + A^T)/2).
-    """
-    _check_element(poly)
-    if mode == "area":
-        rule = polygon_rule(poly.vertices, 2 * basis.ell)
-        grads = basis.gradients(rule.points)
-        G = np.einsum("ipd,jpd,p->ij", grads, grads, rule.weights)
-    elif mode == "boundary":
-        G = _boundary_gram(poly, basis)
-    else:
-        raise ValueError(f"unknown gram mode {mode!r}")
-    return _symmetrized(G)
 
 
 def _solve_gram(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -169,14 +125,21 @@ def _solve_gram(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def hgrad_matrix(poly: PolygonGeometry, basis: HarmonicBasis):
     """Projection matrix P (2 ell + 2, N) with P @ values = coefficients,
-    plus the boundary Gram matrix it solves against.
+    plus the Gram matrix G_ij = <grad h_j, grad h_i> it solves against.
 
-    The right-hand side B_ij = <phi_j, dh_i/dn> over the boundary pairs the
-    piecewise linear hat trace with the degree-ell normal derivative, so
-    ceil((ell + 2)/2) Gauss nodes per edge are exact.
+    G sums the edge integrals of h_j dh_i/dn with ell + 1 Gauss nodes per
+    edge (exact, degree 2 ell + 1 integrands) and is symmetrized as
+    (A + A^T)/2. The right-hand side B_ij = <phi_j, dh_i/dn> over the
+    boundary pairs the piecewise linear hat trace with the degree-ell normal
+    derivative, so ceil((ell + 2)/2) Gauss nodes per edge are exact.
     """
     _check_element(poly)
-    G = _symmetrized(_boundary_gram(poly, basis))
+    pts, _, w, dn = _edge_normal_derivatives(poly, basis, basis.ell + 1)
+    vals = basis.values(pts).reshape(basis.size, len(poly.lengths), -1)
+    G = ((poly.lengths[:, None, None] * (dn * w)) @ vals.transpose(1, 2, 0)).sum(axis=0)
+    G = 0.5 * (G + G.T)
+    if not np.isfinite(G).all():
+        raise SingularGramError("gram matrix has non-finite entries")
     _, t, w, dn = _edge_normal_derivatives(poly, basis, (basis.ell + 3) // 2)
     dn = poly.lengths[:, None, None] * dn
     # edge e feeds its start vertex with weight 1 - t and its end vertex with t

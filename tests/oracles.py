@@ -7,13 +7,15 @@ and ``edge_lengths_normals`` are the one-quantity geometry functions that
 ``geometry.polygon_geometry`` replaced, kept as the references its record
 must match bit for bit. The ``loop_*`` functions are the loop versions of
 the array-level and shared-pass production code, kept as the references
-it must match bit for bit.
+it must match bit for bit. ``area_gram`` integrates the harmonic-gradient
+Gram matrix over the element area, the reference for the boundary Gram
+that ``hgrad_matrix`` solves against.
 """
 import numpy as np
 import scipy.sparse as sparse
 
 from sfvem.geometry import polygon_geometry, signed_area
-from sfvem.quadrature import gauss_legendre
+from sfvem.quadrature import gauss_legendre, polygon_rule
 
 
 def centroid(vertices: np.ndarray) -> np.ndarray:
@@ -173,6 +175,15 @@ def loop_nabla_matrix(vertices, frame) -> np.ndarray:
     return P
 
 
+def area_gram(poly, basis) -> np.ndarray:
+    """Gram matrix G_ij = <grad h_i, grad h_j> integrated over the element
+    with the degree-2 ell polygon rule, symmetrized as (A + A^T)/2."""
+    rule = polygon_rule(poly.vertices, 2 * basis.ell)
+    grads = basis.gradients(rule.points)
+    G = np.einsum("ipd,jpd,p->ij", grads, grads, rule.weights)
+    return 0.5 * (G + G.T)
+
+
 def loop_hgrad_matrix(vertices, basis):
     """Harmonic-gradient projector (P, G) with the boundary Gram and the
     right-hand side accumulated edge by edge, three basis evaluations per
@@ -274,16 +285,14 @@ def loop_sfvem_local(vertices, spec, ell):
     ``sfvem_local`` must reproduce them bit for bit, with or without a
     shared cell record."""
     from sfvem.element import LocalElementMatrices
-    from sfvem.poly import ScaledFrame, harmonic_basis
+    from sfvem.poly import harmonic_basis
     from sfvem.projectors import hgrad_matrix, nabla_matrix, pi0_row
-    from sfvem.quadrature import polygon_rule
 
     vertices = np.asarray(vertices, dtype=float)
     poly = polygon_geometry(vertices)
-    frame = ScaledFrame.from_polygon(poly)
-    basis = harmonic_basis(frame, ell)
+    basis = harmonic_basis(poly.frame, ell)
     P, G = hgrad_matrix(poly, basis)
-    r = pi0_row(poly, frame, nabla_matrix(poly, frame))
+    r = pi0_row(poly, nabla_matrix(poly))
     rule = polygon_rule(vertices, _loop_volume_degree(spec, ell))
     grads = basis.gradients(rule.points)
     K = spec.K
@@ -306,16 +315,14 @@ def loop_vem_local(vertices, spec):
     """Stabilized comparator's local matrices built from nothing but the
     vertices; ``standard_vem_local`` must reproduce them bit for bit."""
     from sfvem.element import LocalElementMatrices
-    from sfvem.poly import ScaledFrame
     from sfvem.projectors import dof_matrix, nabla_matrix, pi0_row
-    from sfvem.quadrature import polygon_rule
 
     vertices = np.asarray(vertices, dtype=float)
     poly = polygon_geometry(vertices)
-    frame = ScaledFrame.from_polygon(poly)
-    nabla = nabla_matrix(poly, frame)
+    frame = poly.frame
+    nabla = nabla_matrix(poly)
     D = dof_matrix(vertices, frame)
-    r = pi0_row(poly, frame, nabla)
+    r = pi0_row(poly, nabla)
     h = frame.scale
     K = spec.K
     S = nabla[1:]
@@ -375,9 +382,7 @@ def loop_error_norms(solution, spec):
     """Relative (L2, energy) errors of one solution, its own rule, linear
     projection and exact-solution values on every cell; ``error_norms_many``
     must give each solution this pair exactly."""
-    from sfvem.poly import ScaledFrame
     from sfvem.projectors import nabla_matrix
-    from sfvem.quadrature import polygon_rule
 
     K = spec.K
     degree = 2 * spec.exact_u.degree + 2
@@ -386,8 +391,8 @@ def loop_error_norms(solution, spec):
     for ci, cell in enumerate(mesh.cells):
         pts = mesh.cell_points(ci)
         poly = polygon_geometry(pts)
-        frame = ScaledFrame.from_polygon(poly)
-        coef = nabla_matrix(poly, frame) @ solution.values[list(cell)]
+        frame = poly.frame
+        coef = nabla_matrix(poly) @ solution.values[list(cell)]
         rule = polygon_rule(pts, degree)
         uh = coef[0] + frame.local(rule.points) @ coef[1:]
         gh = coef[1:] / frame.scale

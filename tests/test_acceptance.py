@@ -15,13 +15,12 @@ from sfvem.cli import main
 from sfvem.element import effective_ell
 from sfvem.geometry import polygon_geometry
 from sfvem.mesh import catalog_polygons, generate_distorted_grid
-from sfvem.poly import (HarmonicBasis, Poly2, ScaledFrame,
-                        build_benchmark_coefficients, manufactured_problem)
-from sfvem.projectors import (dof_matrix, hgrad_gram, hgrad_matrix,
-                              nabla_matrix)
+from sfvem.poly import (HarmonicBasis, Poly2, build_benchmark_coefficients,
+                        manufactured_problem)
+from sfvem.projectors import dof_matrix, hgrad_matrix, nabla_matrix
 from sfvem.system import assemble, solve
 
-from oracles import monomial_integral
+from oracles import area_gram, monomial_integral
 from test_projectors import boundary_rhs_oracle
 
 RNG = np.random.default_rng(7)
@@ -46,9 +45,9 @@ def test_projector_exactness_suite(capsys):
     worst_orth = worst_gram = worst_p1 = 0.0
     for p in catalog_polygons():
         poly = polygon_geometry(p.vertices)
-        frame = ScaledFrame.from_polygon(poly)
+        frame = poly.frame
         vals = 2.0 * p.vertices[:, 0] - 3.0 * p.vertices[:, 1] + 0.5
-        coef = nabla_matrix(poly, frame) @ vals
+        coef = nabla_matrix(poly) @ vals
         worst_p1 = max(
             worst_p1,
             np.abs(dof_matrix(p.vertices, frame) @ coef - vals).max()
@@ -58,7 +57,7 @@ def test_projector_exactness_suite(capsys):
         for ell in range(11):
             basis = HarmonicBasis(frame, ell)
             P, G = hgrad_matrix(poly, basis)
-            Ga = hgrad_gram(poly, basis, mode="area")
+            Ga = area_gram(poly, basis)
             worst_gram = max(worst_gram,
                              np.abs(G - Ga).max() / np.abs(G).max())
             v = RNG.standard_normal(p.n_vertices)

@@ -7,6 +7,25 @@ from sfvem.mesh import read_mesh
 
 TRIANGLE_POLY = "0.0 0.0\n1.0 0.0\n0.4 0.9\n"
 NEEDLE_POLY = "0.0 0.0\n1.0 0.0\n0.5 1e-7\n"
+# four triangles around the center vertex, which sits on line 7
+FOUR_TRIANGLES = """vem-mesh 1
+vertices 5
+0.0 0.0
+1.0 0.0
+1.0 1.0
+0.0 1.0
+{center}
+cells 4
+3 0 1 4
+3 1 2 4
+3 2 3 4
+3 3 0 4
+boundary 4
+0
+1
+2
+3
+"""
 
 
 def run(*argv):
@@ -105,6 +124,32 @@ def test_check_polygon_rejects_clockwise_file(tmp_path, capsys):
     code = run("check-polygon", "--polygon", str(poly), "--out", str(tmp_path))
     assert code == 1
     assert "counterclockwise" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("nan 1", "non-finite coordinate"),
+    ("inf 1", "non-finite coordinate"),
+    ("1.0 x", "bad coordinate"),
+])
+def test_check_polygon_rejects_bad_coordinate_with_line(tmp_path, capsys, line,
+                                                         message):
+    poly = tmp_path / "bad.poly"
+    poly.write_text(f"0.0 0.0\n{line}\n0.4 0.9\n")
+    code = run("check-polygon", "--polygon", str(poly), "--out", str(tmp_path))
+    assert code == 1
+    assert f"{poly}:2: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_mesh_file_rejected_with_line(tmp_path, capsys, value):
+    mesh = tmp_path / "mesh.txt"
+    mesh.write_text(FOUR_TRIANGLES.format(center=f"{value} 0.5"))
+    out = tmp_path / "out"
+    for argv in (("generate-mesh",), ("solve", "--problem", "bubble")):
+        code = run(*argv, "--mesh", str(mesh), "--out", str(out))
+        assert code == 1
+        assert "line 7: non-finite coordinate" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

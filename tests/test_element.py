@@ -5,7 +5,7 @@ from sfvem.element import (LocalElementMatrices, effective_ell, sfvem_local,
                            standard_vem_local)
 from sfvem.geometry import polygon_geometry
 from sfvem.mesh import catalog_polygons
-from sfvem.poly import Poly2, ScaledFrame
+from sfvem.poly import Poly2
 from sfvem.problem import ProblemSpec
 from sfvem.projectors import dof_matrix, nabla_matrix
 from sfvem.quadrature import polygon_rule
@@ -111,7 +111,7 @@ def _dense_quadrature_diffusion(vertices, K, ell):
     from sfvem.poly import harmonic_basis
     from sfvem.projectors import hgrad_matrix
     poly = polygon_geometry(vertices)
-    basis = harmonic_basis(ScaledFrame.from_polygon(poly), ell)
+    basis = harmonic_basis(poly.frame, ell)
     P, _G = hgrad_matrix(poly, basis)
     rule = polygon_rule(vertices, 2 * ell + 6)
     grads = basis.gradients(rule.points)
@@ -190,8 +190,8 @@ def test_total_matrix_property():
 
 def test_vem_stabilization_vanishes_on_linears():
     poly = polygon_geometry(SQUARE)
-    frame = ScaledFrame.from_polygon(poly)
-    nabla = nabla_matrix(poly, frame)
+    frame = poly.frame
+    nabla = nabla_matrix(poly)
     D = dof_matrix(SQUARE, frame)
     u = 2.0 * SQUARE[:, 0] + 3.0 * SQUARE[:, 1] - 1.0
     np.testing.assert_allclose(u - D @ (nabla @ u), 0.0, atol=1e-13)

@@ -58,6 +58,15 @@ def test_diameter_is_max_pairwise_distance():
     assert diameter(pts) == pytest.approx(d, rel=1e-15)
 
 
+@pytest.mark.parametrize("vertices", [
+    np.zeros((3, 2)),                                  # zero diameter
+    np.array([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]]),  # NaN diameter
+])
+def test_record_without_a_frame_is_rejected_when_built(vertices):
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="scale"):
+        polygon_geometry(vertices)
+
+
 def test_edge_lengths_normals_square():
     poly = polygon_geometry(SQUARE)
     np.testing.assert_allclose(poly.lengths, np.ones(4), atol=1e-15)

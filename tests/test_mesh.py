@@ -110,6 +110,13 @@ def test_bad_coordinate_reports_line(tmp_path):
         read_mesh(write_text(tmp_path, bad))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_coordinate_reports_line(tmp_path, value):
+    bad = SQUARE_FILE.replace("1.0 0.0", f"1.0 {value}")
+    with pytest.raises(MeshFormatError, match="line 4: non-finite"):
+        read_mesh(write_text(tmp_path, bad))
+
+
 def test_truncated_file(tmp_path):
     with pytest.raises(MeshFormatError, match="unexpected end"):
         read_mesh(write_text(tmp_path, "vem-mesh 1\nvertices 4\n0.0 0.0\n"))
@@ -141,6 +148,14 @@ def test_out_of_range_boundary_index(tmp_path):
 
 # ---------------------------------------------------------------------------
 # PolyMesh invariants
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_rejected(value):
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    verts[2, 1] = value
+    with pytest.raises(MeshFormatError, match="vertex 2"):
+        PolyMesh(verts, ((0, 1, 2, 3),), frozenset({0, 1, 2, 3}))
 
 
 def test_cell_with_two_vertices_rejected():
@@ -370,6 +385,40 @@ def test_voronoi_clip_count_is_not_quadratic(monkeypatch):
     calls = _count_clips(monkeypatch)
     generate_voronoi(256, 3, 1, 0.25)
     assert len(calls) <= 80 * 256 * 4
+
+
+def _count_validation(monkeypatch):
+    calls = {"signed_area": 0, "is_simple": 0}
+    for key in calls:
+        fn = getattr(sfvem.mesh, key)
+
+        def counted(*args, _fn=fn, _key=key):
+            calls[_key] += 1
+            return _fn(*args)
+        monkeypatch.setattr(sfvem.mesh, key, counted)
+    return calls
+
+
+@pytest.mark.parametrize("generate", [
+    lambda: generate_voronoi(576, 3, 0, 0.25),
+    lambda: generate_voronoi(64, 0, 0, 0.0),
+    lambda: generate_distorted_grid(64, 0.3, 1),
+], ids=["voronoi-distorted", "voronoi-undistorted", "grid"])
+def test_generators_validate_each_cell_once(monkeypatch, generate):
+    # PolyMesh's check (signed area and simplicity) plus the unit-area sum;
+    # the generators pre-check nothing that PolyMesh checks again
+    calls = _count_validation(monkeypatch)
+    mesh = generate()
+    assert calls == {"signed_area": 2 * mesh.n_cells, "is_simple": mesh.n_cells}
+
+
+def test_generators_chain_the_last_topology_error(monkeypatch):
+    monkeypatch.setattr(sfvem.mesh, "is_simple", lambda pts: False)
+    for generate in (lambda: generate_distorted_grid(4, 0.3, 1),
+                     lambda: generate_voronoi(16, 0, 0, 0.25)):
+        with pytest.raises(MeshGenerationError) as info:
+            generate()
+        assert isinstance(info.value.__cause__, MeshTopologyError)
 
 
 # ---------------------------------------------------------------------------
