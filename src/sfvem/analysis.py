@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgejsv
 
 from .element import effective_ell
 from .geometry import polygon_geometry
@@ -32,46 +33,31 @@ from .quadrature import polygon_rule
 from .system import assemble, assemble_many, check_methods, solve  # noqa: F401
 
 
-# one-sided Jacobi stops once every column pair is orthogonal to this
-# relative tolerance, or after this many sweeps
-JACOBI_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 60
-
-
 def jacobi_singular_values(A: np.ndarray) -> np.ndarray:
-    """Singular values of a small dense matrix by one-sided Jacobi rotations.
+    """Singular values of a small dense matrix, in descending order.
 
-    Columns are rotated pairwise until mutually orthogonal relative to
-    JACOBI_TOL; the singular values are then the column norms. Accurate for
-    the tiny trailing values this module cares about. Returned in descending
-    order.
+    LAPACK's preconditioned one-sided Jacobi SVD (``dgejsv``; Drmac and
+    Veselic, SIAM J. Matrix Anal. Appl. 29, 2008) with JOBA='C': after a
+    column-pivoted QR, the values are accurate relative to themselves up to
+    the condition of A's column-equilibrated form, which is what the
+    audit's tiny trailing values need. A wide matrix is transposed first
+    (dgejsv needs rows >= columns). Raises ``ValueError`` on non-finite
+    input and ``np.linalg.LinAlgError`` when LAPACK reports failure.
     """
-    U = np.array(A, dtype=float)
-    n = U.shape[1]
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                ap, aq = U[:, p], U[:, q]
-                app = float(ap @ ap)
-                aqq = float(aq @ aq)
-                apq = float(ap @ aq)
-                if app * aqq == 0.0:
-                    continue
-                rel = abs(apq) / np.sqrt(app * aqq)
-                if rel <= JACOBI_TOL:
-                    continue
-                off = max(off, rel)
-                tau = (aqq - app) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) \
-                    if tau != 0.0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                U[:, p], U[:, q] = c * ap - s * aq, s * ap + c * aq
-        if off <= JACOBI_TOL:
-            break
-    sv = np.sqrt((U * U).sum(axis=0))
-    return np.sort(sv)[::-1]
+    A = np.asarray(A, dtype=float)
+    if not np.all(np.isfinite(A)):
+        raise ValueError("singular values of a matrix with non-finite entries")
+    if A.shape[0] < A.shape[1]:
+        A = A.T
+    # joba=0 is 'C' (relative accuracy), jobu=jobv=3 is 'N' (no vectors),
+    # jobr=1 is 'R' (values below about 1e-308 * sigma_max may come back
+    # as zero), jobt=0 and jobp=0 are 'N'
+    sva, _u, _v, work, _iwork, info = dgejsv(A, joba=0, jobu=3, jobv=3,
+                                             jobr=1, jobt=0, jobp=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgejsv failed with info = {info}")
+    # sva is scaled by work[1] / work[0] to stay clear of overflow
+    return np.sort((work[0] / work[1]) * sva)[::-1]
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,11 @@ from .system import assemble, solve, write_solution_csv
 
 log = logging.getLogger(__name__)
 
+# a rule-compliant audit passes when the constants are its only kernel
+# (sigma_min/sigma_max at most KERNEL_THRESHOLD) and the rank margin
+# sigma_r/sigma_max is at least AUDIT_THRESHOLD
 AUDIT_THRESHOLD = 1e-8
+KERNEL_THRESHOLD = 1e-11
 
 
 @dataclass(frozen=True)
@@ -266,9 +270,13 @@ def cmd_check_polygon(config: RunConfig) -> int:
     failed = 0
     for audit in audits:
         compliant = audit.ell >= effective_ell(audit.n_vertices)
-        ok = audit.sigma_r_over_max >= AUDIT_THRESHOLD
-        marker = "" if ok else ("  [below rule, exploratory]"
-                                if not compliant else "  [FAIL]")
+        kernel = audit.sigma_min / audit.sigma_max
+        ok = (kernel <= KERNEL_THRESHOLD
+              and audit.sigma_r_over_max >= AUDIT_THRESHOLD)
+        marker = ""
+        if not ok:
+            marker = (f"  sigma_min/sigma_max={kernel:9.3e}"
+                      + ("  [FAIL]" if compliant else "  [below rule, exploratory]"))
         print(f"{audit.name:16s} N={audit.n_vertices:2d} ell={audit.ell:2d} "
               f"sigma_r/sigma_max={audit.sigma_r_over_max:9.3e}{marker}")
         if not ok:
@@ -279,8 +287,9 @@ def cmd_check_polygon(config: RunConfig) -> int:
                       f"the degree rule; instability is expected", file=sys.stderr)
     print(f"wrote {path}")
     if failed:
-        print(f"error: {failed} rule-compliant polygon(s) fell below "
-              f"sigma_r/sigma_max = {AUDIT_THRESHOLD:g}", file=sys.stderr)
+        print(f"error: {failed} rule-compliant polygon(s) failed the audit: "
+              f"sigma_min/sigma_max above {KERNEL_THRESHOLD:g} or "
+              f"sigma_r/sigma_max fell below {AUDIT_THRESHOLD:g}", file=sys.stderr)
         return 2
     return 0
 

@@ -9,7 +9,11 @@ must match bit for bit. The ``loop_*`` functions are the loop versions of
 the array-level and shared-pass production code, kept as the references
 it must match bit for bit. ``area_gram`` integrates the harmonic-gradient
 Gram matrix over the element area, the reference for the boundary Gram
-that ``hgrad_matrix`` solves against.
+that ``hgrad_matrix`` solves against. ``loop_jacobi_singular_values`` is
+the pure-Python one-sided Jacobi SVD that LAPACK's ``dgejsv`` replaced in
+``analysis.jacobi_singular_values``; it is the reference the audit's
+ratios must match to a relative tolerance, since the rotation order
+differs.
 """
 import numpy as np
 import scipy.sparse as sparse
@@ -406,3 +410,45 @@ def loop_error_norms(solution, spec):
         num1 += w @ (K[0, 0] * dx * dx + 2.0 * K[0, 1] * dx * dy + K[1, 1] * dy * dy)
         den1 += w @ (K[0, 0] * gx * gx + 2.0 * K[0, 1] * gx * gy + K[1, 1] * gy * gy)
     return float(np.sqrt(num0 / den0)), float(np.sqrt(num1 / den1))
+
+
+# one-sided Jacobi stops once every column pair is orthogonal to this
+# relative tolerance, or after this many sweeps
+JACOBI_TOL = 1e-14
+JACOBI_MAX_SWEEPS = 60
+
+
+def loop_jacobi_singular_values(A: np.ndarray) -> np.ndarray:
+    """Singular values of a small dense matrix by one-sided Jacobi rotations.
+
+    Columns are rotated pairwise until mutually orthogonal relative to
+    JACOBI_TOL; the singular values are then the column norms. Accurate for
+    the tiny trailing values the audit cares about. Returned in descending
+    order.
+    """
+    U = np.array(A, dtype=float)
+    n = U.shape[1]
+    for _ in range(JACOBI_MAX_SWEEPS):
+        off = 0.0
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                ap, aq = U[:, p], U[:, q]
+                app = float(ap @ ap)
+                aqq = float(aq @ aq)
+                apq = float(ap @ aq)
+                if app * aqq == 0.0:
+                    continue
+                rel = abs(apq) / np.sqrt(app * aqq)
+                if rel <= JACOBI_TOL:
+                    continue
+                off = max(off, rel)
+                tau = (aqq - app) / (2.0 * apq)
+                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) \
+                    if tau != 0.0 else 1.0
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                U[:, p], U[:, q] = c * ap - s * aq, s * ap + c * aq
+        if off <= JACOBI_TOL:
+            break
+    sv = np.sqrt((U * U).sum(axis=0))
+    return np.sort(sv)[::-1]

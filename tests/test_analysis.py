@@ -1,6 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
 
+from sfvem import analysis
 from sfvem.analysis import (AUDIT_HEADER, CONVERGENCE_HEADER,
                             ConvergenceRecord, audit_catalog, audit_row,
                             convergence_row, convergence_study, error_norms,
@@ -48,6 +50,43 @@ def test_jacobi_on_rank_deficient_matrix():
 def test_jacobi_identity():
     np.testing.assert_allclose(jacobi_singular_values(np.eye(6)), np.ones(6),
                                atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3)])
+def test_jacobi_rectangular_matches_lapack(shape):
+    A = RNG.standard_normal(shape)
+    got = jacobi_singular_values(A)
+    want = np.linalg.svd(A, compute_uv=False)
+    assert got.shape == (3,)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want[0])
+
+
+def test_jacobi_relative_accuracy_on_graded_columns():
+    # column scales down to 1e-25: every value, the 7e-28 one included,
+    # must keep its relative accuracy (an absolute-accuracy SVD zeroes it)
+    A = np.random.default_rng(3).standard_normal((6, 6)) * 10.0 ** -np.arange(0, 30, 5.0)
+    with mpmath.workdps(60):
+        want = sorted((float(s) for s in mpmath.svd_r(mpmath.matrix(A.tolist()),
+                                                        compute_uv=False)), reverse=True)
+    np.testing.assert_allclose(jacobi_singular_values(A), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_jacobi_rejects_non_finite_input(bad):
+    A = np.eye(4)
+    A[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        jacobi_singular_values(A)
+
+
+def test_jacobi_raises_when_lapack_fails(monkeypatch):
+    def failing(a, **_):
+        n = a.shape[1]
+        return np.zeros(n), None, None, np.ones(7), np.zeros(3), 1
+
+    monkeypatch.setattr(analysis, "dgejsv", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="info = 1"):
+        jacobi_singular_values(np.eye(3))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from sfvem import analysis
+from sfvem.analysis import SpectralAudit
 from sfvem.cli import main
 from sfvem.mesh import read_mesh
 
@@ -116,6 +118,22 @@ def test_check_polygon_needle_fails_audit(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "[FAIL]" in captured.out
     assert "fell below" in captured.err
+
+
+def test_check_polygon_gates_the_kernel(tmp_path, capsys, monkeypatch):
+    # margin 1e-3 passes; a second near-null direction at 1e-9 must not
+    def leaky_kernel(poly, ell):
+        return SpectralAudit(poly.name, poly.n_vertices, ell,
+                             np.array([1.0, 1e-3, 1e-9]))
+
+    monkeypatch.setattr(analysis, "spectral_audit", leaky_kernel)
+    poly = tmp_path / "triangle.poly"
+    poly.write_text(TRIANGLE_POLY)
+    code = run("check-polygon", "--polygon", str(poly), "--out", str(tmp_path))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "sigma_min/sigma_max=1.000e-09  [FAIL]" in captured.out
+    assert "sigma_min/sigma_max above 1e-11" in captured.err
 
 
 def test_check_polygon_rejects_clockwise_file(tmp_path, capsys):
