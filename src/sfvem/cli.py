@@ -2,7 +2,7 @@
 
 Subcommands map one-to-one onto the experiment artifacts: generate-mesh
 writes a mesh file, check-polygon the stability audit CSV, solve a nodal
-solution CSV, convergence (and its both-methods alias compare) the error
+solution CSV, convergence (and its alias compare) both methods' error
 table, rate summary, and a dependency-free SVG log-log plot. All outputs
 are bit-reproducible from the flags and seed. Configuration comes from
 defaults, then an optional key=value file, then flags (flags win).
@@ -30,7 +30,7 @@ from .mesh import (
     write_mesh,
 )
 from .poly import build_benchmark_coefficients, bubble_problem, poisson_problem
-from .system import assemble, solve, write_solution_csv
+from .system import METHODS, assemble, solve, write_solution_csv
 
 log = logging.getLogger(__name__)
 
@@ -53,7 +53,7 @@ class RunConfig:
     distortion: float = 0.25
     lloyd_iters: int = 3
     seed: int = 42
-    method: str = "both"
+    method: str = "sfvem"
     ell_offset: int = 0
     theta: float = math.pi / 6
     r1: float = 0.9
@@ -66,8 +66,8 @@ class RunConfig:
     def validate(self):
         if self.generator not in ("grid", "voronoi"):
             raise ValueError(f"generator must be grid or voronoi, got {self.generator!r}")
-        if self.method not in ("sfvem", "vem", "both"):
-            raise ValueError(f"method must be sfvem, vem, or both, got {self.method!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.problem not in ("benchmark", "poisson", "bubble"):
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.n < 1 or self.seeds < 1 or self.lloyd_iters < 0:
@@ -100,10 +100,13 @@ def _read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{ln}: expected key=value")
             key, value = (s.strip() for s in line.split("=", 1))
             key = key.replace("-", "_")
-            if key == "levels":
-                out[key] = _parse_levels(value)
-            else:
-                out[key] = _FLAGS.get(key, {}).get("type", str)(value)
+            try:
+                if key == "levels":
+                    out[key] = _parse_levels(value)
+                else:
+                    out[key] = _FLAGS.get(key, {}).get("type", str)(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from None
     return out
 
 
@@ -130,7 +133,7 @@ _FLAGS = {
     "distortion": dict(type=float, help="voronoi vertex distortion"),
     "lloyd_iters": dict(type=int, help="voronoi relaxation sweeps"),
     "seed": dict(type=int, help="RNG seed"),
-    "method": dict(choices=["sfvem", "vem", "both"]),
+    "method": dict(choices=METHODS),
     "ell_offset": dict(type=int,
                        help="added to the per-cell degree rule (may be negative)"),
     "theta": dict(type=float, help="diffusion rotation angle"),
@@ -166,9 +169,9 @@ def _build_parser() -> argparse.ArgumentParser:
         {"polygon", "ell_offset", "out"})
     add("solve", "assemble and solve once, export the nodal solution",
         _MESH_FLAGS | _PROBLEM_FLAGS | {"method", "ell_offset"})
-    add("convergence", "refinement study with error table, rates, and plot",
-        _STUDY_FLAGS | {"method"})
-    add("compare", "convergence with both methods forced", _STUDY_FLAGS)
+    for name in ("convergence", "compare"):
+        add(name, "refinement study of both methods with error table, rates, "
+            "and plot", _STUDY_FLAGS)
     return parser
 
 
@@ -188,8 +191,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if "levels" in flag_values:
         flag_values["levels"] = _parse_levels(flag_values["levels"])
     config = replace(config, **flag_values)
-    if args.command == "compare":
-        config = replace(config, method="both")
     config.validate()
     return config
 
@@ -297,12 +298,11 @@ def cmd_check_polygon(config: RunConfig) -> int:
 def cmd_solve(config: RunConfig) -> int:
     mesh = _load_or_generate_mesh(config)
     spec = _make_problem(config)
-    method = config.method if config.method != "both" else "sfvem"
-    system = assemble(mesh, spec, method, config.ell_offset)
+    system = assemble(mesh, spec, config.method, config.ell_offset)
     solution = solve(system)
     path = _outpath(config, "solution.csv")
     write_solution_csv(solution, path)
-    print(f"wrote {path}: {mesh.n_vertices} rows, method={method}, "
+    print(f"wrote {path}: {mesh.n_vertices} rows, method={config.method}, "
           f"residual={solution.residual:.3e}")
     return 0
 
@@ -312,7 +312,6 @@ def cmd_convergence(config: RunConfig) -> int:
     if spec.exact_u is None:
         raise ValueError(f"problem {config.problem!r} has no exact solution "
                          f"to measure errors against")
-    methods = ("sfvem", "vem") if config.method == "both" else (config.method,)
     path = _outpath(config, "convergence.csv")
     # stream the CSV so partial results survive a failed level
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -325,7 +324,7 @@ def cmd_convergence(config: RunConfig) -> int:
             errs = " ".join(
                 f"e0_{m}={getattr(record, f'e0_{m}'):.4e} "
                 f"e1_{m}={getattr(record, f'e1_{m}'):.4e}"
-                for m in methods
+                for m in METHODS
             )
             print(f"level {record.level}: h={record.h:.4e} "
                   f"ndof={record.ndof} {errs}")
@@ -334,8 +333,7 @@ def cmd_convergence(config: RunConfig) -> int:
             spec, config.levels, generator=config.generator,
             delta=config.delta, seed=config.seed,
             lloyd_iters=config.lloyd_iters, distortion=config.distortion,
-            ell_offset=config.ell_offset, methods=methods,
-            on_record=flush_record,
+            ell_offset=config.ell_offset, on_record=flush_record,
         )
     print(f"wrote {path}")
     if len(records) < 2:
@@ -345,7 +343,7 @@ def cmd_convergence(config: RunConfig) -> int:
     for method, (a0, a1) in rates.items():
         print(f"{method}: alpha0={a0:.3f} alpha1={a1:.3f}")
     svg = _outpath(config, "convergence.svg")
-    _write_loglog_svg(records, rates, methods, svg)
+    _write_loglog_svg(records, rates, svg)
     print(f"wrote {svg}")
     return 0
 
@@ -361,13 +359,10 @@ _SERIES_STYLE = {
 }
 
 
-def _write_loglog_svg(records, rates, methods, path,
-                      width=640, height=480, margin=70):
+def _write_loglog_svg(records, rates, path, width=640, height=480, margin=70):
     xs = np.log10([r.h for r in records])
     series = []
-    for method in methods:
-        if method not in rates:
-            continue
+    for method in METHODS:
         for which in (0, 1):
             errs = [getattr(r, f"e{which}_{method}") for r in records]
             ys = np.log10(errs)

@@ -24,10 +24,10 @@ class ProblemSpec:
 
     K is a constant 2x2 SPD array. beta is a pair of Poly2, gamma and f are
     Poly2, and the exact solution, when given, is a Poly2 with a Poly2
-    gradient pair. Polynomial data is what lets every volume integral be
-    exact; anything else raises ValueError. theta, R1, R2 record benchmark
-    parameters when the coefficients come from the rotated-anisotropy
-    benchmark.
+    gradient pair, all with finite entries. Polynomial data is what lets
+    every volume integral be exact; anything else raises ValueError. theta,
+    R1, R2 record benchmark parameters when the coefficients come from the
+    rotated-anisotropy benchmark.
     """
 
     K: np.ndarray
@@ -50,6 +50,8 @@ class ProblemSpec:
             raise ValueError("K must be a constant 2x2 tensor") from None
         if K.shape != (2, 2):
             raise ValueError("K must be a constant 2x2 tensor")
+        if not np.isfinite(K).all():
+            raise ValueError("K must be finite")
         scale = np.abs(K).max()
         if np.abs(K - K.T).max() > 1e-12 * scale:
             raise ValueError("K must be symmetric")
@@ -65,6 +67,8 @@ class ProblemSpec:
         for label, p in polys:
             if not isinstance(p, Poly2):
                 raise ValueError(f"{label} must be a Poly2, got {type(p).__name__}")
+            if not np.isfinite(p.coeffs).all():
+                raise ValueError(f"{label} must have finite coefficients")
         # the divergence check runs on coefficients: high-order stream
         # functions carry coefficients far larger than their values, and
         # mixed-partial rounding is an ulp at coefficient scale

@@ -14,7 +14,7 @@ from sfvem.element import effective_ell
 from sfvem.mesh import CatalogPolygon, catalog_polygons, generate_distorted_grid
 from sfvem.poly import (Poly2, build_benchmark_coefficients, bubble_problem,
                         manufactured_problem)
-from sfvem.system import DiscreteSolution, assemble, solve
+from sfvem.system import METHODS, DiscreteSolution, assemble, solve
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 RNG = np.random.default_rng(41)
@@ -279,18 +279,6 @@ def test_fit_rates_requires_two_levels():
         fit_rates(recs)
 
 
-def test_fit_rates_omits_all_nan_method():
-    hs = np.array([0.5, 0.25])
-    nan = float("nan")
-    recs = [ConvergenceRecord(level=i, h=h, ndof=1, e0_sfvem=h, e1_sfvem=h,
-                              e0_vem=nan, e1_vem=nan, ratio_e0=nan,
-                              ratio_e1=nan)
-            for i, h in enumerate(hs)]
-    rates = fit_rates(recs)
-    assert "vem" not in rates
-    assert "sfvem" in rates
-
-
 # ---------------------------------------------------------------------------
 # convergence study
 
@@ -319,14 +307,6 @@ def test_convergence_study_voronoi_generator():
     assert records[1].e1_sfvem < records[0].e1_sfvem
 
 
-def test_convergence_study_single_method():
-    spec = bubble_problem()
-    records = convergence_study(spec, [3, 5], methods=("sfvem",), delta=0.1)
-    assert np.isnan(records[0].e0_vem)
-    rates = fit_rates(records)
-    assert "vem" not in rates
-
-
 def test_convergence_study_requires_decreasing_h():
     spec = bubble_problem()
     with pytest.raises(ValueError, match="decrease"):
@@ -338,17 +318,19 @@ def test_convergence_study_unknown_generator():
         convergence_study(bubble_problem(), [2, 4], generator="quadtree")
 
 
-@pytest.mark.parametrize("methods", [("sfvem", "fem"), ("vem", "vem"),
-                                     ("sfvem", "SFVEM")])
-def test_convergence_study_rejects_methods_before_meshing(monkeypatch, methods):
-    import sfvem.analysis
-
-    def no_mesh(*args):
-        raise AssertionError("mesh generated before the methods were checked")
-
-    monkeypatch.setattr(sfvem.analysis, "generate_distorted_grid", no_mesh)
-    with pytest.raises(ValueError, match="method"):
-        convergence_study(bubble_problem(), [2, 4], methods=methods)
+def one_level(spec, mesh, methods):
+    """The build and error passes of one level on mesh: the study's, which
+    runs every method, or for a single method those of assemble_many and
+    error_norms_many, which still build one method alone. The study
+    generates its own mesh, so callers make its generator return mesh.
+    Returns {method: (e0, e1)}."""
+    if methods == METHODS:
+        record = convergence_study(spec, [4])[0]
+        return {m: (getattr(record, f"e0_{m}"), getattr(record, f"e1_{m}"))
+                for m in methods}
+    systems = analysis.assemble_many(mesh, spec, methods)
+    solutions = [analysis.solve(system) for system in systems.values()]
+    return dict(zip(methods, analysis.error_norms_many(solutions, spec)))
 
 
 @pytest.mark.parametrize("methods, rules, evals", [
@@ -371,21 +353,25 @@ def test_convergence_study_builds_each_cell_once(monkeypatch, methods, rules, ev
             return fn(*args, **kwargs)
         return counted
 
+    mesh = generate_distorted_grid(4)  # generated outside the counted passes
+    monkeypatch.setattr(sfvem.analysis, "generate_distorted_grid",
+                        lambda *args: mesh)
     for module in (sfvem.element, sfvem.analysis):
         monkeypatch.setattr(module, "polygon_rule",
                             counting(module.polygon_rule, "rule"))
     monkeypatch.setattr(Poly2, "__call__", counting(Poly2.__call__, "eval"))
-    records = convergence_study(spec, [4], methods=methods)
+    errors = one_level(spec, mesh, methods)
     cells = 16
     assert calls == {"rule": rules * cells, "eval": evals * cells}
-    assert all(np.isfinite(getattr(records[0], f"e0_{m}")) for m in methods)
+    assert list(errors) == list(methods)
+    assert np.isfinite(list(errors.values())).all()
 
 
 @pytest.mark.parametrize("methods", [("sfvem", "vem"), ("vem",), ("sfvem",)])
 def test_convergence_study_computes_each_cell_geometry_once_per_pass(monkeypatch,
                                                                      methods):
-    # one geometry record per cell in each of the quality report, the build
-    # pass and the error pass; signed_area runs only inside polygon_rule and
+    # one geometry record per cell in each of the quality report (run by
+    # the study only), the build pass and the error pass; signed_area runs only inside polygon_rule and
     # diameter only inside the record. Every sfvem module's name for the four
     # functions is counted, under the pass that is running.
     import sys
@@ -428,10 +414,13 @@ def test_convergence_study_computes_each_cell_geometry_once_per_pass(monkeypatch
                      ("error_norms_many", "error")):
         monkeypatch.setattr(sfvem.analysis, fn,
                             in_pass(getattr(sfvem.analysis, fn), name))
-    convergence_study(build_benchmark_coefficients(), [4], methods=methods)
+    one_level(build_benchmark_coefficients(), mesh, methods)
     cells = mesh.n_cells
     want = {}
-    for name in ("quality", "build", "error"):
+    passes = ("build", "error")
+    if methods == METHODS:  # the study alone runs the quality report
+        passes = ("quality",) + passes
+    for name in passes:
         want[name, "polygon_geometry"] = want[name, "diameter"] = cells
     for name in ("build", "error"):
         want[name, "polygon_rule"] = want[name, "signed_area"] = cells
@@ -441,7 +430,7 @@ def test_convergence_study_computes_each_cell_geometry_once_per_pass(monkeypatch
 def test_convergence_study_streams_records():
     seen = []
     convergence_study(bubble_problem(), [2, 4], delta=0.1,
-                      methods=("sfvem",), on_record=seen.append)
+                      on_record=seen.append)
     assert [r.level for r in seen] == [2, 4]
 
 

@@ -1,11 +1,17 @@
 """End-to-end runs of every subcommand through main(argv)."""
+import argparse
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
 from sfvem import analysis
 from sfvem.analysis import SpectralAudit
-from sfvem.cli import main
+from sfvem.cli import _build_parser, main
 from sfvem.mesh import read_mesh
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 TRIANGLE_POLY = "0.0 0.0\n1.0 0.0\n0.4 0.9\n"
 NEEDLE_POLY = "0.0 0.0\n1.0 0.0\n0.5 1e-7\n"
@@ -66,13 +72,32 @@ def test_unknown_flag_exits_one(capsys):
     for argv in (("generate-mesh", "--sides", "4"),
                  ("solve", "--quad-degree", "4"),
                  ("convergence", "--mesh", "/nonexistent.txt"),
-                 ("compare", "--method", "vem")):
+                 ("convergence", "--method", "sfvem"),
+                 ("compare", "--method", "vem"),
+                 ("solve", "--method", "both")):
         assert run(*argv) == 1
         assert "error" in capsys.readouterr().err
 
 
 def test_missing_subcommand_exits_one(capsys):
     assert run() == 1
+
+
+def test_readme_flag_table_matches_parser():
+    # README's command line table lists each subcommand's flags literally
+    rows = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        m = re.fullmatch(r"\| `([a-z-]+)` \| `([^|]*)` \|", line)
+        if m:
+            rows[m.group(1)] = set(m.group(2).split())
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    registered = {
+        name: {opt for action in parser._actions for opt in action.option_strings}
+        - {"-h", "--help", "--config"}
+        for name, parser in sub.choices.items()
+    }
+    assert rows == registered
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +232,14 @@ def test_solve_missing_mesh_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+def test_solve_non_finite_theta_names_k(tmp_path, capsys, theta):
+    code = run("solve", "--theta", theta, "--n", "4", "--out", str(tmp_path))
+    assert code == 1
+    assert "K must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "solution.csv").exists()
+
+
 def test_solve_vem_method(tmp_path, capsys):
     code = run("solve", "--problem", "bubble", "--method", "vem", "--n", "6",
                "--out", str(tmp_path))
@@ -248,26 +281,21 @@ def test_convergence_requires_exact_solution(tmp_path, capsys):
     assert "exact solution" in capsys.readouterr().err
 
 
-def test_convergence_single_method(tmp_path, capsys):
-    code = run("convergence", "--problem", "bubble", "--method", "sfvem",
-               "--levels", "3,6", "--delta", "0.1", "--out", str(tmp_path))
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "sfvem: alpha0=" in out
-    assert "\nvem: alpha0=" not in out
-    row = (tmp_path / "convergence.csv").read_text().splitlines()[1]
-    assert "nan" in row  # vem columns empty
-
-
 def test_compare_forces_both_methods(tmp_path, capsys):
-    # compare has no --method flag; a config file's method is overridden
+    # compare is convergence under another name; a study runs both methods
+    # whatever method a config file sets
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("method = sfvem\n")
-    code = run("compare", "--config", str(cfg), "--problem", "bubble",
-               "--levels", "3,6", "--delta", "0.1", "--out", str(tmp_path))
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "sfvem: alpha0=" in out and "\nvem: alpha0=" in out
+    cfg.write_text("method = vem\n")
+    for command in ("convergence", "compare"):
+        code = run(command, "--config", str(cfg), "--problem", "bubble",
+                   "--levels", "3,6", "--delta", "0.1",
+                   "--out", str(tmp_path / command))
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "sfvem: alpha0=" in out and "\nvem: alpha0=" in out
+    for name in ("convergence.csv", "convergence.svg"):
+        assert ((tmp_path / "convergence" / name).read_bytes()
+                == (tmp_path / "compare" / name).read_bytes())
 
 
 def test_convergence_byte_identical_reruns(tmp_path):
@@ -329,3 +357,12 @@ def test_config_file_malformed_line(tmp_path, capsys):
     code = run("generate-mesh", "--config", str(cfg), "--out", str(tmp_path))
     assert code == 1
     assert "key=value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["n = abc", "levels = 4,x"])
+def test_config_file_bad_value_names_its_line(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code = run("convergence", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 1
+    assert f"{cfg}:1: " in capsys.readouterr().err

@@ -314,3 +314,17 @@ def test_problem_spec_rejects_non_polynomial_data(field, value):
     data[field] = value
     with pytest.raises(ValueError, match=field):
         ProblemSpec(**data)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("K", [[np.nan, 0.0], [0.0, 1.0]], "K must be finite"),
+    ("K", [[np.inf, 0.0], [0.0, 1.0]], "K must be finite"),
+    # an inf load would otherwise solve to NaN nodal values without an error
+    ("f", Poly2.const(np.inf), "f must have finite coefficients"),
+], ids=["nan-K", "inf-K", "inf-f"])
+def test_problem_spec_rejects_non_finite_data(field, value, message):
+    zero = Poly2.zero()
+    data = dict(K=np.eye(2), beta=(zero, zero), gamma=zero, f=Poly2.const(1.0))
+    data[field] = value
+    with pytest.raises(ValueError, match=message):
+        ProblemSpec(**data)

@@ -6,7 +6,7 @@ from sfvem.errors import DegenerateElementError, SingularSystemError
 from sfvem.mesh import PolyMesh, generate_distorted_grid
 from sfvem.poly import Poly2, bubble_problem, poisson_problem
 from sfvem.problem import ProblemSpec
-from sfvem.system import (DiscreteSolution, assemble, solve,
+from sfvem.system import (DiscreteSolution, assemble, assemble_many, solve,
                           write_solution_csv)
 
 ZERO = Poly2.zero()
@@ -83,6 +83,13 @@ def test_advection_free_sfvem_matrix_symmetric():
 def test_method_validation():
     with pytest.raises(ValueError, match="method"):
         assemble(unit_square_mesh(), poisson_problem(), method="fem")
+
+
+@pytest.mark.parametrize("methods", [("sfvem", "fem"), ("vem", "vem"),
+                                     ("sfvem", "SFVEM")])
+def test_assemble_many_rejects_bad_methods(methods):
+    with pytest.raises(ValueError, match="method"):
+        assemble_many(unit_square_mesh(), poisson_problem(), methods)
 
 
 def test_element_errors_carry_element_id():
