@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgejsv
 
-from .element import effective_ell
-from .geometry import polygon_geometry
+from .element import cell_chunks, effective_ell, stacked_dot
+from .geometry import polygon_geometry, polygon_stack
 from .mesh import (
     CatalogPolygon,
     catalog_polygons,
@@ -26,10 +26,12 @@ from .mesh import (
 )
 from .poly import harmonic_basis
 from .problem import ProblemSpec
-from .projectors import hgrad_matrix, nabla_matrix
-from .quadrature import polygon_rule
-# assemble is not called here; the benchmark's tracer re-binds it by this
-# module's name, with the other names in perfbench/tracing.py
+from .projectors import hgrad_matrix, nabla_matrices
+from .quadrature import polygon_rules
+# not called here; the benchmark's tracer re-binds them by this module's
+# name, with the other names in perfbench/tracing.py
+from .projectors import nabla_matrix  # noqa: F401
+from .quadrature import polygon_rule  # noqa: F401
 from .system import METHODS, assemble, assemble_many, solve  # noqa: F401
 
 
@@ -133,10 +135,12 @@ def error_norms_many(solutions, spec: ProblemSpec) -> list:
     """``error_norms`` of several solutions on one mesh, in one pass over
     its cells.
 
-    Each cell's rule, linear projection matrix and exact-solution values are
-    computed once; each solution keeps its own numerators and all share the
-    denominators, accumulated in cell order, so every pair equals what
-    ``error_norms`` returns for that solution alone.
+    The cells go in stacks of one vertex count (element.cell_chunks); each
+    stack's rules, linear projection matrices and exact-solution values are
+    computed once. Each solution keeps its own numerators and all share the
+    denominators; every cell's terms are its own dot products, added up in
+    cell order, so every pair equals what ``error_norms`` returns for that
+    solution alone.
     """
     if spec.exact_u is None or spec.exact_grad_u is None:
         raise ValueError("error norms require exact_u and exact_grad_u")
@@ -148,32 +152,37 @@ def error_norms_many(solutions, spec: ProblemSpec) -> list:
         raise ValueError("solutions must share one mesh")
     K = spec.K
     degree = 2 * spec.exact_u.degree + 2
-    num0 = [0.0] * len(solutions)
-    num1 = [0.0] * len(solutions)
-    den0 = den1 = 0.0
-    for ci, cell in enumerate(mesh.cells):
-        poly = polygon_geometry(mesh.cell_points(ci))
-        nabla = nabla_matrix(poly)
-        rule = polygon_rule(poly.vertices, degree)
-        loc = poly.frame.local(rule.points)
-        u = spec.exact_u(rule.points)
-        gx = spec.exact_grad_u[0](rule.points)
-        gy = spec.exact_grad_u[1](rule.points)
+    # per cell: the denominators' terms, then each solution's numerators'
+    den = np.empty((2, mesh.n_cells))
+    num = np.empty((len(solutions), 2, mesh.n_cells))
+    # about a dozen arrays of one float per rule point are alive at once;
+    # counting them as 8 floats per point keeps them near 2 * CHUNK_BYTES
+    for cells, index, vertices in cell_chunks(mesh, degree, lambda n: 8):
+        poly = polygon_stack(vertices)
+        nabla = nabla_matrices(poly)
+        rule = polygon_rules(vertices, degree)
         w = rule.weights
-        den0 += w @ (u * u)
-        den1 += w @ (K[0, 0] * gx * gx + 2.0 * K[0, 1] * gx * gy
-                     + K[1, 1] * gy * gy)
-        idx = list(cell)
+        pts = rule.points.reshape(-1, 2)
+        loc = poly.frame.local(rule.points)
+        u = spec.exact_u(pts).reshape(w.shape)
+        gx = spec.exact_grad_u[0](pts).reshape(w.shape)
+        gy = spec.exact_grad_u[1](pts).reshape(w.shape)
+        den[0, cells] = stacked_dot(w, u * u)
+        den[1, cells] = stacked_dot(w, K[0, 0] * gx * gx + 2.0 * K[0, 1] * gx * gy
+                                    + K[1, 1] * gy * gy)
         for k, solution in enumerate(solutions):
-            coef = nabla @ solution.values[idx]
-            uh = coef[0] + loc @ coef[1:]
-            gh = coef[1:] / poly.frame.scale
+            coef = nabla @ solution.values[index][:, :, None]
+            uh = coef[:, 0] + (loc @ coef[:, 1:])[..., 0]
+            gh = coef[:, 1:, 0] / poly.frame.scale[:, None]
             d0 = u - uh
-            dx = gx - gh[0]
-            dy = gy - gh[1]
-            num0[k] += w @ (d0 * d0)
-            num1[k] += w @ (K[0, 0] * dx * dx + 2.0 * K[0, 1] * dx * dy
-                            + K[1, 1] * dy * dy)
+            dx = gx - gh[:, :1]
+            dy = gy - gh[:, 1:]
+            num[k, 0, cells] = stacked_dot(w, d0 * d0)
+            num[k, 1, cells] = stacked_dot(w, K[0, 0] * dx * dx + 2.0 * K[0, 1] * dx * dy
+                                           + K[1, 1] * dy * dy)
+    # cumsum adds the cells' terms in cell order, as a running float would
+    den0, den1 = np.cumsum(den, axis=-1)[:, -1]
+    num0, num1 = np.cumsum(num, axis=-1)[..., -1].T
     if den0 <= 0.0 or den1 <= 0.0:
         if max(max(num0), max(num1)) <= 1e-28:
             warnings.warn("exact solution has zero norm; errors reported as 0",

@@ -78,6 +78,9 @@ class RunConfig:
             raise ValueError(f"distortion must lie in [0, 1), got {self.distortion}")
         if not (0.0 <= self.r1 <= 1.0 and 0.0 <= self.r2 <= 1.0):
             raise ValueError("r1 and r2 must lie in [0, 1]")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"K must be finite: theta rotates it and must be "
+                             f"finite, got {self.theta}")
         if not self.levels or any(n < 1 for n in self.levels):
             raise ValueError("levels must be positive integers")
 

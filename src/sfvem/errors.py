@@ -2,7 +2,19 @@
 
 
 class SfvemError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    A stacked kernel that fails on one polygon of its stack sets index to
+    that polygon's position, so a caller can name the cell.
+    """
+
+    index = None
+
+
+def at_index(exc: SfvemError, index) -> SfvemError:
+    """exc, about the polygon at this position of a stack."""
+    exc.index = int(index)
+    return exc
 
 
 class MeshFormatError(SfvemError):

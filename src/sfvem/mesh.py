@@ -18,7 +18,8 @@ from .errors import (
     MeshIndexError,
     MeshTopologyError,
 )
-from .geometry import diameter, is_simple, polygon_geometry, signed_area
+from .geometry import (diameter, is_simple, polygon_geometry, polygon_stack,
+                       signed_area)
 from .rng import XorShift
 
 # welding grid for Voronoi vertices; shared corners computed from different
@@ -102,6 +103,13 @@ class PolyMesh:
 
     def cell_points(self, i: int) -> np.ndarray:
         return self.vertices[list(self.cells[i])]
+
+    def cell_groups(self) -> list:
+        """The cells grouped by vertex count N, ascending: for each N, the
+        ascending ids of its cells and their (C, N) vertex index array."""
+        sizes = np.array([len(cell) for cell in self.cells])
+        return [(ids, np.array([self.cells[i] for i in ids]))
+                for ids in (np.flatnonzero(sizes == n) for n in np.unique(sizes))]
 
     def edges(self) -> set:
         out = set()
@@ -604,9 +612,9 @@ def quality_report(mesh: PolyMesh) -> MeshQualityReport:
     """Cell diameters, min-edge-to-diameter ratios, and their extremes."""
     diams = np.empty(mesh.n_cells)
     ratios = np.empty(mesh.n_cells)
-    for i in range(mesh.n_cells):
-        poly = polygon_geometry(mesh.cell_points(i))
-        diams[i] = poly.diameter
-        ratios[i] = poly.lengths.min() / poly.diameter
+    for cells, index in mesh.cell_groups():
+        poly = polygon_stack(mesh.vertices[index])
+        diams[cells] = poly.diameter
+        ratios[cells] = poly.lengths.min(axis=1) / poly.diameter
     return MeshQualityReport(diams, ratios, float(diams.max()),
                              float(ratios.min()))

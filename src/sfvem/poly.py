@@ -18,6 +18,11 @@ from .geometry import ScaledFrame
 from .problem import ProblemSpec
 
 
+# OpenBLAS runs a GEMM on one thread while m * n * k stays below this; a
+# larger one wakes a second thread, which spins on after the call
+GEMM_ONE_THREAD = 2**19
+
+
 class Poly2:
     """Polynomial in two variables with an explicit coefficient table.
 
@@ -109,12 +114,26 @@ class Poly2:
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
-        x, y = pts[:, 0], pts[:, 1]
-        ypow = np.vander(y, self.coeffs.shape[1], increasing=True)
-        slices = ypow @ self.coeffs.T  # (npts, nx): value of sum_b c[a,b] y^b
-        val = np.zeros_like(x)
-        for a in range(self.coeffs.shape[0] - 1, -1, -1):
-            val = val * x + slices[:, a]
+        c = self.coeffs
+        # rows go in blocks whose table product OpenBLAS runs on one thread
+        # (see GEMM_ONE_THREAD); every block reuses the same two tables
+        rows = min(len(pts), max(1, (GEMM_ONE_THREAD - 1) // c.size))
+        ypow = np.empty((c.shape[1], rows)).T  # each y power contiguous
+        ypow[:, 0] = 1.0
+        slices = np.empty((rows, c.shape[0]))
+        val = np.empty(len(pts))
+        for s in range(0, len(pts), rows):
+            x, y = pts[s:s + rows, 0], pts[s:s + rows, 1]
+            power = ypow[:len(y)]
+            for b in range(1, c.shape[1]):
+                np.multiply(power[:, b - 1], y, out=power[:, b])
+            # block[:, a] is sum_b c[a, b] y^b
+            block = np.matmul(power, c.T, out=slices[:len(y)])
+            v = val[s:s + rows]
+            v[:] = 0.0
+            for a in range(c.shape[0] - 1, -1, -1):
+                np.multiply(v, x, out=v)
+                v += block[:, a]
         return float(val[0]) if single else val
 
     def __repr__(self):
@@ -123,7 +142,10 @@ class Poly2:
 
 @dataclass(frozen=True)
 class HarmonicBasis:
-    """The 2l+2 scaled harmonic polynomials h_1..h_{2l+2} on one element."""
+    """The 2l+2 scaled harmonic polynomials h_1..h_{2l+2} on one element, or
+    on each element of a stack when the frame is stacked (see ScaledFrame);
+    values and gradients then take (C, P, 2) points and put the cell axis
+    first."""
 
     frame: ScaledFrame
     ell: int
@@ -134,33 +156,47 @@ class HarmonicBasis:
 
     def _zpowers(self, points, top: int) -> np.ndarray:
         loc = self.frame.local(points)
-        z = loc[:, 0] + 1j * loc[:, 1]
-        pows = np.empty((top + 1, len(z)), dtype=complex)
+        z = loc[..., 0] + 1j * loc[..., 1]
+        pows = np.empty((top + 1,) + z.shape, dtype=complex)
         pows[0] = 1.0
         for k in range(1, top + 1):
             pows[k] = pows[k - 1] * z
         return pows
 
     def values(self, points) -> np.ndarray:
-        """h_i at the given points, shape (2l+2, npts)."""
-        pows = self._zpowers(points, self.ell + 1)
-        out = np.empty((self.size, pows.shape[1]))
-        for k in range(1, self.ell + 2):
-            out[2 * k - 2] = pows[k].real
-            out[2 * k - 1] = pows[k].imag
-        return out
+        """h_i at the given points, shape (2l+2, npts) or (C, 2l+2, npts)."""
+        return self._values(self._zpowers(points, self.ell + 1))
 
     def gradients(self, points) -> np.ndarray:
-        """grad h_i at the given points, shape (2l+2, npts, 2)."""
-        pows = self._zpowers(points, self.ell)
-        h = self.frame.scale
-        out = np.empty((self.size, pows.shape[1], 2))
+        """grad h_i at the given points, shape (2l+2, npts, 2) or
+        (C, 2l+2, npts, 2)."""
+        return self._gradients(self._zpowers(points, self.ell))
+
+    def values_and_gradients(self, points) -> tuple:
+        """values(points) and gradients(points) from one power table."""
+        pows = self._zpowers(points, self.ell + 1)
+        return self._values(pows), self._gradients(pows)
+
+    def _values(self, pows) -> np.ndarray:
+        out = np.empty(pows.shape[1:-1] + (self.size, pows.shape[-1]))
         for k in range(1, self.ell + 2):
-            zk = pows[k - 1]
-            out[2 * k - 2, :, 0] = (k / h) * zk.real
-            out[2 * k - 2, :, 1] = -(k / h) * zk.imag
-            out[2 * k - 1, :, 0] = (k / h) * zk.imag
-            out[2 * k - 1, :, 1] = (k / h) * zk.real
+            out[..., 2 * k - 2, :] = pows[k].real
+            out[..., 2 * k - 1, :] = pows[k].imag
+        return out
+
+    def _gradients(self, pows) -> np.ndarray:
+        h = self.frame.scale
+        if np.ndim(h):
+            h = h[:, None]
+        out = np.empty(pows.shape[1:-1] + (self.size, pows.shape[-1], 2))
+        for k in range(1, self.ell + 2):
+            # (k / h) z^(k-1) gives both gradients; -(c * y) is (-c) * y
+            c = k / h
+            re, im = c * pows[k - 1].real, c * pows[k - 1].imag
+            out[..., 2 * k - 2, :, 0] = re
+            out[..., 2 * k - 2, :, 1] = -im
+            out[..., 2 * k - 1, :, 0] = im
+            out[..., 2 * k - 1, :, 1] = re
         return out
 
     def as_poly2(self) -> list:

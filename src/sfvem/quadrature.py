@@ -4,7 +4,9 @@ The polygon rule triangulates once (a fan around the vertex average when the
 polygon is star shaped with respect to it, ear clipping otherwise) and applies
 a collapsed-square tensor Gauss rule on each triangle. The result integrates
 bivariate polynomials of the requested total degree exactly, for convex and
-nonconvex simple polygons alike.
+nonconvex simple polygons alike. polygon_rules builds the rules of a stack
+of polygons with one vertex count and one triangulation kind at once;
+polygon_rule is its one-polygon case.
 """
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureError
-from .geometry import signed_area
+from .errors import QuadratureError, at_index
+from .geometry import cyclic_roll
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,11 @@ class EdgeRule:
 
 @dataclass(frozen=True)
 class PolygonRule:
-    """Quadrature points and weights on one polygon; weights sum to its area."""
+    """Quadrature points and weights on one polygon; weights sum to its area.
+
+    The rules of a stack carry a leading cell axis: points (C, P, 2) and
+    weights (C, P).
+    """
 
     points: np.ndarray
     weights: np.ndarray
@@ -99,17 +105,38 @@ def _duffy_reference(degree: int):
     return u, uv, w
 
 
-def _fan_triangles(vertices: np.ndarray):
-    # (n, 3, 2) triangles (c, v_i, v_{i+1}) around the vertex average c, or
-    # None when the polygon is not strictly star shaped about c
-    c = vertices.mean(axis=0)
+def _fan(vertices: np.ndarray):
+    # triangles (C, n, 3, 2) (c, v_i, v_{i+1}) around each polygon's vertex
+    # average c, and whether each polygon is strictly star shaped about c
+    c = vertices.mean(axis=1)
     a = vertices
-    b = np.roll(vertices, -1, axis=0)
-    scale2 = max(np.abs(vertices - c).max(), 1.0) ** 2
-    cross = (a[:, 0] - c[0]) * (b[:, 1] - c[1]) - (a[:, 1] - c[1]) * (b[:, 0] - c[0])
-    if (cross <= 1e-14 * scale2).any():
-        return None
-    return np.stack([np.broadcast_to(c, a.shape), a, b], axis=1)
+    b = cyclic_roll(vertices, -1, axis=1)
+    # float_power is libm's pow, which a scalar's ** 2 calls; an array's
+    # ** 2 multiplies, and the two round differently
+    scale2 = np.float_power(
+        np.maximum(np.abs(vertices - c[:, None]).max(axis=(1, 2)), 1.0), 2)
+    cx, cy = c[:, None, 0], c[:, None, 1]
+    cross = (a[..., 0] - cx) * (b[..., 1] - cy) - (a[..., 1] - cy) * (b[..., 0] - cx)
+    star = ~(cross <= 1e-14 * scale2[:, None]).any(axis=1)
+    return np.stack([np.broadcast_to(c[:, None], a.shape), a, b], axis=2), star
+
+
+def _fan_triangles(vertices: np.ndarray):
+    # one polygon's fan triangles (n, 3, 2), or None when it is not
+    # strictly star shaped about its vertex average
+    tris, star = _fan(np.asarray(vertices, dtype=float)[None])
+    return tris[0] if star[0] else None
+
+
+def fan_mask(vertices) -> np.ndarray:
+    """Whether each polygon of a (C, N, 2) stack is split into a fan of N
+    triangles; the others are ear clipped into N - 2."""
+    return _fan(np.asarray(vertices, dtype=float))[1]
+
+
+def rule_size(n_triangles: int, degree: int) -> int:
+    """Points of a polygon rule of this degree on this many triangles."""
+    return n_triangles * len(_duffy_reference(int(degree))[0])
 
 
 def _ear_clip(vertices: np.ndarray):
@@ -146,6 +173,49 @@ def _point_in_triangle(p, a, b, c) -> bool:
     return d1 > 0.0 and d2 > 0.0 and d3 > 0.0
 
 
+def polygon_rules(vertices, degree: int) -> PolygonRule:
+    """Quadrature on a (C, N, 2) stack of simple CCW polygons, exact for
+    total degree <= degree, with a leading cell axis.
+
+    The polygons must share the triangulation kind (see fan_mask), so that
+    every cell gets the same number of points; each cell's points and
+    weights are those of its own rule. A QuadratureError about one polygon
+    carries its position in the stack as ``index``.
+    """
+    if degree < 0:
+        raise QuadratureError(f"degree must be nonnegative, got {degree}")
+    vertices = np.asarray(vertices, dtype=float)
+    if vertices.shape[1] < 3:
+        raise QuadratureError("polygon needs at least 3 vertices")
+    x, y = vertices[..., 0], vertices[..., 1]
+    area = 0.5 * (x * cyclic_roll(y, -1, axis=1) - cyclic_roll(x, -1, axis=1) * y).sum(axis=1)
+    if (area <= 0.0).any():
+        raise at_index(QuadratureError(
+            "polygon must be counterclockwise with positive area"),
+            np.flatnonzero(area <= 0.0)[0])
+    tris, star = _fan(vertices)
+    if not star.all():
+        if star.any():
+            raise ValueError("a stacked rule needs one triangulation kind")
+        clipped = []
+        for k, polygon in enumerate(vertices):
+            try:
+                clipped.append(_ear_clip(polygon))
+            except QuadratureError as exc:
+                raise at_index(exc, k)
+        tris = np.array(clipped)
+    u, uv, w = _duffy_reference(int(degree))
+    v0, v1, v2 = tris[:, :, 0, :, None], tris[:, :, 1, :, None], tris[:, :, 2, :, None]
+    e1 = v1 - v0
+    e2 = v2 - v1
+    d = v2 - v0
+    # (C, triangles, 2, points) keeps the point axis innermost for the map
+    pts = (v0 + u * e1 + uv * e2).transpose(0, 1, 3, 2)
+    area2 = e1[:, :, 0] * d[:, :, 1] - e1[:, :, 1] * d[:, :, 0]
+    n = len(vertices)
+    return PolygonRule(pts.reshape(n, -1, 2), (w * area2).reshape(n, -1), int(degree))
+
+
 def polygon_rule(vertices, degree: int) -> PolygonRule:
     """Quadrature on a simple CCW polygon, exact for total degree <= degree.
 
@@ -156,21 +226,5 @@ def polygon_rule(vertices, degree: int) -> PolygonRule:
     degree : int
         Highest total polynomial degree integrated exactly.
     """
-    if degree < 0:
-        raise QuadratureError(f"degree must be nonnegative, got {degree}")
-    vertices = np.asarray(vertices, dtype=float)
-    if len(vertices) < 3:
-        raise QuadratureError("polygon needs at least 3 vertices")
-    if signed_area(vertices) <= 0.0:
-        raise QuadratureError("polygon must be counterclockwise with positive area")
-    tris = _fan_triangles(vertices)
-    if tris is None:
-        tris = np.array(_ear_clip(vertices))
-    u, uv, w = _duffy_reference(int(degree))
-    v0, v1, v2 = tris[:, 0, None], tris[:, 1, None], tris[:, 2, None]
-    e1 = v1 - v0
-    e2 = v2 - v1
-    d = v2 - v0
-    pts = v0 + u[:, None] * e1 + uv[:, None] * e2
-    area2 = e1[..., 0] * d[..., 1] - e1[..., 1] * d[..., 0]
-    return PolygonRule(pts.reshape(-1, 2), (w * area2).ravel(), int(degree))
+    rule = polygon_rules(np.asarray(vertices, dtype=float)[None], degree)
+    return PolygonRule(rule.points[0], rule.weights[0], rule.degree)

@@ -16,10 +16,12 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .element import (cell_data, effective_ell, sfvem_local, standard_vem_local,
-                      volume_degree)
+from .element import (cell_chunks, cell_data, effective_ell, sfvem_locals,
+                      standard_vem_locals, volume_degree)
+# not called here; the benchmark's tracer re-binds them by this module's name
+from .element import sfvem_local, standard_vem_local  # noqa: F401
 from .errors import SfvemError, SingularSystemError
-from .geometry import polygon_geometry
+from .geometry import polygon_stack
 from .mesh import PolyMesh
 from .problem import ProblemSpec
 
@@ -94,11 +96,14 @@ def assemble_many(mesh: PolyMesh, spec: ProblemSpec, methods=METHODS,
                   dirichlet_values: np.ndarray | None = None) -> dict:
     """The systems of several methods on one mesh, in one pass over the cells.
 
-    Each cell's frame, projections, polygon rule and data integrals are
+    The cells are built in stacks of one vertex count (element.cell_chunks).
+    Each stack's frames, projections, polygon rules and data integrals are
     built once per rule degree and shared by the methods that integrate at
-    it, so every system equals what ``assemble`` returns for its method
-    alone. Returns {method: GlobalSystem} in the order of ``methods``; the
-    other parameters are those of ``assemble``.
+    it. The COO entries keep cell order and each cell's row-major order, and
+    the right-hand side adds the cells' loads in cell order, so every system
+    equals what ``assemble`` returns for its method alone. Returns
+    {method: GlobalSystem} in the order of ``methods``; the other parameters
+    are those of ``assemble``.
     """
     methods = check_methods(methods)
     nv = mesh.n_vertices
@@ -119,51 +124,85 @@ def assemble_many(mesh: PolyMesh, spec: ProblemSpec, methods=METHODS,
     degrees = {ell: volume_degree(spec, ell) for ell in
                {0} | {effective_ell(len(cell), ell_offset) for cell in mesh.cells}}
 
-    # row-major COO entries of the free-free blocks depend on the mesh only:
-    # one index for every method, each method's values in its own array
-    n_entries = sum(int((~boundary[list(cell)]).sum()) ** 2 for cell in mesh.cells)
-    rows = np.empty(n_entries, dtype=int)
-    cols = np.empty(n_entries, dtype=int)
-    vals = {m: np.empty(n_entries) for m in methods}
-    rhs = {m: np.zeros(n_free) for m in methods}
+    # each cell's free-free block is n_free_c^2 row-major COO entries and its
+    # load n_free_c rhs entries, laid out in cell order; the index arrays
+    # depend on the mesh only, each method's values get their own arrays
+    n_inner = np.array([int((~boundary[list(cell)]).sum()) for cell in mesh.cells])
+    entry_start = np.concatenate([[0], np.cumsum(n_inner ** 2)])
+    load_start = np.concatenate([[0], np.cumsum(n_inner)])
+    rows = np.empty(entry_start[-1], dtype=int)
+    cols = np.empty(entry_start[-1], dtype=int)
+    load_rows = np.empty(load_start[-1], dtype=int)
+    vals = {m: np.empty(entry_start[-1]) for m in methods}
+    loads = {m: np.empty(load_start[-1]) for m in methods}
     ell_by_cell = {m: np.zeros(mesh.n_cells, dtype=int) for m in methods}
-    start = 0
-    for ci, cell in enumerate(mesh.cells):
-        pts = mesh.cell_points(ci)
+    # the largest temporary of a build: the harmonic gradients at the rule
+    # points, 2 ell + 2 basis functions by 2 components
+    chunks = cell_chunks(mesh, max(degrees.values()),
+                         lambda n: 2 * (2 * effective_ell(n, ell_offset) + 2))
+    for cells, index, vertices in chunks:
+        ell = effective_ell(index.shape[1], ell_offset)
         try:
-            local = _local_matrices(pts, spec, methods,
-                                    effective_ell(len(cell), ell_offset), degrees)
+            local = _local_matrices(vertices, spec, methods, ell, degrees)
         except SfvemError as exc:
-            raise type(exc)(f"element {ci}: {exc}") from exc
-        idx = np.array(cell)
-        red = free_index[idx]
+            if exc.index is None:
+                raise
+            raise type(exc)(f"element {cells[exc.index]}: {exc}") from exc
+        red = free_index[index]
         inner = red >= 0
-        fr = red[inner]
-        end = start + len(fr) ** 2
-        rows[start:end] = np.repeat(fr, len(fr))
-        cols[start:end] = np.tile(fr, len(fr))
+        block = inner[:, :, None] & inner[:, None, :]
+        entries = _spans(entry_start[cells], n_inner[cells] ** 2)
+        rows[entries] = np.broadcast_to(red[:, :, None], block.shape)[block]
+        cols[entries] = np.broadcast_to(red[:, None, :], block.shape)[block]
+        load = _spans(load_start[cells], n_inner[cells])
+        load_rows[load] = red[inner]
         for m, loc in zip(methods, local):
-            ell_by_cell[m][ci] = loc.ell
-            A = loc.A[inner]
-            # the free-boundary block lifts the Dirichlet data into the rhs
-            vals[m][start:end] = A[:, inner].ravel()
-            rhs[m][fr] += loc.b[inner] - A[:, ~inner] @ g[idx[~inner]]
-        start = end
+            ell_by_cell[m][cells] = loc.ell
+            A = loc.A
+            vals[m][entries] = A[block]
+            loads[m][load] = _lifted_load(A, loc.b, inner, g[index])
     out = {}
     for m in methods:
         matrix = sparse.coo_matrix((vals[m], (rows, cols)),
                                    shape=(n_free, n_free)).tocsr()
-        out[m] = GlobalSystem(matrix, rhs[m], free_index, m, mesh,
+        # bincount adds each row's entries in order: the cells' order
+        rhs = np.bincount(load_rows, weights=loads[m], minlength=n_free)
+        out[m] = GlobalSystem(matrix, rhs, free_index, m, mesh,
                               ell_by_cell[m], g)
     return out
 
 
-def _local_matrices(pts, spec, methods, ell, degrees) -> list:
-    # each method's local matrices on one cell, sfvem at ell and vem at 0,
-    # from one geometry record and one CellData per rule degree. The
-    # builders are called through this module's names, which the
-    # benchmark's tracer re-binds.
-    poly = polygon_geometry(pts)
+def _spans(starts, counts) -> np.ndarray:
+    # the positions starts[i] .. starts[i] + counts[i] - 1, concatenated
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+
+
+def _lifted_load(A, b, inner, g) -> np.ndarray:
+    # each cell's b[inner] - A[inner][:, ~inner] @ g[~inner], concatenated:
+    # the free-boundary block lifts the Dirichlet data into the rhs. The
+    # products are stacked per boundary-vertex count, so each is the BLAS
+    # call of its cell's own product, whose (n_inner, n_boundary) block
+    # indexing leaves column-major
+    out = b.copy()
+    n_vertices = inner.shape[1]
+    n_boundary = n_vertices - inner.sum(axis=1)
+    for k in np.unique(n_boundary[(n_boundary > 0) & (n_boundary < n_vertices)]):
+        sel = np.flatnonzero(n_boundary == k)
+        inn = inner[sel]
+        coupling = A[sel].transpose(0, 2, 1)[~inn[:, :, None] & inn[:, None, :]]
+        coupling = coupling.reshape(len(sel), k, n_vertices - k).transpose(0, 2, 1)
+        lift = coupling @ g[sel][~inn].reshape(len(sel), k, 1)
+        part = out[sel]
+        part[inn] = part[inn] - lift.ravel()
+        out[sel] = part
+    return out[inner]
+
+
+def _local_matrices(vertices, spec, methods, ell, degrees) -> list:
+    # each method's local matrices on a stack of cells, sfvem at ell and vem
+    # at 0, from one geometry stack and one CellData per rule degree
+    poly = polygon_stack(vertices)
     records: dict = {}
     out = []
     for method in methods:
@@ -172,9 +211,9 @@ def _local_matrices(pts, spec, methods, ell, degrees) -> list:
         if degree not in records:
             records[degree] = cell_data(poly, spec, degree)
         if method == "sfvem":
-            out.append(sfvem_local(pts, spec, ell, records[degree]))
+            out.append(sfvem_locals(records[degree], spec, ell))
         else:
-            out.append(standard_vem_local(pts, spec, records[degree]))
+            out.append(standard_vem_locals(records[degree], spec))
     return out
 
 

@@ -6,10 +6,13 @@ path with the production polygon rule. ``centroid``, ``first_moments``
 and ``edge_lengths_normals`` are the one-quantity geometry functions that
 ``geometry.polygon_geometry`` replaced, kept as the references its record
 must match bit for bit. The ``loop_*`` functions are the loop versions of
-the array-level and shared-pass production code, kept as the references
-it must match bit for bit. ``area_gram`` integrates the harmonic-gradient
-Gram matrix over the element area, the reference for the boundary Gram
-that ``hgrad_matrix`` solves against. ``loop_jacobi_singular_values`` is
+the array-level, shared-pass and stacked production code, kept as the
+references it must match bit for bit: the stacked kernels over a
+``PolygonStack`` must give every cell the floats of its own loop, and
+``Poly2`` on a chunk's concatenated points those of ``loop_poly2_eval``
+cell by cell. ``area_gram`` integrates the harmonic-gradient Gram matrix
+over the element area, the reference for the boundary Gram that
+``hgrad_matrix`` solves against. ``loop_jacobi_singular_values`` is
 the pure-Python one-sided Jacobi SVD that LAPACK's ``dgejsv`` replaced in
 ``analysis.jacobi_singular_values``; it is the reference the audit's
 ratios must match to a relative tolerance, since the rotation order
@@ -188,12 +191,33 @@ def area_gram(poly, basis) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
+def loop_solve_gram(G, rhs):
+    """G^-1 rhs through scipy's ``cho_factor`` and ``cho_solve``, or
+    ``pinvh`` when G is nearly singular or its Cholesky fails, with the
+    same positive-definiteness check and tolerance as
+    ``projectors._solve_grams``; its per-cell LAPACK loop must give the
+    same floats, in the same column-major layout."""
+    import scipy.linalg
+
+    from sfvem.errors import SingularGramError
+    from sfvem.projectors import GRAM_RANK_TOL
+
+    eig = np.linalg.eigvalsh(G)
+    if eig[-1] <= 0.0:
+        raise SingularGramError("gram matrix is not positive definite")
+    if eig[0] < GRAM_RANK_TOL * eig[-1]:
+        return scipy.linalg.pinvh(G) @ rhs
+    try:
+        factor = scipy.linalg.cho_factor(G)
+    except scipy.linalg.LinAlgError:
+        return scipy.linalg.pinvh(G) @ rhs
+    return scipy.linalg.cho_solve(factor, rhs)
+
+
 def loop_hgrad_matrix(vertices, basis):
     """Harmonic-gradient projector (P, G) with the boundary Gram and the
     right-hand side accumulated edge by edge, three basis evaluations per
     edge; ``hgrad_matrix`` must reproduce both bit for bit."""
-    from sfvem.projectors import _solve_gram
-
     vertices = np.asarray(vertices, dtype=float)
     n = len(vertices)
     _, lengths, normals = edge_lengths_normals(vertices)
@@ -215,7 +239,7 @@ def loop_hgrad_matrix(vertices, basis):
         dn = basis.gradients(pts) @ normals[e]
         B[:, e] += lengths[e] * dn @ (w * (1.0 - t))
         B[:, (e + 1) % n] += lengths[e] * dn @ (w * t)
-    return _solve_gram(G, B), G
+    return loop_solve_gram(G, B), G
 
 
 def loop_voronoi_cells(seeds):
@@ -278,6 +302,21 @@ def array_halfplane_clip(poly, nx, ny, c):
     return out
 
 
+def loop_poly2_eval(poly, points) -> np.ndarray:
+    """Values of a Poly2 at (n, 2) points through one Vandermonde table of
+    the y powers (``np.vander``) and one product for all points: the
+    evaluation ``Poly2.__call__`` replaced with a row-block loop, which
+    must give every point's value bit for bit."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    x, y = pts[:, 0], pts[:, 1]
+    ypow = np.vander(y, poly.coeffs.shape[1], increasing=True)
+    slices = ypow @ poly.coeffs.T  # (npts, nx): value of sum_b c[a,b] y^b
+    val = np.zeros_like(x)
+    for a in range(poly.coeffs.shape[0] - 1, -1, -1):
+        val = val * x + slices[:, a]
+    return val
+
+
 def _loop_volume_degree(spec, ell):
     return max(2 * ell, 2, spec.beta[0].degree + ell, spec.beta[1].degree + ell,
                spec.gamma.degree, spec.f.degree)
@@ -290,12 +329,12 @@ def loop_sfvem_local(vertices, spec, ell):
     shared cell record."""
     from sfvem.element import LocalElementMatrices
     from sfvem.poly import harmonic_basis
-    from sfvem.projectors import hgrad_matrix, nabla_matrix, pi0_row
+    from sfvem.projectors import nabla_matrix, pi0_row
 
     vertices = np.asarray(vertices, dtype=float)
     poly = polygon_geometry(vertices)
     basis = harmonic_basis(poly.frame, ell)
-    P, G = hgrad_matrix(poly, basis)
+    P, G = loop_hgrad_matrix(vertices, basis)
     r = pi0_row(poly, nabla_matrix(poly))
     rule = polygon_rule(vertices, _loop_volume_degree(spec, ell))
     grads = basis.gradients(rule.points)

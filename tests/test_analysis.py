@@ -338,31 +338,50 @@ def one_level(spec, mesh, methods):
     (("vem",), 2, 7),
     (("sfvem",), 2, 7),
 ])
-def test_convergence_study_builds_each_cell_once(monkeypatch, methods, rules, evals):
-    # one element rule and one error rule per cell; beta, gamma and f on the
-    # first, u and grad u on the second, each evaluated once
+def test_convergence_study_builds_each_cell_once(monkeypatch, methods, rules,
+                                                 evals):
+    # per cell, one element rule and one error rule, and beta, gamma and f
+    # on the first, u and grad u on the second, each evaluated once. The
+    # rules and evaluations go per chunk of cells: every call covers whole
+    # cells (its points are its cells times one cell's rule) and each pass
+    # covers every cell once.
     import sfvem.analysis
     import sfvem.element
+    from sfvem.quadrature import rule_size
 
     spec = build_benchmark_coefficients()  # its gamma check evaluates once
-    calls = {"rule": 0, "eval": 0}
+    calls, evals_seen = [], []
 
-    def counting(fn, key):
-        def counted(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
+    def rule_counted(fn):
+        def counted(vertices, degree):
+            out = fn(vertices, degree)
+            calls.append((degree, len(vertices), out.weights.size))
+            return out
         return counted
 
-    mesh = generate_distorted_grid(4)  # generated outside the counted passes
+    def eval_counted(fn):
+        def counted(poly, points):
+            degree, _, rule_points = calls[-1]  # the rule just built
+            evals_seen.append((degree, len(points), rule_points))
+            return fn(poly, points)
+        return counted
+
+    mesh = generate_distorted_grid(8)  # generated outside the counted passes
     monkeypatch.setattr(sfvem.analysis, "generate_distorted_grid",
                         lambda *args: mesh)
     for module in (sfvem.element, sfvem.analysis):
-        monkeypatch.setattr(module, "polygon_rule",
-                            counting(module.polygon_rule, "rule"))
-    monkeypatch.setattr(Poly2, "__call__", counting(Poly2.__call__, "eval"))
+        monkeypatch.setattr(module, "polygon_rules", rule_counted(module.polygon_rules))
+    monkeypatch.setattr(Poly2, "__call__", eval_counted(Poly2.__call__))
     errors = one_level(spec, mesh, methods)
-    cells = 16
-    assert calls == {"rule": rules * cells, "eval": evals * cells}
+    per_cell = {33: rule_size(4, 33), 36: rule_size(4, 36)}  # build, error rule
+    for degree, points in per_cell.items():
+        chunks = [(cells, n) for d, cells, n in calls if d == degree]
+        assert 1 < len(chunks) < mesh.n_cells
+        assert all(n == cells * points for cells, n in chunks)
+    assert len(evals_seen) == sum(4 if d == 33 else 3 for d, _, _ in calls)
+    assert all(n == rule_points for _, n, rule_points in evals_seen)
+    assert sum(cells for _, cells, _ in calls) == rules * mesh.n_cells
+    assert sum(n // per_cell[d] for d, n, _ in evals_seen) == evals * mesh.n_cells
     assert list(errors) == list(methods)
     assert np.isfinite(list(errors.values())).all()
 
@@ -370,29 +389,32 @@ def test_convergence_study_builds_each_cell_once(monkeypatch, methods, rules, ev
 @pytest.mark.parametrize("methods", [("sfvem", "vem"), ("vem",), ("sfvem",)])
 def test_convergence_study_computes_each_cell_geometry_once_per_pass(monkeypatch,
                                                                      methods):
-    # one geometry record per cell in each of the quality report (run by
-    # the study only), the build pass and the error pass; signed_area runs only inside polygon_rule and
-    # diameter only inside the record. Every sfvem module's name for the four
-    # functions is counted, under the pass that is running.
+    # one geometry stack per vertex count in the quality report (run by the
+    # study only), and one geometry stack and one rule stack per chunk in
+    # the build and error passes: each pass covers every cell once. No pass
+    # builds a one-polygon record or calls the one-polygon signed_area or
+    # diameter. Every sfvem module's name for the five functions is
+    # counted, with its stack size, under the pass that is running.
     import sys
 
     import sfvem.analysis
     import sfvem.geometry
     import sfvem.quadrature
 
-    mesh = generate_distorted_grid(4)  # generated outside the counted study
+    mesh = generate_distorted_grid(8)  # generated outside the counted study
     monkeypatch.setattr(sfvem.analysis, "generate_distorted_grid",
                         lambda *args: mesh)
     counted = {"polygon_geometry": sfvem.geometry.polygon_geometry,
+               "polygon_stack": sfvem.geometry.polygon_stack,
                "signed_area": sfvem.geometry.signed_area,
                "diameter": sfvem.geometry.diameter,
-               "polygon_rule": sfvem.quadrature.polygon_rule}
+               "polygon_rules": sfvem.quadrature.polygon_rules}
     running = ["outside"]
     calls: dict = {}
 
     def counting(fn, key):
         def wrapper(*args, **kwargs):
-            calls[running[0], key] = calls.get((running[0], key), 0) + 1
+            calls.setdefault((running[0], key), []).append(len(args[0]))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -415,16 +437,14 @@ def test_convergence_study_computes_each_cell_geometry_once_per_pass(monkeypatch
         monkeypatch.setattr(sfvem.analysis, fn,
                             in_pass(getattr(sfvem.analysis, fn), name))
     one_level(build_benchmark_coefficients(), mesh, methods)
-    cells = mesh.n_cells
-    want = {}
-    passes = ("build", "error")
+    passes = ["build", "error"]
     if methods == METHODS:  # the study alone runs the quality report
-        passes = ("quality",) + passes
+        assert calls.pop(("quality", "polygon_stack")) == [mesh.n_cells]  # quads
     for name in passes:
-        want[name, "polygon_geometry"] = want[name, "diameter"] = cells
-    for name in ("build", "error"):
-        want[name, "polygon_rule"] = want[name, "signed_area"] = cells
-    assert calls == want
+        stacks = calls.pop((name, "polygon_stack"))
+        assert len(stacks) > 1 and sum(stacks) == mesh.n_cells
+        assert calls.pop((name, "polygon_rules")) == stacks
+    assert calls == {}
 
 
 def test_convergence_study_streams_records():
