@@ -1,10 +1,11 @@
 """Planar polygon primitives used by the mesh, quadrature, and projector code.
 
 signed_area, diameter and is_simple take an (N, 2) array of CCW vertex
-coordinates. polygon_stack builds the geometry of C polygons with N
-vertices each from a (C, N, 2) array in one pass, including the scaled
-frame (centroid, diameter) every projector works in; polygon_geometry is
-its one-polygon case.
+coordinates. signed_areas, are_simple and polygon_stack take a (C, N, 2)
+stack of C polygons with N vertices each, and signed_area, is_simple and
+polygon_geometry are their one-polygon cases. polygon_stack builds the
+geometry of the stack in one pass, including the scaled frame (centroid,
+diameter) every projector works in.
 """
 from __future__ import annotations
 
@@ -14,9 +15,16 @@ import numpy as np
 
 
 def signed_area(vertices: np.ndarray) -> float:
-    """Shoelace area, positive for CCW loops."""
-    x, y = vertices[:, 0], vertices[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    """Shoelace area, positive for CCW loops: signed_areas of a stack of one."""
+    return float(signed_areas(np.asarray(vertices, dtype=float)[None])[0])
+
+
+def signed_areas(vertices) -> np.ndarray:
+    """Shoelace areas of a (C, N, 2) stack of polygons, positive for CCW
+    loops; every cell's float that of its own shoelace sum."""
+    v = np.asarray(vertices, dtype=float)
+    nxt = cyclic_roll(v, -1, axis=1)
+    return 0.5 * (v[..., 0] * nxt[..., 1] - nxt[..., 0] * v[..., 1]).sum(axis=1)
 
 
 def diameter(vertices: np.ndarray) -> float:
@@ -144,27 +152,29 @@ def polygon_geometry(vertices) -> PolygonGeometry:
                            s.centroid[0], d, ScaledFrame(s.centroid[0], d), s)
 
 
-def _segments_properly_intersect(p1, p2, q1, q2) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
 def is_simple(vertices: np.ndarray) -> bool:
-    """Brute-force segment-intersection test; fine for desk-scale polygons."""
-    n = len(vertices)
-    if n < 3:
-        return False
-    segs = [(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue  # shared endpoint, not a proper crossing
-            if _segments_properly_intersect(*segs[i], *segs[j]):
-                return False
-    return True
+    """No two non-adjacent edges of an (N, 2) polygon properly cross, and
+    N >= 3: are_simple of a stack of one."""
+    v = np.asarray(vertices, dtype=float)
+    return len(v) >= 3 and bool(are_simple(v[None])[0])
+
+
+def are_simple(vertices) -> np.ndarray:
+    """For each polygon of a (C, N, 2) stack, N >= 3, whether no two
+    non-adjacent edges properly cross: a brute-force test of all N(N-3)/2
+    pairs at once, each edge pair tested by the signs of four orientations."""
+    v = np.asarray(vertices, dtype=float)
+    n = v.shape[1]
+    # edges i < j that share no endpoint: j >= i + 2, but not (0, n - 1)
+    i, j = np.triu_indices(n, 2)
+    keep = (i > 0) | (j < n - 1)
+    i, j = i[keep], j[keep]
+    p1, p2, q1, q2 = v[:, i], v[:, (i + 1) % n], v[:, j], v[:, (j + 1) % n]
+
+    def above(a, b, c):  # c lies left of the line from a to b
+        return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+                - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0])) > 0
+
+    cross = ((above(q1, q2, p1) != above(q1, q2, p2))
+             & (above(p1, p2, q1) != above(p1, p2, q2)))
+    return ~cross.any(axis=1)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -18,13 +19,36 @@ from .errors import (
     MeshIndexError,
     MeshTopologyError,
 )
-from .geometry import (diameter, is_simple, polygon_geometry, polygon_stack,
-                       signed_area)
+from .geometry import are_simple, diameter, polygon_stack, signed_areas
+from .geometry import is_simple  # noqa: F401 (the benchmark's tracer re-binds it)
 from .rng import XorShift
 
 # welding grid for Voronoi vertices; shared corners computed from different
 # cells agree only to rounding, so coordinates snap to this resolution
 WELD_RESOLUTION = 1e-9
+
+
+# PolyMesh's checks of one cell, in the order they are made: the error and
+# its message, formatted with the cell ci, its first out-of-range vertex i
+# and the vertex count nv
+_CELL_CHECKS = (
+    (MeshTopologyError, "cell {ci} has fewer than 3 vertices"),
+    (MeshIndexError, "cell {ci} references vertex {i}, but mesh has {nv} vertices"),
+    (MeshTopologyError, "cell {ci} repeats a vertex index"),
+    (MeshTopologyError, "cell {ci} is clockwise or degenerate (signed area <= 0)"),
+    (MeshTopologyError, "cell {ci} is self-intersecting"),
+)
+
+
+def _cell_edges(cells):
+    """The edges of every cell as two flat vertex arrays, cell by cell: edge
+    k of a cell runs from its vertex k to its vertex k + 1 (cyclic)."""
+    sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+    a = np.fromiter(chain.from_iterable(cells), dtype=np.int64, count=int(sizes.sum()))
+    nxt = np.arange(1, len(a) + 1)
+    ends = np.cumsum(sizes)
+    nxt[ends - 1] = ends - sizes
+    return a, a[nxt]
 
 
 @dataclass(frozen=True)
@@ -51,43 +75,51 @@ class PolyMesh:
         bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
         if bad.size:
             raise MeshFormatError(f"vertex {bad[0]} has a non-finite coordinate")
-        edge_count: dict = {}
-        for ci, cell in enumerate(self.cells):
-            if len(cell) < 3:
-                raise MeshTopologyError(f"cell {ci} has fewer than 3 vertices")
-            for i in cell:
-                if not 0 <= i < nv:
-                    raise MeshIndexError(
-                        f"cell {ci} references vertex {i}, but mesh has {nv} vertices"
-                    )
-            if len(set(cell)) != len(cell):
-                raise MeshTopologyError(f"cell {ci} repeats a vertex index")
-            pts = self.vertices[list(cell)]
-            if signed_area(pts) <= 0.0:
+        # each cell's first failing check, an index into _CELL_CHECKS, which
+        # lists them in the order they are made; len(_CELL_CHECKS) if none
+        fails = np.full(self.n_cells, len(_CELL_CHECKS))
+        for ids, index in self.cell_groups():
+            if index.shape[1] < 3:
+                fails[ids] = 0
+                continue
+            inside = ((index >= 0) & (index < nv)).all(axis=1)
+            pts = self.vertices[index[inside]]
+            geometric = np.full(len(pts), len(_CELL_CHECKS))
+            geometric[~are_simple(pts)] = 4
+            geometric[signed_areas(pts) <= 0.0] = 3
+            first = fails[ids]
+            first[inside] = geometric
+            ordered = np.sort(index, axis=1)
+            first[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)] = 2
+            first[~inside] = 1
+            fails[ids] = first
+        bad = np.flatnonzero(fails < len(_CELL_CHECKS))
+        if bad.size:
+            ci = int(bad[0])
+            error, message = _CELL_CHECKS[fails[ci]]
+            i = next((i for i in self.cells[ci] if not 0 <= i < nv), None)
+            raise error(message.format(ci=ci, i=i, nv=nv))
+
+        a, b = _cell_edges(self.cells)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        _, first, inverse, count = np.unique(lo * nv + hi, return_index=True,
+                                             return_inverse=True, return_counts=True)
+        # +1 per traversal from the lower vertex, -1 per traversal back
+        turns = np.bincount(inverse, np.where(a < b, 1.0, -1.0), len(count))
+        bad = (count > 2) | ((count == 2) & (np.abs(turns) == 2.0))
+        if bad.any():
+            e = int(first[bad].min())  # the failing edge that comes first
+            edge = f"edge ({lo[e]}, {hi[e]})"
+            if count[inverse[e]] > 2:
                 raise MeshTopologyError(
-                    f"cell {ci} is clockwise or degenerate (signed area <= 0)"
-                )
-            if not is_simple(pts):
-                raise MeshTopologyError(f"cell {ci} is self-intersecting")
-            for k in range(len(cell)):
-                a, b = cell[k], cell[(k + 1) % len(cell)]
-                key = (a, b) if a < b else (b, a)
-                edge_count.setdefault(key, []).append(1 if a < b else -1)
-        derived_boundary = set()
-        for (a, b), orients in edge_count.items():
-            if len(orients) > 2:
-                raise MeshTopologyError(
-                    f"edge ({a}, {b}) is shared by {len(orients)} cells"
-                )
-            if len(orients) == 2 and orients[0] == orients[1]:
-                raise MeshTopologyError(
-                    f"edge ({a}, {b}) is traversed twice in the same direction"
-                )
-            if len(orients) == 1:
-                derived_boundary.update((a, b))
-        if derived_boundary != self.boundary_vertices:
-            missing = sorted(derived_boundary - self.boundary_vertices)[:5]
-            extra = sorted(self.boundary_vertices - derived_boundary)[:5]
+                    f"{edge} is shared by {count[inverse[e]]} cells")
+            raise MeshTopologyError(f"{edge} is traversed twice in the same direction")
+        once = first[count == 1]
+        derived = np.union1d(lo[once], hi[once])
+        given = np.array(sorted(self.boundary_vertices), dtype=derived.dtype)
+        if not np.array_equal(derived, given):
+            missing = np.setdiff1d(derived, given)[:5].tolist()
+            extra = np.setdiff1d(given, derived)[:5].tolist()
             raise MeshTopologyError(
                 f"boundary vertex set inconsistent with cell edges "
                 f"(missing {missing}, extra {extra})"
@@ -111,13 +143,17 @@ class PolyMesh:
         return [(ids, np.array([self.cells[i] for i in ids]))
                 for ids in (np.flatnonzero(sizes == n) for n in np.unique(sizes))]
 
+    def cell_areas(self) -> np.ndarray:
+        """The signed area of every cell, in cell order, from one stacked
+        shoelace per vertex count; each that of signed_area on the cell."""
+        areas = np.empty(self.n_cells)
+        for ids, index in self.cell_groups():
+            areas[ids] = signed_areas(self.vertices[index])
+        return areas
+
     def edges(self) -> set:
-        out = set()
-        for cell in self.cells:
-            for k in range(len(cell)):
-                a, b = cell[k], cell[(k + 1) % len(cell)]
-                out.add((a, b) if a < b else (b, a))
-        return out
+        a, b = _cell_edges(self.cells)
+        return set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
 
 @dataclass(frozen=True)
@@ -450,7 +486,7 @@ def generate_voronoi(n_seeds: int, lloyd_iters: int = 0, seed: int = 0,
 
     float_cells = _voronoi_cells(seeds)
     for _ in range(lloyd_iters):
-        seeds = np.array([polygon_geometry(c).centroid for c in float_cells])
+        seeds = _centroids(float_cells)
         float_cells = _voronoi_cells(seeds)
 
     verts, cells = _weld(float_cells)
@@ -463,14 +499,7 @@ def generate_voronoi(n_seeds: int, lloyd_iters: int = 0, seed: int = 0,
     if distortion == 0.0:
         mesh = PolyMesh(verts, cells, boundary)
     else:
-        min_edge = np.full(len(verts), np.inf)
-        for cell in cells:
-            pts = verts[list(cell)]
-            for k in range(len(cell)):
-                L = float(np.hypot(*(pts[(k + 1) % len(cell)] - pts[k])))
-                min_edge[cell[k]] = min(min_edge[cell[k]], L)
-                min_edge[cell[(k + 1) % len(cell)]] = min(
-                    min_edge[cell[(k + 1) % len(cell)]], L)
+        min_edge = _shortest_edges(verts, cells)
         moves = np.zeros_like(verts)
         for i in range(len(verts)):
             if i in boundary:
@@ -495,6 +524,31 @@ def generate_voronoi(n_seeds: int, lloyd_iters: int = 0, seed: int = 0,
     return mesh
 
 
+def _centroids(float_cells) -> np.ndarray:
+    # the centroid of every (N, 2) cell, one polygon_stack per vertex count.
+    # Co-circular seeds can leave a cell with a repeated vertex: the 0 / 0
+    # of its zero-length edge's normal is not read here
+    sizes = np.array([len(c) for c in float_cells])
+    out = np.empty((len(float_cells), 2))
+    with np.errstate(invalid="ignore"):
+        for n in np.unique(sizes):
+            ids = np.flatnonzero(sizes == n)
+            out[ids] = polygon_stack(np.array([float_cells[i] for i in ids])).centroid
+    return out
+
+
+def _shortest_edges(verts, cells) -> np.ndarray:
+    # the length of the shortest edge at each vertex, inf at a vertex of no
+    # cell
+    a, b = _cell_edges(cells)
+    d = verts[b] - verts[a]
+    lengths = np.hypot(d[:, 0], d[:, 1])
+    out = np.full(len(verts), np.inf)
+    np.minimum.at(out, a, lengths)
+    np.minimum.at(out, b, lengths)
+    return out
+
+
 def _closest_pair_too_close(seeds):
     # j of the first pair (i, j), i < j, in lexicographic order that is
     # closer than 1e-6
@@ -507,7 +561,7 @@ def _closest_pair_too_close(seeds):
 
 
 def _check_unit_area(mesh: PolyMesh) -> None:
-    total = sum(signed_area(mesh.cell_points(i)) for i in range(mesh.n_cells))
+    total = sum(mesh.cell_areas().tolist())
     if abs(total - 1.0) > 1e-12:
         raise MeshGenerationError(
             f"cell areas sum to {total!r}, expected 1 within 1e-12"

@@ -22,6 +22,10 @@ from .problem import ProblemSpec
 # larger one wakes a second thread, which spins on after the call
 GEMM_ONE_THREAD = 2**19
 
+# Poly2 evaluation fills its y-power and x-slice tables in row blocks of
+# about this many bytes (a whole number of one-thread GEMM products)
+POLY_TABLE_BYTES = 2**21
+
 
 class Poly2:
     """Polynomial in two variables with an explicit coefficient table.
@@ -114,21 +118,35 @@ class Poly2:
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(
+                f"points must have shape (n, 2) or (2,), got {np.shape(points)}")
         c = self.coeffs
-        # rows go in blocks whose table product OpenBLAS runs on one thread
-        # (see GEMM_ONE_THREAD); every block reuses the same two tables
-        rows = min(len(pts), max(1, (GEMM_ONE_THREAD - 1) // c.size))
-        ypow = np.empty((c.shape[1], rows)).T  # each y power contiguous
+        n = len(pts)
+        # each product ypow @ c.T takes at most `gemm` rows, so OpenBLAS runs
+        # it on one thread (see GEMM_ONE_THREAD); a block of the two tables
+        # holds as many whole products as fit in POLY_TABLE_BYTES, at least
+        # one, so the products are the same calls at any block size
+        gemm = max(1, (GEMM_ONE_THREAD - 1) // c.size)
+        rows = gemm * max(1, POLY_TABLE_BYTES // (c.itemsize * sum(c.shape) * gemm))
+        rows = max(1, min(n, rows))
+        # one buffer holds both tables (each y power contiguous, slices
+        # C-ordered): one allocation per call, which the allocator reuses,
+        # where two took ten times the page faults of a grid-compare run
+        table = np.empty(rows * sum(c.shape))
+        ypow = table[:rows * c.shape[1]].reshape(c.shape[1], rows).T
         ypow[:, 0] = 1.0
-        slices = np.empty((rows, c.shape[0]))
-        val = np.empty(len(pts))
-        for s in range(0, len(pts), rows):
-            x, y = pts[s:s + rows, 0], pts[s:s + rows, 1]
-            power = ypow[:len(y)]
+        slices = table[rows * c.shape[1]:].reshape(rows, c.shape[0])
+        val = np.empty(n)
+        for s in range(0, n, rows):
+            x = np.ascontiguousarray(pts[s:s + rows, 0])
+            y = np.ascontiguousarray(pts[s:s + rows, 1])
+            power, block = ypow[:len(y)], slices[:len(y)]
             for b in range(1, c.shape[1]):
                 np.multiply(power[:, b - 1], y, out=power[:, b])
             # block[:, a] is sum_b c[a, b] y^b
-            block = np.matmul(power, c.T, out=slices[:len(y)])
+            for g in range(0, len(y), gemm):
+                np.matmul(power[g:g + gemm], c.T, out=block[g:g + gemm])
             v = val[s:s + rows]
             v[:] = 0.0
             for a in range(c.shape[0] - 1, -1, -1):

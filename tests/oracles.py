@@ -16,7 +16,9 @@ over the element area, the reference for the boundary Gram that
 the pure-Python one-sided Jacobi SVD that LAPACK's ``dgejsv`` replaced in
 ``analysis.jacobi_singular_values``; it is the reference the audit's
 ratios must match to a relative tolerance, since the rotation order
-differs.
+differs. ``loop_validate`` is ``PolyMesh``'s cell-by-cell check with its
+per-edge dictionary, which the checks by vertex-count group must match
+error for error, type and message.
 """
 import numpy as np
 import scipy.sparse as sparse
@@ -491,3 +493,105 @@ def loop_jacobi_singular_values(A: np.ndarray) -> np.ndarray:
             break
     sv = np.sqrt((U * U).sum(axis=0))
     return np.sort(sv)[::-1]
+
+
+def loop_signed_area(vertices) -> float:
+    """Shoelace area of one (N, 2) polygon through np.roll, positive for
+    CCW loops."""
+    x, y = vertices[:, 0], vertices[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def _segments_properly_intersect(p1, p2, q1, q2) -> bool:
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    d1 = orient(q1, q2, p1)
+    d2 = orient(q1, q2, p2)
+    d3 = orient(p1, p2, q1)
+    d4 = orient(p1, p2, q2)
+    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+
+
+def loop_is_simple(vertices) -> bool:
+    """Brute-force segment-intersection test, one edge pair at a time."""
+    n = len(vertices)
+    if n < 3:
+        return False
+    segs = [(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue  # shared endpoint, not a proper crossing
+            if _segments_properly_intersect(*segs[i], *segs[j]):
+                return False
+    return True
+
+
+def loop_validate(vertices, cells, boundary_vertices) -> None:
+    """PolyMesh's checks cell by cell, then edge by edge through a
+    dictionary of edge orientations; raises the first failure."""
+    from sfvem.errors import MeshIndexError, MeshTopologyError
+
+    vertices = np.asarray(vertices, dtype=float)
+    nv = len(vertices)
+    edge_count: dict = {}
+    for ci, cell in enumerate(cells):
+        if len(cell) < 3:
+            raise MeshTopologyError(f"cell {ci} has fewer than 3 vertices")
+        for i in cell:
+            if not 0 <= i < nv:
+                raise MeshIndexError(
+                    f"cell {ci} references vertex {i}, but mesh has {nv} vertices"
+                )
+        if len(set(cell)) != len(cell):
+            raise MeshTopologyError(f"cell {ci} repeats a vertex index")
+        pts = vertices[list(cell)]
+        if loop_signed_area(pts) <= 0.0:
+            raise MeshTopologyError(
+                f"cell {ci} is clockwise or degenerate (signed area <= 0)"
+            )
+        if not loop_is_simple(pts):
+            raise MeshTopologyError(f"cell {ci} is self-intersecting")
+        for k in range(len(cell)):
+            a, b = cell[k], cell[(k + 1) % len(cell)]
+            key = (a, b) if a < b else (b, a)
+            edge_count.setdefault(key, []).append(1 if a < b else -1)
+    derived_boundary = set()
+    for (a, b), orients in edge_count.items():
+        if len(orients) > 2:
+            raise MeshTopologyError(
+                f"edge ({a}, {b}) is shared by {len(orients)} cells"
+            )
+        if len(orients) == 2 and orients[0] == orients[1]:
+            raise MeshTopologyError(
+                f"edge ({a}, {b}) is traversed twice in the same direction"
+            )
+        if len(orients) == 1:
+            derived_boundary.update((a, b))
+    if derived_boundary != set(boundary_vertices):
+        missing = sorted(derived_boundary - set(boundary_vertices))[:5]
+        extra = sorted(set(boundary_vertices) - derived_boundary)[:5]
+        raise MeshTopologyError(
+            f"boundary vertex set inconsistent with cell edges "
+            f"(missing {missing}, extra {extra})"
+        )
+
+
+def loop_centroids(float_cells) -> np.ndarray:
+    """The Lloyd sweep's seeds, cell by cell: the centroid of each cell's
+    own record, which is ``centroid`` of its vertices bit for bit."""
+    return np.array([centroid(c) for c in float_cells])
+
+
+def loop_shortest_edges(verts, cells) -> np.ndarray:
+    """The distortion step's shortest edge at each vertex, edge by edge."""
+    min_edge = np.full(len(verts), np.inf)
+    for cell in cells:
+        pts = verts[list(cell)]
+        for k in range(len(cell)):
+            L = float(np.hypot(*(pts[(k + 1) % len(cell)] - pts[k])))
+            min_edge[cell[k]] = min(min_edge[cell[k]], L)
+            min_edge[cell[(k + 1) % len(cell)]] = min(
+                min_edge[cell[(k + 1) % len(cell)]], L)
+    return min_edge

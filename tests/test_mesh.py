@@ -388,13 +388,14 @@ def test_voronoi_clip_count_is_not_quadratic(monkeypatch):
 
 
 def _count_validation(monkeypatch):
-    calls = {"signed_area": 0, "is_simple": 0}
+    # the cells each stacked check sees, summed over its calls
+    calls = {"signed_areas": 0, "are_simple": 0}
     for key in calls:
         fn = getattr(sfvem.mesh, key)
 
-        def counted(*args, _fn=fn, _key=key):
-            calls[_key] += 1
-            return _fn(*args)
+        def counted(pts, _fn=fn, _key=key):
+            calls[_key] += len(pts)
+            return _fn(pts)
         monkeypatch.setattr(sfvem.mesh, key, counted)
     return calls
 
@@ -405,15 +406,16 @@ def _count_validation(monkeypatch):
     lambda: generate_distorted_grid(64, 0.3, 1),
 ], ids=["voronoi-distorted", "voronoi-undistorted", "grid"])
 def test_generators_validate_each_cell_once(monkeypatch, generate):
-    # PolyMesh's check (signed area and simplicity) plus the unit-area sum;
-    # the generators pre-check nothing that PolyMesh checks again
+    # PolyMesh's check (signed area and simplicity, one stack per vertex
+    # count) plus the unit-area sum; the generators pre-check nothing that
+    # PolyMesh checks again, and no check runs cell by cell
     calls = _count_validation(monkeypatch)
     mesh = generate()
-    assert calls == {"signed_area": 2 * mesh.n_cells, "is_simple": mesh.n_cells}
+    assert calls == {"signed_areas": 2 * mesh.n_cells, "are_simple": mesh.n_cells}
 
 
 def test_generators_chain_the_last_topology_error(monkeypatch):
-    monkeypatch.setattr(sfvem.mesh, "is_simple", lambda pts: False)
+    monkeypatch.setattr(sfvem.mesh, "are_simple", lambda pts: np.zeros(len(pts), bool))
     for generate in (lambda: generate_distorted_grid(4, 0.3, 1),
                      lambda: generate_voronoi(16, 0, 0, 0.25)):
         with pytest.raises(MeshGenerationError) as info:

@@ -2,14 +2,18 @@
 replaced, the array-level element kernels against their edge-by-edge and
 triangle-by-triangle loop versions in ``oracles``, the stacked kernels
 against the same loops cell by cell, the Voronoi generator's skipping
-clip loop against the all-pairs loop, and the shared chunked passes of
-assembly and error norms against one method and one solution at a time.
+clip loop against the all-pairs loop, the mesh checks, Lloyd centroids and
+shortest edges by vertex-count group against their cell-by-cell loops, and
+the shared chunked passes of assembly and error norms against one method
+and one solution at a time.
 
 The loops perform the same floating-point operations per entry, so the
 comparison is exact equality, not a tolerance: the benchmark's degree-33
 load amplifies any change in the quadrature points or weights far beyond
 its reference tolerance.
 """
+import re
+
 import numpy as np
 import pytest
 
@@ -18,9 +22,11 @@ from sfvem.analysis import error_norms_many, unit_diffusion_matrix
 from sfvem.element import (EINSUM_BLOCK, _einsum_sum, cell_data, effective_ell,
                            sfvem_local, sfvem_locals, standard_vem_local,
                            standard_vem_locals, volume_degree)
-from sfvem.errors import DegenerateElementError
-from sfvem.geometry import diameter, polygon_geometry, polygon_stack, signed_area
-from sfvem.mesh import (PolyMesh, _closest_pair_too_close, _halfplane_clip,
+from sfvem.errors import DegenerateElementError, MeshGenerationError, SfvemError
+from sfvem.geometry import (are_simple, diameter, is_simple, polygon_geometry,
+                            polygon_stack, signed_area, signed_areas)
+from sfvem.mesh import (PolyMesh, _centroids, _check_unit_area,
+                        _closest_pair_too_close, _halfplane_clip, _shortest_edges,
                         _voronoi_cells, catalog_polygons, generate_distorted_grid,
                         generate_voronoi)
 from sfvem.poly import (ScaledFrame, build_benchmark_coefficients, bubble_problem,
@@ -31,10 +37,11 @@ from sfvem.quadrature import _fan_triangles, polygon_rule, polygon_rules
 from sfvem.system import assemble, assemble_many, solve
 
 from oracles import (array_halfplane_clip, centroid, edge_lengths_normals,
-                     first_moments, loop_assemble, loop_closest_pair,
-                     loop_error_norms, loop_hgrad_matrix, loop_nabla_matrix,
-                     loop_poly2_eval, loop_polygon_rule, loop_sfvem_local,
-                     loop_vem_local, loop_voronoi_cells)
+                     first_moments, loop_assemble, loop_centroids, loop_closest_pair,
+                     loop_error_norms, loop_hgrad_matrix, loop_is_simple,
+                     loop_nabla_matrix, loop_poly2_eval, loop_polygon_rule,
+                     loop_sfvem_local, loop_shortest_edges, loop_signed_area,
+                     loop_validate, loop_vem_local, loop_voronoi_cells)
 
 # thin U whose vertex average falls outside it: the only ear-clip case here,
 # since every catalog polygon and mesh cell is star shaped about its average
@@ -75,7 +82,7 @@ def test_polygon_geometry_matches_reference_functions(polygons):
         assert np.array_equal(poly.edges, edges), i
         assert np.array_equal(poly.lengths, lengths), i
         assert np.array_equal(poly.normals, normals), i
-        assert poly.area == signed_area(v), i
+        assert poly.area == loop_signed_area(v), i
         assert poly.moments == first_moments(v), i
         assert np.array_equal(poly.centroid, centroid(v)), i
         assert poly.diameter == diameter(v), i
@@ -133,10 +140,164 @@ def test_generate_voronoi_matches_all_pairs_loop(monkeypatch, args, points):
     mesh = generate_voronoi(*args, points=points)
     monkeypatch.setattr(sfvem.mesh, "_voronoi_cells", loop_voronoi_cells)
     monkeypatch.setattr(sfvem.mesh, "_closest_pair_too_close", loop_closest_pair)
+    monkeypatch.setattr(sfvem.mesh, "_centroids", loop_centroids)
+    monkeypatch.setattr(sfvem.mesh, "_shortest_edges", loop_shortest_edges)
     oracle = generate_voronoi(*args, points=points)
     assert np.array_equal(mesh.vertices, oracle.vertices)
     assert mesh.cells == oracle.cells
     assert mesh.boundary_vertices == oracle.boundary_vertices
+
+
+@pytest.mark.parametrize("name, seeds", [(k, v) for k, v in _seed_sets().items()
+                                         if len(v) >= 16])
+def test_lloyd_centroids_match_per_cell_records(name, seeds):
+    # one polygon_stack per vertex count gives each cell the centroid of its
+    # own record; the lattice's co-circular seeds leave cells with a
+    # repeated vertex, a zero-length edge
+    cells = _voronoi_cells(seeds)
+    assert len({len(c) for c in cells}) > 1 or name == "collinear"
+    got = _centroids(cells)
+    assert np.array_equal(got, loop_centroids(cells)), name
+    for c, g in zip(cells, got):
+        if len(np.unique(c, axis=0)) == len(c):
+            assert np.array_equal(g, polygon_geometry(c).centroid), name
+
+
+@pytest.mark.parametrize("mesh", ["grid8", "voronoi64", "voronoi256"])
+def test_shortest_edges_match_edge_loop(mesh):
+    mesh = MESHES[mesh]()
+    assert np.array_equal(_shortest_edges(mesh.vertices, mesh.cells),
+                          loop_shortest_edges(mesh.vertices, mesh.cells))
+
+
+def _random_polygons():
+    # simple and self-crossing polygons of N = 3..12 (random vertex order)
+    # and the catalog, grouped by vertex count
+    rng = np.random.default_rng(4)
+    polys = [p.vertices for p in catalog_polygons()] + [USHAPE]
+    polys += [rng.random((n, 2)) for n in range(3, 13) for _ in range(40)]
+    polys += [np.array([[0.0, 0.0], [0.0, 1.0], [2.0, 0.0], [2.0, 2.0]]),  # bow-tie
+              np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])]
+    return polys
+
+
+def test_stacked_area_and_simplicity_match_loops():
+    polys = _random_polygons()
+    seen = set()
+    for n in sorted({len(v) for v in polys}):
+        group = [v for v in polys if len(v) == n]
+        stack = np.array(group)
+        areas, simple = signed_areas(stack), are_simple(stack)
+        for i, v in enumerate(group):
+            assert areas[i] == loop_signed_area(v) == signed_area(v), (n, i)
+            assert simple[i] == loop_is_simple(v) == is_simple(v), (n, i)
+            seen.add(bool(simple[i]))
+    assert seen == {True, False}
+    assert not is_simple(np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("mesh", ["grid8", "grid16", "voronoi64", "voronoi256"])
+def test_mesh_validation_and_areas_match_cell_loop(mesh):
+    mesh = MESHES[mesh]()
+    loop_validate(mesh.vertices, mesh.cells, mesh.boundary_vertices)  # no error
+    areas = mesh.cell_areas()
+    assert np.array_equal(areas, [loop_signed_area(mesh.cell_points(i))
+                                  for i in range(mesh.n_cells)])
+
+
+def test_unit_area_check_sums_cell_areas_in_cell_order():
+    # the generators' check adds the stacked areas as the loop added its
+    # per-cell areas, so a failure reports the same total
+    grid = MESHES["grid16"]()
+    mesh = PolyMesh(grid.vertices * np.array([1.1, 0.7]), grid.cells,
+                    grid.boundary_vertices)
+    total = sum(loop_signed_area(mesh.cell_points(i)) for i in range(mesh.n_cells))
+    with pytest.raises(MeshGenerationError, match=re.escape(f"sum to {total!r},")):
+        _check_unit_area(mesh)
+
+
+def _failing_meshes():
+    sq = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    tri = [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [2.0, 0.5], [0.3, 0.5]]
+    bow = [[0.0, 0.0], [0.0, 1.0], [2.0, 0.0], [2.0, 2.0]]
+    # a triangle fan around the square's centre, then a bow-tie pentagon
+    # after it: cells of two vertex counts
+    fan = sq + [[0.5, 0.5]]
+    pent = fan + [[3.0, 0.0], [3.0, 1.0], [5.0, 0.0], [5.0, 1.0], [4.0, 2.0]]
+    return {
+        "fewer than 3": (sq, ((0, 1, 2), (0, 2)), {0, 1, 2}),
+        "negative index": (sq, ((0, 1, 2), (0, -1, 2)), {0, 1, 2}),
+        "index past the end": (sq, ((0, 1, 2, 3), (1, 4, 2)), {0, 1, 2, 3}),
+        "repeated index": (sq, ((0, 1, 1, 2),), set()),
+        "clockwise": (sq, ((0, 3, 2, 1),), {0, 1, 2, 3}),
+        "degenerate bow-tie": (sq, ((0, 2, 1, 3),), {0, 1, 2, 3}),
+        "bow-tie": (bow, ((0, 1, 2, 3),), {0, 1, 2, 3}),
+        "edge used three times": (tri, ((0, 1, 2), (0, 3, 1), (0, 1, 4)), set(range(5))),
+        "edge traversed twice one way": (tri, ((0, 1, 2), (0, 1, 5)), {0, 1, 2, 5}),
+        "one way before three times": (tri, ((0, 2, 4), (0, 1, 2), (0, 1, 5), (2, 0, 4),
+                                             (0, 3, 1)), set(range(6))),
+        "boundary missing": (sq, ((0, 1, 2, 3),), {0, 1}),
+        "boundary extra": (fan, ((0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)),
+                           {0, 1, 2, 3, 4, 7, -2}),
+        "first failure in the larger group": (
+            pent, ((5, 6, 8, 7, 9), (0, 1, 4), (1, 4, 2), (2, 3, 4), (3, 0, 4)),
+            {0, 1, 2, 3}),
+        "first failure before an index error": (
+            fan, ((0, 1, 4), (2, 1, 4), (2, 3, 9), (3, 0, 4)), {0, 1, 2, 3}),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_failing_meshes()))
+def test_mesh_validation_errors_match_cell_loop(case):
+    verts, cells, boundary = _failing_meshes()[case]
+    with pytest.raises(SfvemError) as want:
+        loop_validate(np.array(verts), cells, boundary)
+    with pytest.raises(SfvemError) as got:
+        PolyMesh(np.array(verts), cells, frozenset(boundary))
+    assert type(got.value) is type(want.value), case
+    assert str(got.value) == str(want.value), case
+
+
+def test_mesh_validation_matches_cell_loop_on_broken_grids():
+    # grids with jittered vertices, a cell dropped, reversed or given a
+    # foreign vertex, or a boundary vertex dropped or added: the first
+    # failure (or none) of the loop, type and message
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for trial in range(300):
+        mesh = generate_distorted_grid(int(rng.integers(1, 5)), 0.0)
+        verts = mesh.vertices + rng.normal(0.0, 0.4 * rng.random(), mesh.vertices.shape)
+        cells = list(mesh.cells)
+        boundary = set(mesh.boundary_vertices)
+        for _ in range(int(rng.integers(0, 3))):
+            ci = int(rng.integers(len(cells)))
+            change = int(rng.integers(5))
+            if change == 0 and len(cells) > 1:
+                cells.pop(ci)
+            elif change == 1:
+                cells[ci] = cells[ci][::-1]
+            elif change == 2:
+                cell = list(cells[ci])
+                cell[int(rng.integers(len(cell)))] = int(rng.integers(-1, len(verts) + 1))
+                cells[ci] = tuple(cell)
+            elif change == 3:
+                boundary ^= {int(rng.integers(len(verts)))}
+            else:
+                cells.insert(ci, cells[int(rng.integers(len(cells)))])
+        cells = tuple(cells)
+        try:
+            loop_validate(verts, cells, boundary)
+            want = None
+        except SfvemError as exc:
+            want = (type(exc), str(exc))
+        try:
+            PolyMesh(verts, cells, frozenset(boundary))
+            got = None
+        except SfvemError as exc:
+            got = (type(exc), str(exc))
+        assert got == want, trial
+        outcomes.add(want and want[1].split()[2])
+    assert len(outcomes) >= 6, outcomes
 
 
 def _planted(n, pairs, seed=3):

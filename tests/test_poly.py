@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
-from sfvem.poly import (HarmonicBasis, Poly2, ScaledFrame,
-                        build_benchmark_coefficients, bubble_problem,
+from sfvem.poly import (GEMM_ONE_THREAD, POLY_TABLE_BYTES, HarmonicBasis, Poly2,
+                        ScaledFrame, build_benchmark_coefficients, bubble_problem,
                         harmonic_basis, manufactured_problem,
                         poisson_problem)
 from sfvem.problem import ProblemSpec
+
+from oracles import loop_poly2_eval
 
 RNG = np.random.default_rng(11)
 
@@ -83,6 +87,76 @@ def test_mixed_partials_commute():
     p = Poly2(c)
     np.testing.assert_allclose(p.dx().dy().coeffs, p.dy().dx().coeffs,
                                rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+
+def _benchmark_polys():
+    spec = build_benchmark_coefficients()
+    return {"beta_x": spec.beta[0], "beta_y": spec.beta[1], "gamma": spec.gamma,
+            "f": spec.f, "u": spec.exact_u, "u_x": spec.exact_grad_u[0],
+            "u_y": spec.exact_grad_u[1], "const": Poly2.const(-2.5)}
+
+
+def _block_counts(coeffs):
+    # point counts around the two block sizes of Poly2.__call__: the rows of
+    # one one-thread product, and the rows of one block of its tables (a
+    # whole number of products, at least one, within POLY_TABLE_BYTES)
+    gemm = (GEMM_ONE_THREAD - 1) // coeffs.size
+    budget = POLY_TABLE_BYTES // (8 * sum(coeffs.shape))
+    block = gemm * max(1, budget // gemm)
+    return sorted({1, gemm - 1, gemm, gemm + 1, block, block + 1, budget, budget + 1,
+                   2 * block + gemm // 2 + 1})
+
+
+@pytest.mark.parametrize("name", sorted(_benchmark_polys()))
+def test_poly2_matches_loop_eval_at_block_boundaries(monkeypatch, name):
+    # every value bit for bit against one table per one-thread product, and
+    # every product of the y-power table with the coefficients small enough
+    # that OpenBLAS runs it on one thread, so no idle thread spins after it.
+    # The oracle runs per product because a value depends on its product's
+    # row count: a one-row product is a matrix-vector call, which can round
+    # differently from the same row inside a matrix product.
+    p = _benchmark_polys()[name]
+    gemm = (GEMM_ONE_THREAD - 1) // p.coeffs.size
+    products = []
+    matmul = np.matmul
+
+    def spy(a, b, **kwargs):
+        products.append((a.shape[0], b.shape[0], b.shape[1]))
+        return matmul(a, b, **kwargs)
+
+    rng = np.random.default_rng(7)
+    for n in _block_counts(p.coeffs):
+        pts = rng.random((n, 2))
+        want = np.concatenate([loop_poly2_eval(p, pts[s:s + gemm])
+                               for s in range(0, n, gemm)])
+        products.clear()
+        monkeypatch.setattr(np, "matmul", spy)
+        got = p(pts)
+        monkeypatch.setattr(np, "matmul", matmul)
+        assert np.array_equal(got, want), n
+        assert sum(m for m, _, _ in products) == n
+        assert all(m * k * cols < GEMM_ONE_THREAD for m, k, cols in products), n
+
+
+def test_poly2_on_zero_points_is_empty():
+    for p in (Poly2([[1.0, 2.0], [3.0, 0.0]]), build_benchmark_coefficients().f):
+        val = p(np.empty((0, 2)))
+        assert isinstance(val, np.ndarray) and val.shape == (0,)
+
+
+@pytest.mark.parametrize("points, shape", [
+    ([[1.0, 2.0, 3.0]], "(1, 3)"),
+    ([1.0, 2.0, 3.0], "(3,)"),
+    (np.zeros((4, 1)), "(4, 1)"),
+    (np.zeros((2, 3, 2)), "(2, 3, 2)"),
+])
+def test_poly2_rejects_points_that_are_not_pairs(points, shape):
+    with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+        Poly2([[1.0, 2.0], [3.0, 0.0]])(points)
 
 
 # ---------------------------------------------------------------------------
