@@ -36,7 +36,7 @@ from .errors import (
     SingularGramError,
     SingularSystemError,
 )
-from .geometry import PolygonGeometry, polygon_geometry
+from .geometry import PolygonStack, polygon_stack
 from .mesh import (
     CatalogPolygon,
     MeshQualityReport,
@@ -59,7 +59,7 @@ from .poly import (
     poisson_problem,
 )
 from .problem import ProblemSpec
-from .projectors import hgrad_matrix, nabla_matrix, pi0_row
+from .projectors import hgrad_matrix, nabla_matrix
 from .quadrature import EdgeRule, PolygonRule, gauss_legendre, polygon_rule
 from .system import (
     DiscreteSolution,
@@ -88,8 +88,8 @@ __all__ = [
     "MeshTopologyError",
     "Poly2",
     "PolyMesh",
-    "PolygonGeometry",
     "PolygonRule",
+    "PolygonStack",
     "ProblemSpec",
     "QuadratureError",
     "ScaledFrame",
@@ -116,10 +116,9 @@ __all__ = [
     "jacobi_singular_values",
     "manufactured_problem",
     "nabla_matrix",
-    "pi0_row",
     "poisson_problem",
-    "polygon_geometry",
     "polygon_rule",
+    "polygon_stack",
     "quality_report",
     "read_mesh",
     "sfvem_local",

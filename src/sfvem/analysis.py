@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg.lapack import dgejsv
 
 from .element import cell_chunks, effective_ell, stacked_dot
-from .geometry import polygon_geometry, polygon_stack
+from .geometry import polygon_stack
 from .mesh import (
     CatalogPolygon,
     catalog_polygons,
@@ -24,7 +24,6 @@ from .mesh import (
     generate_voronoi,
     quality_report,
 )
-from .poly import harmonic_basis
 from .problem import ProblemSpec
 from .projectors import hgrad_matrix, nabla_matrices
 from .quadrature import polygon_rules
@@ -91,9 +90,7 @@ class SpectralAudit:
 
 def unit_diffusion_matrix(vertices: np.ndarray, ell: int) -> np.ndarray:
     """Local diffusion matrix with K = identity: P^T G P."""
-    poly = polygon_geometry(vertices)
-    basis = harmonic_basis(poly.frame, ell)
-    P, G = hgrad_matrix(poly, basis)
+    P, G = hgrad_matrix(vertices, ell)
     A = P.T @ G @ P
     return 0.5 * (A + A.T)
 

@@ -11,7 +11,9 @@ The builders work on stacks of cells with one vertex count: ``cell_data``
 records a ``PolygonStack``, ``sfvem_locals`` and ``standard_vem_locals``
 return every cell's matrices with a leading cell axis, and ``cell_chunks``
 cuts a mesh into such stacks. ``sfvem_local`` and ``standard_vem_local``
-are the one-polygon case. Each cell's floats are those of its own build.
+take the vertices of one polygon and return cell 0 of the stacked build
+on that polygon as a stack of one. Each cell's floats are those of its own
+build.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PolygonStack, polygon_geometry
+from .geometry import PolygonStack, polygon_stack
 from .poly import harmonic_basis
 from .problem import ProblemSpec
 from .projectors import (dof_matrix, hgrad_matrices, nabla_matrices, pi0_rows)
@@ -161,11 +163,9 @@ class CellData:
     int_f: np.ndarray
 
 
-def cell_data(poly, spec: ProblemSpec, degree: int) -> CellData:
-    """The record, at the given rule degree, of a PolygonStack, or of one
-    PolygonGeometry as a stack of one. The stack's points are evaluated in
-    one Poly2 call per coefficient polynomial."""
-    poly = poly.stack
+def cell_data(poly: PolygonStack, spec: ProblemSpec, degree: int) -> CellData:
+    """The record of a PolygonStack at the given rule degree. The stack's
+    points are evaluated in one Poly2 call per coefficient polynomial."""
     nabla = nabla_matrices(poly)
     r = pi0_rows(poly, nabla)
     rule = polygon_rules(poly.vertices, degree)
@@ -221,8 +221,7 @@ def sfvem_locals(data: CellData, spec: ProblemSpec, ell: int) -> LocalElementMat
     return LocalElementMatrices(ell, A_diff, A_adv, A_reac, b, r)
 
 
-def sfvem_local(vertices, spec: ProblemSpec, ell: int,
-                data: CellData | None = None) -> LocalElementMatrices:
+def sfvem_local(vertices, spec: ProblemSpec, ell: int) -> LocalElementMatrices:
     """Local matrices of the stabilization-free form on one polygon.
 
     Parameters
@@ -235,13 +234,9 @@ def sfvem_local(vertices, spec: ProblemSpec, ell: int,
     ell : int
         Harmonic degree parameter; pass effective_ell(N) unless deliberately
         probing below the solvability bound.
-    data : CellData, optional
-        The record of this polygon, a stack of one, at
-        volume_degree(spec, ell), whose geometry the builder reads; built
-        from vertices when omitted.
     """
-    if data is None:
-        data = cell_data(polygon_geometry(vertices), spec, volume_degree(spec, ell))
+    poly = polygon_stack(np.asarray(vertices, dtype=float)[None])
+    data = cell_data(poly, spec, volume_degree(spec, ell))
     return sfvem_locals(data, spec, ell).cell(0)
 
 
@@ -268,17 +263,14 @@ def standard_vem_locals(data: CellData, spec: ProblemSpec) -> LocalElementMatric
     return LocalElementMatrices(0, A_diff, A_adv, A_reac, b, r)
 
 
-def standard_vem_local(vertices, spec: ProblemSpec,
-                       data: CellData | None = None) -> LocalElementMatrices:
+def standard_vem_local(vertices, spec: ProblemSpec) -> LocalElementMatrices:
     """Local matrices of the stabilized first-order comparator.
 
     Diffusion is the P1 consistency term plus the dofi-dofi stabilization
     tau * sum_i dof_i((I - Pi)u) dof_i((I - Pi)v) with tau = trace(K)/2.
     Advection and reaction use the P1 projected gradient and the element
-    mean, matching the stabilization-free form term by term. data is the
-    record of this polygon, a stack of one, at volume_degree(spec, 0),
-    built from vertices when omitted.
+    mean, matching the stabilization-free form term by term.
     """
-    if data is None:
-        data = cell_data(polygon_geometry(vertices), spec, volume_degree(spec, 0))
+    poly = polygon_stack(np.asarray(vertices, dtype=float)[None])
+    data = cell_data(poly, spec, volume_degree(spec, 0))
     return standard_vem_locals(data, spec).cell(0)

@@ -1,15 +1,15 @@
 """Planar polygon primitives used by the mesh, quadrature, and projector code.
 
-signed_area, diameter and is_simple take an (N, 2) array of CCW vertex
-coordinates. signed_areas, are_simple and polygon_stack take a (C, N, 2)
-stack of C polygons with N vertices each, and signed_area, is_simple and
-polygon_geometry are their one-polygon cases. polygon_stack builds the
-geometry of the stack in one pass, including the scaled frame (centroid,
-diameter) every projector works in.
+signed_areas, are_simple and polygon_stack take a (C, N, 2) stack of C
+polygons with N vertices each; signed_area and is_simple are their cases
+for one (N, 2) array of CCW vertex coordinates. polygon_stack builds the
+one geometry record, PolygonStack, in one pass, including the scaled frame
+(centroid, diameter) every projector works in; one polygon is a stack of
+one, polygon_stack(vertices[None]).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,12 +27,6 @@ def signed_areas(vertices) -> np.ndarray:
     return 0.5 * (v[..., 0] * nxt[..., 1] - nxt[..., 0] * v[..., 1]).sum(axis=1)
 
 
-def diameter(vertices: np.ndarray) -> float:
-    """Max pairwise vertex distance."""
-    d = vertices[:, None, :] - vertices[None, :, :]
-    return float(np.sqrt(np.max(np.sum(d * d, axis=-1))))
-
-
 def cyclic_roll(a: np.ndarray, shift: int, axis: int) -> np.ndarray:
     """np.roll(a, shift, axis) as one concatenate, which costs a quarter of
     np.roll on the small arrays of a polygon."""
@@ -45,25 +39,27 @@ def cyclic_roll(a: np.ndarray, shift: int, axis: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScaledFrame:
-    """Element-local coordinates (x - center) / scale.
-
-    center is (2,) and scale a float for one polygon; for a stack of C
-    polygons center is (C, 2), scale is (C,) and local maps (C, P, 2)
+    """Element-local coordinates (x - center) / scale of a stack of C
+    polygons: center is (C, 2), scale is (C,) and local maps (C, P, 2)
     points cell by cell.
     """
 
-    center: np.ndarray
-    scale: float  # or (C,) for a stack
+    center: np.ndarray  # (C, 2)
+    scale: np.ndarray   # (C,)
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if not (np.asarray(self.scale) > 0).all():
+        center = np.asarray(self.center, dtype=float)
+        scale = np.asarray(self.scale, dtype=float)
+        if center.ndim != 2 or center.shape[1] != 2 or scale.shape != center.shape[:1]:
+            raise ValueError(f"frame needs center (C, 2) and scale (C,), got "
+                             f"{center.shape} and {scale.shape}")
+        if not (scale > 0).all():
             raise ValueError("frame scale must be positive")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "scale", scale)
 
     def local(self, points: np.ndarray) -> np.ndarray:
-        scale = np.asarray(self.scale)
-        return ((np.atleast_2d(points) - self.center[..., None, :])
-                / scale[..., None, None])
+        return (points - self.center[:, None, :]) / self.scale[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -90,28 +86,6 @@ class PolygonStack:
     def __len__(self):
         return len(self.area)
 
-    @property
-    def stack(self) -> "PolygonStack":
-        return self
-
-
-@dataclass(frozen=True)
-class PolygonGeometry:
-    """The fields of PolygonStack for one polygon: arrays without the cell
-    axis, area and diameter as floats, moments as a pair of floats; stack
-    is the polygon as a stack of one, which the stacked kernels read."""
-
-    vertices: np.ndarray
-    edges: np.ndarray
-    lengths: np.ndarray
-    normals: np.ndarray
-    area: float
-    moments: tuple[float, float]
-    centroid: np.ndarray
-    diameter: float
-    frame: ScaledFrame
-    stack: PolygonStack = field(repr=False, compare=False)
-
 
 def polygon_stack(vertices) -> PolygonStack:
     """The geometry of a (C, N, 2) stack of polygons: one roll, one
@@ -137,19 +111,6 @@ def polygon_stack(vertices) -> PolygonStack:
     diam = np.sqrt((d * d).sum(axis=-1).max(axis=(1, 2)))
     return PolygonStack(v, e, lengths, normals, area, moments / 6.0, center, diam,
                         ScaledFrame(center, diam))
-
-
-def polygon_geometry(vertices) -> PolygonGeometry:
-    """The geometry record of one (N, 2) polygon: polygon_stack of a stack
-    of one.
-
-    Raises ValueError when the diameter is zero or NaN (no frame exists).
-    """
-    s = polygon_stack(np.asarray(vertices, dtype=float)[None])
-    area, d = float(s.area[0]), float(s.diameter[0])
-    return PolygonGeometry(s.vertices[0], s.edges[0], s.lengths[0], s.normals[0],
-                           area, (float(s.moments[0, 0]), float(s.moments[0, 1])),
-                           s.centroid[0], d, ScaledFrame(s.centroid[0], d), s)
 
 
 def is_simple(vertices: np.ndarray) -> bool:

@@ -19,7 +19,7 @@ from .errors import (
     MeshIndexError,
     MeshTopologyError,
 )
-from .geometry import are_simple, diameter, polygon_stack, signed_areas
+from .geometry import are_simple, polygon_stack, signed_areas
 from .geometry import is_simple  # noqa: F401 (the benchmark's tracer re-binds it)
 from .rng import XorShift
 
@@ -124,6 +124,9 @@ class PolyMesh:
                 f"boundary vertex set inconsistent with cell edges "
                 f"(missing {missing}, extra {extra})"
             )
+        unused = np.flatnonzero(np.bincount(a, minlength=nv) == 0)
+        if unused.size:
+            raise MeshTopologyError(f"vertex {unused[0]} belongs to no cell")
 
     @property
     def n_vertices(self) -> int:
@@ -617,7 +620,7 @@ def _hanging_polygon(n: int) -> np.ndarray:
 
 def _collapsing_polygon(n: int) -> np.ndarray:
     V = _irregular_polygon(n, seed=99)
-    d = diameter(V)
+    d = polygon_stack(V[None]).diameter[0]
     mid = 0.5 * (V[0] + V[1])
     direction = (V[1] - V[0]) / np.hypot(*(V[1] - V[0]))
     V[0] = mid - 0.5e-3 * d * direction

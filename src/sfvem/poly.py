@@ -160,10 +160,9 @@ class Poly2:
 
 @dataclass(frozen=True)
 class HarmonicBasis:
-    """The 2l+2 scaled harmonic polynomials h_1..h_{2l+2} on one element, or
-    on each element of a stack when the frame is stacked (see ScaledFrame);
-    values and gradients then take (C, P, 2) points and put the cell axis
-    first."""
+    """The 2l+2 scaled harmonic polynomials h_1..h_{2l+2} on each element of
+    a stack, in its frame (see ScaledFrame); values and gradients take
+    (C, P, 2) points and put the cell axis first."""
 
     frame: ScaledFrame
     ell: int
@@ -182,12 +181,11 @@ class HarmonicBasis:
         return pows
 
     def values(self, points) -> np.ndarray:
-        """h_i at the given points, shape (2l+2, npts) or (C, 2l+2, npts)."""
+        """h_i at the given points, shape (C, 2l+2, npts)."""
         return self._values(self._zpowers(points, self.ell + 1))
 
     def gradients(self, points) -> np.ndarray:
-        """grad h_i at the given points, shape (2l+2, npts, 2) or
-        (C, 2l+2, npts, 2)."""
+        """grad h_i at the given points, shape (C, 2l+2, npts, 2)."""
         return self._gradients(self._zpowers(points, self.ell))
 
     def values_and_gradients(self, points) -> tuple:
@@ -203,9 +201,7 @@ class HarmonicBasis:
         return out
 
     def _gradients(self, pows) -> np.ndarray:
-        h = self.frame.scale
-        if np.ndim(h):
-            h = h[:, None]
+        h = self.frame.scale[:, None]
         out = np.empty(pows.shape[1:-1] + (self.size, pows.shape[-1], 2))
         for k in range(1, self.ell + 2):
             # (k / h) z^(k-1) gives both gradients; -(c * y) is (-c) * y
@@ -215,19 +211,6 @@ class HarmonicBasis:
             out[..., 2 * k - 2, :, 1] = -im
             out[..., 2 * k - 1, :, 0] = im
             out[..., 2 * k - 1, :, 1] = re
-        return out
-
-    def as_poly2(self) -> list:
-        """Expand each basis member to a Poly2 in global coordinates."""
-        cx, cy = self.frame.center
-        h = self.frame.scale
-        xh = Poly2([[-cx / h], [1.0 / h]])
-        yh = Poly2([[-cy / h, 1.0 / h]])
-        re, im = Poly2.const(1.0), Poly2.zero()
-        out = []
-        for _ in range(self.ell + 1):
-            re, im = re * xh - im * yh, re * yh + im * xh
-            out.extend([re, im])
         return out
 
 

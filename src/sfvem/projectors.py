@@ -2,24 +2,24 @@
 
 Three projections, all evaluated through boundary integrals only (the
 underlying function is virtual and cannot be sampled inside the element),
-each a matrix acting on all N_E vertex values at once and reading the
-element, and its scaled frame, through its ``geometry`` record:
+each a matrix acting on all N vertex values at once. Each kernel takes a
+``PolygonStack`` of C polygons with N vertices, the one geometry record,
+and returns the cells' matrices with a leading cell axis:
 
-* ``nabla_matrix``: H1 projection onto linears, gradient from the
+* ``nabla_matrices``: H1 projection onto linears, gradient from the
   divergence identity, constant from boundary-mean matching;
   ``dof_matrix`` evaluates the result back at the vertices.
-* ``hgrad_matrix``: L2 projection of the gradient onto gradients of
+* ``hgrad_matrices``: L2 projection of the gradient onto gradients of
   harmonic polynomials of degree ell+1, via the Gram system G d = b; it
   returns the boundary Gram matrix G with the projection.
-* ``pi0_row``: L2 projection onto constants, the mean of the linear
+* ``pi0_rows``: L2 projection onto constants, the mean of the linear
   projection.
 
-Each is the one-polygon case of a kernel over a ``PolygonStack`` of C
-polygons with N vertices (``nabla_matrices``, ``hgrad_matrices``,
-``pi0_rows``) that returns the cells' matrices with a leading cell axis.
-The stacked kernels do each cell's floating-point operations in the order
-the one-polygon case does: per-cell products go through stacked ``matmul``
-(one BLAS call per cell, with the strides of one cell), never ``einsum``.
+``nabla_matrix`` and ``hgrad_matrix`` take the vertices of one polygon and
+return cell 0 of their kernel on that polygon as a stack of one. The
+kernels do each cell's floating-point operations in the order a one-cell
+stack does: per-cell products go through stacked ``matmul`` (one BLAS call
+per cell, with the strides of one cell), never ``einsum``.
 """
 from __future__ import annotations
 
@@ -29,8 +29,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateElementError, SingularGramError, at_index
-from .geometry import PolygonGeometry, PolygonStack, ScaledFrame, cyclic_roll
-from .poly import HarmonicBasis
+from .geometry import PolygonStack, ScaledFrame, cyclic_roll, polygon_stack
+from .poly import HarmonicBasis, harmonic_basis
 from .quadrature import gauss_legendre
 # not called here; the benchmark's tracer re-binds it by this module's name
 from .quadrature import polygon_rule  # noqa: F401
@@ -81,14 +81,14 @@ def nabla_matrices(poly: PolygonStack) -> np.ndarray:
     return P
 
 
-def nabla_matrix(poly: PolygonGeometry) -> np.ndarray:
-    """Matrix (3, N) of ``nabla_matrices`` for one polygon."""
-    return nabla_matrices(poly.stack)[0]
+def nabla_matrix(vertices) -> np.ndarray:
+    """Matrix (3, N) of ``nabla_matrices`` for one (N, 2) polygon."""
+    return nabla_matrices(polygon_stack(np.asarray(vertices, dtype=float)[None]))[0]
 
 
 def dof_matrix(vertices: np.ndarray, frame: ScaledFrame) -> np.ndarray:
-    """Matrix (N, 3) of the frame monomials {1, xhat, yhat} at the vertices,
-    or (C, N, 3) for a stack and its stacked frame."""
+    """Matrices (C, N, 3) of the frame monomials {1, xhat, yhat} at each
+    cell's (C, N, 2) vertices, in its frame."""
     loc = frame.local(np.asarray(vertices, dtype=float))
     return np.stack([np.ones(loc.shape[:-1]), loc[..., 0], loc[..., 1]], axis=-1)
 
@@ -105,11 +105,6 @@ def pi0_rows(poly: PolygonStack, nabla: np.ndarray) -> np.ndarray:
     mean_yhat = (poly.moments[:, 1] / poly.area - frame.center[:, 1]) / frame.scale
     return (nabla[:, 0] + mean_xhat[:, None] * nabla[:, 1]
             + mean_yhat[:, None] * nabla[:, 2])
-
-
-def pi0_row(poly: PolygonGeometry, nabla: np.ndarray) -> np.ndarray:
-    """Row (N,) of ``pi0_rows`` for one polygon and its nabla_matrix."""
-    return pi0_rows(poly.stack, nabla[None])[0]
 
 
 def _edge_points(poly: PolygonStack, n_nodes: int):
@@ -164,10 +159,6 @@ def _solve_grams(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_gram(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return _solve_grams(G[None], rhs[None])[0]
-
-
 def hgrad_matrices(poly: PolygonStack, basis: HarmonicBasis):
     """Projection matrices P (C, 2 ell + 2, N) with P @ values = coefficients,
     plus the Gram matrices G_ij = <grad h_j, grad h_i> (C, 2 ell + 2,
@@ -199,8 +190,9 @@ def hgrad_matrices(poly: PolygonStack, basis: HarmonicBasis):
     return _solve_grams(G, B), G
 
 
-def hgrad_matrix(poly: PolygonGeometry, basis: HarmonicBasis):
-    """(P, G) of ``hgrad_matrices`` for one polygon and a basis on one frame."""
-    frame = ScaledFrame(basis.frame.center[None], np.array([basis.frame.scale]))
-    P, G = hgrad_matrices(poly.stack, HarmonicBasis(frame, basis.ell))
+def hgrad_matrix(vertices, ell: int):
+    """(P, G) of ``hgrad_matrices`` for one (N, 2) polygon, with the basis
+    of degree parameter ell on its frame."""
+    poly = polygon_stack(np.asarray(vertices, dtype=float)[None])
+    P, G = hgrad_matrices(poly, harmonic_basis(poly.frame, ell))
     return P[0], G[0]

@@ -5,8 +5,9 @@ polygon is star shaped with respect to it, ear clipping otherwise) and applies
 a collapsed-square tensor Gauss rule on each triangle. The result integrates
 bivariate polynomials of the requested total degree exactly, for convex and
 nonconvex simple polygons alike. polygon_rules builds the rules of a stack
-of polygons with one vertex count and one triangulation kind at once;
-polygon_rule is its one-polygon case.
+of polygons with one vertex count and one triangulation kind at once
+(fan_mask tells the kinds apart); polygon_rule takes the vertices of one
+polygon and returns the rule of that polygon as a stack of one.
 """
 from __future__ import annotations
 
@@ -119,13 +120,6 @@ def _fan(vertices: np.ndarray):
     cross = (a[..., 0] - cx) * (b[..., 1] - cy) - (a[..., 1] - cy) * (b[..., 0] - cx)
     star = ~(cross <= 1e-14 * scale2[:, None]).any(axis=1)
     return np.stack([np.broadcast_to(c[:, None], a.shape), a, b], axis=2), star
-
-
-def _fan_triangles(vertices: np.ndarray):
-    # one polygon's fan triangles (n, 3, 2), or None when it is not
-    # strictly star shaped about its vertex average
-    tris, star = _fan(np.asarray(vertices, dtype=float)[None])
-    return tris[0] if star[0] else None
 
 
 def fan_mask(vertices) -> np.ndarray:

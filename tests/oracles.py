@@ -2,10 +2,12 @@
 
 The monomial integrator here reduces area integrals to boundary integrals
 by the divergence theorem and never triangulates, so it shares no code
-path with the production polygon rule. ``centroid``, ``first_moments``
-and ``edge_lengths_normals`` are the one-quantity geometry functions that
-``geometry.polygon_geometry`` replaced, kept as the references its record
-must match bit for bit. The ``loop_*`` functions are the loop versions of
+path with the production polygon rule. ``centroid``, ``first_moments``,
+``edge_lengths_normals`` and ``diameter`` are the one-quantity geometry
+functions that ``geometry.polygon_stack`` replaced, kept as the references
+its record must match bit for bit; ``one_frame`` is the scaled frame of one
+polygon from them, as a stack of one. ``as_poly2`` expands a harmonic
+basis into ``Poly2`` members, the reference for its values and gradients. The ``loop_*`` functions are the loop versions of
 the array-level, shared-pass and stacked production code, kept as the
 references it must match bit for bit: the stacked kernels over a
 ``PolygonStack`` must give every cell the floats of its own loop, and
@@ -23,7 +25,8 @@ error for error, type and message.
 import numpy as np
 import scipy.sparse as sparse
 
-from sfvem.geometry import polygon_geometry, signed_area
+from sfvem.geometry import ScaledFrame, polygon_stack, signed_area
+from sfvem.poly import HarmonicBasis, Poly2
 from sfvem.quadrature import gauss_legendre, polygon_rule
 
 
@@ -55,6 +58,33 @@ def edge_lengths_normals(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     lengths = np.sqrt(np.sum(e * e, axis=1))
     normals = np.column_stack([e[:, 1], -e[:, 0]]) / lengths[:, None]
     return e, lengths, normals
+
+
+def diameter(vertices: np.ndarray) -> float:
+    """Max pairwise vertex distance."""
+    d = vertices[:, None, :] - vertices[None, :, :]
+    return float(np.sqrt(np.max(np.sum(d * d, axis=-1))))
+
+
+def one_frame(vertices) -> ScaledFrame:
+    """The scaled frame of one polygon, its centroid and diameter, as a
+    stack of one."""
+    vertices = np.asarray(vertices, dtype=float)
+    return ScaledFrame(centroid(vertices)[None], np.array([diameter(vertices)]))
+
+
+def as_poly2(center, scale: float, ell: int) -> list:
+    """The members of the harmonic basis on the frame (center, scale), each
+    expanded to a Poly2 in global coordinates by the power recurrence."""
+    cx, cy = center
+    xh = Poly2([[-cx / scale], [1.0 / scale]])
+    yh = Poly2([[-cy / scale, 1.0 / scale]])
+    re, im = Poly2.const(1.0), Poly2.zero()
+    out = []
+    for _ in range(ell + 1):
+        re, im = re * xh - im * yh, re * yh + im * xh
+        out.extend([re, im])
+    return out
 
 
 def monomial_integral(vertices, a: int, b: int) -> float:
@@ -157,10 +187,12 @@ def loop_polygon_rule(vertices, degree: int):
     return np.vstack(pts), np.concatenate(wts)
 
 
-def loop_nabla_matrix(vertices, frame) -> np.ndarray:
-    """H1 projection matrix (3, N) with the trapezoid stencils accumulated
-    edge by edge; ``nabla_matrix`` must reproduce it bit for bit."""
+def loop_nabla_matrix(vertices) -> np.ndarray:
+    """H1 projection matrix (3, N) in the polygon's frame (``centroid`` and
+    ``diameter``), with the trapezoid stencils accumulated edge by edge;
+    ``nabla_matrix`` must reproduce it bit for bit."""
     vertices = np.asarray(vertices, dtype=float)
+    center, scale = centroid(vertices), diameter(vertices)
     area = signed_area(vertices)
     n = len(vertices)
     _, lengths, normals = edge_lengths_normals(vertices)
@@ -174,21 +206,22 @@ def loop_nabla_matrix(vertices, frame) -> np.ndarray:
         wtrap[e] += 0.5 * lengths[e]
         wtrap[j] += 0.5 * lengths[e]
     P = np.zeros((3, n))
-    P[1] = frame.scale * W[0] / area
-    P[2] = frame.scale * W[1] / area
+    P[1] = scale * W[0] / area
+    P[2] = scale * W[1] / area
     perim = lengths.sum()
-    loc = frame.local(vertices)
+    loc = (vertices - center) / scale
     mean_x = wtrap @ loc[:, 0] / perim
     mean_y = wtrap @ loc[:, 1] / perim
     P[0] = wtrap / perim - mean_x * P[1] - mean_y * P[2]
     return P
 
 
-def area_gram(poly, basis) -> np.ndarray:
-    """Gram matrix G_ij = <grad h_i, grad h_j> integrated over the element
-    with the degree-2 ell polygon rule, symmetrized as (A + A^T)/2."""
-    rule = polygon_rule(poly.vertices, 2 * basis.ell)
-    grads = basis.gradients(rule.points)
+def area_gram(vertices, basis) -> np.ndarray:
+    """Gram matrix G_ij = <grad h_i, grad h_j> of a basis on one frame,
+    integrated over the element with the degree-2 ell polygon rule,
+    symmetrized as (A + A^T)/2."""
+    rule = polygon_rule(vertices, 2 * basis.ell)
+    grads = basis.gradients(rule.points[None])[0]
     G = np.einsum("ipd,jpd,p->ij", grads, grads, rule.weights)
     return 0.5 * (G + G.T)
 
@@ -216,11 +249,13 @@ def loop_solve_gram(G, rhs):
     return scipy.linalg.cho_solve(factor, rhs)
 
 
-def loop_hgrad_matrix(vertices, basis):
-    """Harmonic-gradient projector (P, G) with the boundary Gram and the
-    right-hand side accumulated edge by edge, three basis evaluations per
-    edge; ``hgrad_matrix`` must reproduce both bit for bit."""
+def loop_hgrad_matrix(vertices, ell: int):
+    """Harmonic-gradient projector (P, G) for the basis of degree parameter
+    ell on the polygon's frame (``one_frame``), with the boundary Gram and
+    the right-hand side accumulated edge by edge, three basis evaluations
+    per edge; ``hgrad_matrix`` must reproduce both bit for bit."""
     vertices = np.asarray(vertices, dtype=float)
+    basis = HarmonicBasis(one_frame(vertices), ell)
     n = len(vertices)
     _, lengths, normals = edge_lengths_normals(vertices)
 
@@ -232,13 +267,13 @@ def loop_hgrad_matrix(vertices, basis):
     G = np.zeros((basis.size, basis.size))
     for e in range(n):
         pts, _, w = edge_points(e, gauss_legendre(basis.ell + 1))
-        dn = basis.gradients(pts) @ normals[e]
-        G += lengths[e] * (dn * w) @ basis.values(pts).T
+        dn = basis.gradients(pts[None])[0] @ normals[e]
+        G += lengths[e] * (dn * w) @ basis.values(pts[None])[0].T
     G = 0.5 * (G + G.T)
     B = np.zeros((basis.size, n))
     for e in range(n):
         pts, t, w = edge_points(e, gauss_legendre((basis.ell + 3) // 2))
-        dn = basis.gradients(pts) @ normals[e]
+        dn = basis.gradients(pts[None])[0] @ normals[e]
         B[:, e] += lengths[e] * dn @ (w * (1.0 - t))
         B[:, (e + 1) % n] += lengths[e] * dn @ (w * t)
     return loop_solve_gram(G, B), G
@@ -327,19 +362,16 @@ def _loop_volume_degree(spec, ell):
 def loop_sfvem_local(vertices, spec, ell):
     """Stabilization-free local matrices built from nothing but the
     vertices, with every volume integral through ``PolygonRule.integrate``;
-    ``sfvem_local`` must reproduce them bit for bit, with or without a
-    shared cell record."""
+    ``sfvem_local`` must reproduce them bit for bit."""
     from sfvem.element import LocalElementMatrices
-    from sfvem.poly import harmonic_basis
-    from sfvem.projectors import nabla_matrix, pi0_row
+    from sfvem.projectors import nabla_matrices, pi0_rows
 
     vertices = np.asarray(vertices, dtype=float)
-    poly = polygon_geometry(vertices)
-    basis = harmonic_basis(poly.frame, ell)
-    P, G = loop_hgrad_matrix(vertices, basis)
-    r = pi0_row(poly, nabla_matrix(poly))
+    poly = polygon_stack(vertices[None])
+    P, G = loop_hgrad_matrix(vertices, ell)
+    r = pi0_rows(poly, nabla_matrices(poly))[0]
     rule = polygon_rule(vertices, _loop_volume_degree(spec, ell))
-    grads = basis.gradients(rule.points)
+    grads = HarmonicBasis(one_frame(vertices), ell).gradients(rule.points[None])[0]
     K = spec.K
     if abs(K[0, 1]) == 0.0 and K[0, 0] == K[1, 1]:
         MK = K[0, 0] * G
@@ -360,15 +392,15 @@ def loop_vem_local(vertices, spec):
     """Stabilized comparator's local matrices built from nothing but the
     vertices; ``standard_vem_local`` must reproduce them bit for bit."""
     from sfvem.element import LocalElementMatrices
-    from sfvem.projectors import dof_matrix, nabla_matrix, pi0_row
+    from sfvem.projectors import dof_matrix, nabla_matrices, pi0_rows
 
     vertices = np.asarray(vertices, dtype=float)
-    poly = polygon_geometry(vertices)
-    frame = poly.frame
-    nabla = nabla_matrix(poly)
-    D = dof_matrix(vertices, frame)
-    r = pi0_row(poly, nabla)
-    h = frame.scale
+    poly = polygon_stack(vertices[None])
+    nabla = nabla_matrices(poly)
+    D = dof_matrix(vertices[None], one_frame(vertices))[0]
+    r = pi0_rows(poly, nabla)[0]
+    nabla = nabla[0]
+    h = diameter(vertices)
     K = spec.K
     S = nabla[1:]
     consistency = (signed_area(vertices) / h**2) * (S.T @ K @ S)
@@ -435,12 +467,11 @@ def loop_error_norms(solution, spec):
     num0 = den0 = num1 = den1 = 0.0
     for ci, cell in enumerate(mesh.cells):
         pts = mesh.cell_points(ci)
-        poly = polygon_geometry(pts)
-        frame = poly.frame
-        coef = nabla_matrix(poly) @ solution.values[list(cell)]
+        center, scale = centroid(pts), diameter(pts)
+        coef = nabla_matrix(pts) @ solution.values[list(cell)]
         rule = polygon_rule(pts, degree)
-        uh = coef[0] + frame.local(rule.points) @ coef[1:]
-        gh = coef[1:] / frame.scale
+        uh = coef[0] + (rule.points - center) / scale @ coef[1:]
+        gh = coef[1:] / scale
         u = spec.exact_u(rule.points)
         gx = spec.exact_grad_u[0](rule.points)
         gy = spec.exact_grad_u[1](rule.points)
@@ -576,6 +607,10 @@ def loop_validate(vertices, cells, boundary_vertices) -> None:
             f"boundary vertex set inconsistent with cell edges "
             f"(missing {missing}, extra {extra})"
         )
+    used = {i for cell in cells for i in cell}
+    for i in range(nv):
+        if i not in used:
+            raise MeshTopologyError(f"vertex {i} belongs to no cell")
 
 
 def loop_centroids(float_cells) -> np.ndarray:

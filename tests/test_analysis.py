@@ -392,9 +392,10 @@ def test_convergence_study_computes_each_cell_geometry_once_per_pass(monkeypatch
     # one geometry stack per vertex count in the quality report (run by the
     # study only), and one geometry stack and one rule stack per chunk in
     # the build and error passes: each pass covers every cell once. No pass
-    # builds a one-polygon record or calls the one-polygon signed_area or
-    # diameter. Every sfvem module's name for the five functions is
-    # counted, with its stack size, under the pass that is running.
+    # calls the one-polygon signed_area, or a one-polygon entry point, whose
+    # stack of one would add to the stacks' cell count. Every sfvem module's
+    # name for the three functions is counted, with its stack size, under
+    # the pass that is running.
     import sys
 
     import sfvem.analysis
@@ -404,10 +405,8 @@ def test_convergence_study_computes_each_cell_geometry_once_per_pass(monkeypatch
     mesh = generate_distorted_grid(8)  # generated outside the counted study
     monkeypatch.setattr(sfvem.analysis, "generate_distorted_grid",
                         lambda *args: mesh)
-    counted = {"polygon_geometry": sfvem.geometry.polygon_geometry,
-               "polygon_stack": sfvem.geometry.polygon_stack,
+    counted = {"polygon_stack": sfvem.geometry.polygon_stack,
                "signed_area": sfvem.geometry.signed_area,
-               "diameter": sfvem.geometry.diameter,
                "polygon_rules": sfvem.quadrature.polygon_rules}
     running = ["outside"]
     calls: dict = {}

@@ -3,7 +3,7 @@ import pytest
 
 from sfvem.element import (LocalElementMatrices, effective_ell, sfvem_local,
                            standard_vem_local)
-from sfvem.geometry import polygon_geometry
+from sfvem.geometry import polygon_stack
 from sfvem.mesh import catalog_polygons
 from sfvem.poly import Poly2
 from sfvem.problem import ProblemSpec
@@ -110,11 +110,10 @@ def _dense_quadrature_diffusion(vertices, K, ell):
     # general einsum path, whatever the shape of K
     from sfvem.poly import harmonic_basis
     from sfvem.projectors import hgrad_matrix
-    poly = polygon_geometry(vertices)
-    basis = harmonic_basis(poly.frame, ell)
-    P, _G = hgrad_matrix(poly, basis)
+    basis = harmonic_basis(polygon_stack(vertices[None]).frame, ell)
+    P, _G = hgrad_matrix(vertices, ell)
     rule = polygon_rule(vertices, 2 * ell + 6)
-    grads = basis.gradients(rule.points)
+    grads = basis.gradients(rule.points[None])[0]
     KG = np.einsum("ab,iqb->iqa", K, grads)
     MK = np.einsum("jqa,iqa,q->ij", grads, KG, rule.weights)
     return P.T @ MK @ P
@@ -189,10 +188,9 @@ def test_total_matrix_property():
 
 
 def test_vem_stabilization_vanishes_on_linears():
-    poly = polygon_geometry(SQUARE)
-    frame = poly.frame
-    nabla = nabla_matrix(poly)
-    D = dof_matrix(SQUARE, frame)
+    frame = polygon_stack(SQUARE[None]).frame
+    nabla = nabla_matrix(SQUARE)
+    D = dof_matrix(SQUARE[None], frame)[0]
     u = 2.0 * SQUARE[:, 0] + 3.0 * SQUARE[:, 1] - 1.0
     np.testing.assert_allclose(u - D @ (nabla @ u), 0.0, atol=1e-13)
 

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sfvem.mesh
-from sfvem.geometry import diameter, signed_area
+from sfvem.geometry import signed_area
 from sfvem.mesh import (CatalogPolygon, MeshFormatError, MeshGenerationError,
                         MeshIndexError, MeshTopologyError, PolyMesh,
                         catalog_polygons, generate_distorted_grid,
                         generate_voronoi, quality_report, read_mesh,
                         write_mesh)
 
-from oracles import loop_voronoi_cells
+from oracles import diameter, loop_voronoi_cells
 
 SQUARE_FILE = """vem-mesh 1
 vertices 4
@@ -131,6 +131,14 @@ def test_trailing_lines_rejected(tmp_path, tail):
 def test_wrong_cell_arity(tmp_path):
     bad = SQUARE_FILE.replace("4 0 1 2 3", "5 0 1 2 3")
     with pytest.raises(MeshFormatError, match="followed by"):
+        read_mesh(write_text(tmp_path, bad))
+
+
+def test_vertex_in_no_cell_is_topology_error(tmp_path):
+    # a fifth vertex that the one square cell does not use
+    bad = SQUARE_FILE.replace("vertices 4\n", "vertices 5\n").replace(
+        "0.0 1.0\ncells", "0.0 1.0\n0.5 0.5\ncells")
+    with pytest.raises(MeshTopologyError, match="^vertex 4 belongs to no cell$"):
         read_mesh(write_text(tmp_path, bad))
 
 

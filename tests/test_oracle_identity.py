@@ -1,5 +1,5 @@
-"""The per-polygon geometry record against the one-quantity functions it
-replaced, the array-level element kernels against their edge-by-edge and
+"""The geometry record, for one polygon and for a stack, against the
+one-quantity functions it replaced, the array-level element kernels against their edge-by-edge and
 triangle-by-triangle loop versions in ``oracles``, the stacked kernels
 against the same loops cell by cell, the Voronoi generator's skipping
 clip loop against the all-pairs loop, the mesh checks, Lloyd centroids and
@@ -23,20 +23,18 @@ from sfvem.element import (EINSUM_BLOCK, _einsum_sum, cell_data, effective_ell,
                            sfvem_local, sfvem_locals, standard_vem_local,
                            standard_vem_locals, volume_degree)
 from sfvem.errors import DegenerateElementError, MeshGenerationError, SfvemError
-from sfvem.geometry import (are_simple, diameter, is_simple, polygon_geometry,
-                            polygon_stack, signed_area, signed_areas)
+from sfvem.geometry import are_simple, is_simple, polygon_stack, signed_area, signed_areas
 from sfvem.mesh import (PolyMesh, _centroids, _check_unit_area,
                         _closest_pair_too_close, _halfplane_clip, _shortest_edges,
                         _voronoi_cells, catalog_polygons, generate_distorted_grid,
                         generate_voronoi)
-from sfvem.poly import (ScaledFrame, build_benchmark_coefficients, bubble_problem,
-                        harmonic_basis)
+from sfvem.poly import build_benchmark_coefficients, bubble_problem, harmonic_basis
 from sfvem.projectors import (hgrad_matrices, hgrad_matrix, nabla_matrices,
-                              nabla_matrix, pi0_row, pi0_rows)
-from sfvem.quadrature import _fan_triangles, polygon_rule, polygon_rules
+                              nabla_matrix, pi0_rows)
+from sfvem.quadrature import fan_mask, polygon_rule, polygon_rules
 from sfvem.system import assemble, assemble_many, solve
 
-from oracles import (array_halfplane_clip, centroid, edge_lengths_normals,
+from oracles import (array_halfplane_clip, centroid, diameter, edge_lengths_normals,
                      first_moments, loop_assemble, loop_centroids, loop_closest_pair,
                      loop_error_norms, loop_hgrad_matrix, loop_is_simple,
                      loop_nabla_matrix, loop_poly2_eval, loop_polygon_rule,
@@ -53,6 +51,11 @@ def _cells(mesh):
     return [mesh.cell_points(ci) for ci in range(mesh.n_cells)]
 
 
+def _ear_clipped(v):
+    # whether the polygon rule ear clips v instead of splitting it into a fan
+    return not fan_mask(v[None])[0]
+
+
 @pytest.fixture(scope="module")
 def polygons():
     return ([p.vertices for p in catalog_polygons()] + [USHAPE]
@@ -61,7 +64,7 @@ def polygons():
 
 
 def test_ear_clip_branch_covered(polygons):
-    assert sum(_fan_triangles(v) is None for v in polygons) >= 1
+    assert sum(_ear_clipped(v) for v in polygons) >= 1
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 33, 36])
@@ -73,37 +76,34 @@ def test_polygon_rule_matches_per_triangle_loop(polygons, degree):
         assert np.array_equal(rule.weights, wts), i
 
 
-def test_polygon_geometry_matches_reference_functions(polygons):
+def test_polygon_stack_of_one_matches_reference_functions(polygons):
     # one roll and one shoelace pass give the one-quantity functions' floats
     for i, v in enumerate(polygons):
-        poly = polygon_geometry(v)
+        poly = polygon_stack(v[None])
         edges, lengths, normals = edge_lengths_normals(v)
-        assert np.array_equal(poly.vertices, v), i
-        assert np.array_equal(poly.edges, edges), i
-        assert np.array_equal(poly.lengths, lengths), i
-        assert np.array_equal(poly.normals, normals), i
-        assert poly.area == loop_signed_area(v), i
-        assert poly.moments == first_moments(v), i
-        assert np.array_equal(poly.centroid, centroid(v)), i
-        assert poly.diameter == diameter(v), i
-        assert np.array_equal(poly.frame.center, centroid(v)), i
-        assert poly.frame.scale == diameter(v), i
+        assert np.array_equal(poly.vertices[0], v), i
+        assert np.array_equal(poly.edges[0], edges), i
+        assert np.array_equal(poly.lengths[0], lengths), i
+        assert np.array_equal(poly.normals[0], normals), i
+        assert poly.area[0] == loop_signed_area(v), i
+        assert tuple(poly.moments[0]) == first_moments(v), i
+        assert np.array_equal(poly.centroid[0], centroid(v)), i
+        assert poly.diameter[0] == diameter(v), i
+        assert np.array_equal(poly.frame.center[0], centroid(v)), i
+        assert poly.frame.scale[0] == diameter(v), i
 
 
 def test_nabla_matrix_matches_edge_loop(polygons):
     for i, v in enumerate(polygons):
-        poly = polygon_geometry(v)
-        frame = ScaledFrame(centroid(v), diameter(v))
-        assert np.array_equal(nabla_matrix(poly), loop_nabla_matrix(v, frame)), i
+        assert np.array_equal(nabla_matrix(v), loop_nabla_matrix(v)), i
 
 
 def test_hgrad_matrix_matches_edge_loop(polygons):
     for i, v in enumerate(polygons):
-        poly = polygon_geometry(v)
         for offset in (-1, 0, 2):
-            basis = harmonic_basis(poly.frame, effective_ell(len(v), offset))
-            P, G = hgrad_matrix(poly, basis)
-            P_loop, G_loop = loop_hgrad_matrix(v, basis)
+            ell = effective_ell(len(v), offset)
+            P, G = hgrad_matrix(v, ell)
+            P_loop, G_loop = loop_hgrad_matrix(v, ell)
             assert np.array_equal(G, G_loop), (i, offset)
             assert np.array_equal(P, P_loop), (i, offset)
 
@@ -160,7 +160,7 @@ def test_lloyd_centroids_match_per_cell_records(name, seeds):
     assert np.array_equal(got, loop_centroids(cells)), name
     for c, g in zip(cells, got):
         if len(np.unique(c, axis=0)) == len(c):
-            assert np.array_equal(g, polygon_geometry(c).centroid), name
+            assert np.array_equal(g, polygon_stack(c[None]).centroid[0]), name
 
 
 @pytest.mark.parametrize("mesh", ["grid8", "voronoi64", "voronoi256"])
@@ -244,6 +244,8 @@ def _failing_meshes():
             {0, 1, 2, 3}),
         "first failure before an index error": (
             fan, ((0, 1, 4), (2, 1, 4), (2, 3, 9), (3, 0, 4)), {0, 1, 2, 3}),
+        "vertex in no cell": (fan + [[2.0, 2.0]], ((0, 1, 2, 3),), {0, 1, 2, 3}),
+        "boundary before a vertex in no cell": (fan, ((0, 1, 2, 3),), {0, 1, 2}),
     }
 
 
@@ -356,18 +358,14 @@ def _same_local(a, b):
 
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
 def test_local_builders_match_standalone_build(problem):
-    # with no record and with one built at their degree
     spec = PROBLEMS[problem]
     for i, v in enumerate([p.vertices for p in catalog_polygons()] + [USHAPE]):
         for offset in (0, 1):
             ell = effective_ell(len(v), offset)
             ref = loop_sfvem_local(v, spec, ell)
-            for data in (None, cell_data(polygon_geometry(v), spec,
-                                         volume_degree(spec, ell))):
-                assert _same_local(sfvem_local(v, spec, ell, data), ref), (i, offset)
+            assert _same_local(sfvem_local(v, spec, ell), ref), (i, offset)
         ref = loop_vem_local(v, spec)
-        for data in (None, cell_data(polygon_geometry(v), spec, volume_degree(spec, 0))):
-            assert _same_local(standard_vem_local(v, spec, data), ref), i
+        assert _same_local(standard_vem_local(v, spec), ref), i
 
 
 @pytest.mark.parametrize("mesh_name, problem, ell_offset, dirichlet", [
@@ -419,14 +417,14 @@ def _stacks(polygons):
     # the passes stack mesh cells
     groups: dict = {}
     for v in polygons:
-        groups.setdefault((len(v), _fan_triangles(v) is None), []).append(v)
+        groups.setdefault((len(v), _ear_clipped(v)), []).append(v)
     return [np.array(g) for g in groups.values()]
 
 
 def test_stacks_cover_both_kinds(polygons):
     stacks = _stacks(polygons)
     assert any(len(s) > 1 for s in stacks)
-    assert any(_fan_triangles(s[0]) is None for s in stacks)
+    assert any(_ear_clipped(s[0]) for s in stacks)
 
 
 def test_polygon_stack_matches_reference_functions(polygons):
@@ -458,7 +456,7 @@ def test_polygon_rules_match_per_triangle_loop(polygons, degree):
 def test_polygon_rules_refuse_a_mixed_stack():
     dart = np.array([[0.0, 0.0], [1.0, 0.9], [2.0, 0.0], [1.0, 1.0]])
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    assert _fan_triangles(dart) is None
+    assert _ear_clipped(dart)
     with pytest.raises(ValueError, match="one triangulation kind"):
         polygon_rules(np.array([square, dart]), 2)
 
@@ -472,15 +470,13 @@ def test_stacked_projectors_match_edge_loops(polygons):
             basis = harmonic_basis(poly.frame, effective_ell(stack.shape[1], offset))
             P, G = hgrad_matrices(poly, basis)
             for i, v in enumerate(stack):
-                frame = ScaledFrame(centroid(v), diameter(v))
-                P_loop, G_loop = loop_hgrad_matrix(v, harmonic_basis(frame, basis.ell))
+                P_loop, G_loop = loop_hgrad_matrix(v, basis.ell)
                 assert np.array_equal(G[i], G_loop), (i, offset)
                 assert np.array_equal(P[i], P_loop), (i, offset)
         for i, v in enumerate(stack):
-            frame = ScaledFrame(centroid(v), diameter(v))
-            assert np.array_equal(nabla[i], loop_nabla_matrix(v, frame))
-            one = polygon_geometry(v)
-            assert np.array_equal(rows[i], pi0_row(one, nabla_matrix(one)))
+            assert np.array_equal(nabla[i], loop_nabla_matrix(v))
+            one = polygon_stack(v[None])
+            assert np.array_equal(rows[i], pi0_rows(one, nabla_matrices(one))[0])
 
 
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
@@ -551,7 +547,7 @@ def test_unit_diffusion_matrix_matches_edge_loop(polygons):
     for v in polygons[:40]:
         for offset in (-1, 0, 1):
             ell = effective_ell(len(v), offset)
-            P, G = loop_hgrad_matrix(v, harmonic_basis(polygon_geometry(v).frame, ell))
+            P, G = loop_hgrad_matrix(v, ell)
             A = P.T @ G @ P
             assert np.array_equal(unit_diffusion_matrix(v, ell), 0.5 * (A + A.T))
 

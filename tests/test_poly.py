@@ -9,13 +9,18 @@ from sfvem.poly import (GEMM_ONE_THREAD, POLY_TABLE_BYTES, HarmonicBasis, Poly2,
                         poisson_problem)
 from sfvem.problem import ProblemSpec
 
-from oracles import loop_poly2_eval
+from oracles import as_poly2, loop_poly2_eval
 
 RNG = np.random.default_rng(11)
 
 
 def rand_points(n=40, lo=-1.5, hi=1.5):
     return RNG.uniform(lo, hi, size=(n, 2))
+
+
+def one_frame(center, scale):
+    """The frame (center, scale) of one element, as a stack of one."""
+    return ScaledFrame(np.array([center], dtype=float), np.array([scale], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -164,30 +169,40 @@ def test_poly2_rejects_points_that_are_not_pairs(points, shape):
 
 
 def test_basis_size_and_validation():
-    fr = ScaledFrame(np.array([0.2, -0.1]), 0.8)
+    fr = one_frame([0.2, -0.1], 0.8)
     assert harmonic_basis(fr, 0).size == 2
     assert harmonic_basis(fr, 7).size == 16
     with pytest.raises(ValueError):
         harmonic_basis(fr, -1)
     with pytest.raises(ValueError):
-        ScaledFrame(np.zeros(2), 0.0)
+        one_frame([0.0, 0.0], 0.0)
+
+
+@pytest.mark.parametrize("center, scale", [
+    (np.zeros(2), 1.0),                    # one polygon without the cell axis
+    (np.zeros((2, 2)), np.ones(3)),        # scales for another stack
+    (np.zeros((2, 3)), np.ones(2)),        # centers that are not points
+])
+def test_frame_is_stacked_only(center, scale):
+    with pytest.raises(ValueError, match="center"):
+        ScaledFrame(center, scale)
 
 
 def test_values_match_polynomial_expansion():
-    fr = ScaledFrame(np.array([0.3, 0.45]), 0.7)
+    fr = one_frame([0.3, 0.45], 0.7)
     basis = HarmonicBasis(fr, 6)
     pts = rand_points()
-    vals = basis.values(pts)
-    for i, p in enumerate(basis.as_poly2()):
+    vals = basis.values(pts[None])[0]
+    for i, p in enumerate(as_poly2([0.3, 0.45], 0.7, 6)):
         np.testing.assert_allclose(vals[i], p(pts), rtol=1e-12, atol=1e-12)
 
 
 def test_gradients_match_polynomial_derivatives():
-    fr = ScaledFrame(np.array([-0.2, 0.6]), 1.3)
+    fr = one_frame([-0.2, 0.6], 1.3)
     basis = HarmonicBasis(fr, 5)
     pts = rand_points()
-    grads = basis.gradients(pts)
-    for i, p in enumerate(basis.as_poly2()):
+    grads = basis.gradients(pts[None])[0]
+    for i, p in enumerate(as_poly2([-0.2, 0.6], 1.3, 5)):
         np.testing.assert_allclose(grads[i, :, 0], p.dx()(pts),
                                    rtol=1e-11, atol=1e-11)
         np.testing.assert_allclose(grads[i, :, 1], p.dy()(pts),
@@ -196,26 +211,25 @@ def test_gradients_match_polynomial_derivatives():
 
 def test_members_are_harmonic():
     # Laplacian vanishes at the coefficient level for every member
-    fr = ScaledFrame(np.array([0.3, 0.45]), 0.7)
     for ell in (0, 3, 10):
-        for p in HarmonicBasis(fr, ell).as_poly2():
+        for p in as_poly2([0.3, 0.45], 0.7, ell):
             lap = p.dx().dx() + p.dy().dy()
             scale = max(1.0, np.abs(p.dx().dx().coeffs).max())
             assert np.abs(lap.coeffs).max() <= 1e-12 * scale
 
 
 def test_first_pair_is_scaled_coordinates():
-    fr = ScaledFrame(np.array([0.5, 0.25]), 2.0)
+    fr = one_frame([0.5, 0.25], 2.0)
     basis = HarmonicBasis(fr, 2)
     pts = rand_points()
-    vals = basis.values(pts)
+    vals = basis.values(pts[None])[0]
     np.testing.assert_allclose(vals[0], (pts[:, 0] - 0.5) / 2.0, atol=1e-14)
     np.testing.assert_allclose(vals[1], (pts[:, 1] - 0.25) / 2.0, atol=1e-14)
 
 
 def test_gradient_helper_single_point():
-    fr = ScaledFrame(np.zeros(2), 1.0)
-    g = HarmonicBasis(fr, 1).gradients(np.array([[0.3, 0.4]]))[:, 0, :]
+    fr = one_frame([0.0, 0.0], 1.0)
+    g = HarmonicBasis(fr, 1).gradients(np.array([[[0.3, 0.4]]]))[0, :, 0, :]
     assert g.shape == (4, 2)
     # grad Re z = (1, 0), grad Im z = (0, 1) for unit frame
     np.testing.assert_allclose(g[0], [1.0, 0.0], atol=1e-15)

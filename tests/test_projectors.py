@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from sfvem.errors import DegenerateElementError, SingularGramError
-from sfvem.geometry import polygon_geometry
+from sfvem.geometry import polygon_stack
 from sfvem.mesh import catalog_polygons
 from sfvem.poly import HarmonicBasis
-from sfvem.projectors import (dof_matrix, hgrad_matrix, nabla_matrix, pi0_row,
-                              _solve_gram)
+from sfvem.projectors import (_solve_grams, dof_matrix, hgrad_matrix, nabla_matrices,
+                              nabla_matrix, pi0_rows)
 from sfvem.quadrature import gauss_legendre, polygon_rule
 
 from oracles import area_gram, trapezoid_boundary_flux, trapezoid_boundary_mean
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-SQUARE_GEO = polygon_geometry(SQUARE)
+SQUARE_GEO = polygon_stack(SQUARE[None])
 RNG = np.random.default_rng(29)
 
 
@@ -37,7 +37,7 @@ def boundary_rhs_oracle(vertices, basis, n_nodes=24):
         L = float(np.hypot(*(b - a)))
         pts = a[None, :] + t[:, None] * (b - a)[None, :]
         normal = np.array([(b - a)[1], -(b - a)[0]]) / L
-        dn = basis.gradients(pts) @ normal
+        dn = basis.gradients(pts[None])[0] @ normal
         B[:, e] += L * dn @ (w * (1.0 - t))
         B[:, j] += L * dn @ (w * t)
     return B
@@ -49,11 +49,10 @@ def boundary_rhs_oracle(vertices, basis, n_nodes=24):
 
 def test_reproduces_linears_on_catalog():
     for p in catalog_polygons():
-        poly = polygon_geometry(p.vertices)
-        frame = poly.frame
+        frame = polygon_stack(p.vertices[None]).frame
         values = linear(p.vertices)
-        coef = nabla_matrix(poly) @ values
-        got = dof_matrix(p.vertices, frame) @ coef
+        coef = nabla_matrix(p.vertices) @ values
+        got = dof_matrix(p.vertices[None], frame)[0] @ coef
         scale = np.abs(values).max()
         assert np.abs(got - values).max() <= 1e-13 * scale, p.name
         np.testing.assert_allclose(coef[1:] / frame.scale, [2.0, 3.0],
@@ -62,10 +61,10 @@ def test_reproduces_linears_on_catalog():
 
 def test_constant_projects_to_itself():
     frame = SQUARE_GEO.frame
-    coef = nabla_matrix(SQUARE_GEO) @ np.ones(4)
+    coef = nabla_matrix(SQUARE) @ np.ones(4)
     np.testing.assert_allclose(coef[1:] / frame.scale, [0.0, 0.0], atol=1e-15)
-    point = np.array([[0.3, 0.9]])
-    assert (dof_matrix(point, frame) @ coef)[0] == pytest.approx(1.0, abs=1e-15)
+    point = np.array([[[0.3, 0.9]]])
+    assert (dof_matrix(point, frame)[0] @ coef)[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_x_squared_on_unit_square():
@@ -74,7 +73,7 @@ def test_x_squared_on_unit_square():
     # matching the trapezoid boundary mean
     values = SQUARE[:, 0] ** 2
     frame = SQUARE_GEO.frame
-    coef = nabla_matrix(SQUARE_GEO) @ values
+    coef = nabla_matrix(SQUARE) @ values
     flux = trapezoid_boundary_flux(SQUARE, values)  # = (1, 0) by hand
     np.testing.assert_allclose(flux, [1.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(coef[1:] / frame.scale, flux / 1.0, atol=1e-14)
@@ -83,7 +82,7 @@ def test_x_squared_on_unit_square():
     assert v_mean == pytest.approx(0.5, abs=1e-15)
     # projection = (x - 1/2) + (v_mean - g_mean) = x
     pts = RNG.uniform(0, 1, (20, 2))
-    np.testing.assert_allclose(dof_matrix(pts, frame) @ coef, pts[:, 0],
+    np.testing.assert_allclose(dof_matrix(pts[None], frame)[0] @ coef, pts[:, 0],
                                atol=1e-14)
     assert v_mean - g_mean == pytest.approx(0.5, abs=1e-14)
 
@@ -91,7 +90,7 @@ def test_x_squared_on_unit_square():
 def test_degenerate_element_rejected():
     sliver = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-16]])
     with pytest.raises(DegenerateElementError):
-        nabla_matrix(polygon_geometry(sliver))
+        nabla_matrix(sliver)
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +98,7 @@ def test_degenerate_element_rejected():
 
 
 def test_gram_ell0_unit_square_closed_form():
-    frame = SQUARE_GEO.frame
-    basis = HarmonicBasis(frame, 0)
-    G = hgrad_matrix(SQUARE_GEO, basis)[1]
+    G = hgrad_matrix(SQUARE, 0)[1]
     # gradients are the constant fields (1/h, 0) and (0, 1/h), h = sqrt(2)
     want = np.eye(2) * (1.0 / 2.0)
     np.testing.assert_allclose(G, want, atol=1e-15)
@@ -110,29 +107,23 @@ def test_gram_ell0_unit_square_closed_form():
 def test_gram_boundary_equals_area_path():
     # spot-check; the full 18-polygon ell <= 10 sweep runs in acceptance
     for p in catalog_polygons()[::6]:
-        poly = polygon_geometry(p.vertices)
-        frame = poly.frame
+        frame = polygon_stack(p.vertices[None]).frame
         for ell in (0, 3, 7):
-            basis = HarmonicBasis(frame, ell)
-            Gb = hgrad_matrix(poly, basis)[1]
-            Ga = area_gram(poly, basis)
+            Gb = hgrad_matrix(p.vertices, ell)[1]
+            Ga = area_gram(p.vertices, HarmonicBasis(frame, ell))
             scale = np.abs(Gb).max()
             assert np.abs(Gb - Ga).max() <= 1e-12 * scale, (p.name, ell)
 
 
 def test_gram_symmetric_exactly():
     p = catalog_polygons()[4]
-    poly = polygon_geometry(p.vertices)
-    basis = HarmonicBasis(poly.frame, 5)
-    G = hgrad_matrix(poly, basis)[1]
+    G = hgrad_matrix(p.vertices, 5)[1]
     np.testing.assert_array_equal(G, G.T)
 
 
 def test_gram_positive_definite_on_catalog():
     for p in catalog_polygons():
-        poly = polygon_geometry(p.vertices)
-        basis = HarmonicBasis(poly.frame, 4)
-        G = hgrad_matrix(poly, basis)[1]
+        G = hgrad_matrix(p.vertices, 4)[1]
         eig = np.linalg.eigvalsh(G)
         assert eig[0] > 1e-12 * eig[-1], p.name
 
@@ -143,14 +134,13 @@ def test_gram_positive_definite_on_catalog():
 
 def test_linear_dofs_project_to_first_pair():
     for p in catalog_polygons()[::5]:
-        poly = polygon_geometry(p.vertices)
-        frame = poly.frame
+        frame = polygon_stack(p.vertices[None]).frame
         basis = HarmonicBasis(frame, 4)
-        P, _G = hgrad_matrix(poly, basis)
+        P, _G = hgrad_matrix(p.vertices, 4)
         d = P @ linear(p.vertices, 2.0, 3.0, -1.0)
         # projected gradient is the constant (2, 3)
-        pts = frame.center[None, :] + RNG.uniform(-0.2, 0.2, (9, 2))
-        grads = np.einsum("j,jpd->pd", d, basis.gradients(pts))
+        pts = frame.center + RNG.uniform(-0.2, 0.2, (9, 2))
+        grads = np.einsum("j,jpd->pd", d, basis.gradients(pts[None])[0])
         np.testing.assert_allclose(grads[:, 0], 2.0, atol=1e-12)
         np.testing.assert_allclose(grads[:, 1], 3.0, atol=1e-12)
         # all energy sits on the k=1 coefficients
@@ -158,8 +148,7 @@ def test_linear_dofs_project_to_first_pair():
 
 
 def test_constant_dofs_project_to_zero():
-    basis = HarmonicBasis(SQUARE_GEO.frame, 3)
-    P, _G = hgrad_matrix(SQUARE_GEO, basis)
+    P, _G = hgrad_matrix(SQUARE, 3)
     assert np.abs(P @ np.full(4, 7.0)).max() <= 1e-13
 
 
@@ -167,12 +156,11 @@ def test_orthogonality_residual_z2_on_square():
     # dofs of zhat^2 components: the Gram residual G d - b vanishes when b
     # is recomputed along an independent high-node boundary path. (Re zhat^2
     # is zero at the square's corners, so the dof norm enters the scale.)
-    frame = SQUARE_GEO.frame
-    basis = HarmonicBasis(frame, 2)
-    P, G = hgrad_matrix(SQUARE_GEO, basis)
+    basis = HarmonicBasis(SQUARE_GEO.frame, 2)
+    P, G = hgrad_matrix(SQUARE, 2)
     B_oracle = boundary_rhs_oracle(SQUARE, basis)
     for row in (2, 3):  # Re(zhat^2), Im(zhat^2)
-        values = basis.values(SQUARE)[row]
+        values = basis.values(SQUARE[None])[0, row]
         d = P @ values
         b = B_oracle @ values
         scale = (np.abs(G).max() * np.abs(d).max() + np.abs(b).max()
@@ -182,11 +170,9 @@ def test_orthogonality_residual_z2_on_square():
 
 def test_orthogonality_residual_random_dofs_catalog():
     for p in catalog_polygons()[::4]:
-        poly = polygon_geometry(p.vertices)
-        frame = poly.frame
-        basis = HarmonicBasis(frame, 3)
+        basis = HarmonicBasis(polygon_stack(p.vertices[None]).frame, 3)
         values = RNG.standard_normal(p.n_vertices)
-        P, G = hgrad_matrix(poly, basis)
+        P, G = hgrad_matrix(p.vertices, 3)
         d = P @ values
         b = boundary_rhs_oracle(p.vertices, basis) @ values
         scale = np.abs(G).max() * np.abs(d).max() + np.abs(b).max()
@@ -196,24 +182,19 @@ def test_orthogonality_residual_random_dofs_catalog():
 def test_idempotence_on_harmonic_coefficients():
     # a field already in the span projects to itself: d = G^-1 (G c) = c
     for p in catalog_polygons()[::3]:
-        poly = polygon_geometry(p.vertices)
-        basis = HarmonicBasis(poly.frame, 6)
-        G = hgrad_matrix(poly, basis)[1]
-        c = RNG.standard_normal(basis.size)
-        d = _solve_gram(G, G @ c)
+        G = hgrad_matrix(p.vertices, 6)[1]
+        c = RNG.standard_normal(len(G))
+        d = _solve_grams(G[None], (G @ c)[None])[0]
         assert np.abs(d - c).max() <= 1e-12 * np.abs(c).max(), p.name
 
 
 def test_projection_energy_grows_with_ell():
     # enlarging the target space can only increase the captured energy
     for p in catalog_polygons()[::4]:
-        poly = polygon_geometry(p.vertices)
-        frame = poly.frame
         values = RNG.standard_normal(p.n_vertices)
         energies = []
         for ell in range(0, 6):
-            basis = HarmonicBasis(frame, ell)
-            P, G = hgrad_matrix(poly, basis)
+            P, G = hgrad_matrix(p.vertices, ell)
             d = P @ values
             energies.append(float(d @ G @ d))
         for lo, hi in zip(energies, energies[1:]):
@@ -223,14 +204,14 @@ def test_projection_energy_grows_with_ell():
 def test_singular_gram_degrades_with_warning(caplog):
     G = np.diag([1.0, 1e-15])
     with caplog.at_level(logging.WARNING, logger="sfvem.projectors"):
-        out = _solve_gram(G, np.array([1.0, 0.0]))
+        out = _solve_grams(G[None], np.array([[1.0, 0.0]]))[0]
     assert "pseudo-inverse" in caplog.text
     assert np.isfinite(out).all()
 
 
 def test_nonpositive_gram_raises():
     with pytest.raises(SingularGramError):
-        _solve_gram(np.diag([-1.0, -2.0]), np.zeros(2))
+        _solve_grams(np.diag([-1.0, -2.0])[None], np.zeros((1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,24 +219,23 @@ def test_nonpositive_gram_raises():
 
 
 def test_pi0_of_constant():
-    row = pi0_row(SQUARE_GEO, nabla_matrix(SQUARE_GEO))
+    row = pi0_rows(SQUARE_GEO, nabla_matrices(SQUARE_GEO))[0]
     assert row @ np.ones(4) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_pi0_of_x_on_unit_square():
-    row = pi0_row(SQUARE_GEO, nabla_matrix(SQUARE_GEO))
+    row = pi0_rows(SQUARE_GEO, nabla_matrices(SQUARE_GEO))[0]
     assert row @ SQUARE[:, 0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_pi0_matches_quadrature_of_linear_projection():
     for p in catalog_polygons()[::4]:
-        poly = polygon_geometry(p.vertices)
-        frame = poly.frame
+        poly = polygon_stack(p.vertices[None])
         values = RNG.standard_normal(p.n_vertices)
-        nabla = nabla_matrix(poly)
-        coef = nabla @ values
-        got = pi0_row(poly, nabla) @ values
+        nabla = nabla_matrices(poly)
+        coef = nabla[0] @ values
+        got = pi0_rows(poly, nabla)[0] @ values
         rule = polygon_rule(p.vertices, 1)
         area = rule.weights.sum()
-        want = rule.integrate(lambda q: dof_matrix(q, frame) @ coef) / area
+        want = rule.integrate(lambda q: dof_matrix(q[None], poly.frame)[0] @ coef) / area
         assert got == pytest.approx(want, abs=1e-13 * max(1, abs(want))), p.name
