@@ -7,6 +7,10 @@ harmonic-gradient projection, values by the element mean of the linear
 projection. The comparator is the classical first-order scheme with the
 dofi-dofi stabilization term.
 
+The diffusion Gram needs no volume rule: projectors.diffusion_grams takes
+it from the edge nodes of the projection. The advection and load
+integrals share one polygon rule, of the degree volume_degree.
+
 The builders work on stacks of cells with one vertex count: ``cell_data``
 records a ``PolygonStack``, ``sfvem_locals`` and ``standard_vem_locals``
 return every cell's matrices with a leading cell axis, and ``cell_chunks``
@@ -25,7 +29,8 @@ import numpy as np
 from .geometry import PolygonStack, polygon_stack
 from .poly import harmonic_basis
 from .problem import ProblemSpec
-from .projectors import (dof_matrix, hgrad_matrices, nabla_matrices, pi0_rows)
+from .projectors import (diffusion_grams, dof_matrix, hgrad_matrices, nabla_matrices,
+                         pi0_rows)
 from .quadrature import PolygonRule, fan_mask, polygon_rules, rule_size
 # not called here; the benchmark's tracer re-binds them by this module's name
 from .projectors import hgrad_matrix, nabla_matrix  # noqa: F401
@@ -92,9 +97,10 @@ def effective_ell(n_vertices: int, offset: int = 0) -> int:
 
 def volume_degree(spec: ProblemSpec, ell: int) -> int:
     """Degree of the polygon rule both builders integrate with: the highest
-    total degree among the volume integrands grad h_i . K grad h_j,
-    grad h_i . beta, gamma and f (the comparator has ell = 0)."""
-    return max(2 * ell, 2, spec.beta[0].degree + ell, spec.beta[1].degree + ell,
+    total degree among the volume integrands grad h_i . beta, gamma and f
+    (the comparator has ell = 0). The diffusion Gram grad h_i . K grad h_j
+    comes from edge nodes (projectors.diffusion_grams)."""
+    return max(spec.beta[0].degree + ell, spec.beta[1].degree + ell,
                spec.gamma.degree, spec.f.degree)
 
 
@@ -128,11 +134,12 @@ def stacked_dot(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _einsum_sum(terms: np.ndarray) -> np.ndarray:
-    # The sums over the last axis of terms (..., L) in the order einsum
-    # accumulates them: the terms of each block one after another, then the
-    # block sums in turn. A sum down the first axis of a column-major copy
-    # adds row after row, vectorized across the sums. That takes two sums or
-    # more (numpy sums a lone row pairwise); a cell has 2 ell + 2 of them.
+    # The advection vector t: the sums over the last axis of terms (..., L)
+    # in the order einsum("iqa,qa,q->i", grads, beta, weights) accumulates
+    # them: the terms of each block one after another, then the block sums
+    # in turn. A sum down the first axis of a column-major copy adds row
+    # after row, vectorized across the sums. That takes two sums or more
+    # (numpy sums a lone row pairwise); a cell has 2 ell + 2 of them.
     rows = terms.reshape(-1, terms.shape[-1])
     total = 0.0
     for s in range(0, rows.shape[1], EINSUM_BLOCK):
@@ -146,11 +153,12 @@ class CellData:
     """What the builders read of a stack of cells at one rule degree.
 
     The geometry stack (which carries the frames), the H1 projection
-    matrices and the element-mean rows; the polygon rules; beta at the rule
-    points, (C, P, 2); and the rule integrals of beta, gamma and f, each
-    weights @ values per cell as PolygonRule.integrate computes it. Both
-    methods build from one record when their rule degrees agree, and then
-    get the floats they get alone.
+    matrices and the element-mean rows; the polygon rules of the advection
+    and load integrals; beta at the rule points, (C, P, 2), for the
+    advection vector t; and the rule integrals of beta, gamma and f, each
+    weights @ values per cell as PolygonRule.integrate computes it. The
+    diffusion Gram reads no rule. Both methods build from one record when
+    their rule degrees agree, and then get the floats they get alone.
     """
 
     poly: PolygonStack
@@ -185,35 +193,20 @@ def sfvem_locals(data: CellData, spec: ProblemSpec, ell: int) -> LocalElementMat
     rule, r = data.rule, data.pi0
     basis = harmonic_basis(data.poly.frame, ell)
     P, G = hgrad_matrices(data.poly, basis)
-    grads = basis.gradients(rule.points)
-    n_cells, size = grads.shape[:2]
-    # the terms of each volume integral flattened over (point, component),
-    # each point's weight repeated for both components
-    g = grads.reshape(n_cells, size, -1)
-    w = np.repeat(rule.weights, 2, axis=1)[:, None, :]
-    terms = np.empty_like(g)
-
     K = spec.K
     if abs(K[0, 1]) == 0.0 and K[0, 0] == K[1, 1]:
         MK = K[0, 0] * G  # isotropic shortcut: weighted Gram is a multiple
     else:
-        # row i of einsum("ab,iqb->iqa", K, grads), then MK_ij the weighted
-        # sum of grad h_j . K grad h_i, term by term as
-        # einsum("jqa,iqa,q->ij", grads, KG, weights) adds them
-        MK = np.empty((n_cells, size, size))
-        for i in range(size):
-            gx, gy = grads[:, i, :, 0], grads[:, i, :, 1]
-            KG = np.stack([K[0, 0] * gx + K[0, 1] * gy, K[1, 0] * gx + K[1, 1] * gy],
-                          axis=-1).reshape(n_cells, 1, -1)
-            np.multiply(g, KG, out=terms)
-            np.multiply(terms, w, out=terms)
-            MK[:, i] = _einsum_sum(terms)
+        MK = diffusion_grams(data.poly, basis, K)
     A_diff = P.transpose(0, 2, 1) @ MK @ P
     A_diff = 0.5 * (A_diff + A_diff.transpose(0, 2, 1))
 
-    # einsum("iqa,qa,q->i", grads, beta, weights)
-    np.multiply(g, data.beta.reshape(n_cells, 1, -1), out=terms)
-    np.multiply(terms, w, out=terms)
+    # the terms of einsum("iqa,qa,q->i", grads, beta, weights) flattened
+    # over (point, component), each point's weight repeated for both
+    grads = basis.gradients(rule.points)
+    n_cells, size = grads.shape[:2]
+    terms = grads.reshape(n_cells, size, -1) * data.beta.reshape(n_cells, 1, -1)
+    terms *= np.repeat(rule.weights, 2, axis=1)[:, None, :]
     t = _einsum_sum(terms)
     A_adv = r[:, :, None] * (t[:, None, :] @ P)
     A_reac = data.int_gamma[:, None, None] * (r[:, :, None] * r[:, None, :])
@@ -229,8 +222,9 @@ def sfvem_local(vertices, spec: ProblemSpec, ell: int) -> LocalElementMatrices:
     vertices : (N, 2) array
         Element polygon, counterclockwise.
     spec : ProblemSpec
-        Coefficients K, beta, gamma, f. The volume integrals use the
-        smallest polygon rule that integrates every term exactly.
+        Coefficients K, beta, gamma, f. The diffusion Gram comes from edge
+        nodes; the volume integrals use the smallest polygon rule that
+        integrates every one of them exactly.
     ell : int
         Harmonic degree parameter; pass effective_ell(N) unless deliberately
         probing below the solvability bound.

@@ -15,6 +15,10 @@ and returns the cells' matrices with a leading cell axis:
 * ``pi0_rows``: L2 projection onto constants, the mean of the linear
   projection.
 
+``diffusion_grams`` integrates grad h_i . K grad h_j over each cell from
+the same edge nodes as the Gram matrix, by the boundary formula for
+homogeneous integrands.
+
 ``nabla_matrix`` and ``hgrad_matrix`` take the vertices of one polygon and
 return cell 0 of their kernel on that polygon as a stack of one. The
 kernels do each cell's floating-point operations in the order a one-cell
@@ -188,6 +192,35 @@ def hgrad_matrices(poly: PolygonStack, basis: HarmonicBasis):
     B = ((dn @ (w * (1.0 - t))).transpose(0, 2, 1)
          + cyclic_roll((dn @ (w * t)).transpose(0, 2, 1), 1, axis=2))
     return _solve_grams(G, B), G
+
+
+def diffusion_grams(poly: PolygonStack, basis: HarmonicBasis, K: np.ndarray) -> np.ndarray:
+    """Matrices MK_ij = integral of grad h_i . K grad h_j over each cell
+    (C, 2 ell + 2, 2 ell + 2), for a constant K and a basis on the stack's
+    frame, from the ell + 1 Gauss nodes per edge.
+
+    h_i has degree k_i = i // 2 + 1 about the frame centre c, so the
+    integrand is homogeneous of degree k_i + k_j - 2 and its integral is
+    sum_e ((v_e - c) . n_e) int_e grad h_i . K grad h_j ds / (k_i + k_j)
+    (Chin, Lasserre and Sukumar, Comput. Mech. 2015): (x - c) . n_e is
+    constant on edge e. The edge integrands have degree 2 ell at most.
+    """
+    n_cells, n = poly.lengths.shape
+    pts, _, w = _edge_points(poly, basis.ell + 1)
+    # (C, N, 2 ell + 2, 2 (ell + 1)): each edge's gradients and K times
+    # them, flattened over (node, component)
+    grads = basis.gradients(pts).reshape(n_cells, basis.size, n, -1, 2)
+    gx, gy = grads[..., 0], grads[..., 1]
+    KG = np.stack([K[0, 0] * gx + K[0, 1] * gy, K[1, 0] * gx + K[1, 1] * gy],
+                  axis=-1).transpose(0, 2, 1, 3, 4).reshape(n_cells, n, basis.size, -1)
+    g = grads.transpose(0, 2, 1, 3, 4).reshape(KG.shape)
+    d = poly.vertices - poly.frame.center[:, None]
+    reach = d[..., 0] * poly.normals[..., 0] + d[..., 1] * poly.normals[..., 1]
+    edge = (poly.lengths * reach)[:, :, None, None] * (g * np.repeat(w, 2))
+    # one BLAS product per cell and edge, summed over the edges in order
+    MK = (edge @ KG.transpose(0, 1, 3, 2)).sum(axis=1)
+    k = np.arange(basis.size) // 2 + 1
+    return MK / (k[:, None] + k[None, :])
 
 
 def hgrad_matrix(vertices, ell: int):

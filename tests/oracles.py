@@ -354,15 +354,56 @@ def loop_poly2_eval(poly, points) -> np.ndarray:
     return val
 
 
+def loop_diffusion_gram(vertices, K, ell: int) -> np.ndarray:
+    """MK_ij = integral of grad h_i . K grad h_j for the basis of degree
+    parameter ell on the polygon's frame (``one_frame``), edge by edge: each
+    edge's ell + 1 Gauss nodes give its integral of the homogeneous
+    integrand, weighted by (v_e - c) . n_e, and the sum is divided by the
+    degree sum k_i + k_j; ``projectors.diffusion_grams`` must reproduce it
+    bit for bit."""
+    vertices = np.asarray(vertices, dtype=float)
+    basis = HarmonicBasis(one_frame(vertices), ell)
+    center = centroid(vertices)
+    n = len(vertices)
+    _, lengths, normals = edge_lengths_normals(vertices)
+    rule = gauss_legendre(ell + 1)
+    t = 0.5 * (rule.nodes + 1.0)
+    w = np.repeat(0.5 * rule.weights, 2)
+    MK = np.zeros((basis.size, basis.size))
+    for e in range(n):
+        a, b = vertices[e], vertices[(e + 1) % n]
+        g = basis.gradients((a[None, :] + t[:, None] * (b - a)[None, :])[None])[0]
+        gx, gy = g[..., 0], g[..., 1]
+        KG = np.stack([K[0, 0] * gx + K[0, 1] * gy, K[1, 0] * gx + K[1, 1] * gy],
+                      axis=-1).reshape(basis.size, -1)
+        d = a - center
+        reach = d[0] * normals[e][0] + d[1] * normals[e][1]
+        MK += (lengths[e] * reach) * (g.reshape(basis.size, -1) * w) @ KG.T
+    k = np.arange(basis.size) // 2 + 1
+    return MK / (k[:, None] + k[None, :])
+
+
+def volume_diffusion_gram(vertices, K, ell: int, degree: int) -> np.ndarray:
+    """MK_ij, the integral of grad h_j . K grad h_i for the harmonic basis
+    on the polygon's frame, through one polygon rule of the given degree.
+    At degree 33 it is the diffusion Gram the element build computed on the
+    benchmark load's rule before it came from edge nodes."""
+    rule = polygon_rule(vertices, degree)
+    grads = HarmonicBasis(one_frame(vertices), ell).gradients(rule.points[None])[0]
+    KG = np.einsum("ab,iqb->iqa", K, grads)
+    return np.einsum("jqa,iqa,q->ij", grads, KG, rule.weights)
+
+
 def _loop_volume_degree(spec, ell):
-    return max(2 * ell, 2, spec.beta[0].degree + ell, spec.beta[1].degree + ell,
+    return max(spec.beta[0].degree + ell, spec.beta[1].degree + ell,
                spec.gamma.degree, spec.f.degree)
 
 
 def loop_sfvem_local(vertices, spec, ell):
     """Stabilization-free local matrices built from nothing but the
-    vertices, with every volume integral through ``PolygonRule.integrate``;
-    ``sfvem_local`` must reproduce them bit for bit."""
+    vertices: the diffusion Gram from ``loop_diffusion_gram``, every volume
+    integral through ``PolygonRule.integrate`` or an einsum on one polygon
+    rule; ``sfvem_local`` must reproduce them bit for bit."""
     from sfvem.element import LocalElementMatrices
     from sfvem.projectors import nabla_matrices, pi0_rows
 
@@ -371,15 +412,14 @@ def loop_sfvem_local(vertices, spec, ell):
     P, G = loop_hgrad_matrix(vertices, ell)
     r = pi0_rows(poly, nabla_matrices(poly))[0]
     rule = polygon_rule(vertices, _loop_volume_degree(spec, ell))
-    grads = HarmonicBasis(one_frame(vertices), ell).gradients(rule.points[None])[0]
     K = spec.K
     if abs(K[0, 1]) == 0.0 and K[0, 0] == K[1, 1]:
         MK = K[0, 0] * G
     else:
-        KG = np.einsum("ab,iqb->iqa", K, grads)
-        MK = np.einsum("jqa,iqa,q->ij", grads, KG, rule.weights)
+        MK = loop_diffusion_gram(vertices, K, ell)
     A_diff = P.T @ MK @ P
     A_diff = 0.5 * (A_diff + A_diff.T)
+    grads = HarmonicBasis(one_frame(vertices), ell).gradients(rule.points[None])[0]
     bvals = np.column_stack([spec.beta[0](rule.points), spec.beta[1](rule.points)])
     t = np.einsum("iqa,qa,q->i", grads, bvals, rule.weights)
     A_adv = np.outer(r, t @ P)
@@ -413,6 +453,41 @@ def loop_vem_local(vertices, spec):
     A_reac = rule.integrate(spec.gamma) * np.outer(r, r)
     b = rule.integrate(spec.f) * r
     return LocalElementMatrices(0, A_diff, A_adv, A_reac, b, r)
+
+
+def single_rule_load_integrals(mesh, spec, ell_offset=0) -> np.ndarray:
+    """Each cell's integrals of gamma and f, (2, n_cells), as the build
+    computed them when its one polygon rule also carried the diffusion Gram:
+    of degree max(2 ell, 2, deg beta + ell, deg gamma, deg f) over the
+    mesh's ells, per chunk of cells of one vertex count and triangulation
+    kind, as many cells as keep 2 (2 ell + 2) floats per rule point within
+    ``CHUNK_BYTES``, with gamma and f evaluated on all the chunk's points in
+    one call each. The build must still give these floats wherever the Gram
+    did not set the degree, since a Poly2 value can depend on the call it
+    lands in."""
+    from sfvem.element import CHUNK_BYTES, effective_ell
+    from sfvem.quadrature import fan_mask, polygon_rules, rule_size
+
+    ells = {0} | {effective_ell(len(cell), ell_offset) for cell in mesh.cells}
+    degree = max(max(2 * ell, 2, spec.beta[0].degree + ell, spec.beta[1].degree + ell,
+                     spec.gamma.degree, spec.f.degree) for ell in ells)
+    out = np.empty((2, mesh.n_cells))
+    for cells, index in mesh.cell_groups():
+        vertices = mesh.vertices[index]
+        fan = fan_mask(vertices)
+        n = index.shape[1]
+        floats = 2 * (2 * effective_ell(n, ell_offset) + 2)
+        for kind, n_triangles in ((fan, n), (~fan, n - 2)):
+            size = max(1, CHUNK_BYTES // (8 * floats * rule_size(n_triangles, degree)))
+            ids, verts = cells[kind], vertices[kind]
+            for s in range(0, len(ids), size):
+                rule = polygon_rules(verts[s:s + size], degree)
+                pts = rule.points.reshape(-1, 2)
+                for k, p in enumerate((spec.gamma, spec.f)):
+                    values = p(pts).reshape(rule.weights.shape)
+                    out[k, ids[s:s + size]] = [float(w @ v)
+                                               for w, v in zip(rule.weights, values)]
+    return out
 
 
 def loop_assemble(mesh, spec, method, ell_offset=0, dirichlet_values=None):

@@ -8,7 +8,6 @@ so a single green run of this file certifies the build.
 import time
 
 import numpy as np
-import pytest
 
 from sfvem.analysis import audit_catalog, convergence_study, fit_rates
 from sfvem.cli import main

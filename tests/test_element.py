@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from sfvem.element import (LocalElementMatrices, effective_ell, sfvem_local,
-                           standard_vem_local)
+from sfvem.element import effective_ell, sfvem_local, standard_vem_local
 from sfvem.geometry import polygon_stack
 from sfvem.mesh import catalog_polygons
 from sfvem.poly import Poly2

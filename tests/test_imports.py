@@ -1,4 +1,5 @@
-"""Every name a module of src/sfvem imports is used in that module.
+"""Every name a module of src/sfvem or a file of tests/ imports is used in
+that file.
 
 pyflakes, ruff and flake8 may not be installed, so this is their unused
 import check (F401) on the ast: a name bound by an import must be read
@@ -14,6 +15,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sfvem"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -45,6 +47,15 @@ def test_modules_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_test_files_found():
+    assert {"oracles.py", "test_imports.py", "test_system.py"} <= {p.name for p in TESTS}
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 

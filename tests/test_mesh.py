@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 import sfvem.mesh
 from sfvem.geometry import signed_area
-from sfvem.mesh import (CatalogPolygon, MeshFormatError, MeshGenerationError,
-                        MeshIndexError, MeshTopologyError, PolyMesh,
-                        catalog_polygons, generate_distorted_grid,
-                        generate_voronoi, quality_report, read_mesh,
-                        write_mesh)
+from sfvem.mesh import (MeshFormatError, MeshGenerationError, MeshIndexError,
+                        MeshTopologyError, PolyMesh, catalog_polygons,
+                        generate_distorted_grid, generate_voronoi,
+                        quality_report, read_mesh, write_mesh)
 
 from oracles import diameter, loop_voronoi_cells
 

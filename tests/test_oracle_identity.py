@@ -19,9 +19,9 @@ import pytest
 
 import sfvem.mesh
 from sfvem.analysis import error_norms_many, unit_diffusion_matrix
-from sfvem.element import (EINSUM_BLOCK, _einsum_sum, cell_data, effective_ell,
-                           sfvem_local, sfvem_locals, standard_vem_local,
-                           standard_vem_locals, volume_degree)
+from sfvem.element import (EINSUM_BLOCK, _einsum_sum, cell_chunks, cell_data,
+                           effective_ell, sfvem_local, sfvem_locals,
+                           standard_vem_local, standard_vem_locals, volume_degree)
 from sfvem.errors import DegenerateElementError, MeshGenerationError, SfvemError
 from sfvem.geometry import are_simple, is_simple, polygon_stack, signed_area, signed_areas
 from sfvem.mesh import (PolyMesh, _centroids, _check_unit_area,
@@ -29,17 +29,18 @@ from sfvem.mesh import (PolyMesh, _centroids, _check_unit_area,
                         _voronoi_cells, catalog_polygons, generate_distorted_grid,
                         generate_voronoi)
 from sfvem.poly import build_benchmark_coefficients, bubble_problem, harmonic_basis
-from sfvem.projectors import (hgrad_matrices, hgrad_matrix, nabla_matrices,
-                              nabla_matrix, pi0_rows)
+from sfvem.projectors import (diffusion_grams, hgrad_matrices, hgrad_matrix,
+                              nabla_matrices, nabla_matrix, pi0_rows)
 from sfvem.quadrature import fan_mask, polygon_rule, polygon_rules
 from sfvem.system import assemble, assemble_many, solve
 
 from oracles import (array_halfplane_clip, centroid, diameter, edge_lengths_normals,
                      first_moments, loop_assemble, loop_centroids, loop_closest_pair,
-                     loop_error_norms, loop_hgrad_matrix, loop_is_simple,
-                     loop_nabla_matrix, loop_poly2_eval, loop_polygon_rule,
+                     loop_diffusion_gram, loop_error_norms, loop_hgrad_matrix,
+                     loop_is_simple, loop_nabla_matrix, loop_poly2_eval, loop_polygon_rule,
                      loop_sfvem_local, loop_shortest_edges, loop_signed_area,
-                     loop_validate, loop_vem_local, loop_voronoi_cells)
+                     loop_validate, loop_vem_local, loop_voronoi_cells,
+                     single_rule_load_integrals)
 
 # thin U whose vertex average falls outside it: the only ear-clip case here,
 # since every catalog polygon and mesh cell is star shaped about its average
@@ -385,9 +386,11 @@ def test_shared_passes_match_one_method_at_a_time(mesh_name, problem, ell_offset
                                                   dirichlet):
     mesh, spec = MESHES[mesh_name](), PROBLEMS[problem]
     if problem == "bubble" and ell_offset == 1:
-        # quads and larger cells need a second, higher rule degree than vem's
-        assert any(volume_degree(spec, effective_ell(len(c), 1)) != volume_degree(spec, 0)
-                   for c in mesh.cells)
+        # sfvem shares vem's rule degree, deg f = 2, on quads (ell = 2) and
+        # needs a second, higher one on cells with six vertices or more
+        higher = any(volume_degree(spec, effective_ell(len(c), 1)) != volume_degree(spec, 0)
+                     for c in mesh.cells)
+        assert higher == mesh_name.startswith("voronoi")
     g = np.random.default_rng(4).random(mesh.n_vertices) if dirichlet else None
     ref = {m: loop_assemble(mesh, spec, m, ell_offset, g) for m in ("sfvem", "vem")}
     ref_errors = {m: loop_error_norms(solve(ref[m]), spec) for m in ref}
@@ -406,6 +409,35 @@ def test_shared_passes_match_one_method_at_a_time(mesh_name, problem, ell_offset
             assert np.array_equal(system.ell_by_cell, ref[m].ell_by_cell), (methods, m)
         errors = error_norms_many([solve(s) for s in systems.values()], spec)
         assert errors == [ref_errors[m] for m in methods], methods
+
+
+@pytest.mark.parametrize("mesh_name", ["grid16", "voronoi256"])
+def test_load_integrals_keep_the_single_rule_build(monkeypatch, mesh_name):
+    # the diffusion Gram left the volume rule, but the load keeps the rule
+    # degree and the chunks it had when the Gram shared that rule, and with
+    # them its floats
+    import sfvem.system
+
+    mesh, spec = MESHES[mesh_name](), PROBLEMS["benchmark"]
+    chunk_ids, records = [], []
+
+    def chunks_seen(*args):
+        for chunk in cell_chunks(*args):
+            chunk_ids.append(chunk[0])
+            yield chunk
+
+    def data_seen(*args):
+        records.append(cell_data(*args))
+        return records[-1]
+
+    monkeypatch.setattr(sfvem.system, "cell_chunks", chunks_seen)
+    monkeypatch.setattr(sfvem.system, "cell_data", data_seen)
+    assemble_many(mesh, spec)
+    assert len(records) == len(chunk_ids) > 1
+    seen = np.full((2, mesh.n_cells), np.nan)
+    for cells, data in zip(chunk_ids, records):
+        seen[:, cells] = data.int_gamma, data.int_f
+    assert np.array_equal(seen, single_rule_load_integrals(mesh, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +494,8 @@ def test_polygon_rules_refuse_a_mixed_stack():
 
 
 def test_stacked_projectors_match_edge_loops(polygons):
+    A = np.random.default_rng(13).standard_normal((2, 2))
+    Ks = (PROBLEMS["benchmark"].K, A @ A.T + 0.1 * np.eye(2))
     for stack in _stacks(polygons):
         poly = polygon_stack(stack)
         nabla = nabla_matrices(poly)
@@ -469,10 +503,13 @@ def test_stacked_projectors_match_edge_loops(polygons):
         for offset in (-1, 0, 2):
             basis = harmonic_basis(poly.frame, effective_ell(stack.shape[1], offset))
             P, G = hgrad_matrices(poly, basis)
+            MK = [diffusion_grams(poly, basis, K) for K in Ks]
             for i, v in enumerate(stack):
                 P_loop, G_loop = loop_hgrad_matrix(v, basis.ell)
                 assert np.array_equal(G[i], G_loop), (i, offset)
                 assert np.array_equal(P[i], P_loop), (i, offset)
+                for K, M in zip(Ks, MK):
+                    assert np.array_equal(M[i], loop_diffusion_gram(v, K, basis.ell))
         for i, v in enumerate(stack):
             assert np.array_equal(nabla[i], loop_nabla_matrix(v))
             one = polygon_stack(v[None])
@@ -511,8 +548,9 @@ def test_poly2_on_stacked_points_matches_loop_eval(degree):
 
 @pytest.mark.parametrize("size, n_points", [(2, 7), (4, 1224), (6, 4100), (3, 9000)])
 def test_einsum_sum_matches_einsum(size, n_points):
-    # the volume integrals' sums against the einsum calls they replace, on
-    # sums shorter and longer than einsum's buffer (2 n_points terms each)
+    # the advection vector's sums, and sums of another shape, against the
+    # einsum calls they reproduce, on sums shorter and longer than einsum's
+    # buffer (2 n_points terms each)
     rng = np.random.default_rng(size)
     grads = rng.standard_normal((size, n_points, 2))
     other = rng.standard_normal((size, n_points, 2))

@@ -3,15 +3,17 @@ import logging
 import numpy as np
 import pytest
 
+from sfvem.element import effective_ell
 from sfvem.errors import DegenerateElementError, SingularGramError
 from sfvem.geometry import polygon_stack
-from sfvem.mesh import catalog_polygons
-from sfvem.poly import HarmonicBasis
-from sfvem.projectors import (_solve_grams, dof_matrix, hgrad_matrix, nabla_matrices,
-                              nabla_matrix, pi0_rows)
+from sfvem.mesh import catalog_polygons, generate_distorted_grid, generate_voronoi
+from sfvem.poly import HarmonicBasis, build_benchmark_coefficients, harmonic_basis
+from sfvem.projectors import (_solve_grams, diffusion_grams, dof_matrix, hgrad_matrix,
+                              nabla_matrices, nabla_matrix, pi0_rows)
 from sfvem.quadrature import gauss_legendre, polygon_rule
 
-from oracles import area_gram, trapezoid_boundary_flux, trapezoid_boundary_mean
+from oracles import (area_gram, trapezoid_boundary_flux, trapezoid_boundary_mean,
+                     volume_diffusion_gram)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 SQUARE_GEO = polygon_stack(SQUARE[None])
@@ -113,6 +115,37 @@ def test_gram_boundary_equals_area_path():
             Ga = area_gram(p.vertices, HarmonicBasis(frame, ell))
             scale = np.abs(Gb).max()
             assert np.abs(Gb - Ga).max() <= 1e-12 * scale, (p.name, ell)
+
+
+def _spd(seed):
+    A = np.random.default_rng(seed).standard_normal((2, 2))
+    return A @ A.T + 0.1 * np.eye(2)
+
+
+@pytest.mark.parametrize("K", [build_benchmark_coefficients().K, _spd(13)],
+                         ids=["benchmark", "random"])
+def test_edge_node_diffusion_gram_matches_volume_rules(K):
+    # the homogeneous-function boundary form against the polygon rule of the
+    # benchmark load's degree 33 and the integrand's own degree 2 ell, on
+    # catalog polygons, mesh cells and a U whose centroid lies outside it
+    grid, voronoi = generate_distorted_grid(8, 0.3, 5), generate_voronoi(64, 3, 7, 0.25)
+    ushape = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.6, 3.0],
+                       [2.6, 0.4], [0.4, 0.4], [0.4, 3.0], [0.0, 3.0]])
+    polygons = ([p.vertices for p in catalog_polygons()] + [ushape]
+                + [m.cell_points(i) for m in (grid, voronoi) for i in range(m.n_cells)])
+    groups: dict = {}
+    for v in polygons:
+        groups.setdefault(len(v), []).append(v)
+    for n, group in groups.items():
+        poly = polygon_stack(np.array(group))
+        for offset in (0, 1, 2):
+            ell = effective_ell(n, offset)
+            MK = diffusion_grams(poly, harmonic_basis(poly.frame, ell), K)
+            for i, v in enumerate(group):
+                for degree in (33, 2 * ell):
+                    ref = volume_diffusion_gram(v, K, ell, degree)
+                    assert np.abs(MK[i] - ref).max() <= 1e-13 * np.abs(ref).max(), (
+                        n, i, offset, degree)
 
 
 def test_gram_symmetric_exactly():

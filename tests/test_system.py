@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from sfvem.element import sfvem_local, standard_vem_local
+from sfvem.element import sfvem_local
 from sfvem.errors import DegenerateElementError, SingularSystemError
 from sfvem.mesh import PolyMesh, generate_distorted_grid
 from sfvem.poly import Poly2, bubble_problem, poisson_problem
 from sfvem.problem import ProblemSpec
-from sfvem.system import (DiscreteSolution, assemble, assemble_many, solve,
-                          write_solution_csv)
+from sfvem.system import assemble, assemble_many, solve, write_solution_csv
 
 ZERO = Poly2.zero()
 
