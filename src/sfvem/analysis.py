@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgejsv
 
-from .element import cell_chunks, effective_ell, stacked_dot
+from .element import cell_chunks, effective_ell
 from .geometry import polygon_stack
 from .mesh import (
     CatalogPolygon,
@@ -135,8 +135,7 @@ def error_norms_many(solutions, spec: ProblemSpec) -> list:
     The cells go in stacks of one vertex count (element.cell_chunks); each
     stack's rules, linear projection matrices and exact-solution values are
     computed once. Each solution keeps its own numerators and all share the
-    denominators; every cell's terms are its own dot products, added up in
-    cell order, so every pair equals what ``error_norms`` returns for that
+    denominators, so every pair equals what ``error_norms`` returns for that
     solution alone.
     """
     if spec.exact_u is None or spec.exact_grad_u is None:
@@ -164,9 +163,9 @@ def error_norms_many(solutions, spec: ProblemSpec) -> list:
         u = spec.exact_u(pts).reshape(w.shape)
         gx = spec.exact_grad_u[0](pts).reshape(w.shape)
         gy = spec.exact_grad_u[1](pts).reshape(w.shape)
-        den[0, cells] = stacked_dot(w, u * u)
-        den[1, cells] = stacked_dot(w, K[0, 0] * gx * gx + 2.0 * K[0, 1] * gx * gy
-                                    + K[1, 1] * gy * gy)
+        den[0, cells] = np.einsum("cp,cp->c", w, u * u)
+        den[1, cells] = np.einsum("cp,cp->c", w, K[0, 0] * gx * gx + 2.0 * K[0, 1] * gx * gy
+                                  + K[1, 1] * gy * gy)
         for k, solution in enumerate(solutions):
             coef = nabla @ solution.values[index][:, :, None]
             uh = coef[:, 0] + (loc @ coef[:, 1:])[..., 0]
@@ -174,12 +173,11 @@ def error_norms_many(solutions, spec: ProblemSpec) -> list:
             d0 = u - uh
             dx = gx - gh[:, :1]
             dy = gy - gh[:, 1:]
-            num[k, 0, cells] = stacked_dot(w, d0 * d0)
-            num[k, 1, cells] = stacked_dot(w, K[0, 0] * dx * dx + 2.0 * K[0, 1] * dx * dy
-                                           + K[1, 1] * dy * dy)
-    # cumsum adds the cells' terms in cell order, as a running float would
-    den0, den1 = np.cumsum(den, axis=-1)[:, -1]
-    num0, num1 = np.cumsum(num, axis=-1)[..., -1].T
+            num[k, 0, cells] = np.einsum("cp,cp->c", w, d0 * d0)
+            num[k, 1, cells] = np.einsum("cp,cp->c", w, K[0, 0] * dx * dx
+                                         + 2.0 * K[0, 1] * dx * dy + K[1, 1] * dy * dy)
+    den0, den1 = den.sum(axis=-1)
+    num0, num1 = num.sum(axis=-1).T
     if den0 <= 0.0 or den1 <= 0.0:
         if max(max(num0), max(num1)) <= 1e-28:
             warnings.warn("exact solution has zero norm; errors reported as 0",

@@ -7,7 +7,7 @@ harmonic-gradient projection, values by the element mean of the linear
 projection. The comparator is the classical first-order scheme with the
 dofi-dofi stabilization term.
 
-The diffusion Gram needs no volume rule: projectors.diffusion_grams takes
+The diffusion Gram needs no volume rule: projectors.hgrad_matrices takes
 it from the edge nodes of the projection. The advection and load
 integrals share one polygon rule, of the degree volume_degree.
 
@@ -16,8 +16,11 @@ records a ``PolygonStack``, ``sfvem_locals`` and ``standard_vem_locals``
 return every cell's matrices with a leading cell axis, and ``cell_chunks``
 cuts a mesh into such stacks. ``sfvem_local`` and ``standard_vem_local``
 take the vertices of one polygon and return cell 0 of the stacked build
-on that polygon as a stack of one. Each cell's floats are those of its own
-build.
+on that polygon as a stack of one. The integrals are batched contractions
+over the stack; a cell's matrices agree with its own one-polygon build to
+rounding (the tolerances are in tests/test_oracle_identity.py), not bit for
+bit. The points of the polygon rules and the data values at them do not
+depend on the contractions.
 """
 from __future__ import annotations
 
@@ -29,8 +32,7 @@ import numpy as np
 from .geometry import PolygonStack, polygon_stack
 from .poly import harmonic_basis
 from .problem import ProblemSpec
-from .projectors import (diffusion_grams, dof_matrix, hgrad_matrices, nabla_matrices,
-                         pi0_rows)
+from .projectors import dof_matrix, hgrad_matrices, nabla_matrices, pi0_rows
 from .quadrature import PolygonRule, fan_mask, polygon_rules, rule_size
 # not called here; the benchmark's tracer re-binds them by this module's name
 from .projectors import hgrad_matrix, nabla_matrix  # noqa: F401
@@ -54,10 +56,6 @@ __all__ = [
 # as the pass sizes it per rule point (see cell_chunks); a chunk takes as
 # many whole cells as fit
 CHUNK_BYTES = 2**19
-
-# numpy's einsum adds the terms of each output element in order, in
-# buffered blocks of this many terms, adding each block's sum to the total
-EINSUM_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,7 @@ def volume_degree(spec: ProblemSpec, ell: int) -> int:
     """Degree of the polygon rule both builders integrate with: the highest
     total degree among the volume integrands grad h_i . beta, gamma and f
     (the comparator has ell = 0). The diffusion Gram grad h_i . K grad h_j
-    comes from edge nodes (projectors.diffusion_grams)."""
+    comes from edge nodes (projectors.hgrad_matrices)."""
     return max(spec.beta[0].degree + ell, spec.beta[1].degree + ell,
                spec.gamma.degree, spec.f.degree)
 
@@ -127,27 +125,6 @@ def cell_chunks(mesh, degree: int, floats_per_point):
                 yield ids[s:s + size], idx[s:s + size], verts[s:s + size]
 
 
-def stacked_dot(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Each cell's w[c] @ v[c] for (C, P) arrays, one BLAS dot per cell, so
-    each is the float of the one-cell product (an einsum sums otherwise)."""
-    return (w[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
-def _einsum_sum(terms: np.ndarray) -> np.ndarray:
-    # The advection vector t: the sums over the last axis of terms (..., L)
-    # in the order einsum("iqa,qa,q->i", grads, beta, weights) accumulates
-    # them: the terms of each block one after another, then the block sums
-    # in turn. A sum down the first axis of a column-major copy adds row
-    # after row, vectorized across the sums. That takes two sums or more
-    # (numpy sums a lone row pairwise); a cell has 2 ell + 2 of them.
-    rows = terms.reshape(-1, terms.shape[-1])
-    total = 0.0
-    for s in range(0, rows.shape[1], EINSUM_BLOCK):
-        block = np.ascontiguousarray(rows[:, s:s + EINSUM_BLOCK].T)
-        total = block.sum(axis=0) + total
-    return total.reshape(terms.shape[:-1])
-
-
 @dataclass(frozen=True)
 class CellData:
     """What the builders read of a stack of cells at one rule degree.
@@ -155,8 +132,7 @@ class CellData:
     The geometry stack (which carries the frames), the H1 projection
     matrices and the element-mean rows; the polygon rules of the advection
     and load integrals; beta at the rule points, (C, P, 2), for the
-    advection vector t; and the rule integrals of beta, gamma and f, each
-    weights @ values per cell as PolygonRule.integrate computes it. The
+    advection vector t; and the rule integrals of beta, gamma and f. The
     diffusion Gram reads no rule. Both methods build from one record when
     their rule degrees agree, and then get the floats they get alone.
     """
@@ -179,12 +155,11 @@ def cell_data(poly: PolygonStack, spec: ProblemSpec, degree: int) -> CellData:
     rule = polygon_rules(poly.vertices, degree)
     w = rule.weights
     pts = rule.points.reshape(-1, 2)
-    b0 = spec.beta[0](pts).reshape(w.shape)
-    b1 = spec.beta[1](pts).reshape(w.shape)
-    return CellData(poly, nabla, r, rule, np.stack([b0, b1], axis=-1),
-                    np.stack([stacked_dot(w, b0), stacked_dot(w, b1)], axis=-1),
-                    stacked_dot(w, spec.gamma(pts).reshape(w.shape)),
-                    stacked_dot(w, spec.f(pts).reshape(w.shape)))
+    beta = np.stack([spec.beta[0](pts), spec.beta[1](pts)], axis=-1)
+    beta = beta.reshape(w.shape + (2,))
+    return CellData(poly, nabla, r, rule, beta, np.einsum("cp,cpa->ca", w, beta),
+                    np.einsum("cp,cp->c", w, spec.gamma(pts).reshape(w.shape)),
+                    np.einsum("cp,cp->c", w, spec.f(pts).reshape(w.shape)))
 
 
 def sfvem_locals(data: CellData, spec: ProblemSpec, ell: int) -> LocalElementMatrices:
@@ -192,22 +167,16 @@ def sfvem_locals(data: CellData, spec: ProblemSpec, ell: int) -> LocalElementMat
     record built at volume_degree(spec, ell); see sfvem_local."""
     rule, r = data.rule, data.pi0
     basis = harmonic_basis(data.poly.frame, ell)
-    P, G = hgrad_matrices(data.poly, basis)
-    K = spec.K
-    if abs(K[0, 1]) == 0.0 and K[0, 0] == K[1, 1]:
-        MK = K[0, 0] * G  # isotropic shortcut: weighted Gram is a multiple
-    else:
-        MK = diffusion_grams(data.poly, basis, K)
+    P, _, MK = hgrad_matrices(data.poly, basis, spec.K)
     A_diff = P.transpose(0, 2, 1) @ MK @ P
     A_diff = 0.5 * (A_diff + A_diff.transpose(0, 2, 1))
 
-    # the terms of einsum("iqa,qa,q->i", grads, beta, weights) flattened
-    # over (point, component), each point's weight repeated for both
+    # t_i = integral of grad h_i . beta, one product per cell over the
+    # (point, component) pairs
     grads = basis.gradients(rule.points)
     n_cells, size = grads.shape[:2]
-    terms = grads.reshape(n_cells, size, -1) * data.beta.reshape(n_cells, 1, -1)
-    terms *= np.repeat(rule.weights, 2, axis=1)[:, None, :]
-    t = _einsum_sum(terms)
+    wbeta = data.beta * rule.weights[..., None]
+    t = (grads.reshape(n_cells, size, -1) @ wbeta.reshape(n_cells, -1, 1))[..., 0]
     A_adv = r[:, :, None] * (t[:, None, :] @ P)
     A_reac = data.int_gamma[:, None, None] * (r[:, :, None] * r[:, None, :])
     b = data.int_f[:, None] * r
@@ -242,9 +211,7 @@ def standard_vem_locals(data: CellData, spec: ProblemSpec) -> LocalElementMatric
     h = frame.scale
     K = spec.K
     S = nabla[:, 1:]  # gradient rows, frame scaled
-    # float_power is libm's pow, as a float's h ** 2; an array's ** 2
-    # multiplies and rounds differently
-    consistency = ((data.poly.area / np.float_power(h, 2))[:, None, None]
+    consistency = ((data.poly.area / (h * h))[:, None, None]
                    * (S.transpose(0, 2, 1) @ K @ S))
     tau = 0.5 * float(np.trace(K))
     Q = np.eye(D.shape[1]) - D @ nabla

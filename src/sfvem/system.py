@@ -99,9 +99,8 @@ def assemble_many(mesh: PolyMesh, spec: ProblemSpec, methods=METHODS,
     The cells are built in stacks of one vertex count (element.cell_chunks).
     Each stack's frames, projections, polygon rules and data integrals are
     built once per rule degree and shared by the methods that integrate at
-    it. The COO entries keep cell order and each cell's row-major order, and
-    the right-hand side adds the cells' loads in cell order, so every system
-    equals what ``assemble`` returns for its method alone. Returns
+    it, so every system equals what ``assemble`` returns for its method
+    alone. Returns
     {method: GlobalSystem} in the order of ``methods``; the other parameters
     are those of ``assemble``.
     """
@@ -156,16 +155,18 @@ def assemble_many(mesh: PolyMesh, spec: ProblemSpec, methods=METHODS,
         cols[entries] = np.broadcast_to(red[:, None, :], block.shape)[block]
         load = _spans(load_start[cells], n_inner[cells])
         load_rows[load] = red[inner]
+        # g vanishes off the boundary: A @ g is the free-boundary block's
+        # lift of the Dirichlet data
+        g_cells = g[index][..., None]
         for m, loc in zip(methods, local):
             ell_by_cell[m][cells] = loc.ell
             A = loc.A
             vals[m][entries] = A[block]
-            loads[m][load] = _lifted_load(A, loc.b, inner, g[index])
+            loads[m][load] = (loc.b - (A @ g_cells)[..., 0])[inner]
     out = {}
     for m in methods:
         matrix = sparse.coo_matrix((vals[m], (rows, cols)),
                                    shape=(n_free, n_free)).tocsr()
-        # bincount adds each row's entries in order: the cells' order
         rhs = np.bincount(load_rows, weights=loads[m], minlength=n_free)
         out[m] = GlobalSystem(matrix, rhs, free_index, m, mesh,
                               ell_by_cell[m], g)
@@ -176,27 +177,6 @@ def _spans(starts, counts) -> np.ndarray:
     # the positions starts[i] .. starts[i] + counts[i] - 1, concatenated
     offsets = np.cumsum(counts) - counts
     return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
-
-
-def _lifted_load(A, b, inner, g) -> np.ndarray:
-    # each cell's b[inner] - A[inner][:, ~inner] @ g[~inner], concatenated:
-    # the free-boundary block lifts the Dirichlet data into the rhs. The
-    # products are stacked per boundary-vertex count, so each is the BLAS
-    # call of its cell's own product, whose (n_inner, n_boundary) block
-    # indexing leaves column-major
-    out = b.copy()
-    n_vertices = inner.shape[1]
-    n_boundary = n_vertices - inner.sum(axis=1)
-    for k in np.unique(n_boundary[(n_boundary > 0) & (n_boundary < n_vertices)]):
-        sel = np.flatnonzero(n_boundary == k)
-        inn = inner[sel]
-        coupling = A[sel].transpose(0, 2, 1)[~inn[:, :, None] & inn[:, None, :]]
-        coupling = coupling.reshape(len(sel), k, n_vertices - k).transpose(0, 2, 1)
-        lift = coupling @ g[sel][~inn].reshape(len(sel), k, 1)
-        part = out[sel]
-        part[inn] = part[inn] - lift.ravel()
-        out[sel] = part
-    return out[inner]
 
 
 def _local_matrices(vertices, spec, methods, ell, degrees) -> list:

@@ -9,10 +9,11 @@ its record must match bit for bit; ``one_frame`` is the scaled frame of one
 polygon from them, as a stack of one. ``as_poly2`` expands a harmonic
 basis into ``Poly2`` members, the reference for its values and gradients. The ``loop_*`` functions are the loop versions of
 the array-level, shared-pass and stacked production code, kept as the
-references it must match bit for bit: the stacked kernels over a
-``PolygonStack`` must give every cell the floats of its own loop, and
-``Poly2`` on a chunk's concatenated points those of ``loop_poly2_eval``
-cell by cell. ``area_gram`` integrates the harmonic-gradient Gram matrix
+references it must match: bit for bit for the polygon rules, ``Poly2``
+on a chunk's concatenated points (against ``loop_poly2_eval`` cell by
+cell) and the mesh checks, and within the per-kernel tolerances of
+``test_oracle_identity.RTOL`` for the element kernels, assembly and error
+norms, whose batched contractions add in another order. ``area_gram`` integrates the harmonic-gradient Gram matrix
 over the element area, the reference for the boundary Gram that
 ``hgrad_matrix`` solves against. ``loop_jacobi_singular_values`` is
 the pure-Python one-sided Jacobi SVD that LAPACK's ``dgejsv`` replaced in
@@ -190,7 +191,7 @@ def loop_polygon_rule(vertices, degree: int):
 def loop_nabla_matrix(vertices) -> np.ndarray:
     """H1 projection matrix (3, N) in the polygon's frame (``centroid`` and
     ``diameter``), with the trapezoid stencils accumulated edge by edge;
-    ``nabla_matrix`` must reproduce it bit for bit."""
+    ``nabla_matrix`` must match it."""
     vertices = np.asarray(vertices, dtype=float)
     center, scale = centroid(vertices), diameter(vertices)
     area = signed_area(vertices)
@@ -230,8 +231,7 @@ def loop_solve_gram(G, rhs):
     """G^-1 rhs through scipy's ``cho_factor`` and ``cho_solve``, or
     ``pinvh`` when G is nearly singular or its Cholesky fails, with the
     same positive-definiteness check and tolerance as
-    ``projectors._solve_grams``; its per-cell LAPACK loop must give the
-    same floats, in the same column-major layout."""
+    ``projectors._solve_grams``, whose batched solve must match it."""
     import scipy.linalg
 
     from sfvem.errors import SingularGramError
@@ -253,7 +253,7 @@ def loop_hgrad_matrix(vertices, ell: int):
     """Harmonic-gradient projector (P, G) for the basis of degree parameter
     ell on the polygon's frame (``one_frame``), with the boundary Gram and
     the right-hand side accumulated edge by edge, three basis evaluations
-    per edge; ``hgrad_matrix`` must reproduce both bit for bit."""
+    per edge; ``hgrad_matrix`` must match both."""
     vertices = np.asarray(vertices, dtype=float)
     basis = HarmonicBasis(one_frame(vertices), ell)
     n = len(vertices)
@@ -359,8 +359,8 @@ def loop_diffusion_gram(vertices, K, ell: int) -> np.ndarray:
     parameter ell on the polygon's frame (``one_frame``), edge by edge: each
     edge's ell + 1 Gauss nodes give its integral of the homogeneous
     integrand, weighted by (v_e - c) . n_e, and the sum is divided by the
-    degree sum k_i + k_j; ``projectors.diffusion_grams`` must reproduce it
-    bit for bit."""
+    degree sum k_i + k_j; the ``MK`` of ``projectors.hgrad_matrices`` must
+    match it."""
     vertices = np.asarray(vertices, dtype=float)
     basis = HarmonicBasis(one_frame(vertices), ell)
     center = centroid(vertices)
@@ -403,7 +403,7 @@ def loop_sfvem_local(vertices, spec, ell):
     """Stabilization-free local matrices built from nothing but the
     vertices: the diffusion Gram from ``loop_diffusion_gram``, every volume
     integral through ``PolygonRule.integrate`` or an einsum on one polygon
-    rule; ``sfvem_local`` must reproduce them bit for bit."""
+    rule; ``sfvem_local`` must match them."""
     from sfvem.element import LocalElementMatrices
     from sfvem.projectors import nabla_matrices, pi0_rows
 
@@ -430,7 +430,7 @@ def loop_sfvem_local(vertices, spec, ell):
 
 def loop_vem_local(vertices, spec):
     """Stabilized comparator's local matrices built from nothing but the
-    vertices; ``standard_vem_local`` must reproduce them bit for bit."""
+    vertices; ``standard_vem_local`` must match them."""
     from sfvem.element import LocalElementMatrices
     from sfvem.projectors import dof_matrix, nabla_matrices, pi0_rows
 
@@ -462,9 +462,9 @@ def single_rule_load_integrals(mesh, spec, ell_offset=0) -> np.ndarray:
     mesh's ells, per chunk of cells of one vertex count and triangulation
     kind, as many cells as keep 2 (2 ell + 2) floats per rule point within
     ``CHUNK_BYTES``, with gamma and f evaluated on all the chunk's points in
-    one call each. The build must still give these floats wherever the Gram
-    did not set the degree, since a Poly2 value can depend on the call it
-    lands in."""
+    one call each. The build must still match these integrals wherever the
+    Gram did not set the degree, since a Poly2 value can depend on the call
+    it lands in."""
     from sfvem.element import CHUNK_BYTES, effective_ell
     from sfvem.quadrature import fan_mask, polygon_rules, rule_size
 
@@ -493,7 +493,7 @@ def single_rule_load_integrals(mesh, spec, ell_offset=0) -> np.ndarray:
 def loop_assemble(mesh, spec, method, ell_offset=0, dirichlet_values=None):
     """One method's reduced system, each cell built on its own and its COO
     entries appended cell by cell; ``assemble_many`` must give every method
-    this system bit for bit."""
+    this system."""
     from sfvem.element import effective_ell
     from sfvem.system import GlobalSystem
 
@@ -533,7 +533,7 @@ def loop_assemble(mesh, spec, method, ell_offset=0, dirichlet_values=None):
 def loop_error_norms(solution, spec):
     """Relative (L2, energy) errors of one solution, its own rule, linear
     projection and exact-solution values on every cell; ``error_norms_many``
-    must give each solution this pair exactly."""
+    must give each solution this pair."""
     from sfvem.projectors import nabla_matrix
 
     K = spec.K

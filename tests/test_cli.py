@@ -1,18 +1,28 @@
-"""End-to-end runs of every subcommand through main(argv)."""
+"""End-to-end runs of every subcommand through main(argv), and in fresh
+interpreters."""
 import argparse
+import csv
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import sfvem
 from sfvem import analysis
 from sfvem.analysis import SpectralAudit
 from sfvem.cli import _build_parser, main
 from sfvem.mesh import read_mesh
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+# the benchmark's stored compare rows, per workload and mesh seed
+REFERENCE = ROOT / "perfbench" / "reference.json"
 
 TRIANGLE_POLY = "0.0 0.0\n1.0 0.0\n0.4 0.9\n"
 NEEDLE_POLY = "0.0 0.0\n1.0 0.0\n0.5 1e-7\n"
@@ -314,6 +324,45 @@ def test_convergence_byte_identical_reruns(tmp_path):
     svg_a = (tmp_path / "a" / "convergence.svg").read_bytes()
     svg_b = (tmp_path / "b" / "convergence.svg").read_bytes()
     assert svg_a == svg_b
+
+
+@pytest.mark.parametrize("args", [
+    ("compare", "--problem", "benchmark", "--generator", "voronoi", "--levels", "4,6",
+     "--seed", "9"),
+    ("solve", "--problem", "benchmark", "--n", "6", "--delta", "0.3", "--seed", "9"),
+    ("check-polygon", "--ell-offset", "1"),
+], ids=["compare", "solve", "check-polygon"])
+def test_outputs_byte_identical_across_interpreters(tmp_path, args):
+    # each run in its own interpreter, so nothing a process keeps (imports,
+    # BLAS state, allocations) is shared between the two
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sfvem.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    outputs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "sfvem.cli", *args, "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("workload, generator", [("grid-compare", "grid"),
+                                                 ("voronoi-compare", "voronoi")])
+def test_compare_stays_within_the_stored_reference(tmp_path, workload, generator):
+    # the build and the error pass add in another order than the code that
+    # made the benchmark's reference; every error stays within its 1e-10
+    stored = json.loads(REFERENCE.read_text())[workload]["3"]["rows"][:2]
+    code = run("compare", "--problem", "benchmark", "--generator", generator,
+               "--levels", "8,16", "--seed", "3", "--out", str(tmp_path))
+    assert code == 0
+    with open(tmp_path / "convergence.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["level"]) for r in rows] == [r["level"] for r in stored] == [8, 16]
+    for row, ref in zip(rows, stored):
+        for key in ("e0_sfvem", "e1_sfvem", "e0_vem", "e1_vem"):
+            assert abs(float(row[key]) - ref[key]) <= 1e-10 * abs(ref[key]), (
+                row["level"], key)
 
 
 def test_convergence_voronoi_generator(tmp_path, capsys):

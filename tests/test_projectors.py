@@ -8,7 +8,7 @@ from sfvem.errors import DegenerateElementError, SingularGramError
 from sfvem.geometry import polygon_stack
 from sfvem.mesh import catalog_polygons, generate_distorted_grid, generate_voronoi
 from sfvem.poly import HarmonicBasis, build_benchmark_coefficients, harmonic_basis
-from sfvem.projectors import (_solve_grams, diffusion_grams, dof_matrix, hgrad_matrix,
+from sfvem.projectors import (_solve_grams, dof_matrix, hgrad_matrices, hgrad_matrix,
                               nabla_matrices, nabla_matrix, pi0_rows)
 from sfvem.quadrature import gauss_legendre, polygon_rule
 
@@ -140,7 +140,7 @@ def test_edge_node_diffusion_gram_matches_volume_rules(K):
         poly = polygon_stack(np.array(group))
         for offset in (0, 1, 2):
             ell = effective_ell(n, offset)
-            MK = diffusion_grams(poly, harmonic_basis(poly.frame, ell), K)
+            MK = hgrad_matrices(poly, harmonic_basis(poly.frame, ell), K)[2]
             for i, v in enumerate(group):
                 for degree in (33, 2 * ell):
                     ref = volume_diffusion_gram(v, K, ell, degree)
@@ -217,7 +217,7 @@ def test_idempotence_on_harmonic_coefficients():
     for p in catalog_polygons()[::3]:
         G = hgrad_matrix(p.vertices, 6)[1]
         c = RNG.standard_normal(len(G))
-        d = _solve_grams(G[None], (G @ c)[None])[0]
+        d = _solve_grams(G[None], (G @ c)[None, :, None])[0, :, 0]
         assert np.abs(d - c).max() <= 1e-12 * np.abs(c).max(), p.name
 
 
@@ -237,14 +237,26 @@ def test_projection_energy_grows_with_ell():
 def test_singular_gram_degrades_with_warning(caplog):
     G = np.diag([1.0, 1e-15])
     with caplog.at_level(logging.WARNING, logger="sfvem.projectors"):
-        out = _solve_grams(G[None], np.array([[1.0, 0.0]]))[0]
+        out = _solve_grams(G[None], np.array([[[1.0], [0.0]]]))[0]
     assert "pseudo-inverse" in caplog.text
     assert np.isfinite(out).all()
 
 
+def test_gram_solve_falls_back_only_below_the_rank_tolerance(caplog):
+    # eigenvalue ratios either side of 1e-12: the LAPACK solve, then the
+    # logged pseudo-inverse
+    rhs = np.array([[[1.0], [1.0]]])
+    for ratio, fallback in ((1e-11, False), (1e-13, True)):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="sfvem.projectors"):
+            out = _solve_grams(np.diag([1.0, ratio])[None], rhs)[0]
+        assert ("pseudo-inverse" in caplog.text) == fallback, ratio
+        np.testing.assert_allclose(out[:, 0], [1.0, 1.0 / ratio], rtol=1e-12)
+
+
 def test_nonpositive_gram_raises():
     with pytest.raises(SingularGramError):
-        _solve_grams(np.diag([-1.0, -2.0])[None], np.zeros((1, 2)))
+        _solve_grams(np.diag([-1.0, -2.0])[None], np.zeros((1, 2, 1)))
 
 
 # ---------------------------------------------------------------------------
