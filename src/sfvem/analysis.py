@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgejsv
 
-from .element import cell_chunks, effective_ell
+from .element import cell_stacks, effective_ell
 from .geometry import polygon_stack
 from .mesh import (
     CatalogPolygon,
@@ -24,6 +24,7 @@ from .mesh import (
     generate_voronoi,
     quality_report,
 )
+from .poly import evaluate_polys
 from .problem import ProblemSpec
 from .projectors import hgrad_matrix, nabla_matrices
 from .quadrature import polygon_rules
@@ -132,11 +133,12 @@ def error_norms_many(solutions, spec: ProblemSpec) -> list:
     """``error_norms`` of several solutions on one mesh, in one pass over
     its cells.
 
-    The cells go in stacks of one vertex count (element.cell_chunks); each
-    stack's rules, linear projection matrices and exact-solution values are
-    computed once. Each solution keeps its own numerators and all share the
-    denominators, so every pair equals what ``error_norms`` returns for that
-    solution alone.
+    The cells go in stacks of one vertex count (element.cell_stacks). Per
+    stack, the linear projection matrices are built once; per rule chunk,
+    the exact solution's moments (_exact_moments). Each solution's
+    numerators are then per-cell algebra on the moments, with no work per
+    rule point, and all share the denominators, so every pair equals what
+    ``error_norms`` returns for that solution alone.
     """
     if spec.exact_u is None or spec.exact_grad_u is None:
         raise ValueError("error norms require exact_u and exact_grad_u")
@@ -146,36 +148,17 @@ def error_norms_many(solutions, spec: ProblemSpec) -> list:
     mesh = solutions[0].mesh
     if any(s.mesh is not mesh for s in solutions):
         raise ValueError("solutions must share one mesh")
-    K = spec.K
     degree = 2 * spec.exact_u.degree + 2
     # per cell: the denominators' terms, then each solution's numerators'
     den = np.empty((2, mesh.n_cells))
     num = np.empty((len(solutions), 2, mesh.n_cells))
-    # about a dozen arrays of one float per rule point are alive at once;
-    # counting them as 8 floats per point keeps them near 2 * CHUNK_BYTES
-    for cells, index, vertices in cell_chunks(mesh, degree, lambda n: 8):
-        poly = polygon_stack(vertices)
-        nabla = nabla_matrices(poly)
-        rule = polygon_rules(vertices, degree)
-        w = rule.weights
-        pts = rule.points.reshape(-1, 2)
-        loc = poly.frame.local(rule.points)
-        u = spec.exact_u(pts).reshape(w.shape)
-        gx = spec.exact_grad_u[0](pts).reshape(w.shape)
-        gy = spec.exact_grad_u[1](pts).reshape(w.shape)
-        den[0, cells] = np.einsum("cp,cp->c", w, u * u)
-        den[1, cells] = np.einsum("cp,cp->c", w, K[0, 0] * gx * gx + 2.0 * K[0, 1] * gx * gy
-                                  + K[1, 1] * gy * gy)
-        for k, solution in enumerate(solutions):
-            coef = nabla @ solution.values[index][:, :, None]
-            uh = coef[:, 0] + (loc @ coef[:, 1:])[..., 0]
-            gh = coef[:, 1:, 0] / poly.frame.scale[:, None]
-            d0 = u - uh
-            dx = gx - gh[:, :1]
-            dy = gy - gh[:, 1:]
-            num[k, 0, cells] = np.einsum("cp,cp->c", w, d0 * d0)
-            num[k, 1, cells] = np.einsum("cp,cp->c", w, K[0, 0] * dx * dx
-                                         + 2.0 * K[0, 1] * dx * dy + K[1, 1] * dy * dy)
+    # the rule chunks take 8 floats per rule point, the size of the
+    # pointwise pass's chunks, since a data value can depend on the chunk it
+    # lands in; per cell, the largest arrays are polygon_stack's vertex pairs
+    for cells, index, vertices, chunks in cell_stacks(mesh, degree, lambda n: 8,
+                                                      lambda n: 4 * n * n):
+        den[:, cells], num[:, :, cells] = _error_terms(vertices, index, solutions,
+                                                       spec, degree, chunks)
     den0, den1 = den.sum(axis=-1)
     num0, num1 = num.sum(axis=-1).T
     if den0 <= 0.0 or den1 <= 0.0:
@@ -187,6 +170,68 @@ def error_norms_many(solutions, spec: ProblemSpec) -> list:
                          "solution does not")
     return [(float(np.sqrt(n0 / den0)), float(np.sqrt(n1 / den1)))
             for n0, n1 in zip(num0, num1)]
+
+
+def _error_terms(vertices, index, solutions, spec: ProblemSpec, degree: int,
+                 chunks) -> tuple:
+    # each cell's terms of the denominators, (2, C), and of each solution's
+    # numerators, (S, 2, C), on a stack of cells with these (C, N, 2)
+    # vertices and (C, N) vertex indices
+    K = spec.K
+    poly = polygon_stack(vertices)
+    nabla = nabla_matrices(poly)
+    coef_u, gram, r0, r1, grad_u, area = (
+        np.concatenate(parts)
+        for parts in zip(*(_exact_moments(poly, spec, degree, chunk) for chunk in chunks)))
+    den = np.empty((2, len(poly)))
+    num = np.empty((len(solutions), 2, len(poly)))
+    den[0] = r0 + np.einsum("ci,cij,cj->c", coef_u, gram, coef_u)
+    den[1] = r1 + area * np.einsum("ci,ij,cj->c", grad_u, K, grad_u)
+    for k, solution in enumerate(solutions):
+        coef = (nabla @ solution.values[index][:, :, None])[..., 0]
+        dc = coef_u - coef
+        dg = grad_u - coef[:, 1:] / poly.frame.scale[:, None]
+        num[k, 0] = r0 + np.einsum("ci,cij,cj->c", dc, gram, dc)
+        num[k, 1] = r1 + area * np.einsum("ci,ij,cj->c", dg, K, dg)
+    return den, num
+
+
+def _exact_moments(poly, spec: ProblemSpec, degree: int, chunk: slice) -> tuple:
+    # What the error norms need of the exact solution u on a chunk of a
+    # stack of cells, each from its own polygon rule of the given degree:
+    # with m = (1, xhat, yhat) in the cell's frame and M the rule's Gram
+    # matrix of m, the rule-L2 projection c_u = M^-1 integral of u m; the
+    # rule's area |E| and mean gradient g_u; and the residuals
+    # R0 = integral of (u - c_u . m)^2 and R1 = integral of
+    # |grad u - g_u|_K^2. For any linear c . m with gradient g, orthogonality
+    # in the same rule splits the error integrals without cancellation:
+    #   integral of (u - c . m)^2 = R0 + (c_u - c)^T M (c_u - c),
+    #   integral of |grad u - g|_K^2 = R1 + |E| (g_u - g)^T K (g_u - g).
+    # The expansion integral of u^2 - 2 c . integral of u m + c^T M c
+    # cancels where u is nearly linear (a linear u got a negative numerator;
+    # grid 64 drifted 2.6e-13 relative), and an M from the shoelace moments
+    # leaves a cross term that the rule's M cancels (3.7e-13 on grid 64).
+    # Returns c_u (c, 3), M (c, 3, 3), R0 (c,), R1 (c,), g_u (c, 2), |E| (c,).
+    rule = polygon_rules(poly.vertices[chunk], degree)
+    w = rule.weights
+    exact = (spec.exact_u, *spec.exact_grad_u)
+    values = evaluate_polys(exact, rule.points.reshape(-1, 2)).reshape((3,) + w.shape)
+    u, grads = values[0], values[1:].transpose(1, 0, 2)  # (c, P), (c, 2, P)
+    # m at the rule points, (c, 3, P)
+    m = np.empty((len(w), 3, w.shape[1]))
+    m[:, 0] = 1.0
+    m[:, 1:] = poly.frame[chunk].local(rule.points).transpose(0, 2, 1)
+    wm = w[:, None, :] * m
+    M = wm @ m.transpose(0, 2, 1)
+    c = np.linalg.solve(M, wm @ u[..., None])[..., 0]
+    d0 = u - (c[:, None, :] @ m)[:, 0]
+    area = w.sum(axis=1)
+    g = (grads @ w[..., None])[..., 0] / area[:, None]
+    dg = grads - g[..., None]
+    # the rule's integrals of (grad u - g_u)(grad u - g_u)^T, (c, 2, 2)
+    second = (dg * w[:, None, :]) @ dg.transpose(0, 2, 1)
+    return (c, M, np.einsum("cp,cp->c", w, d0 * d0), np.einsum("cij,ij->c", second, spec.K),
+            g, area)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,11 @@ it from the edge nodes of the projection. The advection and load
 integrals share one polygon rule, of the degree volume_degree.
 
 The builders work on stacks of cells with one vertex count: ``cell_data``
-records a ``PolygonStack``, ``sfvem_locals`` and ``standard_vem_locals``
-return every cell's matrices with a leading cell axis, and ``cell_chunks``
-cuts a mesh into such stacks. ``sfvem_local`` and ``standard_vem_local``
+records a ``PolygonStack``, its per-cell algebra once and its polygon rules
+and data chunk by chunk, ``sfvem_locals`` and ``standard_vem_locals``
+return every cell's matrices with a leading cell axis, and ``cell_stacks``
+cuts a mesh into such stacks and each stack into rule chunks.
+``sfvem_local`` and ``standard_vem_local``
 take the vertices of one polygon and return cell 0 of the stacked build
 on that polygon as a stack of one. The integrals are batched contractions
 over the stack; a cell's matrices agree with its own one-polygon build to
@@ -30,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PolygonStack, polygon_stack
-from .poly import harmonic_basis
+from .poly import HarmonicBasis, evaluate_polys, harmonic_basis
 from .problem import ProblemSpec
 from .projectors import dof_matrix, hgrad_matrices, nabla_matrices, pi0_rows
-from .quadrature import PolygonRule, fan_mask, polygon_rules, rule_size
+from .quadrature import fan_mask, polygon_rules, rule_size
 # not called here; the benchmark's tracer re-binds them by this module's name
 from .projectors import hgrad_matrix, nabla_matrix  # noqa: F401
 from .quadrature import polygon_rule  # noqa: F401
@@ -42,8 +44,8 @@ __all__ = [
     "ProblemSpec",
     "CellData",
     "LocalElementMatrices",
-    "cell_chunks",
     "cell_data",
+    "cell_stacks",
     "effective_ell",
     "sfvem_local",
     "sfvem_locals",
@@ -53,8 +55,9 @@ __all__ = [
 ]
 
 # Byte budget of the largest temporary a pass holds for a chunk of cells,
-# as the pass sizes it per rule point (see cell_chunks); a chunk takes as
-# many whole cells as fit
+# as the pass sizes it per rule point, and for a stack of cells, as the pass
+# sizes it per cell (see cell_stacks); each takes as many whole cells, or
+# whole chunks, as fit
 CHUNK_BYTES = 2**19
 
 
@@ -102,16 +105,22 @@ def volume_degree(spec: ProblemSpec, ell: int) -> int:
                spec.gamma.degree, spec.f.degree)
 
 
-def cell_chunks(mesh, degree: int, floats_per_point):
+def cell_stacks(mesh, degree: int, floats_per_point, floats_per_cell):
     """The mesh's cells as stacks for the stacked builders: grouped by vertex
     count and triangulation kind (so every cell of a stack has as many
-    points in a rule of this degree), each group cut into chunks of whole
-    cells. floats_per_point(n) is the size per rule point of the caller's
-    largest temporary on n-gons; a chunk keeps that temporary within
-    CHUNK_BYTES (or is one cell).
+    points in a rule of this degree), each group cut into stacks of whole
+    rule chunks.
 
-    Yields (cells, index, vertices): the ascending cell ids, their (C, N)
-    vertex indices and their (C, N, 2) vertices.
+    floats_per_point(n) is the size per rule point of the caller's largest
+    temporary on n-gons; a chunk keeps it within CHUNK_BYTES (or is one
+    cell). floats_per_cell(n) is the size per cell of its largest per-cell
+    temporary; a stack keeps that within CHUNK_BYTES (or is one chunk). The
+    chunks are those of a group cut into chunks alone: the same cells in
+    the same order.
+
+    Yields (cells, index, vertices, chunks): the ascending cell ids, their
+    (C, N) vertex indices, their (C, N, 2) vertices, and the chunks as
+    slices of the stack, in order.
     """
     for cells, index in mesh.cell_groups():
         vertices = mesh.vertices[index]
@@ -119,10 +128,13 @@ def cell_chunks(mesh, degree: int, floats_per_point):
         n = index.shape[1]
         for kind, n_triangles in ((fan, n), (~fan, n - 2)):
             cell_bytes = 8 * floats_per_point(n) * rule_size(n_triangles, degree)
-            size = max(1, CHUNK_BYTES // cell_bytes)
+            chunk = max(1, CHUNK_BYTES // cell_bytes)
+            size = chunk * max(1, CHUNK_BYTES // (8 * floats_per_cell(n) * chunk))
             ids, idx, verts = cells[kind], index[kind], vertices[kind]
             for s in range(0, len(ids), size):
-                yield ids[s:s + size], idx[s:s + size], verts[s:s + size]
+                stack = ids[s:s + size]
+                chunks = tuple(slice(c, c + chunk) for c in range(0, len(stack), chunk))
+                yield stack, idx[s:s + size], verts[s:s + size], chunks
 
 
 @dataclass(frozen=True)
@@ -130,57 +142,76 @@ class CellData:
     """What the builders read of a stack of cells at one rule degree.
 
     The geometry stack (which carries the frames), the H1 projection
-    matrices and the element-mean rows; the polygon rules of the advection
-    and load integrals; beta at the rule points, (C, P, 2), for the
-    advection vector t; and the rule integrals of beta, gamma and f. The
-    diffusion Gram reads no rule. Both methods build from one record when
-    their rule degrees agree, and then get the floats they get alone.
+    matrices and the element-mean rows, and the rule integrals of beta,
+    gamma and f. When built for the stabilization-free form, also its
+    harmonic basis and the advection vectors t_i = integral of
+    grad h_i . beta, (C, 2 ell + 2). The rule points and the data values
+    at them live only while their chunk is built. Both methods build from
+    one record when their rule degrees agree, and then get the floats they
+    get alone.
     """
 
     poly: PolygonStack
     nabla: np.ndarray
     pi0: np.ndarray
-    rule: PolygonRule
-    beta: np.ndarray
     int_beta: np.ndarray
     int_gamma: np.ndarray
     int_f: np.ndarray
+    basis: HarmonicBasis | None = None
+    t: np.ndarray | None = None
 
 
-def cell_data(poly: PolygonStack, spec: ProblemSpec, degree: int) -> CellData:
-    """The record of a PolygonStack at the given rule degree. The stack's
-    points are evaluated in one Poly2 call per coefficient polynomial."""
+def cell_data(poly: PolygonStack, spec: ProblemSpec, degree: int, ell: int | None = None,
+              chunks=(slice(None),)) -> CellData:
+    """The record of a PolygonStack at the given rule degree, with the
+    advection vectors of the harmonic basis of degree parameter ell when
+    ell is given. The projections are built once for the stack; the polygon
+    rules, the data values at their points (beta, gamma and f from one
+    evaluate_polys call) and the integrals are built chunk by chunk, for
+    the given slices of the stack (one chunk by default)."""
     nabla = nabla_matrices(poly)
-    r = pi0_rows(poly, nabla)
-    rule = polygon_rules(poly.vertices, degree)
+    basis = None if ell is None else harmonic_basis(poly.frame, ell)
+    integrals = [_rule_integrals(poly, chunk, spec, degree, ell) for chunk in chunks]
+    int_beta, int_gamma, int_f, t = (None if parts[0] is None else np.concatenate(parts)
+                                     for parts in zip(*integrals))
+    return CellData(poly, nabla, pi0_rows(poly, nabla), int_beta, int_gamma, int_f,
+                    basis, t)
+
+
+def _rule_integrals(poly: PolygonStack, chunk: slice, spec: ProblemSpec, degree: int,
+                    ell: int | None) -> tuple:
+    # the rule integrals of beta (c, 2), gamma (c,) and f (c,) on a chunk of
+    # the stack, and with ell its advection vectors t (c, 2 ell + 2) or None;
+    # the chunk's rule points and data values go when it returns
+    rule = polygon_rules(poly.vertices[chunk], degree)
     w = rule.weights
-    pts = rule.points.reshape(-1, 2)
-    beta = np.stack([spec.beta[0](pts), spec.beta[1](pts)], axis=-1)
-    beta = beta.reshape(w.shape + (2,))
-    return CellData(poly, nabla, r, rule, beta, np.einsum("cp,cpa->ca", w, beta),
-                    np.einsum("cp,cp->c", w, spec.gamma(pts).reshape(w.shape)),
-                    np.einsum("cp,cp->c", w, spec.f(pts).reshape(w.shape)))
+    coefficients = (spec.beta[0], spec.beta[1], spec.gamma, spec.f)
+    values = evaluate_polys(coefficients, rule.points.reshape(-1, 2)).reshape((4,) + w.shape)
+    beta = np.stack([values[0], values[1]], axis=-1)
+    t = None
+    if ell is not None:
+        # t_i = integral of grad h_i . beta, one product per cell over the
+        # (point, component) pairs
+        grads = harmonic_basis(poly.frame[chunk], ell).gradients(rule.points)
+        wbeta = beta * w[..., None]
+        t = (grads.reshape(grads.shape[:2] + (-1,)) @ wbeta.reshape(len(w), -1, 1))[..., 0]
+    return (np.einsum("cp,cpa->ca", w, beta), np.einsum("cp,cp->c", w, values[2]),
+            np.einsum("cp,cp->c", w, values[3]), t)
 
 
-def sfvem_locals(data: CellData, spec: ProblemSpec, ell: int) -> LocalElementMatrices:
+def sfvem_locals(data: CellData, spec: ProblemSpec) -> LocalElementMatrices:
     """Local matrices of the stabilization-free form on every cell of a
-    record built at volume_degree(spec, ell); see sfvem_local."""
-    rule, r = data.rule, data.pi0
-    basis = harmonic_basis(data.poly.frame, ell)
+    record built at volume_degree(spec, ell) with its ell; see sfvem_local."""
+    if data.basis is None:
+        raise ValueError("the stabilization-free form needs a record built with ell")
+    r, basis = data.pi0, data.basis
     P, _, MK = hgrad_matrices(data.poly, basis, spec.K)
     A_diff = P.transpose(0, 2, 1) @ MK @ P
     A_diff = 0.5 * (A_diff + A_diff.transpose(0, 2, 1))
-
-    # t_i = integral of grad h_i . beta, one product per cell over the
-    # (point, component) pairs
-    grads = basis.gradients(rule.points)
-    n_cells, size = grads.shape[:2]
-    wbeta = data.beta * rule.weights[..., None]
-    t = (grads.reshape(n_cells, size, -1) @ wbeta.reshape(n_cells, -1, 1))[..., 0]
-    A_adv = r[:, :, None] * (t[:, None, :] @ P)
+    A_adv = r[:, :, None] * (data.t[:, None, :] @ P)
     A_reac = data.int_gamma[:, None, None] * (r[:, :, None] * r[:, None, :])
     b = data.int_f[:, None] * r
-    return LocalElementMatrices(ell, A_diff, A_adv, A_reac, b, r)
+    return LocalElementMatrices(basis.ell, A_diff, A_adv, A_reac, b, r)
 
 
 def sfvem_local(vertices, spec: ProblemSpec, ell: int) -> LocalElementMatrices:
@@ -199,8 +230,7 @@ def sfvem_local(vertices, spec: ProblemSpec, ell: int) -> LocalElementMatrices:
         probing below the solvability bound.
     """
     poly = polygon_stack(np.asarray(vertices, dtype=float)[None])
-    data = cell_data(poly, spec, volume_degree(spec, ell))
-    return sfvem_locals(data, spec, ell).cell(0)
+    return sfvem_locals(cell_data(poly, spec, volume_degree(spec, ell), ell), spec).cell(0)
 
 
 def standard_vem_locals(data: CellData, spec: ProblemSpec) -> LocalElementMatrices:

@@ -61,6 +61,10 @@ class ScaledFrame:
     def local(self, points: np.ndarray) -> np.ndarray:
         return (points - self.center[:, None, :]) / self.scale[:, None, None]
 
+    def __getitem__(self, cells) -> "ScaledFrame":
+        """The frames of the cells a slice or index array picks."""
+        return ScaledFrame(self.center[cells], self.scale[cells])
+
 
 @dataclass(frozen=True)
 class PolygonStack:

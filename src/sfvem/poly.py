@@ -10,6 +10,7 @@ deliberately dropped; it changes conditioning, not the spanned gradients.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .problem import ProblemSpec
 # larger one wakes a second thread, which spins on after the call
 GEMM_ONE_THREAD = 2**19
 
-# Poly2 evaluation fills its y-power and x-slice tables in row blocks of
+# evaluate_polys fills its y-power and x-slice tables in row blocks of
 # about this many bytes (a whole number of one-thread GEMM products)
 POLY_TABLE_BYTES = 2**21
 
@@ -121,41 +122,63 @@ class Poly2:
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(
                 f"points must have shape (n, 2) or (2,), got {np.shape(points)}")
-        c = self.coeffs
-        n = len(pts)
-        # each product ypow @ c.T takes at most `gemm` rows, so OpenBLAS runs
-        # it on one thread (see GEMM_ONE_THREAD); a block of the two tables
-        # holds as many whole products as fit in POLY_TABLE_BYTES, at least
-        # one, so the products are the same calls at any block size
-        gemm = max(1, (GEMM_ONE_THREAD - 1) // c.size)
-        rows = gemm * max(1, POLY_TABLE_BYTES // (c.itemsize * sum(c.shape) * gemm))
-        rows = max(1, min(n, rows))
-        # one buffer holds both tables (each y power contiguous, slices
-        # C-ordered): one allocation per call, which the allocator reuses,
-        # where two took ten times the page faults of a grid-compare run
-        table = np.empty(rows * sum(c.shape))
-        ypow = table[:rows * c.shape[1]].reshape(c.shape[1], rows).T
-        ypow[:, 0] = 1.0
-        slices = table[rows * c.shape[1]:].reshape(rows, c.shape[0])
-        val = np.empty(n)
-        for s in range(0, n, rows):
-            x = np.ascontiguousarray(pts[s:s + rows, 0])
-            y = np.ascontiguousarray(pts[s:s + rows, 1])
-            power, block = ypow[:len(y)], slices[:len(y)]
-            for b in range(1, c.shape[1]):
-                np.multiply(power[:, b - 1], y, out=power[:, b])
+        val = evaluate_polys((self,), pts)[0]
+        return float(val[0]) if single else val
+
+    def __repr__(self):
+        return f"Poly2(degree={self.degree}, terms={int(np.count_nonzero(self.coeffs))})"
+
+
+def evaluate_polys(polys, points) -> np.ndarray:
+    """Values (k, n) of k Poly2 at (n, 2) points, from one y-power table and
+    one copy of the coordinates; Poly2.__call__ is the case k = 1.
+
+    Each polynomial's products ypow @ coeffs.T take at most `gemm` rows, so
+    OpenBLAS runs them on one thread (see GEMM_ONE_THREAD), at offsets that
+    are multiples of `gemm`: they are the products of its own call, so every
+    value is the one it gets alone. The tables fill in row blocks of a whole
+    number of every polynomial's products, within POLY_TABLE_BYTES when one
+    product of each fits; otherwise (several polynomials, whose product
+    sizes have no small common multiple) in blocks of a common multiple of
+    them, at most all n rows.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"points must have shape (n, 2), got {points.shape}")
+    coeffs = [p.coeffs for p in polys]
+    n = len(points)
+    nx = max(c.shape[0] for c in coeffs)
+    ny = max(c.shape[1] for c in coeffs)
+    gemms = [max(1, (GEMM_ONE_THREAD - 1) // c.size) for c in coeffs]
+    common = math.lcm(*gemms)
+    rows = common * max(1, POLY_TABLE_BYTES // (8 * (nx + ny) * common))
+    rows = max(1, min(n, rows))
+    # one buffer holds both tables (each y power contiguous, each
+    # polynomial's slices C-ordered): one allocation per call, which the
+    # allocator reuses, where two took ten times the page faults of a
+    # grid-compare run
+    table = np.empty(rows * (nx + ny))
+    ypow = table[:rows * ny].reshape(ny, rows).T
+    ypow[:, 0] = 1.0
+    out = np.empty((len(coeffs), n))
+    for s in range(0, n, rows):
+        x = np.ascontiguousarray(points[s:s + rows, 0])
+        y = np.ascontiguousarray(points[s:s + rows, 1])
+        power = ypow[:len(y)]
+        for b in range(1, ny):
+            np.multiply(power[:, b - 1], y, out=power[:, b])
+        for c, gemm, val in zip(coeffs, gemms, out):
             # block[:, a] is sum_b c[a, b] y^b
+            block = table[rows * ny:rows * (ny + c.shape[0])].reshape(rows, c.shape[0])
+            block, cpow = block[:len(y)], power[:, :c.shape[1]]
             for g in range(0, len(y), gemm):
-                np.matmul(power[g:g + gemm], c.T, out=block[g:g + gemm])
+                np.matmul(cpow[g:g + gemm], c.T, out=block[g:g + gemm])
             v = val[s:s + rows]
             v[:] = 0.0
             for a in range(c.shape[0] - 1, -1, -1):
                 np.multiply(v, x, out=v)
                 v += block[:, a]
-        return float(val[0]) if single else val
-
-    def __repr__(self):
-        return f"Poly2(degree={self.degree}, terms={int(np.count_nonzero(self.coeffs))})"
+    return out
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .element import (cell_chunks, cell_data, effective_ell, sfvem_locals,
+from .element import (cell_data, cell_stacks, effective_ell, sfvem_locals,
                       standard_vem_locals, volume_degree)
 # not called here; the benchmark's tracer re-binds them by this module's name
 from .element import sfvem_local, standard_vem_local  # noqa: F401
@@ -96,11 +96,11 @@ def assemble_many(mesh: PolyMesh, spec: ProblemSpec, methods=METHODS,
                   dirichlet_values: np.ndarray | None = None) -> dict:
     """The systems of several methods on one mesh, in one pass over the cells.
 
-    The cells are built in stacks of one vertex count (element.cell_chunks).
-    Each stack's frames, projections, polygon rules and data integrals are
-    built once per rule degree and shared by the methods that integrate at
-    it, so every system equals what ``assemble`` returns for its method
-    alone. Returns
+    The cells are built in stacks of one vertex count (element.cell_stacks).
+    Each stack's frames, projections, local matrices and scatter are built
+    once, its polygon rules and data integrals chunk by chunk, once per
+    rule degree and shared by the methods that integrate at it, so every
+    system equals what ``assemble`` returns for its method alone. Returns
     {method: GlobalSystem} in the order of ``methods``; the other parameters
     are those of ``assemble``.
     """
@@ -135,14 +135,19 @@ def assemble_many(mesh: PolyMesh, spec: ProblemSpec, methods=METHODS,
     vals = {m: np.empty(entry_start[-1]) for m in methods}
     loads = {m: np.empty(load_start[-1]) for m in methods}
     ell_by_cell = {m: np.zeros(mesh.n_cells, dtype=int) for m in methods}
-    # the largest temporary of a build: the harmonic gradients at the rule
-    # points, 2 ell + 2 basis functions by 2 components
-    chunks = cell_chunks(mesh, max(degrees.values()),
-                         lambda n: 2 * (2 * effective_ell(n, ell_offset) + 2))
-    for cells, index, vertices in chunks:
+    # the largest temporaries of a build are harmonic gradients, 2 ell + 2
+    # basis functions by 2 components: per rule point those at the rule
+    # points, per cell the edge-node arrays of hgrad_matrices, about 4
+    # arrays of gradients at its N (ell + 1) edge nodes
+    def gradient_floats(n):
+        return 2 * (2 * effective_ell(n, ell_offset) + 2)
+
+    stacks = cell_stacks(mesh, max(degrees.values()), gradient_floats,
+                         lambda n: 4 * gradient_floats(n) * n * (effective_ell(n, ell_offset) + 1))
+    for cells, index, vertices, chunks in stacks:
         ell = effective_ell(index.shape[1], ell_offset)
         try:
-            local = _local_matrices(vertices, spec, methods, ell, degrees)
+            local = _local_matrices(vertices, chunks, spec, methods, ell, degrees)
         except SfvemError as exc:
             if exc.index is None:
                 raise
@@ -163,6 +168,8 @@ def assemble_many(mesh: PolyMesh, spec: ProblemSpec, methods=METHODS,
             A = loc.A
             vals[m][entries] = A[block]
             loads[m][load] = (loc.b - (A @ g_cells)[..., 0])[inner]
+        # the stack's matrices go before the next stack is built
+        local = loc = A = None
     out = {}
     for m in methods:
         matrix = sparse.coo_matrix((vals[m], (rows, cols)),
@@ -179,22 +186,20 @@ def _spans(starts, counts) -> np.ndarray:
     return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
 
 
-def _local_matrices(vertices, spec, methods, ell, degrees) -> list:
+def _local_matrices(vertices, chunks, spec, methods, ell, degrees) -> list:
     # each method's local matrices on a stack of cells, sfvem at ell and vem
-    # at 0, from one geometry stack and one CellData per rule degree
+    # at 0, from one geometry stack and one CellData per rule degree, which
+    # carries sfvem's advection vectors when sfvem integrates at it
     poly = polygon_stack(vertices)
-    records: dict = {}
-    out = []
+    sfvem_degree = degrees[ell] if "sfvem" in methods else None
+    records = {}
     for method in methods:
-        method_ell = ell if method == "sfvem" else 0
-        degree = degrees[method_ell]
+        degree = sfvem_degree if method == "sfvem" else degrees[0]
         if degree not in records:
-            records[degree] = cell_data(poly, spec, degree)
-        if method == "sfvem":
-            out.append(sfvem_locals(records[degree], spec, ell))
-        else:
-            out.append(standard_vem_locals(records[degree], spec))
-    return out
+            records[degree] = cell_data(poly, spec, degree,
+                                        ell if degree == sfvem_degree else None, chunks)
+    return [sfvem_locals(records[sfvem_degree], spec) if method == "sfvem"
+            else standard_vem_locals(records[degrees[0]], spec) for method in methods]
 
 
 def solve(system: GlobalSystem) -> DiscreteSolution:

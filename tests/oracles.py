@@ -455,38 +455,84 @@ def loop_vem_local(vertices, spec):
     return LocalElementMatrices(0, A_diff, A_adv, A_reac, b, r)
 
 
+def rule_chunks(mesh, degree, floats_per_point):
+    """The rule chunks of the passes, as the chunked passes cut a mesh before
+    the stacks: each vertex-count group split by triangulation kind and cut
+    into as many whole cells as keep floats_per_point(n) floats per rule
+    point within ``CHUNK_BYTES`` (at least one). Yields (cells, index,
+    vertices) per chunk, in order. ``element.cell_stacks`` must keep these
+    chunks, since a ``Poly2`` value can depend on the call it lands in."""
+    from sfvem.element import CHUNK_BYTES
+    from sfvem.quadrature import fan_mask, rule_size
+
+    for cells, index in mesh.cell_groups():
+        vertices = mesh.vertices[index]
+        fan = fan_mask(vertices)
+        n = index.shape[1]
+        for kind, n_triangles in ((fan, n), (~fan, n - 2)):
+            size = max(1, CHUNK_BYTES // (8 * floats_per_point(n)
+                                          * rule_size(n_triangles, degree)))
+            ids, idx, verts = cells[kind], index[kind], vertices[kind]
+            for s in range(0, len(ids), size):
+                yield ids[s:s + size], idx[s:s + size], verts[s:s + size]
+
+
+def build_rule_chunks(mesh, spec, ell_offset=0):
+    """The build's rule degree and rule chunks: the degree of the highest
+    ell on the mesh, with 2 (2 ell + 2) floats per rule point."""
+    from sfvem.element import effective_ell, volume_degree
+
+    ells = {0} | {effective_ell(len(cell), ell_offset) for cell in mesh.cells}
+    degree = max(volume_degree(spec, ell) for ell in ells)
+    return degree, rule_chunks(mesh, degree,
+                               lambda n: 2 * (2 * effective_ell(n, ell_offset) + 2))
+
+
+def chunk_data_integrals(mesh, spec, ell_offset=0) -> tuple:
+    """Each cell's rule integrals of beta (n_cells, 2), gamma and f
+    (n_cells,), as the build computed them with one cell_data per rule chunk:
+    the chunk's rule points, each coefficient evaluated on all of them in
+    its own Poly2 call, and one einsum per integral. The build's integrals
+    must equal these bit for bit."""
+    from sfvem.quadrature import polygon_rules
+
+    degree, chunks = build_rule_chunks(mesh, spec, ell_offset)
+    int_beta, int_gamma, int_f = (np.full((mesh.n_cells, 2), np.nan),
+                                  np.full(mesh.n_cells, np.nan), np.full(mesh.n_cells, np.nan))
+    for cells, _, vertices in chunks:
+        rule = polygon_rules(vertices, degree)
+        w = rule.weights
+        pts = rule.points.reshape(-1, 2)
+        beta = np.stack([spec.beta[0](pts), spec.beta[1](pts)], axis=-1)
+        int_beta[cells] = np.einsum("cp,cpa->ca", w, beta.reshape(w.shape + (2,)))
+        int_gamma[cells] = np.einsum("cp,cp->c", w, spec.gamma(pts).reshape(w.shape))
+        int_f[cells] = np.einsum("cp,cp->c", w, spec.f(pts).reshape(w.shape))
+    return int_beta, int_gamma, int_f
+
+
 def single_rule_load_integrals(mesh, spec, ell_offset=0) -> np.ndarray:
     """Each cell's integrals of gamma and f, (2, n_cells), as the build
     computed them when its one polygon rule also carried the diffusion Gram:
     of degree max(2 ell, 2, deg beta + ell, deg gamma, deg f) over the
-    mesh's ells, per chunk of cells of one vertex count and triangulation
-    kind, as many cells as keep 2 (2 ell + 2) floats per rule point within
-    ``CHUNK_BYTES``, with gamma and f evaluated on all the chunk's points in
-    one call each. The build must still match these integrals wherever the
-    Gram did not set the degree, since a Poly2 value can depend on the call
-    it lands in."""
-    from sfvem.element import CHUNK_BYTES, effective_ell
-    from sfvem.quadrature import fan_mask, polygon_rules, rule_size
+    mesh's ells, per rule chunk of the build (``rule_chunks`` with
+    2 (2 ell + 2) floats per point), with gamma and f evaluated on all the
+    chunk's points in one call each. The build must still match these
+    integrals wherever the Gram did not set the degree, since a Poly2 value
+    can depend on the call it lands in."""
+    from sfvem.element import effective_ell
+    from sfvem.quadrature import polygon_rules
 
     ells = {0} | {effective_ell(len(cell), ell_offset) for cell in mesh.cells}
     degree = max(max(2 * ell, 2, spec.beta[0].degree + ell, spec.beta[1].degree + ell,
                      spec.gamma.degree, spec.f.degree) for ell in ells)
     out = np.empty((2, mesh.n_cells))
-    for cells, index in mesh.cell_groups():
-        vertices = mesh.vertices[index]
-        fan = fan_mask(vertices)
-        n = index.shape[1]
-        floats = 2 * (2 * effective_ell(n, ell_offset) + 2)
-        for kind, n_triangles in ((fan, n), (~fan, n - 2)):
-            size = max(1, CHUNK_BYTES // (8 * floats * rule_size(n_triangles, degree)))
-            ids, verts = cells[kind], vertices[kind]
-            for s in range(0, len(ids), size):
-                rule = polygon_rules(verts[s:s + size], degree)
-                pts = rule.points.reshape(-1, 2)
-                for k, p in enumerate((spec.gamma, spec.f)):
-                    values = p(pts).reshape(rule.weights.shape)
-                    out[k, ids[s:s + size]] = [float(w @ v)
-                                               for w, v in zip(rule.weights, values)]
+    chunks = rule_chunks(mesh, degree, lambda n: 2 * (2 * effective_ell(n, ell_offset) + 2))
+    for cells, _, vertices in chunks:
+        rule = polygon_rules(vertices, degree)
+        pts = rule.points.reshape(-1, 2)
+        for k, p in enumerate((spec.gamma, spec.f)):
+            values = p(pts).reshape(rule.weights.shape)
+            out[k, cells] = [float(w @ v) for w, v in zip(rule.weights, values)]
     return out
 
 
@@ -557,6 +603,50 @@ def loop_error_norms(solution, spec):
         num1 += w @ (K[0, 0] * dx * dx + 2.0 * K[0, 1] * dx * dy + K[1, 1] * dy * dy)
         den1 += w @ (K[0, 0] * gx * gx + 2.0 * K[0, 1] * gx * gy + K[1, 1] * gy * gy)
     return float(np.sqrt(num0 / den0)), float(np.sqrt(num1 / den1))
+
+
+def pointwise_error_norms(solutions, spec) -> list:
+    """``error_norms_many`` as the chunked pass computed it point by point:
+    per rule chunk (``rule_chunks`` with 8 floats per point), each cell's
+    geometry stack, linear projections and polygon rule, the exact solution
+    and its gradient each in its own Poly2 call, and per solution the
+    projected solution and the error integrands at every rule point. The
+    pass on moments must match it within the "split" tolerance."""
+    from sfvem.projectors import nabla_matrices
+    from sfvem.quadrature import polygon_rules
+
+    mesh = solutions[0].mesh
+    K = spec.K
+    degree = 2 * spec.exact_u.degree + 2
+    den = np.empty((2, mesh.n_cells))
+    num = np.empty((len(solutions), 2, mesh.n_cells))
+    for cells, index, vertices in rule_chunks(mesh, degree, lambda n: 8):
+        poly = polygon_stack(vertices)
+        nabla = nabla_matrices(poly)
+        rule = polygon_rules(vertices, degree)
+        w = rule.weights
+        pts = rule.points.reshape(-1, 2)
+        loc = poly.frame.local(rule.points)
+        u = spec.exact_u(pts).reshape(w.shape)
+        gx = spec.exact_grad_u[0](pts).reshape(w.shape)
+        gy = spec.exact_grad_u[1](pts).reshape(w.shape)
+        den[0, cells] = np.einsum("cp,cp->c", w, u * u)
+        den[1, cells] = np.einsum("cp,cp->c", w, K[0, 0] * gx * gx + 2.0 * K[0, 1] * gx * gy
+                                  + K[1, 1] * gy * gy)
+        for k, solution in enumerate(solutions):
+            coef = nabla @ solution.values[index][:, :, None]
+            uh = coef[:, 0] + (loc @ coef[:, 1:])[..., 0]
+            gh = coef[:, 1:, 0] / poly.frame.scale[:, None]
+            d0 = u - uh
+            dx = gx - gh[:, :1]
+            dy = gy - gh[:, 1:]
+            num[k, 0, cells] = np.einsum("cp,cp->c", w, d0 * d0)
+            num[k, 1, cells] = np.einsum("cp,cp->c", w, K[0, 0] * dx * dx
+                                         + 2.0 * K[0, 1] * dx * dy + K[1, 1] * dy * dy)
+    den0, den1 = den.sum(axis=-1)
+    num0, num1 = num.sum(axis=-1).T
+    return [(float(np.sqrt(n0 / den0)), float(np.sqrt(n1 / den1)))
+            for n0, n1 in zip(num0, num1)]
 
 
 # one-sided Jacobi stops once every column pair is orthogonal to this

@@ -16,6 +16,8 @@ from sfvem.poly import (Poly2, build_benchmark_coefficients, bubble_problem,
                         manufactured_problem)
 from sfvem.system import METHODS, DiscreteSolution, assemble, solve
 
+from oracles import build_rule_chunks, rule_chunks
+
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 RNG = np.random.default_rng(41)
 
@@ -342,14 +344,15 @@ def test_convergence_study_builds_each_cell_once(monkeypatch, methods, rules,
                                                  evals):
     # per cell, one element rule and one error rule, and beta, gamma and f
     # on the first, u and grad u on the second, each evaluated once. The
-    # rules and evaluations go per chunk of cells: every call covers whole
-    # cells (its points are its cells times one cell's rule) and each pass
-    # covers every cell once.
+    # rules go per chunk of cells, the chunks the passes cut before they
+    # built by stacks (the same cells in the same order); each chunk's data
+    # come from one shared-table evaluation on exactly its rule points, and
+    # each pass covers every cell once.
     import sfvem.analysis
     import sfvem.element
     from sfvem.quadrature import rule_size
 
-    spec = build_benchmark_coefficients()  # its gamma check evaluates once
+    spec = build_benchmark_coefficients()
     calls, evals_seen = [], []
 
     def rule_counted(fn):
@@ -360,10 +363,10 @@ def test_convergence_study_builds_each_cell_once(monkeypatch, methods, rules,
         return counted
 
     def eval_counted(fn):
-        def counted(poly, points):
+        def counted(polys, points):
             degree, _, rule_points = calls[-1]  # the rule just built
-            evals_seen.append((degree, len(points), rule_points))
-            return fn(poly, points)
+            evals_seen.append((degree, len(polys), len(points), rule_points))
+            return fn(polys, points)
         return counted
 
     mesh = generate_distorted_grid(8)  # generated outside the counted passes
@@ -371,17 +374,18 @@ def test_convergence_study_builds_each_cell_once(monkeypatch, methods, rules,
                         lambda *args: mesh)
     for module in (sfvem.element, sfvem.analysis):
         monkeypatch.setattr(module, "polygon_rules", rule_counted(module.polygon_rules))
-    monkeypatch.setattr(Poly2, "__call__", eval_counted(Poly2.__call__))
+        monkeypatch.setattr(module, "evaluate_polys", eval_counted(module.evaluate_polys))
     errors = one_level(spec, mesh, methods)
     per_cell = {33: rule_size(4, 33), 36: rule_size(4, 36)}  # build, error rule
-    for degree, points in per_cell.items():
-        chunks = [(cells, n) for d, cells, n in calls if d == degree]
-        assert 1 < len(chunks) < mesh.n_cells
-        assert all(n == cells * points for cells, n in chunks)
-    assert len(evals_seen) == sum(4 if d == 33 else 3 for d, _, _ in calls)
-    assert all(n == rule_points for _, n, rule_points in evals_seen)
+    build_degree, build_chunks = build_rule_chunks(mesh, spec)
+    chunks = ([(build_degree, len(cells)) for cells, _, _ in build_chunks]
+              + [(36, len(cells)) for cells, _, _ in rule_chunks(mesh, 36, lambda n: 8)])
+    assert [(degree, cells) for degree, cells, _ in calls] == chunks
+    assert all(n == cells * per_cell[d] for d, cells, n in calls)
+    assert len(evals_seen) == len(calls)
+    assert all(n == rule_points for _, _, n, rule_points in evals_seen)
     assert sum(cells for _, cells, _ in calls) == rules * mesh.n_cells
-    assert sum(n // per_cell[d] for d, n, _ in evals_seen) == evals * mesh.n_cells
+    assert sum(k * n // per_cell[d] for d, k, n, _ in evals_seen) == evals * mesh.n_cells
     assert list(errors) == list(methods)
     assert np.isfinite(list(errors.values())).all()
 
@@ -390,8 +394,9 @@ def test_convergence_study_builds_each_cell_once(monkeypatch, methods, rules,
 def test_convergence_study_computes_each_cell_geometry_once_per_pass(monkeypatch,
                                                                      methods):
     # one geometry stack per vertex count in the quality report (run by the
-    # study only), and one geometry stack and one rule stack per chunk in
-    # the build and error passes: each pass covers every cell once. No pass
+    # study only); in the build and error passes one geometry stack per
+    # stack of cells and one rule stack per chunk of it, several chunks to a
+    # stack: each pass covers every cell once. No pass
     # calls the one-polygon signed_area, or a one-polygon entry point, whose
     # stack of one would add to the stacks' cell count. Every sfvem module's
     # name for the three functions is counted, with its stack size, under
@@ -401,6 +406,7 @@ def test_convergence_study_computes_each_cell_geometry_once_per_pass(monkeypatch
     import sfvem.analysis
     import sfvem.geometry
     import sfvem.quadrature
+    import sfvem.system
 
     mesh = generate_distorted_grid(8)  # generated outside the counted study
     monkeypatch.setattr(sfvem.analysis, "generate_distorted_grid",
@@ -431,6 +437,15 @@ def test_convergence_study_computes_each_cell_geometry_once_per_pass(monkeypatch
             for key, fn in counted.items():
                 if getattr(module, key, None) is fn:
                     monkeypatch.setattr(module, key, counting(fn, key))
+    def stacks_counted(fn):
+        def wrapper(*args):
+            for stack in fn(*args):
+                calls.setdefault((running[0], "cell_stacks"), []).append(len(stack[0]))
+                yield stack
+        return wrapper
+
+    for module in (sfvem.system, sfvem.analysis):
+        monkeypatch.setattr(module, "cell_stacks", stacks_counted(module.cell_stacks))
     for fn, name in (("quality_report", "quality"), ("assemble_many", "build"),
                      ("error_norms_many", "error")):
         monkeypatch.setattr(sfvem.analysis, fn,
@@ -441,8 +456,10 @@ def test_convergence_study_computes_each_cell_geometry_once_per_pass(monkeypatch
         assert calls.pop(("quality", "polygon_stack")) == [mesh.n_cells]  # quads
     for name in passes:
         stacks = calls.pop((name, "polygon_stack"))
-        assert len(stacks) > 1 and sum(stacks) == mesh.n_cells
-        assert calls.pop((name, "polygon_rules")) == stacks
+        rules = calls.pop((name, "polygon_rules"))
+        assert calls.pop((name, "cell_stacks")) == stacks
+        assert sum(stacks) == sum(rules) == mesh.n_cells
+        assert len(stacks) < len(rules)
     assert calls == {}
 
 

@@ -24,7 +24,7 @@ import pytest
 import sfvem.element
 import sfvem.mesh
 from sfvem.analysis import error_norms_many, unit_diffusion_matrix
-from sfvem.element import (cell_chunks, cell_data, effective_ell, sfvem_local, sfvem_locals,
+from sfvem.element import (cell_data, cell_stacks, effective_ell, sfvem_local, sfvem_locals,
                            standard_vem_local, standard_vem_locals, volume_degree)
 from sfvem.errors import DegenerateElementError, MeshGenerationError, SfvemError
 from sfvem.geometry import are_simple, is_simple, polygon_stack, signed_area, signed_areas
@@ -33,19 +33,20 @@ from sfvem.mesh import (PolyMesh, _centroids, _check_unit_area,
                         _voronoi_cells, catalog_polygons, generate_distorted_grid,
                         generate_voronoi)
 from sfvem.poly import (HarmonicBasis, build_benchmark_coefficients, bubble_problem,
-                        harmonic_basis)
+                        evaluate_polys, harmonic_basis)
 from sfvem.projectors import (_edge_points, hgrad_matrices, hgrad_matrix, nabla_matrices,
                               nabla_matrix, pi0_rows)
 from sfvem.quadrature import fan_mask, polygon_rule, polygon_rules
-from sfvem.system import assemble, assemble_many, solve
+from sfvem.system import METHODS, assemble, assemble_many, solve
 
-from oracles import (array_halfplane_clip, centroid, diameter, edge_lengths_normals,
+from oracles import (array_halfplane_clip, build_rule_chunks, centroid,
+                     chunk_data_integrals, diameter, edge_lengths_normals,
                      first_moments, loop_assemble, loop_centroids, loop_closest_pair,
                      loop_diffusion_gram, loop_error_norms, loop_hgrad_matrix,
                      loop_is_simple, loop_nabla_matrix, loop_poly2_eval, loop_polygon_rule,
                      loop_sfvem_local, loop_shortest_edges, loop_signed_area,
                      loop_validate, loop_vem_local, loop_voronoi_cells,
-                     single_rule_load_integrals)
+                     pointwise_error_norms, rule_chunks, single_rule_load_integrals)
 
 # thin U whose vertex average falls outside it: the only ear-clip case here,
 # since every catalog polygon and mesh cell is star shaped about its average
@@ -56,7 +57,8 @@ USHAPE = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.6, 3.0],
 # Largest |got - want| over the largest |want| a kernel may show against its
 # loop oracle: a power of ten at least eight times the worst drift measured
 # on these inputs (nabla 7e-17, gram 1e-15, projection 7e-15, local
-# 1.2e-14, load 2.7e-14, system 7e-16, errors 3.4e-14).
+# 1.2e-14, load 2.7e-14, system 7e-16, errors 3.4e-14); split is the drift the
+# error pass on moments may show against the pointwise pass (6.2e-16 measured).
 RTOL = {
     "nabla": 1e-15,       # nabla_matrices and pi0_rows
     "gram": 1e-14,        # the boundary Gram G, MK and the audit's P^T G P
@@ -65,6 +67,7 @@ RTOL = {
     "load": 1e-12,        # b and the rule integrals of f and gamma
     "system": 1e-14,      # global matrix entries and right-hand side
     "errors": 1e-12,      # relative L2 and energy errors
+    "split": 1e-13,       # the error pass on moments against the pointwise pass
 }
 
 
@@ -376,6 +379,8 @@ MESHES = {
     "grid16": lambda: generate_distorted_grid(16, 0.3, 2),
     "voronoi64": lambda: generate_voronoi(64, 3, 7, 0.25),
     "voronoi256": lambda: generate_voronoi(256, 3, 1, 0.25),
+    "grid64": lambda: generate_distorted_grid(64, 0.3, 42),
+    "voronoi576": lambda: generate_voronoi(576, 3, 42, 0.25),
 }
 
 
@@ -447,35 +452,99 @@ def test_shared_passes_match_one_method_at_a_time(mesh_name, problem, ell_offset
         assert error_norms_many([solve(alone)], spec) == [errors[m]], m
 
 
-@pytest.mark.parametrize("mesh_name", ["grid16", "voronoi256"])
-def test_load_integrals_keep_the_single_rule_build(monkeypatch, mesh_name):
-    # the diffusion Gram left the volume rule, but the load keeps the rule
-    # degree and the chunks it had when the Gram shared that rule, and with
-    # them the data values at the rule points
+@pytest.mark.parametrize("mesh_name", ["grid64", "voronoi576"])
+def test_error_pass_on_moments_matches_the_pointwise_pass(mesh_name):
+    # the orthogonal split of the error integrals against the pass that
+    # integrated u - u_h and grad(u - u_h) point by point, on the same rule
+    # points and data values, for both methods
+    mesh, spec = MESHES[mesh_name](), PROBLEMS["benchmark"]
+    solutions = [solve(s) for s in assemble_many(mesh, spec).values()]
+    got = error_norms_many(solutions, spec)
+    for method, pair, want in zip(METHODS, got, pointwise_error_norms(solutions, spec)):
+        for g, w in zip(pair, want):
+            assert_close(g, w, "split", method)
+
+
+def _build_records(monkeypatch, mesh, spec):
+    # assemble_many's CellData records, one per stack, with the stack's cells
     import sfvem.system
 
-    mesh, spec = MESHES[mesh_name](), PROBLEMS["benchmark"]
-    chunk_ids, records = [], []
+    stack_ids, records = [], []
 
-    def chunks_seen(*args):
-        for chunk in cell_chunks(*args):
-            chunk_ids.append(chunk[0])
-            yield chunk
+    def stacks_seen(*args):
+        for stack in cell_stacks(*args):
+            stack_ids.append(stack[0])
+            yield stack
 
     def data_seen(*args):
         records.append(cell_data(*args))
         return records[-1]
 
-    monkeypatch.setattr(sfvem.system, "cell_chunks", chunks_seen)
+    monkeypatch.setattr(sfvem.system, "cell_stacks", stacks_seen)
     monkeypatch.setattr(sfvem.system, "cell_data", data_seen)
     assemble_many(mesh, spec)
-    assert len(records) == len(chunk_ids) > 1
+    assert len(records) == len(stack_ids) >= 1
+    return zip(stack_ids, records)
+
+
+@pytest.mark.parametrize("mesh_name", ["grid16", "voronoi256"])
+def test_load_integrals_keep_the_single_rule_build(monkeypatch, mesh_name):
+    # the diffusion Gram left the volume rule, but the load keeps the rule
+    # degree and the chunks it had when the Gram shared that rule, and with
+    # them the data values at the rule points
+    mesh, spec = MESHES[mesh_name](), PROBLEMS["benchmark"]
     seen = np.full((2, mesh.n_cells), np.nan)
-    for cells, data in zip(chunk_ids, records):
+    for cells, data in _build_records(monkeypatch, mesh, spec):
         seen[:, cells] = data.int_gamma, data.int_f
     want = single_rule_load_integrals(mesh, spec)
     assert_close(seen[0], want[0], "load", "gamma")
     assert_close(seen[1], want[1], "load", "f")
+
+
+@pytest.mark.parametrize("mesh_name", ["grid16", "voronoi256"])
+def test_stacked_build_integrals_match_per_chunk_cell_data(monkeypatch, mesh_name):
+    # a stack's data integrals come chunk by chunk from one shared-table
+    # evaluation; each equals, bit for bit, what one cell_data per chunk
+    # computed with one Poly2 call per coefficient
+    mesh, spec = MESHES[mesh_name](), PROBLEMS["benchmark"]
+    seen = [np.full((mesh.n_cells, 2), np.nan), np.full(mesh.n_cells, np.nan),
+            np.full(mesh.n_cells, np.nan)]
+    for cells, data in _build_records(monkeypatch, mesh, spec):
+        for out, got in zip(seen, (data.int_beta, data.int_gamma, data.int_f)):
+            out[cells] = got
+    for name, got, want in zip(("beta", "gamma", "f"), seen, chunk_data_integrals(mesh, spec)):
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("mesh_name", ["grid16", "voronoi256"])
+def test_shared_table_matches_each_poly_on_every_chunk(monkeypatch, mesh_name):
+    # both passes evaluate their data once per rule chunk, on the points of
+    # the chunks the passes had before the stacks, and each value equals
+    # its polynomial's own Poly2 call on those points
+    import sfvem.analysis
+
+    mesh, spec = MESHES[mesh_name](), PROBLEMS["benchmark"]
+    calls = []
+
+    def evaluate_seen(polys, points):
+        calls.append((polys, points, evaluate_polys(polys, points)))
+        return calls[-1][2]
+
+    for module in (sfvem.element, sfvem.analysis):
+        monkeypatch.setattr(module, "evaluate_polys", evaluate_seen)
+    systems = assemble_many(mesh, spec)
+    error_norms_many([solve(s) for s in systems.values()], spec)
+    build_degree, build_chunks = build_rule_chunks(mesh, spec)
+    error_degree = 2 * spec.exact_u.degree + 2
+    want = ([((*spec.beta, spec.gamma, spec.f), build_degree, v) for _, _, v in build_chunks]
+            + [((spec.exact_u, *spec.exact_grad_u), error_degree, v)
+               for _, _, v in rule_chunks(mesh, error_degree, lambda n: 8)])
+    assert len(calls) == len(want) > 2
+    for (polys, points, values), (want_polys, degree, vertices) in zip(calls, want):
+        assert polys == want_polys
+        assert np.array_equal(points, polygon_rules(vertices, degree).points.reshape(-1, 2))
+        for p, got in zip(polys, values):
+            assert np.array_equal(got, p(points))
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +626,9 @@ def test_stacked_projectors_match_edge_loops(polygons):
 
 def test_anisotropic_build_evaluates_the_edge_nodes_once(monkeypatch, polygons):
     # G and MK share one basis evaluation at the ell + 1 Gauss nodes per
-    # edge; the right-hand side takes one at its (ell + 3) // 2 nodes per
-    # edge and the advection vector t one at the rule points
+    # edge and the right-hand side takes one at its (ell + 3) // 2 nodes per
+    # edge; the advection vector t, which cell_data builds chunk by chunk,
+    # takes one at the rule points of each chunk
     spec = PROBLEMS["benchmark"]
     evaluated, built = [], []
     zpowers, hgrad = HarmonicBasis._zpowers, sfvem.element.hgrad_matrices
@@ -576,13 +646,16 @@ def test_anisotropic_build_evaluates_the_edge_nodes_once(monkeypatch, polygons):
     for stack in _stacks(polygons):
         poly = polygon_stack(stack)
         ell = effective_ell(stack.shape[1])
-        data = cell_data(poly, spec, volume_degree(spec, ell))
         evaluated.clear()
-        sfvem_locals(data, spec, ell)
-        assert len(evaluated) == 3
+        data = cell_data(poly, spec, volume_degree(spec, ell), ell)
+        assert len(evaluated) == 1
+        rule_points = polygon_rules(stack, volume_degree(spec, ell)).points
+        assert np.array_equal(evaluated[0], rule_points)
+        evaluated.clear()
+        sfvem_locals(data, spec)
+        assert len(evaluated) == 2
         assert np.array_equal(evaluated[0], _edge_points(poly, ell + 1)[0])
         assert np.array_equal(evaluated[1], _edge_points(poly, (ell + 3) // 2)[0])
-        assert np.array_equal(evaluated[2], data.rule.points)
         MK = built[-1][2]
         for i, v in enumerate(stack):
             assert_close(MK[i], loop_diffusion_gram(v, spec.K, ell), "gram", i)
@@ -595,8 +668,8 @@ def test_stacked_builders_match_standalone_build(polygons, problem):
         poly = polygon_stack(stack)
         for offset in (0, 1):
             ell = effective_ell(stack.shape[1], offset)
-            local = sfvem_locals(cell_data(poly, spec, volume_degree(spec, ell)),
-                                 spec, ell)
+            local = sfvem_locals(cell_data(poly, spec, volume_degree(spec, ell), ell),
+                                 spec)
             for i, v in enumerate(stack):
                 assert_close_local(local.cell(i), loop_sfvem_local(v, spec, ell), i)
         local = standard_vem_locals(cell_data(poly, spec, volume_degree(spec, 0)), spec)

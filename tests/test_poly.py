@@ -5,7 +5,7 @@ import pytest
 
 from sfvem.poly import (GEMM_ONE_THREAD, POLY_TABLE_BYTES, HarmonicBasis, Poly2,
                         ScaledFrame, build_benchmark_coefficients, bubble_problem,
-                        harmonic_basis, manufactured_problem,
+                        evaluate_polys, harmonic_basis, manufactured_problem,
                         poisson_problem)
 from sfvem.problem import ProblemSpec
 
@@ -145,6 +145,40 @@ def test_poly2_matches_loop_eval_at_block_boundaries(monkeypatch, name):
         assert np.array_equal(got, want), n
         assert sum(m for m, _, _ in products) == n
         assert all(m * k * cols < GEMM_ONE_THREAD for m, k, cols in products), n
+
+
+def _shared_table_sets():
+    # the polynomial sets the passes evaluate together, and every CLI
+    # problem's data at once
+    bench = _benchmark_polys()
+    poisson, bubble = poisson_problem(), bubble_problem()
+    return {
+        "benchmark": [bench[k] for k in ("beta_x", "beta_y", "gamma", "f", "u", "u_x", "u_y")],
+        "benchmark_build": [bench[k] for k in ("beta_x", "beta_y", "gamma", "f")],
+        "benchmark_error": [bench[k] for k in ("u", "u_x", "u_y")],
+        "poisson": [*poisson.beta, poisson.gamma, poisson.f],
+        "bubble": [*bubble.beta, bubble.gamma, bubble.f, bubble.exact_u,
+                   *bubble.exact_grad_u],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_shared_table_sets()))
+def test_shared_table_matches_each_poly2_call(name):
+    # several polynomials from one y-power table give, bit for bit, what
+    # each one's own call gives. 5826 points leave a one-row product for
+    # beta (5825 rows a product), which is a matrix-vector call; 1444, 7344
+    # and 8664 are a fan quad's error rule, a build chunk of six quads and
+    # six fan quads' error rules; 200000 spans several blocks
+    polys = _shared_table_sets()[name]
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 1444, 5826, 7344, 8664, 200000):
+        pts = rng.random((n, 2))
+        got = evaluate_polys(polys, pts)
+        assert got.shape == (len(polys), n)
+        for p, values in zip(polys, got):
+            assert np.array_equal(values, p(pts)), n
+    with pytest.raises(ValueError, match=r"\(n, 2\), got \(3,\)"):
+        evaluate_polys(polys, np.zeros(3))
 
 
 def test_poly2_on_zero_points_is_empty():
