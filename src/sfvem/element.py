@@ -12,9 +12,11 @@ it from the edge nodes of the projection. The advection and load
 integrals share one polygon rule, of the degree volume_degree.
 
 The builders work on stacks of cells with one vertex count: ``cell_data``
-records a ``PolygonStack``, its per-cell algebra once and its polygon rules
-and data chunk by chunk, ``sfvem_locals`` and ``standard_vem_locals``
-return every cell's matrices with a leading cell axis, and ``cell_stacks``
+records a ``PolygonStack`` at its degree parameter ell, its per-cell algebra
+once and its polygon rules and data chunk by chunk, ``sfvem_locals`` and
+``standard_vem_locals`` both read that one record and return every cell's
+matrices with a leading cell axis (the comparator's integral of beta is
+h times the first two entries of sfvem's advection vector), and ``cell_stacks``
 cuts a mesh into such stacks and each stack into rule chunks.
 ``sfvem_local`` and ``standard_vem_local``
 take the vertices of one polygon and return cell 0 of the stacked build
@@ -97,10 +99,10 @@ def effective_ell(n_vertices: int, offset: int = 0) -> int:
 
 
 def volume_degree(spec: ProblemSpec, ell: int) -> int:
-    """Degree of the polygon rule both builders integrate with: the highest
-    total degree among the volume integrands grad h_i . beta, gamma and f
-    (the comparator has ell = 0). The diffusion Gram grad h_i . K grad h_j
-    comes from edge nodes (projectors.hgrad_matrices)."""
+    """Degree of the polygon rule of a stack's record, which both builders
+    read: the highest total degree among the volume integrands
+    grad h_i . beta, gamma and f at degree parameter ell. The diffusion Gram
+    grad h_i . K grad h_j comes from edge nodes (projectors.hgrad_matrices)."""
     return max(spec.beta[0].degree + ell, spec.beta[1].degree + ell,
                spec.gamma.degree, spec.f.degree)
 
@@ -139,71 +141,61 @@ def cell_stacks(mesh, degree: int, floats_per_point, floats_per_cell):
 
 @dataclass(frozen=True)
 class CellData:
-    """What the builders read of a stack of cells at one rule degree.
+    """What both builders read of a stack of cells at its degree parameter
+    ell.
 
     The geometry stack (which carries the frames), the H1 projection
-    matrices and the element-mean rows, and the rule integrals of beta,
-    gamma and f. When built for the stabilization-free form, also its
-    harmonic basis and the advection vectors t_i = integral of
-    grad h_i . beta, (C, 2 ell + 2). The rule points and the data values
-    at them live only while their chunk is built. Both methods build from
-    one record when their rule degrees agree, and then get the floats they
-    get alone.
+    matrices and the element-mean rows, the harmonic basis of degree
+    parameter ell, the advection vectors t_i = integral of grad h_i . beta,
+    (C, 2 ell + 2), and the rule integrals of gamma and f, all at the rule
+    degree volume_degree(spec, ell). The rule points and the data values at
+    them live only while their chunk is built.
     """
 
     poly: PolygonStack
     nabla: np.ndarray
     pi0: np.ndarray
-    int_beta: np.ndarray
+    basis: HarmonicBasis
+    t: np.ndarray
     int_gamma: np.ndarray
     int_f: np.ndarray
-    basis: HarmonicBasis | None = None
-    t: np.ndarray | None = None
 
 
-def cell_data(poly: PolygonStack, spec: ProblemSpec, degree: int, ell: int | None = None,
+def cell_data(poly: PolygonStack, spec: ProblemSpec, ell: int,
               chunks=(slice(None),)) -> CellData:
-    """The record of a PolygonStack at the given rule degree, with the
-    advection vectors of the harmonic basis of degree parameter ell when
-    ell is given. The projections are built once for the stack; the polygon
-    rules, the data values at their points (beta, gamma and f from one
-    evaluate_polys call) and the integrals are built chunk by chunk, for
-    the given slices of the stack (one chunk by default)."""
+    """The record of a PolygonStack at degree parameter ell. The projections
+    are built once for the stack; the polygon rules of degree
+    volume_degree(spec, ell), the data values at their points (beta, gamma
+    and f from one evaluate_polys call) and the integrals are built chunk
+    by chunk, for the given slices of the stack (one chunk by default)."""
     nabla = nabla_matrices(poly)
-    basis = None if ell is None else harmonic_basis(poly.frame, ell)
+    degree = volume_degree(spec, ell)
     integrals = [_rule_integrals(poly, chunk, spec, degree, ell) for chunk in chunks]
-    int_beta, int_gamma, int_f, t = (None if parts[0] is None else np.concatenate(parts)
-                                     for parts in zip(*integrals))
-    return CellData(poly, nabla, pi0_rows(poly, nabla), int_beta, int_gamma, int_f,
-                    basis, t)
+    t, int_gamma, int_f = (np.concatenate(parts) for parts in zip(*integrals))
+    return CellData(poly, nabla, pi0_rows(poly, nabla), harmonic_basis(poly.frame, ell),
+                    t, int_gamma, int_f)
 
 
 def _rule_integrals(poly: PolygonStack, chunk: slice, spec: ProblemSpec, degree: int,
-                    ell: int | None) -> tuple:
-    # the rule integrals of beta (c, 2), gamma (c,) and f (c,) on a chunk of
-    # the stack, and with ell its advection vectors t (c, 2 ell + 2) or None;
-    # the chunk's rule points and data values go when it returns
+                    ell: int) -> tuple:
+    # the advection vectors t (c, 2 ell + 2) and the rule integrals of gamma
+    # (c,) and f (c,) on a chunk of the stack; the chunk's rule points and
+    # data values go when it returns
     rule = polygon_rules(poly.vertices[chunk], degree)
     w = rule.weights
     coefficients = (spec.beta[0], spec.beta[1], spec.gamma, spec.f)
     values = evaluate_polys(coefficients, rule.points.reshape(-1, 2)).reshape((4,) + w.shape)
-    beta = np.stack([values[0], values[1]], axis=-1)
-    t = None
-    if ell is not None:
-        # t_i = integral of grad h_i . beta, one product per cell over the
-        # (point, component) pairs
-        grads = harmonic_basis(poly.frame[chunk], ell).gradients(rule.points)
-        wbeta = beta * w[..., None]
-        t = (grads.reshape(grads.shape[:2] + (-1,)) @ wbeta.reshape(len(w), -1, 1))[..., 0]
-    return (np.einsum("cp,cpa->ca", w, beta), np.einsum("cp,cp->c", w, values[2]),
-            np.einsum("cp,cp->c", w, values[3]), t)
+    # t_i = integral of grad h_i . beta, one product per cell over the
+    # (point, component) pairs
+    grads = harmonic_basis(poly.frame[chunk], ell).gradients(rule.points)
+    wbeta = np.stack([values[0], values[1]], axis=-1) * w[..., None]
+    t = (grads.reshape(grads.shape[:2] + (-1,)) @ wbeta.reshape(len(w), -1, 1))[..., 0]
+    return t, np.einsum("cp,cp->c", w, values[2]), np.einsum("cp,cp->c", w, values[3])
 
 
 def sfvem_locals(data: CellData, spec: ProblemSpec) -> LocalElementMatrices:
     """Local matrices of the stabilization-free form on every cell of a
-    record built at volume_degree(spec, ell) with its ell; see sfvem_local."""
-    if data.basis is None:
-        raise ValueError("the stabilization-free form needs a record built with ell")
+    record; see sfvem_local."""
     r, basis = data.pi0, data.basis
     P, _, MK = hgrad_matrices(data.poly, basis, spec.K)
     A_diff = P.transpose(0, 2, 1) @ MK @ P
@@ -230,12 +222,14 @@ def sfvem_local(vertices, spec: ProblemSpec, ell: int) -> LocalElementMatrices:
         probing below the solvability bound.
     """
     poly = polygon_stack(np.asarray(vertices, dtype=float)[None])
-    return sfvem_locals(cell_data(poly, spec, volume_degree(spec, ell), ell), spec).cell(0)
+    return sfvem_locals(cell_data(poly, spec, ell), spec).cell(0)
 
 
 def standard_vem_locals(data: CellData, spec: ProblemSpec) -> LocalElementMatrices:
-    """Local matrices of the stabilized comparator on every cell of a record
-    built at volume_degree(spec, 0); see standard_vem_local."""
+    """Local matrices of the stabilized comparator on every cell of a
+    record, at any ell; see standard_vem_local. Its advection integral
+    of beta is h t[:, :2], since h_1 and h_2 are the scaled x and y, whose
+    gradients are (1/h, 0) and (0, 1/h)."""
     frame, nabla, r = data.poly.frame, data.nabla, data.pi0
     D = dof_matrix(data.poly.vertices, frame)
     h = frame.scale
@@ -248,7 +242,7 @@ def standard_vem_locals(data: CellData, spec: ProblemSpec) -> LocalElementMatric
     A_diff = consistency + tau * (Q.transpose(0, 2, 1) @ Q)
     A_diff = 0.5 * (A_diff + A_diff.transpose(0, 2, 1))
 
-    A_adv = r[:, :, None] * ((data.int_beta[:, None, :] @ S) / h[:, None, None])
+    A_adv = r[:, :, None] * (data.t[:, None, :2] @ S)
     A_reac = data.int_gamma[:, None, None] * (r[:, :, None] * r[:, None, :])
     b = data.int_f[:, None] * r
     return LocalElementMatrices(0, A_diff, A_adv, A_reac, b, r)
@@ -263,5 +257,4 @@ def standard_vem_local(vertices, spec: ProblemSpec) -> LocalElementMatrices:
     mean, matching the stabilization-free form term by term.
     """
     poly = polygon_stack(np.asarray(vertices, dtype=float)[None])
-    data = cell_data(poly, spec, volume_degree(spec, 0))
-    return standard_vem_locals(data, spec).cell(0)
+    return standard_vem_locals(cell_data(poly, spec, 0), spec).cell(0)

@@ -75,6 +75,8 @@ class PolyMesh:
         bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
         if bad.size:
             raise MeshFormatError(f"vertex {bad[0]} has a non-finite coordinate")
+        if not self.cells:
+            raise MeshTopologyError("mesh has no cells")
         # each cell's first failing check, an index into _CELL_CHECKS, which
         # lists them in the order they are made; len(_CELL_CHECKS) if none
         fails = np.full(self.n_cells, len(_CELL_CHECKS))

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import QuadratureError, at_index
-from .geometry import cyclic_roll
+from .geometry import cyclic_roll, signed_areas
 
 
 @dataclass(frozen=True)
@@ -181,8 +181,7 @@ def polygon_rules(vertices, degree: int) -> PolygonRule:
     vertices = np.asarray(vertices, dtype=float)
     if vertices.shape[1] < 3:
         raise QuadratureError("polygon needs at least 3 vertices")
-    x, y = vertices[..., 0], vertices[..., 1]
-    area = 0.5 * (x * cyclic_roll(y, -1, axis=1) - cyclic_roll(x, -1, axis=1) * y).sum(axis=1)
+    area = signed_areas(vertices)
     if (area <= 0.0).any():
         raise at_index(QuadratureError(
             "polygon must be counterclockwise with positive area"),

@@ -98,8 +98,8 @@ def assemble_many(mesh: PolyMesh, spec: ProblemSpec, methods=METHODS,
 
     The cells are built in stacks of one vertex count (element.cell_stacks).
     Each stack's frames, projections, local matrices and scatter are built
-    once, its polygon rules and data integrals chunk by chunk, once per
-    rule degree and shared by the methods that integrate at it, so every
+    once, and its polygon rules and data integrals chunk by chunk, into one
+    element.CellData at the stack's ell that every method reads, so every
     system equals what ``assemble`` returns for its method alone. Returns
     {method: GlobalSystem} in the order of ``methods``; the other parameters
     are those of ``assemble``.
@@ -119,21 +119,20 @@ def assemble_many(mesh: PolyMesh, spec: ProblemSpec, methods=METHODS,
     free_index = np.full(nv, -1, dtype=int)
     free_index[~boundary] = np.arange(n_free)
 
-    # the rule degree of each ell, worked out once per mesh, not per cell
-    degrees = {ell: volume_degree(spec, ell) for ell in
-               {0} | {effective_ell(len(cell), ell_offset) for cell in mesh.cells}}
-
-    # each cell's free-free block is n_free_c^2 row-major COO entries and its
-    # load n_free_c rhs entries, laid out in cell order; the index arrays
-    # depend on the mesh only, each method's values get their own arrays
-    n_inner = np.array([int((~boundary[list(cell)]).sum()) for cell in mesh.cells])
-    entry_start = np.concatenate([[0], np.cumsum(n_inner ** 2)])
-    load_start = np.concatenate([[0], np.cumsum(n_inner)])
-    rows = np.empty(entry_start[-1], dtype=int)
-    cols = np.empty(entry_start[-1], dtype=int)
-    load_rows = np.empty(load_start[-1], dtype=int)
-    vals = {m: np.empty(entry_start[-1]) for m in methods}
-    loads = {m: np.empty(load_start[-1]) for m in methods}
+    # each cell's block is N^2 row-major COO entries and its load N rhs
+    # entries, laid out in cell order; the entries of a boundary row or
+    # column (reduced index -1) are dropped once every cell is in. The index
+    # arrays depend on the mesh only, each method's values get their own
+    # arrays
+    sizes = np.fromiter(map(len, mesh.cells), dtype=int, count=mesh.n_cells)
+    squares = sizes * sizes
+    entry_start = np.cumsum(squares) - squares
+    load_start = np.cumsum(sizes) - sizes
+    rows = np.empty(int(squares.sum()), dtype=int)
+    cols = np.empty_like(rows)
+    load_rows = np.empty(int(sizes.sum()), dtype=int)
+    vals = {m: np.empty(len(rows)) for m in methods}
+    loads = {m: np.empty(len(load_rows)) for m in methods}
     ell_by_cell = {m: np.zeros(mesh.n_cells, dtype=int) for m in methods}
     # the largest temporaries of a build are harmonic gradients, 2 ell + 2
     # basis functions by 2 components: per rule point those at the rule
@@ -142,64 +141,47 @@ def assemble_many(mesh: PolyMesh, spec: ProblemSpec, methods=METHODS,
     def gradient_floats(n):
         return 2 * (2 * effective_ell(n, ell_offset) + 2)
 
-    stacks = cell_stacks(mesh, max(degrees.values()), gradient_floats,
+    degree = volume_degree(spec, effective_ell(int(sizes.max()), ell_offset))
+    stacks = cell_stacks(mesh, degree, gradient_floats,
                          lambda n: 4 * gradient_floats(n) * n * (effective_ell(n, ell_offset) + 1))
     for cells, index, vertices, chunks in stacks:
-        ell = effective_ell(index.shape[1], ell_offset)
+        n = index.shape[1]
         try:
-            local = _local_matrices(vertices, chunks, spec, methods, ell, degrees)
+            record = cell_data(polygon_stack(vertices), spec, effective_ell(n, ell_offset),
+                               chunks)
+            local = [sfvem_locals(record, spec) if m == "sfvem"
+                     else standard_vem_locals(record, spec) for m in methods]
         except SfvemError as exc:
             if exc.index is None:
                 raise
             raise type(exc)(f"element {cells[exc.index]}: {exc}") from exc
         red = free_index[index]
-        inner = red >= 0
-        block = inner[:, :, None] & inner[:, None, :]
-        entries = _spans(entry_start[cells], n_inner[cells] ** 2)
-        rows[entries] = np.broadcast_to(red[:, :, None], block.shape)[block]
-        cols[entries] = np.broadcast_to(red[:, None, :], block.shape)[block]
-        load = _spans(load_start[cells], n_inner[cells])
-        load_rows[load] = red[inner]
+        entries = entry_start[cells, None] + np.arange(n * n)
+        rows[entries] = np.repeat(red, n, axis=1)
+        cols[entries] = np.tile(red, n)
+        load = load_start[cells, None] + np.arange(n)
+        load_rows[load] = red
         # g vanishes off the boundary: A @ g is the free-boundary block's
         # lift of the Dirichlet data
         g_cells = g[index][..., None]
         for m, loc in zip(methods, local):
             ell_by_cell[m][cells] = loc.ell
             A = loc.A
-            vals[m][entries] = A[block]
-            loads[m][load] = (loc.b - (A @ g_cells)[..., 0])[inner]
-        # the stack's matrices go before the next stack is built
-        local = loc = A = None
+            vals[m][entries] = A.reshape(len(cells), -1)
+            loads[m][load] = loc.b - (A @ g_cells)[..., 0]
+        # the stack's record and matrices go before the next stack is built
+        record = local = loc = A = None
+    block = (rows >= 0) & (cols >= 0)
+    inner = load_rows >= 0
+    rows, cols, load_rows = rows[block], cols[block], load_rows[inner]
     out = {}
     for m in methods:
-        matrix = sparse.coo_matrix((vals[m], (rows, cols)),
+        matrix = sparse.coo_matrix((vals[m][block], (rows, cols)),
                                    shape=(n_free, n_free)).tocsr()
-        rhs = np.bincount(load_rows, weights=loads[m], minlength=n_free)
+        rhs = np.bincount(load_rows, weights=loads[m][inner], minlength=n_free)
         out[m] = GlobalSystem(matrix, rhs, free_index, m, mesh,
                               ell_by_cell[m], g)
     return out
-
-
-def _spans(starts, counts) -> np.ndarray:
-    # the positions starts[i] .. starts[i] + counts[i] - 1, concatenated
-    offsets = np.cumsum(counts) - counts
-    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
-
-
-def _local_matrices(vertices, chunks, spec, methods, ell, degrees) -> list:
-    # each method's local matrices on a stack of cells, sfvem at ell and vem
-    # at 0, from one geometry stack and one CellData per rule degree, which
-    # carries sfvem's advection vectors when sfvem integrates at it
-    poly = polygon_stack(vertices)
-    sfvem_degree = degrees[ell] if "sfvem" in methods else None
-    records = {}
-    for method in methods:
-        degree = sfvem_degree if method == "sfvem" else degrees[0]
-        if degree not in records:
-            records[degree] = cell_data(poly, spec, degree,
-                                        ell if degree == sfvem_degree else None, chunks)
-    return [sfvem_locals(records[sfvem_degree], spec) if method == "sfvem"
-            else standard_vem_locals(records[degrees[0]], spec) for method in methods]
 
 
 def solve(system: GlobalSystem) -> DiscreteSolution:

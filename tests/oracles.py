@@ -493,7 +493,9 @@ def chunk_data_integrals(mesh, spec, ell_offset=0) -> tuple:
     (n_cells,), as the build computed them with one cell_data per rule chunk:
     the chunk's rule points, each coefficient evaluated on all of them in
     its own Poly2 call, and one einsum per integral. The build's integrals
-    must equal these bit for bit."""
+    of gamma and f must equal these bit for bit; it keeps that of beta as
+    h t[:, :2], sfvem's advection vector on x and y scaled by h, which
+    matches within a tolerance."""
     from sfvem.quadrature import polygon_rules
 
     degree, chunks = build_rule_chunks(mesh, spec, ell_offset)
@@ -731,6 +733,8 @@ def loop_validate(vertices, cells, boundary_vertices) -> None:
 
     vertices = np.asarray(vertices, dtype=float)
     nv = len(vertices)
+    if not cells:
+        raise MeshTopologyError("mesh has no cells")
     edge_count: dict = {}
     for ci, cell in enumerate(cells):
         if len(cell) < 3:

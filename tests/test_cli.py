@@ -243,6 +243,17 @@ def test_solve_missing_mesh_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_solve_mesh_with_no_cells_is_an_error_line(tmp_path, capsys):
+    mesh = tmp_path / "empty.txt"
+    mesh.write_text("vem-mesh 1\nvertices 0\ncells 0\nboundary 0\n")
+    code = run("solve", "--mesh", str(mesh), "--problem", "bubble", "--out",
+               str(tmp_path))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "mesh has no cells" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("theta", ["nan", "inf"])
 def test_solve_non_finite_theta_names_k(tmp_path, capsys, theta):
     # rejected by the config check, before numpy's cos and sin see it

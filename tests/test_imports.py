@@ -1,12 +1,15 @@
 """Every name a module of src/sfvem or a file of tests/ imports is used in
-that file.
+that file, and every private helper a module of src/sfvem defines is used
+in that module.
 
 pyflakes, ruff and flake8 may not be installed, so this is their unused
 import check (F401) on the ast: a name bound by an import must be read
 somewhere in the module, or listed in its ``__all__``. Imports on a line
 marked ``# noqa`` are skipped (they keep a name that another module
 re-binds), and so is the package's ``__init__.py``, whose imports are its
-public re-exports.
+public re-exports. The dead-helper check is the same on the ast for the
+module-level definitions whose name starts with one underscore: a function,
+class or assignment that nothing in its own module reads is left over.
 """
 import ast
 from pathlib import Path
@@ -41,6 +44,32 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unused_private_names(source: str) -> list:
+    """(line, name) of each module-level _name (a function, class or
+    assigned name with one leading underscore) the module never reads;
+    definitions on a line marked ``# noqa`` are skipped."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    defined = {}
+    for node in tree.body:
+        if "# noqa" in lines[node.lineno - 1]:
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in defined.items() if name not in read)
+
+
 def test_modules_found():
     assert {"geometry.py", "projectors.py", "element.py"} <= {p.name for p in MODULES}
 
@@ -70,3 +99,31 @@ def test_checker_flags_unused_and_skips_noqa():
               "__all__ = ['HarmonicBasis']\n"
               "x: dataclass = np.zeros(2)\n")
     assert unused_imports(source) == [(3, "os"), (4, "field"), (6, "harmonic_basis")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_helpers(path):
+    assert unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_checker_flags_unused_and_skips_noqa():
+    source = ("import numpy as np\n"
+              "__all__ = ['run']\n"
+              "_SCALE = 2.0\n"
+              "_LEFT, _RIGHT = 0, 1\n"
+              "_cache: dict = {}\n"
+              "def _spans(starts, counts):\n"
+              "    return np.repeat(starts, counts)\n"
+              "def _kept(x):  # noqa: re-bound by a tracer\n"
+              "    return x\n"
+              "class _Record:\n"
+              "    pass\n"
+              "def _helper(x):\n"
+              "    return _SCALE * x + _LEFT\n"
+              "def unused_public(x):\n"
+              "    _local = x\n"
+              "    return _local\n"
+              "def run(x):\n"
+              "    _cache[x] = _helper(x)\n"
+              "    return _cache[x]\n")
+    assert unused_private_names(source) == [(4, "_RIGHT"), (6, "_spans"), (10, "_Record")]

@@ -141,6 +141,14 @@ def test_vertex_in_no_cell_is_topology_error(tmp_path):
         read_mesh(write_text(tmp_path, bad))
 
 
+EMPTY_FILE = "vem-mesh 1\nvertices 0\ncells 0\nboundary 0\n"
+
+
+def test_mesh_with_no_cells_is_topology_error(tmp_path):
+    with pytest.raises(MeshTopologyError, match="^mesh has no cells$"):
+        read_mesh(write_text(tmp_path, EMPTY_FILE))
+
+
 def test_out_of_range_vertex_index(tmp_path):
     bad = SQUARE_FILE.replace("4 0 1 2 3", "4 0 1 2 9")
     with pytest.raises(MeshIndexError, match="vertex 9"):

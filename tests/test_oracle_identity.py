@@ -57,14 +57,16 @@ USHAPE = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.6, 3.0],
 # Largest |got - want| over the largest |want| a kernel may show against its
 # loop oracle: a power of ten at least eight times the worst drift measured
 # on these inputs (nabla 7e-17, gram 1e-15, projection 7e-15, local
-# 1.2e-14, load 2.7e-14, system 7e-16, errors 3.4e-14); split is the drift the
-# error pass on moments may show against the pointwise pass (6.2e-16 measured).
+# 1.2e-14, load 2.7e-14, advection 2.5e-15, system 7e-16, errors 3.4e-14);
+# split is the drift the error pass on moments may show against the
+# pointwise pass (6.2e-16 measured).
 RTOL = {
     "nabla": 1e-15,       # nabla_matrices and pi0_rows
     "gram": 1e-14,        # the boundary Gram G, MK and the audit's P^T G P
     "projection": 1e-13,  # P = G^-1 B, the batched solve against the Gram
     "local": 1e-13,       # A_diff, A_adv, A_reac and pi0 of a local build
     "load": 1e-12,        # b and the rule integrals of f and gamma
+    "advection": 1e-13,   # h t[:, :2] against the rule integral of beta
     "system": 1e-14,      # global matrix entries and right-hand side
     "errors": 1e-12,      # relative L2 and energy errors
     "split": 1e-13,       # the error pass on moments against the pointwise pass
@@ -421,9 +423,11 @@ def test_shared_passes_match_one_method_at_a_time(mesh_name, problem, ell_offset
                                                   dirichlet):
     mesh, spec = MESHES[mesh_name](), PROBLEMS[problem]
     if problem == "bubble" and ell_offset == 1:
-        # sfvem shares vem's rule degree, deg f = 2, on quads (ell = 2) and
-        # needs a second, higher one on cells with six vertices or more
-        higher = any(volume_degree(spec, effective_ell(len(c), 1)) != volume_degree(spec, 0)
+        # both methods read one record per stack, at its ell: on quads
+        # (ell = 2) its rule degree is vem's own, deg f = 2, and on cells
+        # with six vertices or more it is higher, so vem integrates on a
+        # finer rule than ell = 0 needs
+        higher = any(volume_degree(spec, effective_ell(len(c), 1)) > volume_degree(spec, 0)
                      for c in mesh.cells)
         assert higher == mesh_name.startswith("voronoi")
     g = np.random.default_rng(4).random(mesh.n_vertices) if dirichlet else None
@@ -504,16 +508,22 @@ def test_load_integrals_keep_the_single_rule_build(monkeypatch, mesh_name):
 @pytest.mark.parametrize("mesh_name", ["grid16", "voronoi256"])
 def test_stacked_build_integrals_match_per_chunk_cell_data(monkeypatch, mesh_name):
     # a stack's data integrals come chunk by chunk from one shared-table
-    # evaluation; each equals, bit for bit, what one cell_data per chunk
-    # computed with one Poly2 call per coefficient
+    # evaluation; those of gamma and f equal, bit for bit, what one
+    # cell_data per chunk computed with one Poly2 call per coefficient. The
+    # integral of beta is h t[:, :2] (grad h_1 = (1/h, 0), grad h_2 =
+    # (0, 1/h)), a contraction in another order, so it matches within a
+    # tolerance
     mesh, spec = MESHES[mesh_name](), PROBLEMS["benchmark"]
     seen = [np.full((mesh.n_cells, 2), np.nan), np.full(mesh.n_cells, np.nan),
             np.full(mesh.n_cells, np.nan)]
     for cells, data in _build_records(monkeypatch, mesh, spec):
-        for out, got in zip(seen, (data.int_beta, data.int_gamma, data.int_f)):
+        h = data.poly.frame.scale[:, None]
+        for out, got in zip(seen, (h * data.t[:, :2], data.int_gamma, data.int_f)):
             out[cells] = got
-    for name, got, want in zip(("beta", "gamma", "f"), seen, chunk_data_integrals(mesh, spec)):
-        assert np.array_equal(got, want), name
+    want = chunk_data_integrals(mesh, spec)
+    assert_close(seen[0], want[0], "advection", "beta")
+    for name, got, w in zip(("gamma", "f"), seen[1:], want[1:]):
+        assert np.array_equal(got, w), name
 
 
 @pytest.mark.parametrize("mesh_name", ["grid16", "voronoi256"])
@@ -647,7 +657,7 @@ def test_anisotropic_build_evaluates_the_edge_nodes_once(monkeypatch, polygons):
         poly = polygon_stack(stack)
         ell = effective_ell(stack.shape[1])
         evaluated.clear()
-        data = cell_data(poly, spec, volume_degree(spec, ell), ell)
+        data = cell_data(poly, spec, ell)
         assert len(evaluated) == 1
         rule_points = polygon_rules(stack, volume_degree(spec, ell)).points
         assert np.array_equal(evaluated[0], rule_points)
@@ -667,14 +677,13 @@ def test_stacked_builders_match_standalone_build(polygons, problem):
     for stack in _stacks(polygons):
         poly = polygon_stack(stack)
         for offset in (0, 1):
+            # both methods from one record at the stack's ell
             ell = effective_ell(stack.shape[1], offset)
-            local = sfvem_locals(cell_data(poly, spec, volume_degree(spec, ell), ell),
-                                 spec)
+            data = cell_data(poly, spec, ell)
+            local, vem = sfvem_locals(data, spec), standard_vem_locals(data, spec)
             for i, v in enumerate(stack):
                 assert_close_local(local.cell(i), loop_sfvem_local(v, spec, ell), i)
-        local = standard_vem_locals(cell_data(poly, spec, volume_degree(spec, 0)), spec)
-        for i, v in enumerate(stack):
-            assert_close_local(local.cell(i), loop_vem_local(v, spec), i)
+                assert_close_local(vem.cell(i), loop_vem_local(v, spec), i)
 
 
 @pytest.mark.parametrize("degree", [33, 36])
