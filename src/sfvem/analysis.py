@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgejsv
 
-from .element import cell_stacks, effective_ell
-from .geometry import polygon_stack
+from .element import cell_stacks, effective_ell, rule_chunks
 from .mesh import (
     CatalogPolygon,
     catalog_polygons,
@@ -134,11 +133,11 @@ def error_norms_many(solutions, spec: ProblemSpec) -> list:
     its cells.
 
     The cells go in stacks of one vertex count (element.cell_stacks). Per
-    stack, the linear projection matrices are built once; per rule chunk,
-    the exact solution's moments (_exact_moments). Each solution's
-    numerators are then per-cell algebra on the moments, with no work per
-    rule point, and all share the denominators, so every pair equals what
-    ``error_norms`` returns for that solution alone.
+    stack, the linear projection matrices are built once; per rule chunk
+    (element.rule_chunks), the exact solution's moments (_exact_moments).
+    Each solution's numerators are then per-cell algebra on the moments,
+    with no work per rule point, and all share the denominators, so every
+    pair equals what ``error_norms`` returns for that solution alone.
     """
     if spec.exact_u is None or spec.exact_grad_u is None:
         raise ValueError("error norms require exact_u and exact_grad_u")
@@ -152,13 +151,9 @@ def error_norms_many(solutions, spec: ProblemSpec) -> list:
     # per cell: the denominators' terms, then each solution's numerators'
     den = np.empty((2, mesh.n_cells))
     num = np.empty((len(solutions), 2, mesh.n_cells))
-    # the rule chunks take 8 floats per rule point, the size of the
-    # pointwise pass's chunks, since a data value can depend on the chunk it
-    # lands in; per cell, the largest arrays are polygon_stack's vertex pairs
-    for cells, index, vertices, chunks in cell_stacks(mesh, degree, lambda n: 8,
-                                                      lambda n: 4 * n * n):
-        den[:, cells], num[:, :, cells] = _error_terms(vertices, index, solutions,
-                                                       spec, degree, chunks)
+    # per cell, the largest arrays are polygon_stack's vertex pairs
+    for cells, index, poly in cell_stacks(mesh, lambda n: 4 * n * n):
+        den[:, cells], num[:, :, cells] = _error_terms(poly, index, solutions, spec, degree)
     den0, den1 = den.sum(axis=-1)
     num0, num1 = num.sum(axis=-1).T
     if den0 <= 0.0 or den1 <= 0.0:
@@ -172,17 +167,16 @@ def error_norms_many(solutions, spec: ProblemSpec) -> list:
             for n0, n1 in zip(num0, num1)]
 
 
-def _error_terms(vertices, index, solutions, spec: ProblemSpec, degree: int,
-                 chunks) -> tuple:
+def _error_terms(poly, index, solutions, spec: ProblemSpec, degree: int) -> tuple:
     # each cell's terms of the denominators, (2, C), and of each solution's
-    # numerators, (S, 2, C), on a stack of cells with these (C, N, 2)
-    # vertices and (C, N) vertex indices
+    # numerators, (S, 2, C), on a PolygonStack of cells with these (C, N)
+    # vertex indices
     K = spec.K
-    poly = polygon_stack(vertices)
     nabla = nabla_matrices(poly)
     coef_u, gram, r0, r1, grad_u, area = (
         np.concatenate(parts)
-        for parts in zip(*(_exact_moments(poly, spec, degree, chunk) for chunk in chunks)))
+        for parts in zip(*(_exact_moments(poly, spec, degree, chunk)
+                           for chunk in rule_chunks(poly, degree, 8))))
     den = np.empty((2, len(poly)))
     num = np.empty((len(solutions), 2, len(poly)))
     den[0] = r0 + np.einsum("ci,cij,cj->c", coef_u, gram, coef_u)

@@ -11,20 +11,20 @@ The diffusion Gram needs no volume rule: projectors.hgrad_matrices takes
 it from the edge nodes of the projection. The advection and load
 integrals share one polygon rule, of the degree volume_degree.
 
-The builders work on stacks of cells with one vertex count: ``cell_data``
-records a ``PolygonStack`` at its degree parameter ell, its per-cell algebra
-once and its polygon rules and data chunk by chunk, ``sfvem_locals`` and
+The builders work on stacks of cells with one vertex count, which
+``cell_stacks`` cuts from a mesh: ``cell_data`` records a ``PolygonStack``
+at its degree parameter ell, its per-cell algebra once and its polygon
+rules and data by ``rule_chunks``, and ``sfvem_locals`` and
 ``standard_vem_locals`` both read that one record and return every cell's
-matrices with a leading cell axis (the comparator's integral of beta is
-h times the first two entries of sfvem's advection vector), and ``cell_stacks``
-cuts a mesh into such stacks and each stack into rule chunks.
-``sfvem_local`` and ``standard_vem_local``
-take the vertices of one polygon and return cell 0 of the stacked build
-on that polygon as a stack of one. The integrals are batched contractions
-over the stack; a cell's matrices agree with its own one-polygon build to
-rounding (the tolerances are in tests/test_oracle_identity.py), not bit for
-bit. The points of the polygon rules and the data values at them do not
-depend on the contractions.
+matrices with a leading cell axis (the comparator's integral of beta is h
+times the first two entries of sfvem's advection vector). ``sfvem_local``
+and ``standard_vem_local`` take the vertices of one polygon and return cell
+0 of the stacked build on that polygon as a stack of one. The integrals are
+batched contractions over the stack; a cell's matrices agree with its own
+one-polygon build to rounding (the tolerances are in
+tests/test_oracle_identity.py), not bit for bit. The rule points do not
+depend on the contractions, and a data value depends on its point alone
+(poly.evaluate_polys), so chunks are a memory choice.
 """
 from __future__ import annotations
 
@@ -49,6 +49,7 @@ __all__ = [
     "cell_data",
     "cell_stacks",
     "effective_ell",
+    "rule_chunks",
     "sfvem_local",
     "sfvem_locals",
     "standard_vem_local",
@@ -57,9 +58,9 @@ __all__ = [
 ]
 
 # Byte budget of the largest temporary a pass holds for a chunk of cells,
-# as the pass sizes it per rule point, and for a stack of cells, as the pass
-# sizes it per cell (see cell_stacks); each takes as many whole cells, or
-# whole chunks, as fit
+# as the pass sizes it per rule point (see rule_chunks), and for a stack of
+# cells, as the pass sizes it per cell (see cell_stacks); each takes as many
+# whole cells as fit
 CHUNK_BYTES = 2**19
 
 
@@ -107,36 +108,34 @@ def volume_degree(spec: ProblemSpec, ell: int) -> int:
                spec.gamma.degree, spec.f.degree)
 
 
-def cell_stacks(mesh, degree: int, floats_per_point, floats_per_cell):
+def cell_stacks(mesh, floats_per_cell):
     """The mesh's cells as stacks for the stacked builders: grouped by vertex
     count and triangulation kind (so every cell of a stack has as many
-    points in a rule of this degree), each group cut into stacks of whole
-    rule chunks.
+    points in a polygon rule), each group cut into stacks of as many whole
+    cells as keep floats_per_cell(n), the size per cell of the caller's
+    largest per-cell temporary on n-gons, within CHUNK_BYTES (at least one).
 
-    floats_per_point(n) is the size per rule point of the caller's largest
-    temporary on n-gons; a chunk keeps it within CHUNK_BYTES (or is one
-    cell). floats_per_cell(n) is the size per cell of its largest per-cell
-    temporary; a stack keeps that within CHUNK_BYTES (or is one chunk). The
-    chunks are those of a group cut into chunks alone: the same cells in
-    the same order.
-
-    Yields (cells, index, vertices, chunks): the ascending cell ids, their
-    (C, N) vertex indices, their (C, N, 2) vertices, and the chunks as
-    slices of the stack, in order.
+    Yields (cells, index, poly): the ascending cell ids, their (C, N) vertex
+    indices and their PolygonStack.
     """
     for cells, index in mesh.cell_groups():
         vertices = mesh.vertices[index]
         fan = fan_mask(vertices)
-        n = index.shape[1]
-        for kind, n_triangles in ((fan, n), (~fan, n - 2)):
-            cell_bytes = 8 * floats_per_point(n) * rule_size(n_triangles, degree)
-            chunk = max(1, CHUNK_BYTES // cell_bytes)
-            size = chunk * max(1, CHUNK_BYTES // (8 * floats_per_cell(n) * chunk))
+        size = max(1, CHUNK_BYTES // (8 * floats_per_cell(index.shape[1])))
+        for kind in (fan, ~fan):
             ids, idx, verts = cells[kind], index[kind], vertices[kind]
             for s in range(0, len(ids), size):
-                stack = ids[s:s + size]
-                chunks = tuple(slice(c, c + chunk) for c in range(0, len(stack), chunk))
-                yield stack, idx[s:s + size], verts[s:s + size], chunks
+                yield ids[s:s + size], idx[s:s + size], polygon_stack(verts[s:s + size])
+
+
+def rule_chunks(poly: PolygonStack, degree: int, floats_per_point: int) -> list:
+    """Slices that cut a stack into chunks of as many whole cells as keep
+    floats_per_point floats per point of their polygon rules of this degree
+    within CHUNK_BYTES (at least one cell), each cell sized at a fan's N
+    triangles, the most a rule has."""
+    cell_bytes = 8 * floats_per_point * rule_size(poly.vertices.shape[1], degree)
+    size = max(1, CHUNK_BYTES // cell_bytes)
+    return [slice(s, s + size) for s in range(0, len(poly), size)]
 
 
 @dataclass(frozen=True)
@@ -161,16 +160,16 @@ class CellData:
     int_f: np.ndarray
 
 
-def cell_data(poly: PolygonStack, spec: ProblemSpec, ell: int,
-              chunks=(slice(None),)) -> CellData:
+def cell_data(poly: PolygonStack, spec: ProblemSpec, ell: int) -> CellData:
     """The record of a PolygonStack at degree parameter ell. The projections
     are built once for the stack; the polygon rules of degree
     volume_degree(spec, ell), the data values at their points (beta, gamma
-    and f from one evaluate_polys call) and the integrals are built chunk
-    by chunk, for the given slices of the stack (one chunk by default)."""
+    and f from one evaluate_polys call) and the integrals chunk by chunk,
+    at 2 ell + 2 harmonic gradients per rule point (rule_chunks)."""
     nabla = nabla_matrices(poly)
     degree = volume_degree(spec, ell)
-    integrals = [_rule_integrals(poly, chunk, spec, degree, ell) for chunk in chunks]
+    integrals = [_rule_integrals(poly, chunk, spec, degree, ell)
+                 for chunk in rule_chunks(poly, degree, 2 * (2 * ell + 2))]
     t, int_gamma, int_f = (np.concatenate(parts) for parts in zip(*integrals))
     return CellData(poly, nabla, pi0_rows(poly, nabla), harmonic_basis(poly.frame, ell),
                     t, int_gamma, int_f)

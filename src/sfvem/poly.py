@@ -133,14 +133,17 @@ def evaluate_polys(polys, points) -> np.ndarray:
     """Values (k, n) of k Poly2 at (n, 2) points, from one y-power table and
     one copy of the coordinates; Poly2.__call__ is the case k = 1.
 
-    Each polynomial's products ypow @ coeffs.T take at most `gemm` rows, so
-    OpenBLAS runs them on one thread (see GEMM_ONE_THREAD), at offsets that
-    are multiples of `gemm`: they are the products of its own call, so every
-    value is the one it gets alone. The tables fill in row blocks of a whole
-    number of every polynomial's products, within POLY_TABLE_BYTES when one
-    product of each fits; otherwise (several polynomials, whose product
-    sizes have no small common multiple) in blocks of a common multiple of
-    them, at most all n rows.
+    Each polynomial's products ypow @ coeffs.T take 2 to `gemm` rows (a
+    one-row tail runs as two), at offsets that are multiples of `gemm` as in
+    its own call: OpenBLAS runs them on one thread (see GEMM_ONE_THREAD) and
+    never as a matrix-vector call. On the reference results' OpenBLAS kernel
+    (SkylakeX) a row's value does not depend on its place in such a product,
+    so a value depends on its point alone and callers chunk points as memory
+    suits them. The tables fill in row blocks of a whole number of every
+    polynomial's products, within POLY_TABLE_BYTES when one product of each
+    fits; otherwise (several polynomials, whose product sizes have no small
+    common multiple) in blocks of a common multiple of them, at most all n
+    rows.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
@@ -149,7 +152,7 @@ def evaluate_polys(polys, points) -> np.ndarray:
     n = len(points)
     nx = max(c.shape[0] for c in coeffs)
     ny = max(c.shape[1] for c in coeffs)
-    gemms = [max(1, (GEMM_ONE_THREAD - 1) // c.size) for c in coeffs]
+    gemms = [max(2, (GEMM_ONE_THREAD - 1) // c.size) for c in coeffs]
     common = math.lcm(*gemms)
     rows = common * max(1, POLY_TABLE_BYTES // (8 * (nx + ny) * common))
     rows = max(1, min(n, rows))
@@ -172,7 +175,10 @@ def evaluate_polys(polys, points) -> np.ndarray:
             block = table[rows * ny:rows * (ny + c.shape[0])].reshape(rows, c.shape[0])
             block, cpow = block[:len(y)], power[:, :c.shape[1]]
             for g in range(0, len(y), gemm):
-                np.matmul(cpow[g:g + gemm], c.T, out=block[g:g + gemm])
+                if g == len(y) - 1:  # a matrix-vector call can round otherwise
+                    block[g] = np.matmul(cpow[[g, g]], c.T)[0]
+                else:
+                    np.matmul(cpow[g:g + gemm], c.T, out=block[g:g + gemm])
             v = val[s:s + rows]
             v[:] = 0.0
             for a in range(c.shape[0] - 1, -1, -1):

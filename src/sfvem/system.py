@@ -16,12 +16,10 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .element import (cell_data, cell_stacks, effective_ell, sfvem_locals,
-                      standard_vem_locals, volume_degree)
+from .element import cell_data, cell_stacks, effective_ell, sfvem_locals, standard_vem_locals
 # not called here; the benchmark's tracer re-binds them by this module's name
 from .element import sfvem_local, standard_vem_local  # noqa: F401
 from .errors import SfvemError, SingularSystemError
-from .geometry import polygon_stack
 from .mesh import PolyMesh
 from .problem import ProblemSpec
 
@@ -84,7 +82,8 @@ def assemble(mesh: PolyMesh, spec: ProblemSpec, method: str = "sfvem",
         below the solvability bound (clamped at 0).
     dirichlet_values : array, optional
         Per-vertex Dirichlet data (used at boundary vertices only);
-        defaults to homogeneous zero. Nonzero data lifts into the RHS.
+        defaults to homogeneous zero. Nonzero data lifts into the RHS; a
+        boundary value that is not finite raises ValueError.
     """
     (system,) = assemble_many(mesh, spec, (method,), ell_offset,
                               dirichlet_values).values()
@@ -97,12 +96,11 @@ def assemble_many(mesh: PolyMesh, spec: ProblemSpec, methods=METHODS,
     """The systems of several methods on one mesh, in one pass over the cells.
 
     The cells are built in stacks of one vertex count (element.cell_stacks).
-    Each stack's frames, projections, local matrices and scatter are built
-    once, and its polygon rules and data integrals chunk by chunk, into one
-    element.CellData at the stack's ell that every method reads, so every
-    system equals what ``assemble`` returns for its method alone. Returns
-    {method: GlobalSystem} in the order of ``methods``; the other parameters
-    are those of ``assemble``.
+    Each stack's frames, projections, data integrals, local matrices and
+    scatter are built once, into one element.CellData at the stack's ell
+    that every method reads, so every system equals what ``assemble``
+    returns for its method alone. Returns {method: GlobalSystem} in the
+    order of ``methods``; the other parameters are those of ``assemble``.
     """
     methods = check_methods(methods)
     nv = mesh.n_vertices
@@ -114,6 +112,10 @@ def assemble_many(mesh: PolyMesh, spec: ProblemSpec, methods=METHODS,
         if data.shape != (nv,):
             raise ValueError(f"dirichlet_values must have shape ({nv},)")
         g[boundary] = data[boundary]
+        bad = np.flatnonzero(~np.isfinite(g))
+        if len(bad):
+            raise ValueError(f"dirichlet_values at boundary vertex {bad[0]} is {g[bad[0]]}, "
+                             f"not finite")
 
     n_free = nv - int(boundary.sum())
     free_index = np.full(nv, -1, dtype=int)
@@ -134,21 +136,14 @@ def assemble_many(mesh: PolyMesh, spec: ProblemSpec, methods=METHODS,
     vals = {m: np.empty(len(rows)) for m in methods}
     loads = {m: np.empty(len(load_rows)) for m in methods}
     ell_by_cell = {m: np.zeros(mesh.n_cells, dtype=int) for m in methods}
-    # the largest temporaries of a build are harmonic gradients, 2 ell + 2
-    # basis functions by 2 components: per rule point those at the rule
-    # points, per cell the edge-node arrays of hgrad_matrices, about 4
-    # arrays of gradients at its N (ell + 1) edge nodes
-    def gradient_floats(n):
-        return 2 * (2 * effective_ell(n, ell_offset) + 2)
-
-    degree = volume_degree(spec, effective_ell(int(sizes.max()), ell_offset))
-    stacks = cell_stacks(mesh, degree, gradient_floats,
-                         lambda n: 4 * gradient_floats(n) * n * (effective_ell(n, ell_offset) + 1))
-    for cells, index, vertices, chunks in stacks:
+    # per cell, the largest temporaries of a build are the edge-node arrays
+    # of hgrad_matrices: about 4 arrays of 2 ell + 2 gradients at N (ell + 1)
+    # nodes
+    stacks = cell_stacks(mesh, lambda n: 16 * (effective_ell(n, ell_offset) + 1) ** 2 * n)
+    for cells, index, poly in stacks:
         n = index.shape[1]
         try:
-            record = cell_data(polygon_stack(vertices), spec, effective_ell(n, ell_offset),
-                               chunks)
+            record = cell_data(poly, spec, effective_ell(n, ell_offset))
             local = [sfvem_locals(record, spec) if m == "sfvem"
                      else standard_vem_locals(record, spec) for m in methods]
         except SfvemError as exc:
@@ -170,7 +165,7 @@ def assemble_many(mesh: PolyMesh, spec: ProblemSpec, methods=METHODS,
             vals[m][entries] = A.reshape(len(cells), -1)
             loads[m][load] = loc.b - (A @ g_cells)[..., 0]
         # the stack's record and matrices go before the next stack is built
-        record = local = loc = A = None
+        record = local = loc = A = poly = None
     block = (rows >= 0) & (cols >= 0)
     inner = load_rows >= 0
     rows, cols, load_rows = rows[block], cols[block], load_rows[inner]
@@ -189,7 +184,8 @@ def solve(system: GlobalSystem) -> DiscreteSolution:
 
     Raises SingularSystemError with the smallest pivot when the
     factorization degenerates; that is the symptom of running below the
-    vertex-count degree rule or of a degenerate mesh.
+    vertex-count degree rule or of a degenerate mesh. It also raises one
+    when the solution is not finite.
     """
     values = system.boundary_values.copy()
     if system.n_free == 0:
@@ -212,6 +208,9 @@ def solve(system: GlobalSystem) -> DiscreteSolution:
             f"mesh has no degenerate cells"
         )
     x = lu.solve(system.rhs)
+    if not np.isfinite(x).all():
+        raise SingularSystemError(f"the solution has {np.count_nonzero(~np.isfinite(x))} "
+                                  f"non-finite values; check that the data are finite")
     bnorm = np.linalg.norm(system.rhs)
     rnorm = np.linalg.norm(system.matrix @ x - system.rhs)
     residual = rnorm / bnorm if bnorm > 0.0 else rnorm

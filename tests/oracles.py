@@ -10,7 +10,7 @@ polygon from them, as a stack of one. ``as_poly2`` expands a harmonic
 basis into ``Poly2`` members, the reference for its values and gradients. The ``loop_*`` functions are the loop versions of
 the array-level, shared-pass and stacked production code, kept as the
 references it must match: bit for bit for the polygon rules, ``Poly2``
-on a chunk's concatenated points (against ``loop_poly2_eval`` cell by
+on many cells' concatenated points (against ``loop_poly2_eval`` cell by
 cell) and the mesh checks, and within the per-kernel tolerances of
 ``test_oracle_identity.RTOL`` for the element kernels, assembly and error
 norms, whose batched contractions add in another order. ``area_gram`` integrates the harmonic-gradient Gram matrix
@@ -455,54 +455,37 @@ def loop_vem_local(vertices, spec):
     return LocalElementMatrices(0, A_diff, A_adv, A_reac, b, r)
 
 
-def rule_chunks(mesh, degree, floats_per_point):
-    """The rule chunks of the passes, as the chunked passes cut a mesh before
-    the stacks: each vertex-count group split by triangulation kind and cut
-    into as many whole cells as keep floats_per_point(n) floats per rule
-    point within ``CHUNK_BYTES`` (at least one). Yields (cells, index,
-    vertices) per chunk, in order. ``element.cell_stacks`` must keep these
-    chunks, since a ``Poly2`` value can depend on the call it lands in."""
-    from sfvem.element import CHUNK_BYTES
-    from sfvem.quadrature import fan_mask, rule_size
+def rule_groups(mesh):
+    """A mesh's cells by vertex count and triangulation kind, each group
+    whole: (cells, index, vertices) per group. The oracles evaluate the data
+    on all of a group's rule points in one call, since a data value depends
+    on its point alone, whatever chunks a pass cuts."""
+    from sfvem.quadrature import fan_mask
 
     for cells, index in mesh.cell_groups():
         vertices = mesh.vertices[index]
         fan = fan_mask(vertices)
-        n = index.shape[1]
-        for kind, n_triangles in ((fan, n), (~fan, n - 2)):
-            size = max(1, CHUNK_BYTES // (8 * floats_per_point(n)
-                                          * rule_size(n_triangles, degree)))
-            ids, idx, verts = cells[kind], index[kind], vertices[kind]
-            for s in range(0, len(ids), size):
-                yield ids[s:s + size], idx[s:s + size], verts[s:s + size]
+        for kind in (fan, ~fan):
+            if kind.any():
+                yield cells[kind], index[kind], vertices[kind]
 
 
-def build_rule_chunks(mesh, spec, ell_offset=0):
-    """The build's rule degree and rule chunks: the degree of the highest
-    ell on the mesh, with 2 (2 ell + 2) floats per rule point."""
-    from sfvem.element import effective_ell, volume_degree
-
-    ells = {0} | {effective_ell(len(cell), ell_offset) for cell in mesh.cells}
-    degree = max(volume_degree(spec, ell) for ell in ells)
-    return degree, rule_chunks(mesh, degree,
-                               lambda n: 2 * (2 * effective_ell(n, ell_offset) + 2))
-
-
-def chunk_data_integrals(mesh, spec, ell_offset=0) -> tuple:
+def group_data_integrals(mesh, spec, ell_offset=0) -> tuple:
     """Each cell's rule integrals of beta (n_cells, 2), gamma and f
-    (n_cells,), as the build computed them with one cell_data per rule chunk:
-    the chunk's rule points, each coefficient evaluated on all of them in
+    (n_cells,) per group of ``rule_groups``: the rules of the group's
+    ``volume_degree``, each coefficient evaluated on all of their points in
     its own Poly2 call, and one einsum per integral. The build's integrals
     of gamma and f must equal these bit for bit; it keeps that of beta as
     h t[:, :2], sfvem's advection vector on x and y scaled by h, which
     matches within a tolerance."""
+    from sfvem.element import effective_ell, volume_degree
     from sfvem.quadrature import polygon_rules
 
-    degree, chunks = build_rule_chunks(mesh, spec, ell_offset)
     int_beta, int_gamma, int_f = (np.full((mesh.n_cells, 2), np.nan),
                                   np.full(mesh.n_cells, np.nan), np.full(mesh.n_cells, np.nan))
-    for cells, _, vertices in chunks:
-        rule = polygon_rules(vertices, degree)
+    for cells, index, vertices in rule_groups(mesh):
+        rule = polygon_rules(vertices, volume_degree(spec, effective_ell(index.shape[1],
+                                                                         ell_offset)))
         w = rule.weights
         pts = rule.points.reshape(-1, 2)
         beta = np.stack([spec.beta[0](pts), spec.beta[1](pts)], axis=-1)
@@ -516,11 +499,9 @@ def single_rule_load_integrals(mesh, spec, ell_offset=0) -> np.ndarray:
     """Each cell's integrals of gamma and f, (2, n_cells), as the build
     computed them when its one polygon rule also carried the diffusion Gram:
     of degree max(2 ell, 2, deg beta + ell, deg gamma, deg f) over the
-    mesh's ells, per rule chunk of the build (``rule_chunks`` with
-    2 (2 ell + 2) floats per point), with gamma and f evaluated on all the
-    chunk's points in one call each. The build must still match these
-    integrals wherever the Gram did not set the degree, since a Poly2 value
-    can depend on the call it lands in."""
+    mesh's ells, per group of ``rule_groups``, with gamma and f evaluated on
+    all the group's points in one call each. The build must still match
+    these integrals wherever the Gram did not set the degree."""
     from sfvem.element import effective_ell
     from sfvem.quadrature import polygon_rules
 
@@ -528,8 +509,7 @@ def single_rule_load_integrals(mesh, spec, ell_offset=0) -> np.ndarray:
     degree = max(max(2 * ell, 2, spec.beta[0].degree + ell, spec.beta[1].degree + ell,
                      spec.gamma.degree, spec.f.degree) for ell in ells)
     out = np.empty((2, mesh.n_cells))
-    chunks = rule_chunks(mesh, degree, lambda n: 2 * (2 * effective_ell(n, ell_offset) + 2))
-    for cells, _, vertices in chunks:
+    for cells, _, vertices in rule_groups(mesh):
         rule = polygon_rules(vertices, degree)
         pts = rule.points.reshape(-1, 2)
         for k, p in enumerate((spec.gamma, spec.f)):
@@ -609,8 +589,7 @@ def loop_error_norms(solution, spec):
 
 def pointwise_error_norms(solutions, spec) -> list:
     """``error_norms_many`` as the chunked pass computed it point by point:
-    per rule chunk (``rule_chunks`` with 8 floats per point), each cell's
-    geometry stack, linear projections and polygon rule, the exact solution
+    per group of ``rule_groups``, each cell's geometry stack, linear projections and polygon rule, the exact solution
     and its gradient each in its own Poly2 call, and per solution the
     projected solution and the error integrands at every rule point. The
     pass on moments must match it within the "split" tolerance."""
@@ -622,7 +601,7 @@ def pointwise_error_norms(solutions, spec) -> list:
     degree = 2 * spec.exact_u.degree + 2
     den = np.empty((2, mesh.n_cells))
     num = np.empty((len(solutions), 2, mesh.n_cells))
-    for cells, index, vertices in rule_chunks(mesh, degree, lambda n: 8):
+    for cells, index, vertices in rule_groups(mesh):
         poly = polygon_stack(vertices)
         nabla = nabla_matrices(poly)
         rule = polygon_rules(vertices, degree)

@@ -16,8 +16,6 @@ from sfvem.poly import (Poly2, build_benchmark_coefficients, bubble_problem,
                         manufactured_problem)
 from sfvem.system import METHODS, DiscreteSolution, assemble, solve
 
-from oracles import build_rule_chunks, rule_chunks
-
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 RNG = np.random.default_rng(41)
 
@@ -344,12 +342,14 @@ def test_convergence_study_builds_each_cell_once(monkeypatch, methods, rules,
                                                  evals):
     # per cell, one element rule and one error rule, and beta, gamma and f
     # on the first, u and grad u on the second, each evaluated once. The
-    # rules go per chunk of cells, the chunks the passes cut before they
-    # built by stacks (the same cells in the same order); each chunk's data
-    # come from one shared-table evaluation on exactly its rule points, and
-    # each pass covers every cell once.
+    # rules go per chunk of cells, the build's before the error pass's, each
+    # chunk's 8 floats per rule point (2 ell + 2 gradients of 2 components
+    # at ell = 1 in the build) within CHUNK_BYTES; each chunk's data come
+    # from one shared-table evaluation on exactly its rule points, and each
+    # pass covers every cell once.
     import sfvem.analysis
     import sfvem.element
+    from sfvem.element import CHUNK_BYTES
     from sfvem.quadrature import rule_size
 
     spec = build_benchmark_coefficients()
@@ -377,11 +377,12 @@ def test_convergence_study_builds_each_cell_once(monkeypatch, methods, rules,
         monkeypatch.setattr(module, "evaluate_polys", eval_counted(module.evaluate_polys))
     errors = one_level(spec, mesh, methods)
     per_cell = {33: rule_size(4, 33), 36: rule_size(4, 36)}  # build, error rule
-    build_degree, build_chunks = build_rule_chunks(mesh, spec)
-    chunks = ([(build_degree, len(cells)) for cells, _, _ in build_chunks]
-              + [(36, len(cells)) for cells, _, _ in rule_chunks(mesh, 36, lambda n: 8)])
-    assert [(degree, cells) for degree, cells, _ in calls] == chunks
+    degrees = [degree for degree, _, _ in calls]
+    assert degrees == sorted(degrees) and set(degrees) == set(per_cell)
     assert all(n == cells * per_cell[d] for d, cells, n in calls)
+    assert all(8 * 8 * n <= CHUNK_BYTES for _, _, n in calls)
+    for degree in per_cell:
+        assert sum(cells for d, cells, _ in calls if d == degree) == mesh.n_cells
     assert len(evals_seen) == len(calls)
     assert all(n == rule_points for _, _, n, rule_points in evals_seen)
     assert sum(cells for _, cells, _ in calls) == rules * mesh.n_cells
@@ -461,6 +462,27 @@ def test_convergence_study_computes_each_cell_geometry_once_per_pass(monkeypatch
         assert sum(stacks) == sum(rules) == mesh.n_cells
         assert len(stacks) < len(rules)
     assert calls == {}
+
+
+def test_convergence_study_does_not_depend_on_the_chunk_budget(monkeypatch):
+    # a data value depends on its point alone, so the stacks and rule
+    # chunks a pass cuts are a memory choice: with a 16 times smaller
+    # CHUNK_BYTES (one cell a build chunk, 16 quads a stack) every record
+    # is bit for bit the same. Position independence of a GEMM row is a
+    # property of the OpenBLAS kernel the reference results were made with
+    # (SkylakeX); another kernel (OPENBLAS_CORETYPE=Haswell or Prescott) can
+    # fail this
+    import sfvem.element
+
+    spec = build_benchmark_coefficients()
+
+    def study():
+        return (convergence_study(spec, [8, 16], "grid")
+                + convergence_study(spec, [8, 16], "voronoi"))
+
+    want = study()
+    monkeypatch.setattr(sfvem.element, "CHUNK_BYTES", 2**15)
+    assert study() == want
 
 
 def test_convergence_study_streams_records():

@@ -24,8 +24,9 @@ import pytest
 import sfvem.element
 import sfvem.mesh
 from sfvem.analysis import error_norms_many, unit_diffusion_matrix
-from sfvem.element import (cell_data, cell_stacks, effective_ell, sfvem_local, sfvem_locals,
-                           standard_vem_local, standard_vem_locals, volume_degree)
+from sfvem.element import (cell_data, cell_stacks, effective_ell, rule_chunks, sfvem_local,
+                           sfvem_locals, standard_vem_local, standard_vem_locals,
+                           volume_degree)
 from sfvem.errors import DegenerateElementError, MeshGenerationError, SfvemError
 from sfvem.geometry import are_simple, is_simple, polygon_stack, signed_area, signed_areas
 from sfvem.mesh import (PolyMesh, _centroids, _check_unit_area,
@@ -39,14 +40,13 @@ from sfvem.projectors import (_edge_points, hgrad_matrices, hgrad_matrix, nabla_
 from sfvem.quadrature import fan_mask, polygon_rule, polygon_rules
 from sfvem.system import METHODS, assemble, assemble_many, solve
 
-from oracles import (array_halfplane_clip, build_rule_chunks, centroid,
-                     chunk_data_integrals, diameter, edge_lengths_normals,
+from oracles import (array_halfplane_clip, centroid, diameter, edge_lengths_normals,
                      first_moments, loop_assemble, loop_centroids, loop_closest_pair,
                      loop_diffusion_gram, loop_error_norms, loop_hgrad_matrix,
                      loop_is_simple, loop_nabla_matrix, loop_poly2_eval, loop_polygon_rule,
                      loop_sfvem_local, loop_shortest_edges, loop_signed_area,
-                     loop_validate, loop_vem_local, loop_voronoi_cells,
-                     pointwise_error_norms, rule_chunks, single_rule_load_integrals)
+                     group_data_integrals, loop_validate, loop_vem_local,
+                     loop_voronoi_cells, pointwise_error_norms, single_rule_load_integrals)
 
 # thin U whose vertex average falls outside it: the only ear-clip case here,
 # since every catalog polygon and mesh cell is star shaped about its average
@@ -494,8 +494,8 @@ def _build_records(monkeypatch, mesh, spec):
 @pytest.mark.parametrize("mesh_name", ["grid16", "voronoi256"])
 def test_load_integrals_keep_the_single_rule_build(monkeypatch, mesh_name):
     # the diffusion Gram left the volume rule, but the load keeps the rule
-    # degree and the chunks it had when the Gram shared that rule, and with
-    # them the data values at the rule points
+    # degree it had when the Gram shared that rule, and with it the data
+    # values at the rule points
     mesh, spec = MESHES[mesh_name](), PROBLEMS["benchmark"]
     seen = np.full((2, mesh.n_cells), np.nan)
     for cells, data in _build_records(monkeypatch, mesh, spec):
@@ -508,9 +508,9 @@ def test_load_integrals_keep_the_single_rule_build(monkeypatch, mesh_name):
 @pytest.mark.parametrize("mesh_name", ["grid16", "voronoi256"])
 def test_stacked_build_integrals_match_per_chunk_cell_data(monkeypatch, mesh_name):
     # a stack's data integrals come chunk by chunk from one shared-table
-    # evaluation; those of gamma and f equal, bit for bit, what one
-    # cell_data per chunk computed with one Poly2 call per coefficient. The
-    # integral of beta is h t[:, :2] (grad h_1 = (1/h, 0), grad h_2 =
+    # evaluation; those of gamma and f equal, bit for bit, one Poly2 call
+    # per coefficient on all the rule points of a vertex-count group, since
+    # a data value depends on its point alone. The integral of beta is h t[:, :2] (grad h_1 = (1/h, 0), grad h_2 =
     # (0, 1/h)), a contraction in another order, so it matches within a
     # tolerance
     mesh, spec = MESHES[mesh_name](), PROBLEMS["benchmark"]
@@ -520,7 +520,7 @@ def test_stacked_build_integrals_match_per_chunk_cell_data(monkeypatch, mesh_nam
         h = data.poly.frame.scale[:, None]
         for out, got in zip(seen, (h * data.t[:, :2], data.int_gamma, data.int_f)):
             out[cells] = got
-    want = chunk_data_integrals(mesh, spec)
+    want = group_data_integrals(mesh, spec)
     assert_close(seen[0], want[0], "advection", "beta")
     for name, got, w in zip(("gamma", "f"), seen[1:], want[1:]):
         assert np.array_equal(got, w), name
@@ -528,27 +528,44 @@ def test_stacked_build_integrals_match_per_chunk_cell_data(monkeypatch, mesh_nam
 
 @pytest.mark.parametrize("mesh_name", ["grid16", "voronoi256"])
 def test_shared_table_matches_each_poly_on_every_chunk(monkeypatch, mesh_name):
-    # both passes evaluate their data once per rule chunk, on the points of
-    # the chunks the passes had before the stacks, and each value equals
-    # its polynomial's own Poly2 call on those points
+    # both passes evaluate their data once per rule chunk of each stack
+    # (element.rule_chunks at the pass's floats per rule point), on exactly
+    # the chunk's rule points, and each value equals its polynomial's own
+    # Poly2 call on those points
     import sfvem.analysis
+    import sfvem.system
 
     mesh, spec = MESHES[mesh_name](), PROBLEMS["benchmark"]
-    calls = []
+    calls, want = [], []
 
     def evaluate_seen(polys, points):
         calls.append((polys, points, evaluate_polys(polys, points)))
         return calls[-1][2]
 
+    def stacks_seen(chunks_of):
+        def wrapper(*args):
+            for stack in cell_stacks(*args):
+                want.extend(chunks_of(stack[2]))
+                yield stack
+        return wrapper
+
+    def build_chunks(poly):
+        ell = effective_ell(poly.vertices.shape[1])
+        degree = volume_degree(spec, ell)
+        return [((*spec.beta, spec.gamma, spec.f), degree, poly.vertices[chunk])
+                for chunk in rule_chunks(poly, degree, 2 * (2 * ell + 2))]
+
+    def error_chunks(poly):
+        degree = 2 * spec.exact_u.degree + 2
+        return [((spec.exact_u, *spec.exact_grad_u), degree, poly.vertices[chunk])
+                for chunk in rule_chunks(poly, degree, 8)]
+
     for module in (sfvem.element, sfvem.analysis):
         monkeypatch.setattr(module, "evaluate_polys", evaluate_seen)
+    monkeypatch.setattr(sfvem.system, "cell_stacks", stacks_seen(build_chunks))
+    monkeypatch.setattr(sfvem.analysis, "cell_stacks", stacks_seen(error_chunks))
     systems = assemble_many(mesh, spec)
     error_norms_many([solve(s) for s in systems.values()], spec)
-    build_degree, build_chunks = build_rule_chunks(mesh, spec)
-    error_degree = 2 * spec.exact_u.degree + 2
-    want = ([((*spec.beta, spec.gamma, spec.f), build_degree, v) for _, _, v in build_chunks]
-            + [((spec.exact_u, *spec.exact_grad_u), error_degree, v)
-               for _, _, v in rule_chunks(mesh, error_degree, lambda n: 8)])
     assert len(calls) == len(want) > 2
     for (polys, points, values), (want_polys, degree, vertices) in zip(calls, want):
         assert polys == want_polys
@@ -638,7 +655,7 @@ def test_anisotropic_build_evaluates_the_edge_nodes_once(monkeypatch, polygons):
     # G and MK share one basis evaluation at the ell + 1 Gauss nodes per
     # edge and the right-hand side takes one at its (ell + 3) // 2 nodes per
     # edge; the advection vector t, which cell_data builds chunk by chunk,
-    # takes one at the rule points of each chunk
+    # takes one at the rule points of each chunk (element.rule_chunks)
     spec = PROBLEMS["benchmark"]
     evaluated, built = [], []
     zpowers, hgrad = HarmonicBasis._zpowers, sfvem.element.hgrad_matrices
@@ -656,11 +673,12 @@ def test_anisotropic_build_evaluates_the_edge_nodes_once(monkeypatch, polygons):
     for stack in _stacks(polygons):
         poly = polygon_stack(stack)
         ell = effective_ell(stack.shape[1])
+        degree = volume_degree(spec, ell)
         evaluated.clear()
         data = cell_data(poly, spec, ell)
-        assert len(evaluated) == 1
-        rule_points = polygon_rules(stack, volume_degree(spec, ell)).points
-        assert np.array_equal(evaluated[0], rule_points)
+        assert len(evaluated) == len(rule_chunks(poly, degree, 2 * (2 * ell + 2)))
+        rule_points = polygon_rules(stack, degree).points
+        assert np.array_equal(np.concatenate(evaluated), rule_points)
         evaluated.clear()
         sfvem_locals(data, spec)
         assert len(evaluated) == 2

@@ -105,27 +105,51 @@ def _benchmark_polys():
             "u_y": spec.exact_grad_u[1], "const": Poly2.const(-2.5)}
 
 
+def _gemm(coeffs):
+    # the rows of one one-thread product of Poly2.__call__
+    return max(2, (GEMM_ONE_THREAD - 1) // coeffs.size)
+
+
 def _block_counts(coeffs):
     # point counts around the two block sizes of Poly2.__call__: the rows of
     # one one-thread product, and the rows of one block of its tables (a
-    # whole number of products, at least one, within POLY_TABLE_BYTES)
-    gemm = (GEMM_ONE_THREAD - 1) // coeffs.size
+    # whole number of products, at least one, within POLY_TABLE_BYTES).
+    # 1, gemm + 1 and block + 1 leave a one-row tail
+    gemm = _gemm(coeffs)
     budget = POLY_TABLE_BYTES // (8 * sum(coeffs.shape))
     block = gemm * max(1, budget // gemm)
-    return sorted({1, gemm - 1, gemm, gemm + 1, block, block + 1, budget, budget + 1,
+    return sorted({1, 2, gemm - 1, gemm, gemm + 1, block, block + 1, budget, budget + 1,
                    2 * block + gemm // 2 + 1})
+
+
+def _in_one_large_product(p, pts, gemm, rng):
+    # each point's value inside one product of gemm rows (one y-power table
+    # of the loop evaluation), one row after the table's first, so that no
+    # point has the row it has in p's own products
+    values = []
+    for s in range(0, len(pts), gemm - 1):
+        part = pts[s:s + gemm - 1]
+        table = np.concatenate([rng.random((1, 2)), part,
+                                rng.random((gemm - 1 - len(part), 2))])
+        values.append(loop_poly2_eval(p, table)[1:1 + len(part)])
+    return np.concatenate(values)
 
 
 @pytest.mark.parametrize("name", sorted(_benchmark_polys()))
 def test_poly2_matches_loop_eval_at_block_boundaries(monkeypatch, name):
-    # every value bit for bit against one table per one-thread product, and
-    # every product of the y-power table with the coefficients small enough
-    # that OpenBLAS runs it on one thread, so no idle thread spins after it.
-    # The oracle runs per product because a value depends on its product's
-    # row count: a one-row product is a matrix-vector call, which can round
-    # differently from the same row inside a matrix product.
+    # every value bit for bit against the same point inside one large
+    # product, at n = 1, at n = 1 mod gemm and at the block boundaries. Every
+    # product of the y-power table with the coefficients has 2 to gemm rows:
+    # small enough that OpenBLAS runs it on one thread, so no idle thread
+    # spins after it, and never one row, which is a matrix-vector call that
+    # can round differently from the same row inside a matrix product; a
+    # one-row tail runs with a copy of its row as the second, the one extra
+    # row of the call. That a row's value does not depend on its position in
+    # a product of two or more rows is a property of the OpenBLAS kernel the
+    # reference results were made with (SkylakeX); another kernel
+    # (OPENBLAS_CORETYPE=Haswell or Prescott) can fail this test
     p = _benchmark_polys()[name]
-    gemm = (GEMM_ONE_THREAD - 1) // p.coeffs.size
+    gemm = _gemm(p.coeffs)
     products = []
     matmul = np.matmul
 
@@ -136,14 +160,14 @@ def test_poly2_matches_loop_eval_at_block_boundaries(monkeypatch, name):
     rng = np.random.default_rng(7)
     for n in _block_counts(p.coeffs):
         pts = rng.random((n, 2))
-        want = np.concatenate([loop_poly2_eval(p, pts[s:s + gemm])
-                               for s in range(0, n, gemm)])
+        want = _in_one_large_product(p, pts, gemm, rng)
         products.clear()
         monkeypatch.setattr(np, "matmul", spy)
         got = p(pts)
         monkeypatch.setattr(np, "matmul", matmul)
         assert np.array_equal(got, want), n
-        assert sum(m for m, _, _ in products) == n
+        assert all(2 <= m <= gemm for m, _, _ in products), n
+        assert sum(m for m, _, _ in products) == n + (n % gemm == 1), n
         assert all(m * k * cols < GEMM_ONE_THREAD for m, k, cols in products), n
 
 
@@ -165,8 +189,8 @@ def _shared_table_sets():
 @pytest.mark.parametrize("name", sorted(_shared_table_sets()))
 def test_shared_table_matches_each_poly2_call(name):
     # several polynomials from one y-power table give, bit for bit, what
-    # each one's own call gives. 5826 points leave a one-row product for
-    # beta (5825 rows a product), which is a matrix-vector call; 1444, 7344
+    # each one's own call gives. 5826 points leave a one-row tail for beta
+    # (5825 rows a product), which runs as two rows; 1444, 7344
     # and 8664 are a fan quad's error rule, a build chunk of six quads and
     # six fan quads' error rules; 200000 spans several blocks
     polys = _shared_table_sets()[name]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,30 @@ def test_dirichlet_values_shape_checked():
     mesh = unit_square_mesh()
     with pytest.raises(ValueError, match="shape"):
         assemble(mesh, poisson_problem(), dirichlet_values=np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_dirichlet_value_names_its_vertex(bad):
+    # a boundary value that is not finite would give a NaN solution with a
+    # NaN residual; one at an interior vertex is not read
+    mesh = generate_distorted_grid(4, 0.2, 1)
+    boundary = sorted(mesh.boundary_vertices)
+    interior = next(v for v in range(mesh.n_vertices) if v not in mesh.boundary_vertices)
+    values = np.zeros(mesh.n_vertices)
+    values[interior] = bad
+    assert np.isfinite(solve(assemble(mesh, bubble_problem(), dirichlet_values=values)).values).all()
+    values[[boundary[3], boundary[5]]] = bad
+    with pytest.raises(ValueError, match=f"boundary vertex {boundary[3]} is {bad}"):
+        assemble_many(mesh, bubble_problem(), dirichlet_values=values)
+
+
+def test_non_finite_solution_is_singular():
+    mesh = generate_distorted_grid(4, 0.2, 1)
+    system = assemble(mesh, bubble_problem())
+    rhs = system.rhs.copy()
+    rhs[2] = np.nan
+    with pytest.raises(SingularSystemError, match="non-finite"):
+        solve(dataclasses.replace(system, rhs=rhs))
 
 
 def test_vem_and_sfvem_agree_on_patch_test_but_not_generally():
