@@ -37,7 +37,7 @@ from .geometry import PolygonStack, polygon_stack
 from .poly import HarmonicBasis, evaluate_polys, harmonic_basis
 from .problem import ProblemSpec
 from .projectors import dof_matrix, hgrad_matrices, nabla_matrices, pi0_rows
-from .quadrature import fan_mask, polygon_rules, rule_size
+from .quadrature import polygon_rules, rule_size
 # not called here; the benchmark's tracer re-binds them by this module's name
 from .projectors import hgrad_matrix, nabla_matrix  # noqa: F401
 from .quadrature import polygon_rule  # noqa: F401
@@ -110,29 +110,25 @@ def volume_degree(spec: ProblemSpec, ell: int) -> int:
 
 def cell_stacks(mesh, floats_per_cell):
     """The mesh's cells as stacks for the stacked builders: grouped by vertex
-    count and triangulation kind (so every cell of a stack has as many
-    points in a polygon rule), each group cut into stacks of as many whole
-    cells as keep floats_per_cell(n), the size per cell of the caller's
-    largest per-cell temporary on n-gons, within CHUNK_BYTES (at least one).
+    count, each group cut into stacks of as many whole cells as keep
+    floats_per_cell(n), the size per cell of the caller's largest per-cell
+    temporary on n-gons, within CHUNK_BYTES (at least one).
 
     Yields (cells, index, poly): the ascending cell ids, their (C, N) vertex
     indices and their PolygonStack.
     """
     for cells, index in mesh.cell_groups():
-        vertices = mesh.vertices[index]
-        fan = fan_mask(vertices)
         size = max(1, CHUNK_BYTES // (8 * floats_per_cell(index.shape[1])))
-        for kind in (fan, ~fan):
-            ids, idx, verts = cells[kind], index[kind], vertices[kind]
-            for s in range(0, len(ids), size):
-                yield ids[s:s + size], idx[s:s + size], polygon_stack(verts[s:s + size])
+        for s in range(0, len(cells), size):
+            part = index[s:s + size]
+            yield cells[s:s + size], part, polygon_stack(mesh.vertices[part])
 
 
 def rule_chunks(poly: PolygonStack, degree: int, floats_per_point: int) -> list:
     """Slices that cut a stack into chunks of as many whole cells as keep
     floats_per_point floats per point of their polygon rules of this degree
-    within CHUNK_BYTES (at least one cell), each cell sized at a fan's N
-    triangles, the most a rule has."""
+    within CHUNK_BYTES (at least one cell); every N-gon's rule has N
+    triangles (quadrature.polygon_rules)."""
     cell_bytes = 8 * floats_per_point * rule_size(poly.vertices.shape[1], degree)
     size = max(1, CHUNK_BYTES // cell_bytes)
     return [slice(s, s + size) for s in range(0, len(poly), size)]

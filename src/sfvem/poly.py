@@ -10,7 +10,6 @@ deliberately dropped; it changes conditioning, not the spanned gradients.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +21,6 @@ from .problem import ProblemSpec
 # OpenBLAS runs a GEMM on one thread while m * n * k stays below this; a
 # larger one wakes a second thread, which spins on after the call
 GEMM_ONE_THREAD = 2**19
-
-# evaluate_polys fills its y-power and x-slice tables in row blocks of
-# about this many bytes (a whole number of one-thread GEMM products)
-POLY_TABLE_BYTES = 2**21
 
 
 class Poly2:
@@ -139,11 +134,8 @@ def evaluate_polys(polys, points) -> np.ndarray:
     never as a matrix-vector call. On the reference results' OpenBLAS kernel
     (SkylakeX) a row's value does not depend on its place in such a product,
     so a value depends on its point alone and callers chunk points as memory
-    suits them. The tables fill in row blocks of a whole number of every
-    polynomial's products, within POLY_TABLE_BYTES when one product of each
-    fits; otherwise (several polynomials, whose product sizes have no small
-    common multiple) in blocks of a common multiple of them, at most all n
-    rows.
+    suits them. The tables hold all n rows: n (nx + ny) floats, for the
+    largest coefficient table dimensions nx and ny.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
@@ -152,38 +144,31 @@ def evaluate_polys(polys, points) -> np.ndarray:
     n = len(points)
     nx = max(c.shape[0] for c in coeffs)
     ny = max(c.shape[1] for c in coeffs)
-    gemms = [max(2, (GEMM_ONE_THREAD - 1) // c.size) for c in coeffs]
-    common = math.lcm(*gemms)
-    rows = common * max(1, POLY_TABLE_BYTES // (8 * (nx + ny) * common))
-    rows = max(1, min(n, rows))
     # one buffer holds both tables (each y power contiguous, each
     # polynomial's slices C-ordered): one allocation per call, which the
     # allocator reuses, where two took ten times the page faults of a
     # grid-compare run
-    table = np.empty(rows * (nx + ny))
-    ypow = table[:rows * ny].reshape(ny, rows).T
+    table = np.empty(n * (nx + ny))
+    ypow = table[:n * ny].reshape(ny, n).T
     ypow[:, 0] = 1.0
-    out = np.empty((len(coeffs), n))
-    for s in range(0, n, rows):
-        x = np.ascontiguousarray(points[s:s + rows, 0])
-        y = np.ascontiguousarray(points[s:s + rows, 1])
-        power = ypow[:len(y)]
-        for b in range(1, ny):
-            np.multiply(power[:, b - 1], y, out=power[:, b])
-        for c, gemm, val in zip(coeffs, gemms, out):
-            # block[:, a] is sum_b c[a, b] y^b
-            block = table[rows * ny:rows * (ny + c.shape[0])].reshape(rows, c.shape[0])
-            block, cpow = block[:len(y)], power[:, :c.shape[1]]
-            for g in range(0, len(y), gemm):
-                if g == len(y) - 1:  # a matrix-vector call can round otherwise
-                    block[g] = np.matmul(cpow[[g, g]], c.T)[0]
-                else:
-                    np.matmul(cpow[g:g + gemm], c.T, out=block[g:g + gemm])
-            v = val[s:s + rows]
-            v[:] = 0.0
-            for a in range(c.shape[0] - 1, -1, -1):
-                np.multiply(v, x, out=v)
-                v += block[:, a]
+    x = np.ascontiguousarray(points[:, 0])
+    y = np.ascontiguousarray(points[:, 1])
+    for b in range(1, ny):
+        np.multiply(ypow[:, b - 1], y, out=ypow[:, b])
+    out = np.zeros((len(coeffs), n))
+    for c, val in zip(coeffs, out):
+        gemm = max(2, (GEMM_ONE_THREAD - 1) // c.size)
+        # block[:, a] is sum_b c[a, b] y^b
+        block = table[n * ny:n * (ny + c.shape[0])].reshape(n, c.shape[0])
+        cpow = ypow[:, :c.shape[1]]
+        for g in range(0, n, gemm):
+            if g == n - 1:  # a matrix-vector call can round otherwise
+                block[g] = np.matmul(cpow[[g, g]], c.T)[0]
+            else:
+                np.matmul(cpow[g:g + gemm], c.T, out=block[g:g + gemm])
+        for a in range(c.shape[0] - 1, -1, -1):
+            np.multiply(val, x, out=val)
+            val += block[:, a]
     return out
 
 

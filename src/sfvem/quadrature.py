@@ -4,10 +4,12 @@ The polygon rule triangulates once (a fan around the vertex average when the
 polygon is star shaped with respect to it, ear clipping otherwise) and applies
 a collapsed-square tensor Gauss rule on each triangle. The result integrates
 bivariate polynomials of the requested total degree exactly, for convex and
-nonconvex simple polygons alike. polygon_rules builds the rules of a stack
-of polygons with one vertex count and one triangulation kind at once
-(fan_mask tells the kinds apart); polygon_rule takes the vertices of one
-polygon and returns the rule of that polygon as a stack of one.
+nonconvex simple polygons alike. An N-gon's rule always has N triangles: the
+N - 2 ears of a clipped polygon come with two zero-area triangles at its
+first vertex, whose weights are exactly 0. polygon_rules builds the rules of
+any stack of polygons with one vertex count at once; polygon_rule takes the
+vertices of one polygon and returns the rule of that polygon as a stack of
+one.
 """
 from __future__ import annotations
 
@@ -122,12 +124,6 @@ def _fan(vertices: np.ndarray):
     return np.stack([np.broadcast_to(c[:, None], a.shape), a, b], axis=2), star
 
 
-def fan_mask(vertices) -> np.ndarray:
-    """Whether each polygon of a (C, N, 2) stack is split into a fan of N
-    triangles; the others are ear clipped into N - 2."""
-    return _fan(np.asarray(vertices, dtype=float))[1]
-
-
 def rule_size(n_triangles: int, degree: int) -> int:
     """Points of a polygon rule of this degree on this many triangles."""
     return n_triangles * len(_duffy_reference(int(degree))[0])
@@ -171,9 +167,10 @@ def polygon_rules(vertices, degree: int) -> PolygonRule:
     """Quadrature on a (C, N, 2) stack of simple CCW polygons, exact for
     total degree <= degree, with a leading cell axis.
 
-    The polygons must share the triangulation kind (see fan_mask), so that
-    every cell gets the same number of points; each cell's points and
-    weights are those of its own rule. A QuadratureError about one polygon
+    Each cell's points and weights are those of its own rule: the fan of
+    N triangles about its vertex average where it is star shaped about it,
+    else its N - 2 ears and two zero-area triangles at its first vertex,
+    so every cell has as many points. A QuadratureError about one polygon
     carries its position in the stack as ``index``.
     """
     if degree < 0:
@@ -187,16 +184,13 @@ def polygon_rules(vertices, degree: int) -> PolygonRule:
             "polygon must be counterclockwise with positive area"),
             np.flatnonzero(area <= 0.0)[0])
     tris, star = _fan(vertices)
-    if not star.all():
-        if star.any():
-            raise ValueError("a stacked rule needs one triangulation kind")
-        clipped = []
-        for k, polygon in enumerate(vertices):
-            try:
-                clipped.append(_ear_clip(polygon))
-            except QuadratureError as exc:
-                raise at_index(exc, k)
-        tris = np.array(clipped)
+    for k in np.flatnonzero(~star):
+        try:
+            ears = _ear_clip(vertices[k])
+        except QuadratureError as exc:
+            raise at_index(exc, k)
+        # a fan's N triangles: the N - 2 ears, then two of zero area
+        tris[k] = ears + [(vertices[k, 0],) * 3] * 2
     u, uv, w = _duffy_reference(int(degree))
     v0, v1, v2 = tris[:, :, 0, :, None], tris[:, :, 1, :, None], tris[:, :, 2, :, None]
     e1 = v1 - v0

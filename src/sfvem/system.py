@@ -57,8 +57,14 @@ class DiscreteSolution:
 
 
 def check_methods(methods) -> tuple:
-    """The method names lower-cased, each one of METHODS and none repeated."""
+    """The method names lower-cased: at least one, each one of METHODS and
+    none repeated. A bare string is not a sequence of names."""
+    if isinstance(methods, str):
+        raise ValueError(f"methods must be a sequence of names from {METHODS}, "
+                         f"not the string {methods!r}")
     names = tuple(m.lower() for m in methods)
+    if not names:
+        raise ValueError(f"methods must name at least one of {METHODS}")
     for name in names:
         if name not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {name!r}")

@@ -455,24 +455,25 @@ def loop_vem_local(vertices, spec):
     return LocalElementMatrices(0, A_diff, A_adv, A_reac, b, r)
 
 
-def rule_groups(mesh):
-    """A mesh's cells by vertex count and triangulation kind, each group
-    whole: (cells, index, vertices) per group. The oracles evaluate the data
-    on all of a group's rule points in one call, since a data value depends
-    on its point alone, whatever chunks a pass cuts."""
-    from sfvem.quadrature import fan_mask
+# cells per block of rule_groups
+RULE_BLOCK = 256
 
+
+def rule_groups(mesh):
+    """A mesh's cells by vertex count, each group cut into blocks of at most
+    RULE_BLOCK cells: (cells, index, vertices) per block. The oracles
+    evaluate the data on all of a block's rule points in one call, a
+    partition unlike any pass's chunks, since a data value depends on its
+    point alone; the block bounds the one table of each call."""
     for cells, index in mesh.cell_groups():
-        vertices = mesh.vertices[index]
-        fan = fan_mask(vertices)
-        for kind in (fan, ~fan):
-            if kind.any():
-                yield cells[kind], index[kind], vertices[kind]
+        for s in range(0, len(cells), RULE_BLOCK):
+            part = index[s:s + RULE_BLOCK]
+            yield cells[s:s + RULE_BLOCK], part, mesh.vertices[part]
 
 
 def group_data_integrals(mesh, spec, ell_offset=0) -> tuple:
     """Each cell's rule integrals of beta (n_cells, 2), gamma and f
-    (n_cells,) per group of ``rule_groups``: the rules of the group's
+    (n_cells,) per block of ``rule_groups``: the rules of the block's
     ``volume_degree``, each coefficient evaluated on all of their points in
     its own Poly2 call, and one einsum per integral. The build's integrals
     of gamma and f must equal these bit for bit; it keeps that of beta as
@@ -499,8 +500,8 @@ def single_rule_load_integrals(mesh, spec, ell_offset=0) -> np.ndarray:
     """Each cell's integrals of gamma and f, (2, n_cells), as the build
     computed them when its one polygon rule also carried the diffusion Gram:
     of degree max(2 ell, 2, deg beta + ell, deg gamma, deg f) over the
-    mesh's ells, per group of ``rule_groups``, with gamma and f evaluated on
-    all the group's points in one call each. The build must still match
+    mesh's ells, per block of ``rule_groups``, with gamma and f evaluated on
+    all the block's points in one call each. The build must still match
     these integrals wherever the Gram did not set the degree."""
     from sfvem.element import effective_ell
     from sfvem.quadrature import polygon_rules
@@ -589,7 +590,7 @@ def loop_error_norms(solution, spec):
 
 def pointwise_error_norms(solutions, spec) -> list:
     """``error_norms_many`` as the chunked pass computed it point by point:
-    per group of ``rule_groups``, each cell's geometry stack, linear projections and polygon rule, the exact solution
+    per block of ``rule_groups``, each cell's geometry stack, linear projections and polygon rule, the exact solution
     and its gradient each in its own Poly2 call, and per solution the
     projected solution and the error integrands at every rule point. The
     pass on moments must match it within the "split" tolerance."""

@@ -10,28 +10,39 @@ re-binds), and so is the package's ``__init__.py``, whose imports are its
 public re-exports. The dead-helper check is the same on the ast for the
 module-level definitions whose name starts with one underscore: a function,
 class or assignment that nothing in its own module reads is left over.
+
+A name that a module of src/sfvem imports on a ``# noqa: F401`` line and
+never reads is kept only for the benchmark's tracer, which re-binds it by
+that module's name: it must be a (module, attribute) entry of
+``perfbench/tracing.TARGETS``, read here from that file's ast, so that the
+import goes when the tracer stops re-binding the name.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sfvem"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sfvem"
+TRACING = ROOT / "perfbench" / "tracing.py"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
-def unused_imports(source: str) -> list:
-    """(line, name) of each imported name the module never reads."""
+def unused_imports(source: str, noqa: bool = False) -> list:
+    """(line, name) of each imported name the module never reads, of the
+    imports on lines without ``# noqa``, or with ``# noqa: F401`` if noqa."""
     tree = ast.parse(source)
     lines = source.splitlines()
+    mark = "# noqa: F401" if noqa else "# noqa"
     imported = {}
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        if any("# noqa" in lines[i - 1] for i in range(node.lineno, node.end_lineno + 1)):
+        marked = any(mark in lines[i - 1] for i in range(node.lineno, node.end_lineno + 1))
+        if marked != noqa:
             continue
         for alias in node.names:
             name = alias.asname or alias.name.split(".")[0]
@@ -88,6 +99,26 @@ def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def tracer_targets() -> set:
+    """The (module, attribute) pairs of perfbench/tracing.TARGETS."""
+    for node in ast.parse(TRACING.read_text(encoding="utf-8")).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)):
+            return {(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts}
+    raise AssertionError(f"no TARGETS in {TRACING}")
+
+
+def test_tracer_targets_found():
+    assert ("sfvem.element", "polygon_rule") in tracer_targets()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_tracer_only_imports_have_a_tracer_target(path):
+    unused = unused_imports(path.read_text(encoding="utf-8"), noqa=True)
+    module = f"sfvem.{path.stem}"
+    assert {(module, name) for _, name in unused} <= tracer_targets()
+
+
 def test_checker_flags_unused_and_skips_noqa():
     source = ("from __future__ import annotations\n"
               "import numpy as np\n"
@@ -99,6 +130,18 @@ def test_checker_flags_unused_and_skips_noqa():
               "__all__ = ['HarmonicBasis']\n"
               "x: dataclass = np.zeros(2)\n")
     assert unused_imports(source) == [(3, "os"), (4, "field"), (6, "harmonic_basis")]
+
+
+def test_checker_lists_unused_noqa_f401_imports():
+    # only the names on # noqa: F401 lines that the module never reads
+    source = ("import numpy as np  # noqa: E402\n"
+              "from .geometry import ScaledFrame, polygon_stack  # noqa: F401\n"
+              "from .quadrature import (polygon_rule,  # noqa: F401\n"
+              "                         rule_size)\n"
+              "import os\n"
+              "x = polygon_stack(np.zeros(2))\n")
+    assert unused_imports(source, noqa=True) == [(2, "ScaledFrame"), (3, "polygon_rule"),
+                                                 (3, "rule_size")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

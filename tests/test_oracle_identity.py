@@ -37,7 +37,7 @@ from sfvem.poly import (HarmonicBasis, build_benchmark_coefficients, bubble_prob
                         evaluate_polys, harmonic_basis)
 from sfvem.projectors import (_edge_points, hgrad_matrices, hgrad_matrix, nabla_matrices,
                               nabla_matrix, pi0_rows)
-from sfvem.quadrature import fan_mask, polygon_rule, polygon_rules
+from sfvem.quadrature import polygon_rule, polygon_rules, rule_size
 from sfvem.system import METHODS, assemble, assemble_many, solve
 
 from oracles import (array_halfplane_clip, centroid, diameter, edge_lengths_normals,
@@ -85,8 +85,22 @@ def _cells(mesh):
 
 
 def _ear_clipped(v):
-    # whether the polygon rule ear clips v instead of splitting it into a fan
-    return not fan_mask(v[None])[0]
+    # whether the polygon rule ear clips v instead of splitting it into a
+    # fan: its N - 2 ears come with two zero-area triangles, the only ones
+    # whose weights are 0
+    return not polygon_rule(v, 0).weights.all()
+
+
+def _assert_rule_matches_loop(points, weights, v, degree, context=None):
+    # a cell's rule against the per-triangle loop: its first T npts points
+    # and weights bit for bit, then the two zero-area triangles at the first
+    # vertex of an ear-clipped cell, whose weights are exactly 0
+    pts, wts = loop_polygon_rule(v, degree)
+    assert len(weights) == rule_size(len(v), degree), context
+    assert np.array_equal(points[:len(pts)], pts), context
+    assert np.array_equal(weights[:len(wts)], wts), context
+    assert (points[len(pts):] == v[0]).all(), context
+    assert not weights[len(wts):].any(), context
 
 
 @pytest.fixture(scope="module")
@@ -104,9 +118,7 @@ def test_ear_clip_branch_covered(polygons):
 def test_polygon_rule_matches_per_triangle_loop(polygons, degree):
     for i, v in enumerate(polygons):
         rule = polygon_rule(v, degree)
-        pts, wts = loop_polygon_rule(v, degree)
-        assert np.array_equal(rule.points, pts), i
-        assert np.array_equal(rule.weights, wts), i
+        _assert_rule_matches_loop(rule.points, rule.weights, v, degree, i)
 
 
 def test_polygon_stack_of_one_matches_reference_functions(polygons):
@@ -375,6 +387,16 @@ def test_tuple_clip_matches_array_clip():
     assert cuts > 100
 
 
+def _pulled_grid():
+    # a 4 x 4 grid whose interior vertex (1/4, 1/4) is pulled to (0.06, 0.06):
+    # the corner cell becomes a dart whose vertex average lies outside its
+    # kernel, so it is ear clipped, and the other 15 cells are fans
+    grid = generate_distorted_grid(4, 0.0)
+    vertices = grid.vertices.copy()
+    vertices[6] = 0.06
+    return PolyMesh(vertices, grid.cells, grid.boundary_vertices)
+
+
 PROBLEMS = {"benchmark": build_benchmark_coefficients(), "bubble": bubble_problem()}
 MESHES = {
     "grid8": lambda: generate_distorted_grid(8, 0.3, 5),
@@ -383,6 +405,7 @@ MESHES = {
     "voronoi256": lambda: generate_voronoi(256, 3, 1, 0.25),
     "grid64": lambda: generate_distorted_grid(64, 0.3, 42),
     "voronoi576": lambda: generate_voronoi(576, 3, 42, 0.25),
+    "pulled4": _pulled_grid,
 }
 
 
@@ -418,6 +441,8 @@ def test_local_builders_match_standalone_build(problem):
     ("voronoi64", "bubble", 1, False),
     ("voronoi256", "benchmark", 0, True),
     ("voronoi256", "bubble", 1, False),
+    ("pulled4", "benchmark", 0, True),
+    ("pulled4", "bubble", 1, False),
 ])
 def test_shared_passes_match_one_method_at_a_time(mesh_name, problem, ell_offset,
                                                   dirichlet):
@@ -467,6 +492,12 @@ def test_error_pass_on_moments_matches_the_pointwise_pass(mesh_name):
     for method, pair, want in zip(METHODS, got, pointwise_error_norms(solutions, spec)):
         for g, w in zip(pair, want):
             assert_close(g, w, "split", method)
+
+
+def test_pulled_grid_stacks_fan_and_ear_clipped_quads():
+    # the passes build the dart in one stack with the fan quads
+    (stack,) = cell_stacks(MESHES["pulled4"](), lambda n: 1)
+    assert [_ear_clipped(v) for v in stack[2].vertices] == [True] + [False] * 15
 
 
 def _build_records(monkeypatch, mesh, spec):
@@ -579,18 +610,19 @@ def test_shared_table_matches_each_poly_on_every_chunk(monkeypatch, mesh_name):
 
 
 def _stacks(polygons):
-    # the polygons stacked by vertex count and triangulation kind, the way
-    # the passes stack mesh cells
+    # the polygons stacked by vertex count, the way the passes stack mesh
+    # cells
     groups: dict = {}
     for v in polygons:
-        groups.setdefault((len(v), _ear_clipped(v)), []).append(v)
+        groups.setdefault(len(v), []).append(v)
     return [np.array(g) for g in groups.values()]
 
 
-def test_stacks_cover_both_kinds(polygons):
-    stacks = _stacks(polygons)
-    assert any(len(s) > 1 for s in stacks)
-    assert any(_ear_clipped(s[0]) for s in stacks)
+def test_stacks_mix_both_kinds(polygons):
+    # a stack of ear-clipped and fan cells, so that every stacked kernel
+    # runs one
+    kinds = [{_ear_clipped(v) for v in s} for s in _stacks(polygons)]
+    assert {True, False} in kinds
 
 
 def test_polygon_stack_matches_reference_functions(polygons):
@@ -614,17 +646,23 @@ def test_polygon_rules_match_per_triangle_loop(polygons, degree):
     for stack in _stacks(polygons):
         rule = polygon_rules(stack, degree)
         for i, v in enumerate(stack):
-            pts, wts = loop_polygon_rule(v, degree)
-            assert np.array_equal(rule.points[i], pts)
-            assert np.array_equal(rule.weights[i], wts)
+            _assert_rule_matches_loop(rule.points[i], rule.weights[i], v, degree, i)
 
 
-def test_polygon_rules_refuse_a_mixed_stack():
+def test_polygon_rules_give_a_mixed_stack_each_cells_rule():
+    # a square (a fan) and a dart (ear clipped) in one stack: each cell's
+    # points and weights are those of its own rule, and sum to its area
     dart = np.array([[0.0, 0.0], [1.0, 0.9], [2.0, 0.0], [1.0, 1.0]])
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    assert _ear_clipped(dart)
-    with pytest.raises(ValueError, match="one triangulation kind"):
-        polygon_rules(np.array([square, dart]), 2)
+    assert _ear_clipped(dart) and not _ear_clipped(square)
+    for degree in (0, 2, 33):
+        rule = polygon_rules(np.array([square, dart, square]), degree)
+        for i, v in enumerate((square, dart, square)):
+            one = polygon_rule(v, degree)
+            assert np.array_equal(rule.points[i], one.points), (degree, i)
+            assert np.array_equal(rule.weights[i], one.weights), (degree, i)
+            _assert_rule_matches_loop(rule.points[i], rule.weights[i], v, degree, (degree, i))
+            assert rule.weights[i].sum() == pytest.approx(signed_area(v), rel=1e-14), (degree, i)
 
 
 def test_stacked_projectors_match_edge_loops(polygons):
@@ -719,8 +757,8 @@ def test_poly2_on_stacked_points_matches_loop_eval(degree):
 
 
 def test_stacked_element_error_names_the_cell():
-    # a normal quad, then two quads that are ear clipped and so share a
-    # stack: a dart, and a sliver that fails the area check at position 1
+    # three quads in one stack: a square, an ear-clipped dart, and a sliver
+    # that fails the area check at position 2
     quads = [[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
              [[2.0, 0.0], [3.0, 0.9], [4.0, 0.0], [3.0, 1.0]],
              [[5.0, 0.0], [6.0, 0.0], [6.0, 1e-17], [5.0, 1e-17]]]

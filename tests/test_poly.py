@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from sfvem.poly import (GEMM_ONE_THREAD, POLY_TABLE_BYTES, HarmonicBasis, Poly2,
+from sfvem.poly import (GEMM_ONE_THREAD, HarmonicBasis, Poly2,
                         ScaledFrame, build_benchmark_coefficients, bubble_problem,
                         evaluate_polys, harmonic_basis, manufactured_problem,
                         poisson_problem)
@@ -111,15 +111,10 @@ def _gemm(coeffs):
 
 
 def _block_counts(coeffs):
-    # point counts around the two block sizes of Poly2.__call__: the rows of
-    # one one-thread product, and the rows of one block of its tables (a
-    # whole number of products, at least one, within POLY_TABLE_BYTES).
-    # 1, gemm + 1 and block + 1 leave a one-row tail
+    # point counts around the row blocks of Poly2.__call__, its one-thread
+    # products of gemm rows: 1, gemm + 1 and 2 gemm + 1 leave a one-row tail
     gemm = _gemm(coeffs)
-    budget = POLY_TABLE_BYTES // (8 * sum(coeffs.shape))
-    block = gemm * max(1, budget // gemm)
-    return sorted({1, 2, gemm - 1, gemm, gemm + 1, block, block + 1, budget, budget + 1,
-                   2 * block + gemm // 2 + 1})
+    return sorted({1, 2, gemm - 1, gemm, gemm + 1, 2 * gemm + 1, 2 * gemm + gemm // 2})
 
 
 def _in_one_large_product(p, pts, gemm, rng):
@@ -192,7 +187,7 @@ def test_shared_table_matches_each_poly2_call(name):
     # each one's own call gives. 5826 points leave a one-row tail for beta
     # (5825 rows a product), which runs as two rows; 1444, 7344
     # and 8664 are a fan quad's error rule, a build chunk of six quads and
-    # six fan quads' error rules; 200000 spans several blocks
+    # six fan quads' error rules; 200000 spans 117 products of f
     polys = _shared_table_sets()[name]
     rng = np.random.default_rng(3)
     for n in (1, 2, 1444, 5826, 7344, 8664, 200000):

@@ -93,6 +93,18 @@ def test_assemble_many_rejects_bad_methods(methods):
         assemble_many(unit_square_mesh(), poisson_problem(), methods)
 
 
+def test_assemble_many_rejects_a_bare_method_string():
+    # a string is not iterated letter by letter
+    with pytest.raises(ValueError, match="^methods must be a sequence .* 'vem'"):
+        assemble_many(unit_square_mesh(), poisson_problem(), "vem")
+
+
+def test_assemble_many_rejects_no_methods():
+    # no cell is built for a result that would be empty
+    with pytest.raises(ValueError, match="^methods must name at least one"):
+        assemble_many(unit_square_mesh(), poisson_problem(), ())
+
+
 def test_element_errors_carry_element_id():
     # a sliver passes mesh validation but not the element area check
     mesh = PolyMesh([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-16]], ((0, 1, 2),),
