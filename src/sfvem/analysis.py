@@ -176,7 +176,7 @@ def _error_terms(poly, index, solutions, spec: ProblemSpec, degree: int) -> tupl
     coef_u, gram, r0, r1, grad_u, area = (
         np.concatenate(parts)
         for parts in zip(*(_exact_moments(poly, spec, degree, chunk)
-                           for chunk in rule_chunks(poly, degree, 8))))
+                           for chunk in rule_chunks(poly, degree))))
     den = np.empty((2, len(poly)))
     num = np.empty((len(solutions), 2, len(poly)))
     den[0] = r0 + np.einsum("ci,cij,cj->c", coef_u, gram, coef_u)

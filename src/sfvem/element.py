@@ -57,10 +57,10 @@ __all__ = [
     "volume_degree",
 ]
 
-# Byte budget of the largest temporary a pass holds for a chunk of cells,
-# as the pass sizes it per rule point (see rule_chunks), and for a stack of
-# cells, as the pass sizes it per cell (see cell_stacks); each takes as many
-# whole cells as fit
+# Byte budget of a chunk of cells at 8 floats per rule point, as both passes
+# cut them (see rule_chunks), and of the largest temporary a pass holds for
+# a stack of cells, as the pass sizes it per cell (see cell_stacks); each
+# takes as many whole cells as fit
 CHUNK_BYTES = 2**19
 
 
@@ -124,13 +124,12 @@ def cell_stacks(mesh, floats_per_cell):
             yield cells[s:s + size], part, polygon_stack(mesh.vertices[part])
 
 
-def rule_chunks(poly: PolygonStack, degree: int, floats_per_point: int) -> list:
+def rule_chunks(poly: PolygonStack, degree: int) -> list:
     """Slices that cut a stack into chunks of as many whole cells as keep
-    floats_per_point floats per point of their polygon rules of this degree
-    within CHUNK_BYTES (at least one cell); every N-gon's rule has N
-    triangles (quadrature.polygon_rules)."""
-    cell_bytes = 8 * floats_per_point * rule_size(poly.vertices.shape[1], degree)
-    size = max(1, CHUNK_BYTES // cell_bytes)
+    8 floats per point of their polygon rules of this degree within
+    CHUNK_BYTES, i.e. CHUNK_BYTES // 64 points (at least one cell); every
+    N-gon's rule has N triangles (quadrature.polygon_rules)."""
+    size = max(1, CHUNK_BYTES // 64 // rule_size(poly.vertices.shape[1], degree))
     return [slice(s, s + size) for s in range(0, len(poly), size)]
 
 
@@ -143,8 +142,8 @@ class CellData:
     matrices and the element-mean rows, the harmonic basis of degree
     parameter ell, the advection vectors t_i = integral of grad h_i . beta,
     (C, 2 ell + 2), and the rule integrals of gamma and f, all at the rule
-    degree volume_degree(spec, ell). The rule points and the data values at
-    them live only while their chunk is built.
+    degree volume_degree(spec, ell). The rule points, the data values and
+    the powers of z at them live only while their chunk is built.
     """
 
     poly: PolygonStack
@@ -160,12 +159,12 @@ def cell_data(poly: PolygonStack, spec: ProblemSpec, ell: int) -> CellData:
     """The record of a PolygonStack at degree parameter ell. The projections
     are built once for the stack; the polygon rules of degree
     volume_degree(spec, ell), the data values at their points (beta, gamma
-    and f from one evaluate_polys call) and the integrals chunk by chunk,
-    at 2 ell + 2 harmonic gradients per rule point (rule_chunks)."""
+    and f from one evaluate_polys call) and the integrals chunk by chunk
+    (rule_chunks)."""
     nabla = nabla_matrices(poly)
     degree = volume_degree(spec, ell)
     integrals = [_rule_integrals(poly, chunk, spec, degree, ell)
-                 for chunk in rule_chunks(poly, degree, 2 * (2 * ell + 2))]
+                 for chunk in rule_chunks(poly, degree)]
     t, int_gamma, int_f = (np.concatenate(parts) for parts in zip(*integrals))
     return CellData(poly, nabla, pi0_rows(poly, nabla), harmonic_basis(poly.frame, ell),
                     t, int_gamma, int_f)
@@ -180,12 +179,12 @@ def _rule_integrals(poly: PolygonStack, chunk: slice, spec: ProblemSpec, degree:
     w = rule.weights
     coefficients = (spec.beta[0], spec.beta[1], spec.gamma, spec.f)
     values = evaluate_polys(coefficients, rule.points.reshape(-1, 2)).reshape((4,) + w.shape)
-    # t_i = integral of grad h_i . beta, one product per cell over the
-    # (point, component) pairs
-    grads = harmonic_basis(poly.frame[chunk], ell).gradients(rule.points)
-    wbeta = np.stack([values[0], values[1]], axis=-1) * w[..., None]
-    t = (grads.reshape(grads.shape[:2] + (-1,)) @ wbeta.reshape(len(w), -1, 1))[..., 0]
-    return t, np.einsum("cp,cp->c", w, values[2]), np.einsum("cp,cp->c", w, values[3])
+    # t_{2k-1} + i t_{2k} is the integral of (k/h) z^(k-1) (beta_x + i beta_y)
+    frame = poly.frame[chunk]
+    pows = harmonic_basis(frame, ell).powers(rule.points, ell)
+    t = np.einsum("kcp,cp->ck", pows, w * (values[0] + 1j * values[1]), order="C")
+    t *= np.arange(1, ell + 2) / frame.scale[:, None]
+    return t.view(float), np.einsum("cp,cp->c", w, values[2]), np.einsum("cp,cp->c", w, values[3])
 
 
 def sfvem_locals(data: CellData, spec: ProblemSpec) -> LocalElementMatrices:

@@ -4,7 +4,7 @@ Poly2 stores an explicit coefficient table so that manufactured right-hand
 sides can be produced by exact differentiation instead of numerical
 differencing. The harmonic basis h_1..h_{2l+2} on an element is
 {Re(z^k), Im(z^k) : k = 1..l+1} in the scaled complex coordinate
-z = ((x - x_E) + i(y - y_E)) / h_E, generated by the power recurrence
+z = ((x - x_E) + i(y - y_E)) / h_E, read from one table of the powers
 p_k = p_{k-1} * z. The zero-mean normalization of the harmonic space is
 deliberately dropped; it changes conditioning, not the spanned gradients.
 """
@@ -175,8 +175,9 @@ def evaluate_polys(polys, points) -> np.ndarray:
 @dataclass(frozen=True)
 class HarmonicBasis:
     """The 2l+2 scaled harmonic polynomials h_1..h_{2l+2} on each element of
-    a stack, in its frame (see ScaledFrame); values and gradients take
-    (C, P, 2) points and put the cell axis first."""
+    a stack, in its frame (see ScaledFrame), read from the powers of z:
+    values and gradients take (C, P, 2) points, put the cell axis first
+    and pair the real and imaginary parts of z^k and its derivatives."""
 
     frame: ScaledFrame
     ell: int
@@ -185,7 +186,8 @@ class HarmonicBasis:
     def size(self) -> int:
         return 2 * self.ell + 2
 
-    def _zpowers(self, points, top: int) -> np.ndarray:
+    def powers(self, points, top: int) -> np.ndarray:
+        """z^0..z^top at (C, P, 2) points, shape (top + 1, C, P) complex."""
         loc = self.frame.local(points)
         z = loc[..., 0] + 1j * loc[..., 1]
         pows = np.empty((top + 1,) + z.shape, dtype=complex)
@@ -196,36 +198,28 @@ class HarmonicBasis:
 
     def values(self, points) -> np.ndarray:
         """h_i at the given points, shape (C, 2l+2, npts)."""
-        return self._values(self._zpowers(points, self.ell + 1))
+        return _pairs(self.powers(points, self.ell + 1)[1:])
 
     def gradients(self, points) -> np.ndarray:
         """grad h_i at the given points, shape (C, 2l+2, npts, 2)."""
-        return self._gradients(self._zpowers(points, self.ell))
+        return self._derivatives(self.powers(points, self.ell))
 
     def values_and_gradients(self, points) -> tuple:
         """values(points) and gradients(points) from one power table."""
-        pows = self._zpowers(points, self.ell + 1)
-        return self._values(pows), self._gradients(pows)
+        pows = self.powers(points, self.ell + 1)
+        return _pairs(pows[1:]), self._derivatives(pows[:-1])
 
-    def _values(self, pows) -> np.ndarray:
-        out = np.empty(pows.shape[1:-1] + (self.size, pows.shape[-1]))
-        for k in range(1, self.ell + 2):
-            out[..., 2 * k - 2, :] = pows[k].real
-            out[..., 2 * k - 1, :] = pows[k].imag
-        return out
+    def _derivatives(self, pows) -> np.ndarray:
+        # from z^0..z^l: d = (k/h) z^(k-1) and i d are z^k's x- and y-derivatives
+        d = np.arange(1, len(pows) + 1)[:, None, None] / self.frame.scale[:, None] * pows
+        return np.stack([_pairs(d), _pairs(1j * d)], axis=-1)
 
-    def _gradients(self, pows) -> np.ndarray:
-        h = self.frame.scale[:, None]
-        out = np.empty(pows.shape[1:-1] + (self.size, pows.shape[-1], 2))
-        for k in range(1, self.ell + 2):
-            # (k / h) z^(k-1) gives both gradients; -(c * y) is (-c) * y
-            c = k / h
-            re, im = c * pows[k - 1].real, c * pows[k - 1].imag
-            out[..., 2 * k - 2, :, 0] = re
-            out[..., 2 * k - 2, :, 1] = -im
-            out[..., 2 * k - 1, :, 0] = im
-            out[..., 2 * k - 1, :, 1] = re
-        return out
+
+def _pairs(table: np.ndarray) -> np.ndarray:
+    # (K, C, P) complex to (C, 2K, P) real: rows 2k, 2k + 1 of table[k]
+    n, cells, points = table.shape
+    pairs = table.view(float).reshape(n, cells, points, 2)
+    return pairs.transpose(1, 0, 3, 2).reshape(cells, 2 * n, points)
 
 
 def harmonic_basis(frame: ScaledFrame, ell: int) -> HarmonicBasis:

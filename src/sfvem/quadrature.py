@@ -45,8 +45,12 @@ class PolygonRule:
     weights: np.ndarray
     degree: int
 
-    def integrate(self, f) -> float:
-        return float(self.weights @ np.asarray(f(self.points), dtype=float))
+    def integrate(self, f):
+        """Integral of f, a map of (n, 2) points to (n,) values; (C,) on a stack."""
+        values = np.asarray(f(self.points.reshape(-1, 2)), float).reshape(self.weights.shape)
+        if self.weights.ndim == 1:
+            return float(self.weights @ values)
+        return np.einsum("cp,cp->c", self.weights, values)
 
 
 @lru_cache(maxsize=None)

@@ -343,10 +343,9 @@ def test_convergence_study_builds_each_cell_once(monkeypatch, methods, rules,
     # per cell, one element rule and one error rule, and beta, gamma and f
     # on the first, u and grad u on the second, each evaluated once. The
     # rules go per chunk of cells, the build's before the error pass's, each
-    # chunk's 8 floats per rule point (2 ell + 2 gradients of 2 components
-    # at ell = 1 in the build) within CHUNK_BYTES; each chunk's data come
-    # from one shared-table evaluation on exactly its rule points, and each
-    # pass covers every cell once.
+    # chunk's 8 floats per rule point (element.rule_chunks) within
+    # CHUNK_BYTES; each chunk's data come from one shared-table evaluation
+    # on exactly its rule points, and each pass covers every cell once.
     import sfvem.analysis
     import sfvem.element
     from sfvem.element import CHUNK_BYTES

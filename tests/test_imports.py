@@ -1,6 +1,6 @@
 """Every name a module of src/sfvem or a file of tests/ imports is used in
-that file, and every private helper a module of src/sfvem defines is used
-in that module.
+that file, every private helper a module of src/sfvem defines is used in
+that module, and no module of src/sfvem uses another's private names.
 
 pyflakes, ruff and flake8 may not be installed, so this is their unused
 import check (F401) on the ast: a name bound by an import must be read
@@ -16,6 +16,10 @@ never reads is kept only for the benchmark's tracer, which re-binds it by
 that module's name: it must be a (module, attribute) entry of
 ``perfbench/tracing.TARGETS``, read here from that file's ast, so that the
 import goes when the tracer stops re-binding the name.
+
+A private name (one leading underscore) belongs to the module or class
+that defines it: no module of src/sfvem imports another module's _name or
+uses an attribute obj._attr of anything but self or cls.
 """
 import ast
 from pathlib import Path
@@ -170,3 +174,47 @@ def test_private_checker_flags_unused_and_skips_noqa():
               "    _cache[x] = _helper(x)\n"
               "    return _cache[x]\n")
     assert unused_private_names(source) == [(4, "_RIGHT"), (6, "_spans"), (10, "_Record")]
+
+
+def foreign_private_names(source: str) -> list:
+    """(line, name) of each private name the module takes from elsewhere:
+    a _name it imports, or an attribute _attr it uses on anything but self
+    or cls. Dunder names are not private."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = node.module if isinstance(node, ast.ImportFrom) else None
+            for alias in node.names:
+                parts = alias.name.split(".") + (module.split(".") if module else [])
+                found += [(node.lineno, part) for part in parts if private(part)]
+        elif (isinstance(node, ast.Attribute) and private(node.attr)
+              and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_foreign_private_names(path):
+    assert foreign_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_foreign_private_checker_flags_imports_and_attributes():
+    source = ("from __future__ import annotations\n"
+              "import numpy as np\n"
+              "from .poly import HarmonicBasis, _pairs\n"
+              "from ._impl import run\n"
+              "import os._path\n"
+              "def _local(x):\n"
+              "    return np._core.add(x, x)\n"
+              "class Frame:\n"
+              "    def area(self, basis):\n"
+              "        self._cache = basis._derivatives(self._table)\n"
+              "        return type(self).__name__, cls._seen, _local(basis)\n"
+              "def fill(record):\n"
+              "    record._cells = HarmonicBasis.__doc__\n")
+    assert foreign_private_names(source) == [(3, "_pairs"), (4, "_impl"), (5, "_path"),
+                                             (7, "_core"), (10, "_derivatives"),
+                                             (13, "_cells")]

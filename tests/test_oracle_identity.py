@@ -558,9 +558,28 @@ def test_stacked_build_integrals_match_per_chunk_cell_data(monkeypatch, mesh_nam
 
 
 @pytest.mark.parametrize("mesh_name", ["grid16", "voronoi256"])
+def test_advection_vector_matches_the_gradient_contraction(mesh_name):
+    # t comes from one contraction of the complex powers z^0..z^ell; every
+    # entry matches the real contraction of the basis gradients with w beta
+    # on the record's rule points, at the rule degree and above it
+    mesh, spec = MESHES[mesh_name](), PROBLEMS["benchmark"]
+    for offset in range(3):
+        for _, _, poly in cell_stacks(mesh, lambda n: 1):
+            ell = effective_ell(poly.vertices.shape[1], offset)
+            data = cell_data(poly, spec, ell)
+            rule = polygon_rules(poly.vertices, volume_degree(spec, ell))
+            pts = rule.points.reshape(-1, 2)
+            beta = np.stack([spec.beta[0](pts), spec.beta[1](pts)], axis=-1)
+            wbeta = rule.weights[..., None] * beta.reshape(rule.weights.shape + (2,))
+            want = np.einsum("cipa,cpa->ci", data.basis.gradients(rule.points), wbeta)
+            assert data.t.shape == (len(poly), 2 * ell + 2)
+            assert_close(data.t, want, "advection", (offset, poly.vertices.shape[1]))
+
+
+@pytest.mark.parametrize("mesh_name", ["grid16", "voronoi256"])
 def test_shared_table_matches_each_poly_on_every_chunk(monkeypatch, mesh_name):
     # both passes evaluate their data once per rule chunk of each stack
-    # (element.rule_chunks at the pass's floats per rule point), on exactly
+    # (element.rule_chunks, at 8 floats per rule point), on exactly
     # the chunk's rule points, and each value equals its polynomial's own
     # Poly2 call on those points
     import sfvem.analysis
@@ -584,12 +603,12 @@ def test_shared_table_matches_each_poly_on_every_chunk(monkeypatch, mesh_name):
         ell = effective_ell(poly.vertices.shape[1])
         degree = volume_degree(spec, ell)
         return [((*spec.beta, spec.gamma, spec.f), degree, poly.vertices[chunk])
-                for chunk in rule_chunks(poly, degree, 2 * (2 * ell + 2))]
+                for chunk in rule_chunks(poly, degree)]
 
     def error_chunks(poly):
         degree = 2 * spec.exact_u.degree + 2
         return [((spec.exact_u, *spec.exact_grad_u), degree, poly.vertices[chunk])
-                for chunk in rule_chunks(poly, degree, 8)]
+                for chunk in rule_chunks(poly, degree)]
 
     for module in (sfvem.element, sfvem.analysis):
         monkeypatch.setattr(module, "evaluate_polys", evaluate_seen)
@@ -693,20 +712,21 @@ def test_anisotropic_build_evaluates_the_edge_nodes_once(monkeypatch, polygons):
     # G and MK share one basis evaluation at the ell + 1 Gauss nodes per
     # edge and the right-hand side takes one at its (ell + 3) // 2 nodes per
     # edge; the advection vector t, which cell_data builds chunk by chunk,
-    # takes one at the rule points of each chunk (element.rule_chunks)
+    # takes one power table at the rule points of each chunk
+    # (element.rule_chunks)
     spec = PROBLEMS["benchmark"]
     evaluated, built = [], []
-    zpowers, hgrad = HarmonicBasis._zpowers, sfvem.element.hgrad_matrices
+    powers, hgrad = HarmonicBasis.powers, sfvem.element.hgrad_matrices
 
-    def zpowers_seen(self, points, top):
+    def powers_seen(self, points, top):
         evaluated.append(points)
-        return zpowers(self, points, top)
+        return powers(self, points, top)
 
     def hgrad_seen(*args):
         built.append(hgrad(*args))
         return built[-1]
 
-    monkeypatch.setattr(HarmonicBasis, "_zpowers", zpowers_seen)
+    monkeypatch.setattr(HarmonicBasis, "powers", powers_seen)
     monkeypatch.setattr(sfvem.element, "hgrad_matrices", hgrad_seen)
     for stack in _stacks(polygons):
         poly = polygon_stack(stack)
@@ -714,7 +734,7 @@ def test_anisotropic_build_evaluates_the_edge_nodes_once(monkeypatch, polygons):
         degree = volume_degree(spec, ell)
         evaluated.clear()
         data = cell_data(poly, spec, ell)
-        assert len(evaluated) == len(rule_chunks(poly, degree, 2 * (2 * ell + 2)))
+        assert len(evaluated) == len(rule_chunks(poly, degree))
         rule_points = polygon_rules(stack, degree).points
         assert np.array_equal(np.concatenate(evaluated), rule_points)
         evaluated.clear()

@@ -262,6 +262,33 @@ def test_gradients_match_polynomial_derivatives():
                                    rtol=1e-11, atol=1e-11)
 
 
+def test_values_and_gradients_read_the_power_table():
+    # on a stack of frames, values are the (Re, Im) pairs of z^1..z^(l+1)
+    # from powers, bit for bit; the x-derivatives of each pair are those of
+    # (k/h) z^(k-1), and the y-derivatives follow by Cauchy-Riemann exactly
+    frame = ScaledFrame(np.array([[0.3, 0.45], [-1.0, 2.0], [0.0, 0.0]]),
+                        np.array([0.7, 2.5, 1.0]))
+    pts = np.stack([rand_points(30), rand_points(30, -3.0, 3.0), rand_points(30)])
+    h = frame.scale[:, None]
+    for ell in range(5):
+        basis = HarmonicBasis(frame, ell)
+        pows = basis.powers(pts, ell + 1)
+        assert pows.shape == (ell + 2, 3, 30) and np.array_equal(pows[0], np.ones((3, 30)))
+        vals, grads = basis.values(pts), basis.gradients(pts)
+        both = basis.values_and_gradients(pts)
+        assert np.array_equal(both[0], vals) and np.array_equal(both[1], grads)
+        assert vals.shape == (3, 2 * ell + 2, 30) and grads.shape == vals.shape + (2,)
+        for k in range(1, ell + 2):
+            re, im = 2 * k - 2, 2 * k - 1
+            assert np.array_equal(vals[:, re], pows[k].real)
+            assert np.array_equal(vals[:, im], pows[k].imag)
+            d = (k / h) * pows[k - 1]
+            assert np.array_equal(grads[:, re, :, 0], d.real)
+            assert np.array_equal(grads[:, im, :, 0], d.imag)
+            assert np.array_equal(grads[:, im, :, 0], -grads[:, re, :, 1])
+            assert np.array_equal(grads[:, im, :, 1], grads[:, re, :, 0])
+
+
 def test_members_are_harmonic():
     # Laplacian vanishes at the coefficient level for every member
     for ell in (0, 3, 10):

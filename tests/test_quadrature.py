@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sfvem.mesh import catalog_polygons
-from sfvem.quadrature import QuadratureError, gauss_legendre, polygon_rule
+from sfvem.poly import Poly2
+from sfvem.quadrature import QuadratureError, gauss_legendre, polygon_rule, polygon_rules
 
 from oracles import monomial_integral
 
@@ -111,6 +112,23 @@ def test_integrate_helper_matches_manual_dot():
     rule = polygon_rule(SQUARE, 3)
     f = lambda p: np.sin(p[:, 0]) + p[:, 1]
     assert rule.integrate(f) == pytest.approx(float(rule.weights @ f(rule.points)))
+
+
+def test_integrate_on_a_stack_gives_each_cell_its_integral():
+    # a stack's rule carries a leading cell axis; f still maps (n, 2) points
+    # to (n,) values, so a Poly2 integrates on one polygon and on a stack
+    dart = np.array([[0.0, 0.0], [3.0, 1.0], [0.0, 3.0], [1.0, 1.0]])  # ear-clipped
+    stack = np.stack([SQUARE, 2.0 * SQUARE + np.array([5.0, -1.0]), dart])
+    rule = polygon_rules(stack, 2)
+    f = Poly2([[0.5, 0.0, 1.0], [0.0, -2.0, 0.0], [3.0, 0.0, 0.0]])  # 1/2 + y^2 - 2xy + 3x^2
+    got = rule.integrate(f)
+    assert got.shape == (3,)
+    for v, g in zip(stack, got):
+        assert g == pytest.approx(polygon_rule(v, 2).integrate(f), rel=1e-14)
+        want = (0.5 * monomial_integral(v, 0, 0) + monomial_integral(v, 0, 2)
+                - 2.0 * monomial_integral(v, 1, 1) + 3.0 * monomial_integral(v, 2, 0))
+        assert g == pytest.approx(want, rel=1e-12)
+    assert isinstance(polygon_rule(SQUARE, 2).integrate(f), float)
 
 
 def test_scaling_and_translation():
