@@ -46,4 +46,5 @@ class SingularSystemError(SfvemError):
 
 
 class QuadratureError(SfvemError):
-    """Polygon could not be triangulated for integration."""
+    """Invalid input for a quadrature rule: a node count, a degree, or a
+    polygon with too few vertices or a non-positive signed area."""

@@ -1,13 +1,13 @@
 """Gauss-Legendre edge rules and exact polygon quadrature.
 
-The polygon rule triangulates once (a fan around the vertex average when the
-polygon is star shaped with respect to it, ear clipping otherwise) and applies
-a collapsed-square tensor Gauss rule on each triangle. The result integrates
-bivariate polynomials of the requested total degree exactly, for convex and
-nonconvex simple polygons alike. An N-gon's rule always has N triangles: the
-N - 2 ears of a clipped polygon come with two zero-area triangles at its
-first vertex, whose weights are exactly 0. polygon_rules builds the rules of
-any stack of polygons with one vertex count at once; polygon_rule takes the
+The polygon rule splits an N-gon into the N fan triangles (c, v_i, v_i+1)
+about its vertex average c and applies a collapsed-square tensor Gauss rule
+on each. A triangle's weights carry its signed area, so on a polygon that
+is not star shaped about c some weights are negative; the signed triangles
+still add up to the polygon, and the rule integrates bivariate polynomials
+of the requested total degree exactly on every simple CCW polygon, convex
+or not, hanging nodes included. polygon_rules builds the rules of any
+stack of polygons with one vertex count at once; polygon_rule takes the
 vertices of one polygon and returns the rule of that polygon as a stack of
 one.
 """
@@ -37,8 +37,9 @@ class EdgeRule:
 class PolygonRule:
     """Quadrature points and weights on one polygon; weights sum to its area.
 
-    The rules of a stack carry a leading cell axis: points (C, P, 2) and
-    weights (C, P).
+    A weight is negative where its fan triangle is clockwise, on a polygon
+    that is not star shaped about its vertex average. The rules of a stack
+    carry a leading cell axis: points (C, P, 2) and weights (C, P).
     """
 
     points: np.ndarray
@@ -112,70 +113,23 @@ def _duffy_reference(degree: int):
     return u, uv, w
 
 
-def _fan(vertices: np.ndarray):
-    # triangles (C, n, 3, 2) (c, v_i, v_{i+1}) around each polygon's vertex
-    # average c, and whether each polygon is strictly star shaped about c
-    c = vertices.mean(axis=1)
-    a = vertices
-    b = cyclic_roll(vertices, -1, axis=1)
-    # float_power is libm's pow, which a scalar's ** 2 calls; an array's
-    # ** 2 multiplies, and the two round differently
-    scale2 = np.float_power(
-        np.maximum(np.abs(vertices - c[:, None]).max(axis=(1, 2)), 1.0), 2)
-    cx, cy = c[:, None, 0], c[:, None, 1]
-    cross = (a[..., 0] - cx) * (b[..., 1] - cy) - (a[..., 1] - cy) * (b[..., 0] - cx)
-    star = ~(cross <= 1e-14 * scale2[:, None]).any(axis=1)
-    return np.stack([np.broadcast_to(c[:, None], a.shape), a, b], axis=2), star
-
-
-def rule_size(n_triangles: int, degree: int) -> int:
-    """Points of a polygon rule of this degree on this many triangles."""
-    return n_triangles * len(_duffy_reference(int(degree))[0])
-
-
-def _ear_clip(vertices: np.ndarray):
-    idx = list(range(len(vertices)))
-    tris = []
-    guard = 0
-    while len(idx) > 3:
-        guard += 1
-        if guard > 4 * len(vertices) ** 2:
-            raise QuadratureError("ear clipping failed; polygon may be degenerate")
-        n = len(idx)
-        for k in range(n):
-            ia, ib, ic = idx[k - 1], idx[k], idx[(k + 1) % n]
-            a, b, c = vertices[ia], vertices[ib], vertices[ic]
-            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if cross <= 0.0:
-                continue
-            if any(_point_in_triangle(vertices[j], a, b, c)
-                   for j in idx if j not in (ia, ib, ic)):
-                continue
-            tris.append((a, b, c))
-            idx.pop(k)
-            break
-        else:
-            raise QuadratureError("ear clipping found no ear; polygon may self-intersect")
-    tris.append(tuple(vertices[j] for j in idx))
-    return tris
-
-
-def _point_in_triangle(p, a, b, c) -> bool:
-    d1 = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-    d2 = (c[0] - b[0]) * (p[1] - b[1]) - (c[1] - b[1]) * (p[0] - b[0])
-    d3 = (a[0] - c[0]) * (p[1] - c[1]) - (a[1] - c[1]) * (p[0] - c[0])
-    return d1 > 0.0 and d2 > 0.0 and d3 > 0.0
+def rule_size(n_vertices: int, degree: int) -> int:
+    """Points of a polygon rule of this degree on a polygon of this many
+    vertices (one fan triangle per vertex)."""
+    return n_vertices * len(_duffy_reference(int(degree))[0])
 
 
 def polygon_rules(vertices, degree: int) -> PolygonRule:
     """Quadrature on a (C, N, 2) stack of simple CCW polygons, exact for
     total degree <= degree, with a leading cell axis.
 
-    Each cell's points and weights are those of its own rule: the fan of
-    N triangles about its vertex average where it is star shaped about it,
-    else its N - 2 ears and two zero-area triangles at its first vertex,
-    so every cell has as many points. A QuadratureError about one polygon
-    carries its position in the stack as ``index``.
+    Each cell's rule is the fan of its N triangles (c, v_i, v_i+1) about its
+    vertex average c, each with the signed weights of its own Duffy map.
+    Where a polygon is not star shaped about c some triangles are clockwise
+    and their weights negative; the signed triangles still add up to the
+    polygon (the shoelace decomposition), so the rule stays exact and its
+    weights sum to the area. A QuadratureError about one polygon carries
+    its position in the stack as ``index``.
     """
     if degree < 0:
         raise QuadratureError(f"degree must be nonnegative, got {degree}")
@@ -187,20 +141,14 @@ def polygon_rules(vertices, degree: int) -> PolygonRule:
         raise at_index(QuadratureError(
             "polygon must be counterclockwise with positive area"),
             np.flatnonzero(area <= 0.0)[0])
-    tris, star = _fan(vertices)
-    for k in np.flatnonzero(~star):
-        try:
-            ears = _ear_clip(vertices[k])
-        except QuadratureError as exc:
-            raise at_index(exc, k)
-        # a fan's N triangles: the N - 2 ears, then two of zero area
-        tris[k] = ears + [(vertices[k, 0],) * 3] * 2
     u, uv, w = _duffy_reference(int(degree))
-    v0, v1, v2 = tris[:, :, 0, :, None], tris[:, :, 1, :, None], tris[:, :, 2, :, None]
+    # (C, N, 2, 1) corners, c broadcast over N; the point axis goes innermost
+    v0 = vertices.mean(axis=1)[:, None, :, None]
+    v1 = vertices[..., None]
+    v2 = cyclic_roll(vertices, -1, axis=1)[..., None]
     e1 = v1 - v0
     e2 = v2 - v1
     d = v2 - v0
-    # (C, triangles, 2, points) keeps the point axis innermost for the map
     pts = (v0 + u * e1 + uv * e2).transpose(0, 1, 3, 2)
     area2 = e1[:, :, 0] * d[:, :, 1] - e1[:, :, 1] * d[:, :, 0]
     n = len(vertices)

@@ -2,7 +2,9 @@
 
 The monomial integrator here reduces area integrals to boundary integrals
 by the divergence theorem and never triangulates, so it shares no code
-path with the production polygon rule. ``centroid``, ``first_moments``,
+path with the production polygon rule; ``star_monomial_integrals`` is its
+cancellation-free form for polygons star shaped about the origin, from the
+boundary formula for homogeneous functions. ``centroid``, ``first_moments``,
 ``edge_lengths_normals`` and ``diameter`` are the one-quantity geometry
 functions that ``geometry.polygon_stack`` replaced, kept as the references
 its record must match bit for bit; ``one_frame`` is the scaled frame of one
@@ -114,6 +116,33 @@ def monomial_integral(vertices, a: int, b: int) -> float:
     return total
 
 
+def star_monomial_integrals(vertices, degree: int) -> np.ndarray:
+    """Integrals of x^a y^b, a + b <= degree, over a simple CCW polygon
+    that is star shaped about the origin, as a (degree + 1, degree + 1)
+    table indexed [a, b] (entries with a + b > degree are not integrals).
+
+    A monomial m of degree d is homogeneous, so div(x m) = (d + 2) m and
+    the integral is sum_e (p_e x q_e) int_0^1 m(p_e + t (q_e - p_e)) dt
+    / (d + 2) over the edges p_e -> q_e, integrated exactly by Gauss rules
+    (Chin, Lasserre and Sukumar, Comput. Mech. 2015). About a point of
+    the kernel every factor p_e x q_e is nonnegative, so the sum does not
+    cancel beyond the cancellation in m itself, unlike the divergence
+    formula of monomial_integral far from the origin.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    rule = gauss_legendre(degree // 2 + 1)
+    t = 0.5 * (rule.nodes + 1.0)
+    p, q = vertices, np.roll(vertices, -1, axis=0)
+    x = p[:, 0, None] + t * (q - p)[:, 0, None]
+    y = p[:, 1, None] + t * (q - p)[:, 1, None]
+    k = np.arange(degree + 1)
+    cross = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+    weights = (cross[:, None] * (0.5 * rule.weights)).ravel()
+    edge = (np.vander(x.ravel(), degree + 1, increasing=True).T * weights
+            ) @ np.vander(y.ravel(), degree + 1, increasing=True)
+    return edge / (k[:, None] + k + 2)
+
+
 def polygon_area(vertices) -> float:
     return monomial_integral(vertices, 0, 0)
 
@@ -151,24 +180,16 @@ def trapezoid_boundary_mean(vertices, values) -> float:
 def loop_polygon_rule(vertices, degree: int):
     """Polygon rule built triangle by triangle, each with its own Duffy map.
 
-    The same fan/ear-clip split and the same floating-point operations per
-    point as ``polygon_rule``, one triangle at a time, so the two must agree
-    bit for bit. Returns (points, weights).
+    The same fan about the vertex average and the same floating-point
+    operations per point as ``polygon_rule``, one triangle at a time, so the
+    two must agree bit for bit. Returns (points, weights).
     """
-    from sfvem.quadrature import _ear_clip, _gauss01
+    from sfvem.quadrature import _gauss01
 
     vertices = np.asarray(vertices, dtype=float)
     c = vertices.mean(axis=0)
     n = len(vertices)
-    scale2 = max(np.abs(vertices - c).max(), 1.0) ** 2
-    tris = []
-    for i in range(n):
-        a, b = vertices[i], vertices[(i + 1) % n]
-        cross = (a[0] - c[0]) * (b[1] - c[1]) - (a[1] - c[1]) * (b[0] - c[0])
-        if cross <= 1e-14 * scale2:
-            tris = _ear_clip(vertices)
-            break
-        tris.append((c, a, b))
+    tris = [(c, vertices[i], vertices[(i + 1) % n]) for i in range(n)]
     nu = (degree + 3) // 2
     nv = (degree + 2) // 2
     xu, wu = _gauss01(nu)

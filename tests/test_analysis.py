@@ -16,6 +16,8 @@ from sfvem.poly import (Poly2, build_benchmark_coefficients, bubble_problem,
                         manufactured_problem)
 from sfvem.system import METHODS, DiscreteSolution, assemble, solve
 
+from meshes import hanging_node_grid, pulled_grid
+
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 RNG = np.random.default_rng(41)
 
@@ -160,11 +162,14 @@ def test_error_norms_linear_interpolant_exact():
     u = Poly2([[0.25], [2.0]]) + Poly2([[0.0, -1.5]])  # 0.25 + 2x - 1.5y
     zero = Poly2.zero()
     spec = manufactured_problem(np.eye(2), (zero, zero), zero, u)
-    mesh = generate_distorted_grid(4, delta=0.3, seed=6)
-    sol = interpolant_solution(mesh, u)
-    e0, e1 = error_norms(sol, spec)
-    assert e0 <= 1e-12
-    assert e1 <= 1e-12
+    # the pulled and hanging-node grids each have a corner cell whose rule
+    # has negative weights
+    for mesh in (generate_distorted_grid(4, delta=0.3, seed=6), pulled_grid(),
+                 hanging_node_grid()):
+        sol = interpolant_solution(mesh, u)
+        e0, e1 = error_norms(sol, spec)
+        assert e0 <= 1e-12
+        assert e1 <= 1e-12
 
 
 def test_error_norms_zero_over_zero_guard():

@@ -17,7 +17,9 @@ import sfvem
 from sfvem import analysis
 from sfvem.analysis import SpectralAudit
 from sfvem.cli import _build_parser, main
-from sfvem.mesh import read_mesh
+from sfvem.mesh import read_mesh, write_mesh
+
+from meshes import hanging_node_grid
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -234,6 +236,17 @@ def test_solve_benchmark_on_mesh_file(tmp_path, capsys):
     out = capsys.readouterr().out
     residual = float(out.rsplit("residual=", 1)[1])
     assert residual <= 1e-10
+
+
+def test_solve_on_hanging_node_mesh_file(tmp_path, capsys):
+    # a corner hexagon with three collinear vertices, not star shaped about
+    # its vertex average
+    write_mesh(hanging_node_grid(), tmp_path / "mesh.txt")
+    code = run("solve", "--mesh", str(tmp_path / "mesh.txt"), "--out",
+               str(tmp_path))
+    assert code == 0
+    out = capsys.readouterr().out
+    assert float(out.rsplit("residual=", 1)[1]) <= 1e-10
 
 
 def test_solve_missing_mesh_file(tmp_path, capsys):

@@ -40,6 +40,7 @@ from sfvem.projectors import (_edge_points, hgrad_matrices, hgrad_matrix, nabla_
 from sfvem.quadrature import polygon_rule, polygon_rules, rule_size
 from sfvem.system import METHODS, assemble, assemble_many, solve
 
+from meshes import hanging_node_grid, pulled_grid
 from oracles import (array_halfplane_clip, centroid, diameter, edge_lengths_normals,
                      first_moments, loop_assemble, loop_centroids, loop_closest_pair,
                      loop_diffusion_gram, loop_error_norms, loop_hgrad_matrix,
@@ -48,8 +49,9 @@ from oracles import (array_halfplane_clip, centroid, diameter, edge_lengths_norm
                      group_data_integrals, loop_validate, loop_vem_local,
                      loop_voronoi_cells, pointwise_error_norms, single_rule_load_integrals)
 
-# thin U whose vertex average falls outside it: the only ear-clip case here,
-# since every catalog polygon and mesh cell is star shaped about its average
+# thin U whose vertex average falls outside it: the only polygon here whose
+# rule has negative weights, since every catalog polygon and mesh cell is
+# star shaped about its average
 USHAPE = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.6, 3.0],
                    [2.6, 0.4], [0.4, 0.4], [0.4, 3.0], [0.0, 3.0]])
 
@@ -84,23 +86,18 @@ def _cells(mesh):
     return [mesh.cell_points(ci) for ci in range(mesh.n_cells)]
 
 
-def _ear_clipped(v):
-    # whether the polygon rule ear clips v instead of splitting it into a
-    # fan: its N - 2 ears come with two zero-area triangles, the only ones
-    # whose weights are 0
-    return not polygon_rule(v, 0).weights.all()
+def _non_star(v):
+    # whether v is not star shaped about its vertex average: a fan triangle
+    # is clockwise, so the polygon rule has negative weights
+    return (polygon_rule(v, 0).weights < 0).any()
 
 
 def _assert_rule_matches_loop(points, weights, v, degree, context=None):
-    # a cell's rule against the per-triangle loop: its first T npts points
-    # and weights bit for bit, then the two zero-area triangles at the first
-    # vertex of an ear-clipped cell, whose weights are exactly 0
+    # a cell's rule against the per-triangle loop, bit for bit
     pts, wts = loop_polygon_rule(v, degree)
     assert len(weights) == rule_size(len(v), degree), context
-    assert np.array_equal(points[:len(pts)], pts), context
-    assert np.array_equal(weights[:len(wts)], wts), context
-    assert (points[len(pts):] == v[0]).all(), context
-    assert not weights[len(wts):].any(), context
+    assert np.array_equal(points, pts), context
+    assert np.array_equal(weights, wts), context
 
 
 @pytest.fixture(scope="module")
@@ -110,8 +107,8 @@ def polygons():
             + _cells(generate_voronoi(64, 3, 7, 0.25)))
 
 
-def test_ear_clip_branch_covered(polygons):
-    assert sum(_ear_clipped(v) for v in polygons) >= 1
+def test_negative_weights_covered(polygons):
+    assert sum(_non_star(v) for v in polygons) >= 1
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 33, 36])
@@ -387,16 +384,6 @@ def test_tuple_clip_matches_array_clip():
     assert cuts > 100
 
 
-def _pulled_grid():
-    # a 4 x 4 grid whose interior vertex (1/4, 1/4) is pulled to (0.06, 0.06):
-    # the corner cell becomes a dart whose vertex average lies outside its
-    # kernel, so it is ear clipped, and the other 15 cells are fans
-    grid = generate_distorted_grid(4, 0.0)
-    vertices = grid.vertices.copy()
-    vertices[6] = 0.06
-    return PolyMesh(vertices, grid.cells, grid.boundary_vertices)
-
-
 PROBLEMS = {"benchmark": build_benchmark_coefficients(), "bubble": bubble_problem()}
 MESHES = {
     "grid8": lambda: generate_distorted_grid(8, 0.3, 5),
@@ -405,7 +392,8 @@ MESHES = {
     "voronoi256": lambda: generate_voronoi(256, 3, 1, 0.25),
     "grid64": lambda: generate_distorted_grid(64, 0.3, 42),
     "voronoi576": lambda: generate_voronoi(576, 3, 42, 0.25),
-    "pulled4": _pulled_grid,
+    "pulled4": pulled_grid,
+    "hanging4": hanging_node_grid,
 }
 
 
@@ -443,6 +431,7 @@ def test_local_builders_match_standalone_build(problem):
     ("voronoi256", "bubble", 1, False),
     ("pulled4", "benchmark", 0, True),
     ("pulled4", "bubble", 1, False),
+    ("hanging4", "benchmark", 1, True),
 ])
 def test_shared_passes_match_one_method_at_a_time(mesh_name, problem, ell_offset,
                                                   dirichlet):
@@ -494,10 +483,10 @@ def test_error_pass_on_moments_matches_the_pointwise_pass(mesh_name):
             assert_close(g, w, "split", method)
 
 
-def test_pulled_grid_stacks_fan_and_ear_clipped_quads():
-    # the passes build the dart in one stack with the fan quads
+def test_pulled_grid_stacks_star_and_non_star_quads():
+    # the passes build the dart in one stack with the star-shaped quads
     (stack,) = cell_stacks(MESHES["pulled4"](), lambda n: 1)
-    assert [_ear_clipped(v) for v in stack[2].vertices] == [True] + [False] * 15
+    assert [_non_star(v) for v in stack[2].vertices] == [True] + [False] * 15
 
 
 def _build_records(monkeypatch, mesh, spec):
@@ -638,9 +627,9 @@ def _stacks(polygons):
 
 
 def test_stacks_mix_both_kinds(polygons):
-    # a stack of ear-clipped and fan cells, so that every stacked kernel
-    # runs one
-    kinds = [{_ear_clipped(v) for v in s} for s in _stacks(polygons)]
+    # a stack of star-shaped and non-star cells, so that every stacked
+    # kernel runs one
+    kinds = [{_non_star(v) for v in s} for s in _stacks(polygons)]
     assert {True, False} in kinds
 
 
@@ -669,11 +658,12 @@ def test_polygon_rules_match_per_triangle_loop(polygons, degree):
 
 
 def test_polygon_rules_give_a_mixed_stack_each_cells_rule():
-    # a square (a fan) and a dart (ear clipped) in one stack: each cell's
-    # points and weights are those of its own rule, and sum to its area
+    # a square (star shaped) and a dart (not star shaped about its vertex
+    # average) in one stack: each cell's points and weights are those of
+    # its own rule, and sum to its area
     dart = np.array([[0.0, 0.0], [1.0, 0.9], [2.0, 0.0], [1.0, 1.0]])
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    assert _ear_clipped(dart) and not _ear_clipped(square)
+    assert _non_star(dart) and not _non_star(square)
     for degree in (0, 2, 33):
         rule = polygon_rules(np.array([square, dart, square]), degree)
         for i, v in enumerate((square, dart, square)):
@@ -777,7 +767,7 @@ def test_poly2_on_stacked_points_matches_loop_eval(degree):
 
 
 def test_stacked_element_error_names_the_cell():
-    # three quads in one stack: a square, an ear-clipped dart, and a sliver
+    # three quads in one stack: a square, a non-star dart, and a sliver
     # that fails the area check at position 2
     quads = [[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
              [[2.0, 0.0], [3.0, 0.9], [4.0, 0.0], [3.0, 1.0]],

@@ -5,14 +5,19 @@ from sfvem.mesh import catalog_polygons
 from sfvem.poly import Poly2
 from sfvem.quadrature import QuadratureError, gauss_legendre, polygon_rule, polygon_rules
 
-from oracles import monomial_integral
+from oracles import monomial_integral, star_monomial_integrals
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 LSHAPE = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0],
                    [1.0, 2.0], [0.0, 2.0]])
-# thin U where the vertex average falls outside, forcing the ear-clip path
+# thin U whose vertex average falls outside it: fan triangles about the
+# average turn clockwise and carry negative weights
 USHAPE = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.6, 3.0],
                    [2.6, 0.4], [0.4, 0.4], [0.4, 3.0], [0.0, 3.0]])
+# strictly simple hexagon with three collinear vertices on x = -1/4 (hanging
+# nodes), not star shaped about its vertex average
+HEXAGON = np.array([[0.75, 0.75], [-0.5, 0.5], [-0.25, 0.25], [-0.25, -0.125],
+                    [-0.25, -0.5], [-0.25, -0.75]])
 
 
 # ---------------------------------------------------------------------------
@@ -74,15 +79,57 @@ def test_weights_sum_to_area():
         assert rule.weights.sum() == pytest.approx(area, rel=1e-13)
 
 
-@pytest.mark.parametrize("pts", [SQUARE, LSHAPE, USHAPE])
+@pytest.mark.parametrize("pts", [SQUARE, LSHAPE, USHAPE, HEXAGON])
 def test_monomial_exactness_against_divergence_oracle(pts):
-    degree = 12
+    degree = 20 if pts is HEXAGON else 12
     rule = polygon_rule(pts, degree)
     for a in range(degree + 1):
         for b in range(degree + 1 - a):
             got = rule.integrate(lambda p: p[:, 0] ** a * p[:, 1] ** b)
             want = monomial_integral(pts, a, b)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14), (a, b)
+
+
+def _non_star_polygons_with_hanging_nodes(count, seed=21):
+    # seeded polygons star shaped about the origin (vertices at increasing
+    # angles, no gap of pi or more) with zero to two collinear points on
+    # each edge, kept where they have a collinear point and are not star
+    # shaped about their vertex average
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(3, 9))
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
+        if gaps.min() < 0.05 or gaps.max() >= np.pi:
+            continue
+        corners = rng.uniform(0.05, 1.0, n)[:, None] * np.column_stack(
+            [np.cos(angles), np.sin(angles)])
+        edges = np.roll(corners, -1, axis=0) - corners
+        v = np.concatenate([
+            corners[i] + np.r_[0.0, np.sort(rng.uniform(0.1, 0.9, rng.integers(0, 3)))][:, None]
+            * edges[i] for i in range(n)])
+        a = v - v.mean(axis=0)
+        b = np.roll(a, -1, axis=0)
+        if len(v) > n and (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] < 0.0).any():
+            out.append(v)
+    return out
+
+
+def test_non_star_polygons_with_hanging_nodes_are_exact():
+    # every monomial up to degree 20 within 1e-13 of sum |w m| of the
+    # boundary formula, on 500 polygons whose rules have negative weights
+    degree = 20
+    k = np.arange(degree + 1)
+    low = k[:, None] + k[None, :] <= degree
+    for v in _non_star_polygons_with_hanging_nodes(500):
+        rule = polygon_rule(v, degree)
+        assert (rule.weights < 0.0).any()
+        x, y = (np.vander(rule.points[:, i], degree + 1, increasing=True) for i in (0, 1))
+        got = (x.T * rule.weights) @ y
+        scale = np.abs(x.T * rule.weights) @ np.abs(y)
+        err = np.abs(got - star_monomial_integrals(v, degree))
+        assert (err[low] <= 1e-13 * scale[low]).all(), v.tolist()
 
 
 def test_exactness_on_catalog_sample():
@@ -116,8 +163,9 @@ def test_integrate_helper_matches_manual_dot():
 
 def test_integrate_on_a_stack_gives_each_cell_its_integral():
     # a stack's rule carries a leading cell axis; f still maps (n, 2) points
-    # to (n,) values, so a Poly2 integrates on one polygon and on a stack
-    dart = np.array([[0.0, 0.0], [3.0, 1.0], [0.0, 3.0], [1.0, 1.0]])  # ear-clipped
+    # to (n,) values, so a Poly2 integrates on one polygon and on a stack;
+    # the dart is not star shaped about its vertex average
+    dart = np.array([[0.0, 0.0], [3.0, 1.0], [0.0, 3.0], [1.0, 1.0]])
     stack = np.stack([SQUARE, 2.0 * SQUARE + np.array([5.0, -1.0]), dart])
     rule = polygon_rules(stack, 2)
     f = Poly2([[0.5, 0.0, 1.0], [0.0, -2.0, 0.0], [3.0, 0.0, 0.0]])  # 1/2 + y^2 - 2xy + 3x^2
