@@ -8,18 +8,22 @@ projection. The comparator is the classical first-order scheme with the
 dofi-dofi stabilization term.
 
 The diffusion Gram needs no volume rule: projectors.hgrad_matrices takes
-it from the edge nodes of the projection. The advection and load
-integrals share one polygon rule, of the degree volume_degree.
+it from the edge nodes of the projection. Nor does the advection vector:
+since div beta = 0, t_i = integral of grad h_i . beta is the boundary
+integral of h_i beta . n, which Gauss nodes on each edge integrate exactly
+(advection_nodes). Only the load integrals of gamma and f take a polygon
+rule, of the degree volume_degree.
 
 The builders work on stacks of cells with one vertex count, which
 ``cell_stacks`` cuts from a mesh: ``cell_data`` records a ``PolygonStack``
-at its degree parameter ell, its per-cell algebra once and its polygon
-rules and data by ``rule_chunks``, and ``sfvem_locals`` and
-``standard_vem_locals`` both read that one record and return every cell's
-matrices with a leading cell axis (the comparator's integral of beta is h
-times the first two entries of sfvem's advection vector). ``sfvem_local``
-and ``standard_vem_local`` take the vertices of one polygon and return cell
-0 of the stacked build on that polygon as a stack of one. The integrals are
+at its degree parameter ell, its per-cell algebra and advection vectors
+once and its polygon rules and load data by ``rule_chunks``, and
+``sfvem_locals`` and ``standard_vem_locals`` both read that one record
+and return every cell's matrices with a leading cell axis (the
+comparator's integral of beta is h times the first two entries of
+sfvem's advection vector). ``sfvem_local`` and ``standard_vem_local``
+take the vertices of one polygon and return cell 0 of the stacked build
+on that polygon as a stack of one. The integrals are
 batched contractions over the stack; a cell's matrices agree with its own
 one-polygon build to rounding (the tolerances are in
 tests/test_oracle_identity.py), not bit for bit. The rule points do not
@@ -36,7 +40,7 @@ import numpy as np
 from .geometry import PolygonStack, polygon_stack
 from .poly import HarmonicBasis, evaluate_polys, harmonic_basis
 from .problem import ProblemSpec
-from .projectors import dof_matrix, hgrad_matrices, nabla_matrices, pi0_rows
+from .projectors import dof_matrix, edge_points, hgrad_matrices, nabla_matrices, pi0_rows
 from .quadrature import polygon_rules, rule_size
 # not called here; the benchmark's tracer re-binds them by this module's name
 from .projectors import hgrad_matrix, nabla_matrix  # noqa: F401
@@ -46,6 +50,8 @@ __all__ = [
     "ProblemSpec",
     "CellData",
     "LocalElementMatrices",
+    "advection_nodes",
+    "build_floats_per_cell",
     "cell_data",
     "cell_stacks",
     "effective_ell",
@@ -99,13 +105,31 @@ def effective_ell(n_vertices: int, offset: int = 0) -> int:
     return max(0, math.ceil((n_vertices - 3) / 2) + offset)
 
 
-def volume_degree(spec: ProblemSpec, ell: int) -> int:
+def volume_degree(spec: ProblemSpec) -> int:
     """Degree of the polygon rule of a stack's record, which both builders
-    read: the highest total degree among the volume integrands
-    grad h_i . beta, gamma and f at degree parameter ell. The diffusion Gram
-    grad h_i . K grad h_j comes from edge nodes (projectors.hgrad_matrices)."""
-    return max(spec.beta[0].degree + ell, spec.beta[1].degree + ell,
-               spec.gamma.degree, spec.f.degree)
+    read at every ell: the higher total degree of the volume integrands
+    gamma and f. The diffusion Gram grad h_i . K grad h_j
+    (projectors.hgrad_matrices) and the advection vector (advection_nodes)
+    come from edge nodes."""
+    return max(spec.gamma.degree, spec.f.degree)
+
+
+def advection_nodes(spec: ProblemSpec, ell: int) -> int:
+    """Gauss nodes per edge of the advection vectors at degree parameter
+    ell: the edge integrand h_i beta . n has degree deg beta + ell + 1, which
+    (deg beta + ell + 3) // 2 nodes integrate exactly."""
+    return (max(spec.beta[0].degree, spec.beta[1].degree) + ell + 3) // 2
+
+
+def build_floats_per_cell(spec: ProblemSpec, n: int, ell: int) -> int:
+    """Floats per n-gon of the largest temporary that cell_data and the
+    builders hold for a stack at degree parameter ell, the floats_per_cell
+    of the build's cell_stacks: the powers z^0..z^(ell+1) at the n
+    advection_nodes(spec, ell) per edge, 2 ell + 4 floats at each, or the
+    edge-node arrays of hgrad_matrices, about 4 arrays of 2 ell + 2
+    gradients at n (ell + 1) nodes. The table of beta at the advection
+    nodes goes in runs of points that keep it within CHUNK_BYTES."""
+    return n * max(2 * (ell + 2) * advection_nodes(spec, ell), 16 * (ell + 1) ** 2)
 
 
 def cell_stacks(mesh, floats_per_cell):
@@ -141,9 +165,10 @@ class CellData:
     The geometry stack (which carries the frames), the H1 projection
     matrices and the element-mean rows, the harmonic basis of degree
     parameter ell, the advection vectors t_i = integral of grad h_i . beta,
-    (C, 2 ell + 2), and the rule integrals of gamma and f, all at the rule
-    degree volume_degree(spec, ell). The rule points, the data values and
-    the powers of z at them live only while their chunk is built.
+    (C, 2 ell + 2), from the edge nodes (advection_nodes), and the rule
+    integrals of gamma and f at the rule degree volume_degree(spec). The
+    rule points, the load data values at them and the data values at the
+    edge nodes live only while their chunk or stack is built.
     """
 
     poly: PolygonStack
@@ -157,34 +182,52 @@ class CellData:
 
 def cell_data(poly: PolygonStack, spec: ProblemSpec, ell: int) -> CellData:
     """The record of a PolygonStack at degree parameter ell. The projections
-    are built once for the stack; the polygon rules of degree
-    volume_degree(spec, ell), the data values at their points (beta, gamma
-    and f from one evaluate_polys call) and the integrals chunk by chunk
-    (rule_chunks)."""
+    and the advection vectors are built once for the stack (beta in runs of
+    advection nodes, see build_floats_per_cell); the polygon rules of degree
+    volume_degree(spec), the values of gamma and f at their points (one
+    evaluate_polys call) and the integrals chunk by chunk (rule_chunks)."""
     nabla = nabla_matrices(poly)
-    degree = volume_degree(spec, ell)
-    integrals = [_rule_integrals(poly, chunk, spec, degree, ell)
+    basis = harmonic_basis(poly.frame, ell)
+    degree = volume_degree(spec)
+    integrals = [_rule_integrals(poly, chunk, spec, degree)
                  for chunk in rule_chunks(poly, degree)]
-    t, int_gamma, int_f = (np.concatenate(parts) for parts in zip(*integrals))
-    return CellData(poly, nabla, pi0_rows(poly, nabla), harmonic_basis(poly.frame, ell),
-                    t, int_gamma, int_f)
+    int_gamma, int_f = (np.concatenate(parts) for parts in zip(*integrals))
+    return CellData(poly, nabla, pi0_rows(poly, nabla), basis,
+                    _advection_vectors(poly, spec, basis), int_gamma, int_f)
 
 
-def _rule_integrals(poly: PolygonStack, chunk: slice, spec: ProblemSpec, degree: int,
-                    ell: int) -> tuple:
-    # the advection vectors t (c, 2 ell + 2) and the rule integrals of gamma
-    # (c,) and f (c,) on a chunk of the stack; the chunk's rule points and
-    # data values go when it returns
+def _advection_vectors(poly: PolygonStack, spec: ProblemSpec, basis: HarmonicBasis):
+    # t (C, 2 ell + 2) from the boundary form: t_{2k-1} + i t_{2k} is the sum
+    # over edges e and their advection nodes x_ej of |e| w_j z^k beta . n_e,
+    # k = 1..ell + 1, from one power table for the stack. evaluate_polys'
+    # table holds nx + ny floats per point, so beta comes in runs of nodes
+    # whose table fits CHUNK_BYTES
+    ell = basis.ell
+    pts, _, w = edge_points(poly, advection_nodes(spec, ell))
+    nodes = pts.reshape(-1, 2)
+    width = (max(p.coeffs.shape[0] for p in spec.beta)
+             + max(p.coeffs.shape[1] for p in spec.beta))
+    run = max(1, CHUNK_BYTES // (8 * width))
+    beta = np.concatenate([evaluate_polys(spec.beta, nodes[s:s + run])
+                           for s in range(0, len(nodes), run)], axis=1)
+    n_cells, n = poly.lengths.shape
+    beta = beta.reshape(2, n_cells, n, -1)
+    flux = beta[0] * poly.normals[..., :1] + beta[1] * poly.normals[..., 1:]
+    flux *= poly.lengths[..., None] * w
+    pows = basis.powers(pts, ell + 1)[1:]
+    t = np.einsum("kcp,cp->ck", pows, flux.reshape(n_cells, -1), order="C")
+    return t.view(float)
+
+
+def _rule_integrals(poly: PolygonStack, chunk: slice, spec: ProblemSpec,
+                    degree: int) -> tuple:
+    # the rule integrals of gamma (c,) and f (c,) on a chunk of the stack;
+    # the chunk's rule points and data values go when it returns
     rule = polygon_rules(poly.vertices[chunk], degree)
     w = rule.weights
-    coefficients = (spec.beta[0], spec.beta[1], spec.gamma, spec.f)
-    values = evaluate_polys(coefficients, rule.points.reshape(-1, 2)).reshape((4,) + w.shape)
-    # t_{2k-1} + i t_{2k} is the integral of (k/h) z^(k-1) (beta_x + i beta_y)
-    frame = poly.frame[chunk]
-    pows = harmonic_basis(frame, ell).powers(rule.points, ell)
-    t = np.einsum("kcp,cp->ck", pows, w * (values[0] + 1j * values[1]), order="C")
-    t *= np.arange(1, ell + 2) / frame.scale[:, None]
-    return t.view(float), np.einsum("cp,cp->c", w, values[2]), np.einsum("cp,cp->c", w, values[3])
+    values = evaluate_polys((spec.gamma, spec.f), rule.points.reshape(-1, 2))
+    values = values.reshape((2,) + w.shape)
+    return np.einsum("cp,cp->c", w, values[0]), np.einsum("cp,cp->c", w, values[1])
 
 
 def sfvem_locals(data: CellData, spec: ProblemSpec) -> LocalElementMatrices:

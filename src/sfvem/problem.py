@@ -25,9 +25,17 @@ class ProblemSpec:
     K is a constant 2x2 SPD array. beta is a pair of Poly2, gamma and f are
     Poly2, and the exact solution, when given, is a Poly2 with a Poly2
     gradient pair, all with finite entries. Polynomial data is what lets
-    every volume integral be exact; anything else raises ValueError. theta,
-    R1, R2 record benchmark parameters when the coefficients come from the
-    rotated-anisotropy benchmark.
+    every integral be exact; anything else raises ValueError.
+
+    beta must be divergence free, and that makes the advection integral of
+    grad h . beta over a cell equal to the boundary integral of h beta . n,
+    which the build takes from edge nodes (element.advection_nodes). The
+    check holds every coefficient of div beta within 1e-12 of the largest
+    coefficient of d beta_x / dx and d beta_y / dy (or of 1); the boundary
+    form drops the integral of h div beta, which that tolerance bounds.
+
+    theta, R1, R2 record benchmark parameters when the coefficients come
+    from the rotated-anisotropy benchmark.
     """
 
     K: np.ndarray

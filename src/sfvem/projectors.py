@@ -105,10 +105,11 @@ def pi0_rows(poly: PolygonStack, nabla: np.ndarray) -> np.ndarray:
             + mean_yhat[:, None] * nabla[:, 2])
 
 
-def _edge_points(poly: PolygonStack, n_nodes: int):
-    # Gauss points on all N edges of each cell at once, edge-major
-    # (C, N * n_nodes, 2), with the node parameters t in [0, 1] and the
-    # weights w of the rule
+def edge_points(poly: PolygonStack, n_nodes: int):
+    """Gauss points of n_nodes per edge on all N edges of each cell at once,
+    edge-major (C, N * n_nodes, 2), with the node parameters t in [0, 1]
+    and the weights w of the rule on [0, 1]; exact for edge integrands of
+    degree 2 n_nodes - 1."""
     rule = gauss_legendre(n_nodes)
     t = 0.5 * (rule.nodes + 1.0)
     v = poly.vertices
@@ -171,7 +172,7 @@ def hgrad_matrices(poly: PolygonStack, basis: HarmonicBasis, K: np.ndarray):
     """
     _check_elements(poly)
     n_cells, size = len(poly), basis.size
-    pts, _, w = _edge_points(poly, basis.ell + 1)
+    pts, _, w = edge_points(poly, basis.ell + 1)
     vals, grads = basis.values_and_gradients(pts)
     dn = _normal_derivatives(poly, grads)
     edge_w = (poly.lengths[:, :, None] * w).reshape(n_cells, 1, -1)
@@ -190,7 +191,7 @@ def hgrad_matrices(poly: PolygonStack, basis: HarmonicBasis, K: np.ndarray):
         MK = (grads * node_w).reshape(n_cells, size, -1) @ KG.transpose(0, 2, 1)
         k = np.arange(size) // 2 + 1
         MK /= k[:, None] + k[None, :]
-    pts, t, w = _edge_points(poly, (basis.ell + 3) // 2)
+    pts, t, w = edge_points(poly, (basis.ell + 3) // 2)
     dn = poly.lengths[:, None, :, None] * _normal_derivatives(poly, basis.gradients(pts))
     # edge e feeds its start vertex with weight 1 - t and its end vertex with t
     B = dn @ (w * (1.0 - t)) + cyclic_roll(dn @ (w * t), 1, axis=2)

@@ -16,7 +16,8 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .element import cell_data, cell_stacks, effective_ell, sfvem_locals, standard_vem_locals
+from .element import (build_floats_per_cell, cell_data, cell_stacks, effective_ell, sfvem_locals,
+                      standard_vem_locals)
 # not called here; the benchmark's tracer re-binds them by this module's name
 from .element import sfvem_local, standard_vem_local  # noqa: F401
 from .errors import SfvemError, SingularSystemError
@@ -142,10 +143,8 @@ def assemble_many(mesh: PolyMesh, spec: ProblemSpec, methods=METHODS,
     vals = {m: np.empty(len(rows)) for m in methods}
     loads = {m: np.empty(len(load_rows)) for m in methods}
     ell_by_cell = {m: np.zeros(mesh.n_cells, dtype=int) for m in methods}
-    # per cell, the largest temporaries of a build are the edge-node arrays
-    # of hgrad_matrices: about 4 arrays of 2 ell + 2 gradients at N (ell + 1)
-    # nodes
-    stacks = cell_stacks(mesh, lambda n: 16 * (effective_ell(n, ell_offset) + 1) ** 2 * n)
+    stacks = cell_stacks(mesh, lambda n: build_floats_per_cell(spec, n,
+                                                               effective_ell(n, ell_offset)))
     for cells, index, poly in stacks:
         n = index.shape[1]
         try:

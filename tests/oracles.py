@@ -17,7 +17,10 @@ cell) and the mesh checks, and within the per-kernel tolerances of
 ``test_oracle_identity.RTOL`` for the element kernels, assembly and error
 norms, whose batched contractions add in another order. ``area_gram`` integrates the harmonic-gradient Gram matrix
 over the element area, the reference for the boundary Gram that
-``hgrad_matrix`` solves against. ``loop_jacobi_singular_values`` is
+``hgrad_matrix`` solves against. ``loop_boundary_flux`` integrates
+v beta . n edge by edge, the reference for the advection vector and the
+comparator's integral of beta, which equal volume integrals since
+div beta = 0. ``loop_jacobi_singular_values`` is
 the pure-Python one-sided Jacobi SVD that LAPACK's ``dgejsv`` replaced in
 ``analysis.jacobi_singular_values``; it is the reference the audit's
 ratios must match to a relative tolerance, since the rotation order
@@ -415,16 +418,38 @@ def volume_diffusion_gram(vertices, K, ell: int, degree: int) -> np.ndarray:
     return np.einsum("jqa,iqa,q->ij", grads, KG, rule.weights)
 
 
-def _loop_volume_degree(spec, ell):
-    return max(spec.beta[0].degree + ell, spec.beta[1].degree + ell,
-               spec.gamma.degree, spec.f.degree)
+def _loop_volume_degree(spec):
+    return max(spec.gamma.degree, spec.f.degree)
+
+
+def loop_boundary_flux(vertices, beta, values, degree: int) -> np.ndarray:
+    """The boundary integrals of v beta . n, edge by edge, for the map
+    ``values`` of (n, 2) points to the (k, n) values of k polynomials v of
+    degree at most ``degree``: each edge's Gauss nodes are exact for the
+    integrand of degree deg beta + degree, and beta is evaluated edge by
+    edge. For a divergence-free beta they are the area integrals of
+    grad v . beta."""
+    vertices = np.asarray(vertices, dtype=float)
+    n = len(vertices)
+    _, lengths, normals = edge_lengths_normals(vertices)
+    rule = gauss_legendre((max(beta[0].degree, beta[1].degree) + degree + 2) // 2)
+    t = 0.5 * (rule.nodes + 1.0)
+    out = 0.0
+    for e in range(n):
+        a, b = vertices[e], vertices[(e + 1) % n]
+        pts = a[None, :] + t[:, None] * (b - a)[None, :]
+        flux = beta[0](pts) * normals[e][0] + beta[1](pts) * normals[e][1]
+        out = out + lengths[e] * values(pts) @ (0.5 * rule.weights * flux)
+    return out
 
 
 def loop_sfvem_local(vertices, spec, ell):
     """Stabilization-free local matrices built from nothing but the
-    vertices: the diffusion Gram from ``loop_diffusion_gram``, every volume
-    integral through ``PolygonRule.integrate`` or an einsum on one polygon
-    rule; ``sfvem_local`` must match them."""
+    vertices: the diffusion Gram from ``loop_diffusion_gram``, the advection
+    vector t_i = integral of grad h_i . beta from the edge loop
+    ``loop_boundary_flux`` of h_i beta . n, and the load integrals through
+    ``PolygonRule.integrate`` on one polygon rule; ``sfvem_local`` must match
+    them."""
     from sfvem.element import LocalElementMatrices
     from sfvem.projectors import nabla_matrices, pi0_rows
 
@@ -432,7 +457,7 @@ def loop_sfvem_local(vertices, spec, ell):
     poly = polygon_stack(vertices[None])
     P, G = loop_hgrad_matrix(vertices, ell)
     r = pi0_rows(poly, nabla_matrices(poly))[0]
-    rule = polygon_rule(vertices, _loop_volume_degree(spec, ell))
+    rule = polygon_rule(vertices, _loop_volume_degree(spec))
     K = spec.K
     if abs(K[0, 1]) == 0.0 and K[0, 0] == K[1, 1]:
         MK = K[0, 0] * G
@@ -440,18 +465,21 @@ def loop_sfvem_local(vertices, spec, ell):
         MK = loop_diffusion_gram(vertices, K, ell)
     A_diff = P.T @ MK @ P
     A_diff = 0.5 * (A_diff + A_diff.T)
-    grads = HarmonicBasis(one_frame(vertices), ell).gradients(rule.points[None])[0]
-    bvals = np.column_stack([spec.beta[0](rule.points), spec.beta[1](rule.points)])
-    t = np.einsum("iqa,qa,q->i", grads, bvals, rule.weights)
+    basis = HarmonicBasis(one_frame(vertices), ell)
+    t = loop_boundary_flux(vertices, spec.beta, lambda p: basis.values(p[None])[0], ell + 1)
     A_adv = np.outer(r, t @ P)
     A_reac = rule.integrate(spec.gamma) * np.outer(r, r)
     b = rule.integrate(spec.f) * r
     return LocalElementMatrices(ell, A_diff, A_adv, A_reac, b, r)
 
 
-def loop_vem_local(vertices, spec):
+def loop_vem_local(vertices, spec, ell=0):
     """Stabilized comparator's local matrices built from nothing but the
-    vertices; ``standard_vem_local`` must match them."""
+    vertices, the integral of beta as the edge loop ``loop_boundary_flux``
+    of (x - x_E) beta . n about the centroid x_E, on the edge nodes of the
+    record at degree parameter ell that the comparator reads;
+    ``standard_vem_local`` (ell = 0) and ``standard_vem_locals`` must match
+    them."""
     from sfvem.element import LocalElementMatrices
     from sfvem.projectors import dof_matrix, nabla_matrices, pi0_rows
 
@@ -468,8 +496,9 @@ def loop_vem_local(vertices, spec):
     Q = np.eye(len(vertices)) - D @ nabla
     A_diff = consistency + 0.5 * float(np.trace(K)) * (Q.T @ Q)
     A_diff = 0.5 * (A_diff + A_diff.T)
-    rule = polygon_rule(vertices, _loop_volume_degree(spec, 0))
-    bbar = np.array([rule.integrate(spec.beta[0]), rule.integrate(spec.beta[1])])
+    rule = polygon_rule(vertices, _loop_volume_degree(spec))
+    center = centroid(vertices)
+    bbar = loop_boundary_flux(vertices, spec.beta, lambda p: (p - center).T, ell + 1)
     A_adv = np.outer(r, (bbar @ S) / h)
     A_reac = rule.integrate(spec.gamma) * np.outer(r, r)
     b = rule.integrate(spec.f) * r
@@ -492,29 +521,23 @@ def rule_groups(mesh):
             yield cells[s:s + RULE_BLOCK], part, mesh.vertices[part]
 
 
-def group_data_integrals(mesh, spec, ell_offset=0) -> tuple:
-    """Each cell's rule integrals of beta (n_cells, 2), gamma and f
-    (n_cells,) per block of ``rule_groups``: the rules of the block's
-    ``volume_degree``, each coefficient evaluated on all of their points in
-    its own Poly2 call, and one einsum per integral. The build's integrals
-    of gamma and f must equal these bit for bit; it keeps that of beta as
-    h t[:, :2], sfvem's advection vector on x and y scaled by h, which
-    matches within a tolerance."""
-    from sfvem.element import effective_ell, volume_degree
+def group_data_integrals(mesh, spec) -> tuple:
+    """Each cell's rule integrals of gamma and f (n_cells,) per block of
+    ``rule_groups``: the rules of ``volume_degree``, each coefficient
+    evaluated on all of their points in its own Poly2 call, and one einsum
+    per integral. The build's integrals of gamma and f must equal these bit
+    for bit."""
+    from sfvem.element import volume_degree
     from sfvem.quadrature import polygon_rules
 
-    int_beta, int_gamma, int_f = (np.full((mesh.n_cells, 2), np.nan),
-                                  np.full(mesh.n_cells, np.nan), np.full(mesh.n_cells, np.nan))
-    for cells, index, vertices in rule_groups(mesh):
-        rule = polygon_rules(vertices, volume_degree(spec, effective_ell(index.shape[1],
-                                                                         ell_offset)))
+    int_gamma, int_f = np.full(mesh.n_cells, np.nan), np.full(mesh.n_cells, np.nan)
+    for cells, _, vertices in rule_groups(mesh):
+        rule = polygon_rules(vertices, volume_degree(spec))
         w = rule.weights
         pts = rule.points.reshape(-1, 2)
-        beta = np.stack([spec.beta[0](pts), spec.beta[1](pts)], axis=-1)
-        int_beta[cells] = np.einsum("cp,cpa->ca", w, beta.reshape(w.shape + (2,)))
         int_gamma[cells] = np.einsum("cp,cp->c", w, spec.gamma(pts).reshape(w.shape))
         int_f[cells] = np.einsum("cp,cp->c", w, spec.f(pts).reshape(w.shape))
-    return int_beta, int_gamma, int_f
+    return int_gamma, int_f
 
 
 def single_rule_load_integrals(mesh, spec, ell_offset=0) -> np.ndarray:
@@ -561,10 +584,11 @@ def loop_assemble(mesh, spec, method, ell_offset=0, dirichlet_values=None):
     ell_by_cell = np.zeros(mesh.n_cells, dtype=int)
     for ci, cell in enumerate(mesh.cells):
         pts = mesh.cell_points(ci)
+        ell = effective_ell(len(cell), ell_offset)
         if method == "sfvem":
-            local = loop_sfvem_local(pts, spec, effective_ell(len(cell), ell_offset))
+            local = loop_sfvem_local(pts, spec, ell)
         else:
-            local = loop_vem_local(pts, spec)
+            local = loop_vem_local(pts, spec, ell)
         ell_by_cell[ci] = local.ell
         idx = np.array(cell)
         red = free_index[idx]

@@ -345,15 +345,17 @@ def one_level(spec, mesh, methods):
 ])
 def test_convergence_study_builds_each_cell_once(monkeypatch, methods, rules,
                                                  evals):
-    # per cell, one element rule and one error rule, and beta, gamma and f
-    # on the first, u and grad u on the second, each evaluated once. The
-    # rules go per chunk of cells, the build's before the error pass's, each
-    # chunk's 8 floats per rule point (element.rule_chunks) within
-    # CHUNK_BYTES; each chunk's data come from one shared-table evaluation
-    # on exactly its rule points, and each pass covers every cell once.
+    # per cell, one element rule and one error rule, gamma and f on the
+    # first, u and grad u on the second, each evaluated once, and beta once
+    # at the advection nodes of the cell's edges. The rules go per chunk of
+    # cells, the build's before the error pass's, each chunk's 8 floats per
+    # rule point (element.rule_chunks) within CHUNK_BYTES; each chunk's data
+    # come from one shared-table evaluation on exactly its rule points,
+    # beta from tables of nx + ny floats per edge node within CHUNK_BYTES,
+    # and each pass covers every cell once.
     import sfvem.analysis
     import sfvem.element
-    from sfvem.element import CHUNK_BYTES
+    from sfvem.element import CHUNK_BYTES, advection_nodes
     from sfvem.quadrature import rule_size
 
     spec = build_benchmark_coefficients()
@@ -368,8 +370,11 @@ def test_convergence_study_builds_each_cell_once(monkeypatch, methods, rules,
 
     def eval_counted(fn):
         def counted(polys, points):
-            degree, _, rule_points = calls[-1]  # the rule just built
-            evals_seen.append((degree, len(polys), len(points), rule_points))
+            if polys is spec.beta:
+                evals_seen.append(("edge", len(polys), len(points), None))
+            else:
+                degree, _, rule_points = calls[-1]  # the rule just built
+                evals_seen.append((degree, len(polys), len(points), rule_points))
             return fn(polys, points)
         return counted
 
@@ -387,8 +392,14 @@ def test_convergence_study_builds_each_cell_once(monkeypatch, methods, rules,
     assert all(8 * 8 * n <= CHUNK_BYTES for _, _, n in calls)
     for degree in per_cell:
         assert sum(cells for d, cells, _ in calls if d == degree) == mesh.n_cells
-    assert len(evals_seen) == len(calls)
-    assert all(n == rule_points for _, _, n, rule_points in evals_seen)
+    rule_evals = [e for e in evals_seen if e[0] != "edge"]
+    assert len(rule_evals) == len(calls)
+    assert all(n == rule_points for _, _, n, rule_points in rule_evals)
+    per_cell["edge"] = 4 * advection_nodes(spec, 1)  # a quad's edge nodes at ell = 1
+    width = sum(max(p.coeffs.shape[a] for p in spec.beta) for a in (0, 1))
+    edge_evals = [n for d, _, n, _ in evals_seen if d == "edge"]
+    assert all(8 * width * n <= CHUNK_BYTES for n in edge_evals)
+    assert sum(edge_evals) == per_cell["edge"] * mesh.n_cells
     assert sum(cells for _, cells, _ in calls) == rules * mesh.n_cells
     assert sum(k * n // per_cell[d] for d, k, n, _ in evals_seen) == evals * mesh.n_cells
     assert list(errors) == list(methods)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from sfvem.element import effective_ell, sfvem_local, standard_vem_local
+import sfvem.element
+from sfvem.element import effective_ell, sfvem_local, standard_vem_local, volume_degree
 from sfvem.geometry import polygon_stack
 from sfvem.mesh import catalog_polygons
-from sfvem.poly import Poly2
+from sfvem.poly import Poly2, manufactured_problem
 from sfvem.problem import ProblemSpec
 from sfvem.projectors import dof_matrix, nabla_matrix
-from sfvem.quadrature import polygon_rule
+from sfvem.quadrature import polygon_rule, polygon_rules
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 RNG = np.random.default_rng(17)
@@ -53,6 +54,30 @@ def test_effective_degree_clamps_below_zero():
     assert effective_ell(8, -10) == 0
     assert effective_ell(3, -1) == 0
     assert effective_ell(20, 1) == 10
+
+
+@pytest.mark.parametrize("offset", [0, 1, 2])
+def test_volume_rule_degree_does_not_depend_on_ell(monkeypatch, offset):
+    # the volume rule carries gamma and f only: with u = x the manufactured
+    # load is f = beta_x, of degree deg beta < deg beta + ell, and the
+    # build's rule has the degree of f at every ell
+    psi = Poly2.from_separable([0.0, 0.0, 1.0, -1.0], [0.0, 0.0, 1.0, -1.0])
+    spec = manufactured_problem(np.eye(2), (psi.dy(), -psi.dx()), ZERO, Poly2([[0.0], [1.0]]))
+    assert volume_degree(spec) == spec.f.degree == spec.beta[0].degree == 5
+    degrees = []
+
+    def rules_seen(vertices, degree):
+        degrees.append(degree)
+        return polygon_rules(vertices, degree)
+
+    monkeypatch.setattr(sfvem.element, "polygon_rules", rules_seen)
+    for n in (4, 6):
+        vertices = SQUARE if n == 4 else catalog_polygons()[3].vertices
+        ell = effective_ell(len(vertices), offset)
+        assert len(vertices) == n and spec.beta[0].degree + ell > spec.f.degree
+        sfvem_local(vertices, spec, ell)
+        standard_vem_local(vertices, spec)
+    assert degrees and set(degrees) == {5}
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,16 @@ Each pass builds a stack of cells at a time (element.cell_stacks) and keeps
 only one rule chunk's points and data values alive. Its peak of traced
 allocations must stay within 1 MiB of what the chunk-by-chunk passes
 traced on the same meshes, so that whole stacks of per-cell algebra do not
-grow the footprint that the chunks bound.
+grow the footprint that the chunks bound. The table of beta at the edge
+nodes, the build's largest per point, must fit CHUNK_BYTES.
 """
 import tracemalloc
 
 import pytest
 
+import sfvem.element
 from sfvem.analysis import error_norms_many
+from sfvem.element import CHUNK_BYTES
 from sfvem.mesh import generate_distorted_grid, generate_voronoi
 from sfvem.poly import build_benchmark_coefficients
 from sfvem.system import assemble_many, solve
@@ -43,3 +46,25 @@ def test_passes_stay_within_a_mib_of_the_chunked_passes(mesh_name):
              traced_peak_mib(lambda: error_norms_many(solutions, spec)))
     for name, peak, chunked in zip(("build", "error"), peaks, CHUNKED_PEAKS_MIB[mesh_name]):
         assert peak <= chunked + 1.0, (name, peak, chunked)
+
+
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+def test_build_holds_the_beta_table_within_chunk_bytes(monkeypatch, mesh_name):
+    # evaluate_polys' table holds nx + ny floats per point (its largest
+    # coefficient table dimensions); the build evaluates beta at a stack's
+    # edge nodes in runs that keep it within CHUNK_BYTES
+    mesh, spec = MESHES[mesh_name](), build_benchmark_coefficients()
+    width = (max(p.coeffs.shape[0] for p in spec.beta)
+             + max(p.coeffs.shape[1] for p in spec.beta))
+    sizes = []
+    evaluate = sfvem.element.evaluate_polys
+
+    def evaluate_seen(polys, points):
+        if polys is spec.beta:
+            sizes.append(len(points))
+        return evaluate(polys, points)
+
+    monkeypatch.setattr(sfvem.element, "evaluate_polys", evaluate_seen)
+    assemble_many(mesh, spec)
+    assert len(sizes) > 1
+    assert all(8 * width * n <= CHUNK_BYTES for n in sizes), (max(sizes), width)

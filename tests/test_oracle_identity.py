@@ -17,6 +17,7 @@ in another order than the loops; ``assert_close`` compares them within
 the drift stated per kernel in ``RTOL``.
 """
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,25 +25,27 @@ import pytest
 import sfvem.element
 import sfvem.mesh
 from sfvem.analysis import error_norms_many, unit_diffusion_matrix
-from sfvem.element import (cell_data, cell_stacks, effective_ell, rule_chunks, sfvem_local,
-                           sfvem_locals, standard_vem_local, standard_vem_locals,
-                           volume_degree)
+from sfvem.element import (CHUNK_BYTES, advection_nodes, cell_data, cell_stacks, effective_ell,
+                           rule_chunks, sfvem_local, sfvem_locals, standard_vem_local,
+                           standard_vem_locals, volume_degree)
 from sfvem.errors import DegenerateElementError, MeshGenerationError, SfvemError
 from sfvem.geometry import are_simple, is_simple, polygon_stack, signed_area, signed_areas
 from sfvem.mesh import (PolyMesh, _centroids, _check_unit_area,
                         _closest_pair_too_close, _halfplane_clip, _shortest_edges,
                         _voronoi_cells, catalog_polygons, generate_distorted_grid,
                         generate_voronoi)
-from sfvem.poly import (HarmonicBasis, build_benchmark_coefficients, bubble_problem,
+from sfvem.poly import (HarmonicBasis, Poly2, build_benchmark_coefficients, bubble_problem,
                         evaluate_polys, harmonic_basis)
-from sfvem.projectors import (_edge_points, hgrad_matrices, hgrad_matrix, nabla_matrices,
+from sfvem.problem import ProblemSpec
+from sfvem.projectors import (edge_points, hgrad_matrices, hgrad_matrix, nabla_matrices,
                               nabla_matrix, pi0_rows)
 from sfvem.quadrature import polygon_rule, polygon_rules, rule_size
 from sfvem.system import METHODS, assemble, assemble_many, solve
 
 from meshes import hanging_node_grid, pulled_grid
 from oracles import (array_halfplane_clip, centroid, diameter, edge_lengths_normals,
-                     first_moments, loop_assemble, loop_centroids, loop_closest_pair,
+                     first_moments, loop_assemble, loop_boundary_flux, loop_centroids,
+                     loop_closest_pair,
                      loop_diffusion_gram, loop_error_norms, loop_hgrad_matrix,
                      loop_is_simple, loop_nabla_matrix, loop_poly2_eval, loop_polygon_rule,
                      loop_sfvem_local, loop_shortest_edges, loop_signed_area,
@@ -436,14 +439,6 @@ def test_local_builders_match_standalone_build(problem):
 def test_shared_passes_match_one_method_at_a_time(mesh_name, problem, ell_offset,
                                                   dirichlet):
     mesh, spec = MESHES[mesh_name](), PROBLEMS[problem]
-    if problem == "bubble" and ell_offset == 1:
-        # both methods read one record per stack, at its ell: on quads
-        # (ell = 2) its rule degree is vem's own, deg f = 2, and on cells
-        # with six vertices or more it is higher, so vem integrates on a
-        # finer rule than ell = 0 needs
-        higher = any(volume_degree(spec, effective_ell(len(c), 1)) > volume_degree(spec, 0)
-                     for c in mesh.cells)
-        assert higher == mesh_name.startswith("voronoi")
     g = np.random.default_rng(4).random(mesh.n_vertices) if dirichlet else None
     ref = {m: loop_assemble(mesh, spec, m, ell_offset, g) for m in ("sfvem", "vem")}
     ref_errors = {m: loop_error_norms(solve(ref[m]), spec) for m in ref}
@@ -527,50 +522,130 @@ def test_load_integrals_keep_the_single_rule_build(monkeypatch, mesh_name):
 
 @pytest.mark.parametrize("mesh_name", ["grid16", "voronoi256"])
 def test_stacked_build_integrals_match_per_chunk_cell_data(monkeypatch, mesh_name):
-    # a stack's data integrals come chunk by chunk from one shared-table
-    # evaluation; those of gamma and f equal, bit for bit, one Poly2 call
-    # per coefficient on all the rule points of a vertex-count group, since
-    # a data value depends on its point alone. The integral of beta is h t[:, :2] (grad h_1 = (1/h, 0), grad h_2 =
-    # (0, 1/h)), a contraction in another order, so it matches within a
-    # tolerance
+    # a stack's rule integrals of gamma and f come chunk by chunk from one
+    # shared-table evaluation and equal, bit for bit, one Poly2 call per
+    # coefficient on all the rule points of a vertex-count group, since a
+    # data value depends on its point alone
     mesh, spec = MESHES[mesh_name](), PROBLEMS["benchmark"]
-    seen = [np.full((mesh.n_cells, 2), np.nan), np.full(mesh.n_cells, np.nan),
-            np.full(mesh.n_cells, np.nan)]
+    seen = np.full((2, mesh.n_cells), np.nan)
     for cells, data in _build_records(monkeypatch, mesh, spec):
-        h = data.poly.frame.scale[:, None]
-        for out, got in zip(seen, (h * data.t[:, :2], data.int_gamma, data.int_f)):
-            out[cells] = got
-    want = group_data_integrals(mesh, spec)
-    assert_close(seen[0], want[0], "advection", "beta")
-    for name, got, w in zip(("gamma", "f"), seen[1:], want[1:]):
-        assert np.array_equal(got, w), name
+        seen[:, cells] = data.int_gamma, data.int_f
+    for name, got, want in zip(("gamma", "f"), seen, group_data_integrals(mesh, spec)):
+        assert np.array_equal(got, want), name
 
 
 @pytest.mark.parametrize("mesh_name", ["grid16", "voronoi256"])
 def test_advection_vector_matches_the_gradient_contraction(mesh_name):
-    # t comes from one contraction of the complex powers z^0..z^ell; every
-    # entry matches the real contraction of the basis gradients with w beta
-    # on the record's rule points, at the rule degree and above it
+    # t_i, the integral of grad h_i . beta, comes from one contraction of
+    # the complex powers z^1..z^(ell + 1) with |e| w beta . n at the edge
+    # nodes of each stack; every entry matches the edge loop of h_i beta . n
+    # (div beta = 0), whose nodes and beta values are the same, cell by
+    # cell at ell offsets 0..2
     mesh, spec = MESHES[mesh_name](), PROBLEMS["benchmark"]
     for offset in range(3):
         for _, _, poly in cell_stacks(mesh, lambda n: 1):
             ell = effective_ell(poly.vertices.shape[1], offset)
             data = cell_data(poly, spec, ell)
-            rule = polygon_rules(poly.vertices, volume_degree(spec, ell))
+            assert data.t.shape == (len(poly), 2 * ell + 2)
+            for i, v in enumerate(poly.vertices):
+                basis = HarmonicBasis(poly.frame[i:i + 1], ell)
+                want = loop_boundary_flux(v, spec.beta, lambda p: basis.values(p[None])[0],
+                                          ell + 1)
+                assert_close(data.t[i], want, "advection", (offset, i))
+
+
+@pytest.mark.parametrize("mesh_name", ["grid8", "voronoi64"])
+def test_build_evaluates_beta_at_no_volume_rule_point(monkeypatch, mesh_name):
+    # the build's polygon rules carry gamma and f only: beta is evaluated,
+    # on its own, at edge nodes, and never at a point of a rule the build
+    # made
+    mesh, spec = MESHES[mesh_name](), PROBLEMS["benchmark"]
+    rule_points, beta_points = [], []
+
+    def rules_seen(vertices, degree):
+        rule = polygon_rules(vertices, degree)
+        rule_points.append(rule.points.reshape(-1, 2))
+        return rule
+
+    def evaluate_seen(polys, points):
+        if any(p is b for p in polys for b in spec.beta):
+            assert polys is spec.beta
+            beta_points.append(points)
+        return evaluate_polys(polys, points)
+
+    monkeypatch.setattr(sfvem.element, "polygon_rules", rules_seen)
+    monkeypatch.setattr(sfvem.element, "evaluate_polys", evaluate_seen)
+    assemble_many(mesh, spec)
+    assert rule_points and beta_points
+    rule_set = {tuple(p) for p in np.concatenate(rule_points)}
+    assert not any(tuple(p) in rule_set for p in np.concatenate(beta_points))
+
+
+def _stream_problem():
+    # beta = curl psi for psi = x^2 (1 - x) y^2 (1 - y): divergence free,
+    # with small coefficients whose values round to the last bits
+    psi = Poly2.from_separable([0.0, 0.0, 1.0, -1.0], [0.0, 0.0, 1.0, -1.0])
+    return ProblemSpec(K=np.eye(2), beta=(psi.dy(), -psi.dx()), gamma=Poly2.zero(),
+                       f=Poly2.const(1.0))
+
+
+@pytest.mark.parametrize("mesh_name", ["grid16", "voronoi256"])
+def test_edge_advection_vector_matches_the_volume_contraction(mesh_name):
+    # on well-conditioned data the boundary form of t (div beta = 0) gives
+    # the volume integral of grad h_i . beta: every entry matches the
+    # contraction of the basis gradients with w beta on a polygon rule of
+    # the integrand's degree deg beta + ell, at ell offsets 0..2
+    mesh, spec = MESHES[mesh_name](), _stream_problem()
+    for offset in range(3):
+        for _, _, poly in cell_stacks(mesh, lambda n: 1):
+            ell = effective_ell(poly.vertices.shape[1], offset)
+            data = cell_data(poly, spec, ell)
+            rule = polygon_rules(poly.vertices, spec.beta[0].degree + ell)
             pts = rule.points.reshape(-1, 2)
             beta = np.stack([spec.beta[0](pts), spec.beta[1](pts)], axis=-1)
             wbeta = rule.weights[..., None] * beta.reshape(rule.weights.shape + (2,))
             want = np.einsum("cipa,cpa->ci", data.basis.gradients(rule.points), wbeta)
-            assert data.t.shape == (len(poly), 2 * ell + 2)
             assert_close(data.t, want, "advection", (offset, poly.vertices.shape[1]))
+
+
+class _ExactPoly:
+    # a Poly2 evaluated in exact rational arithmetic, rounded once per value
+    def __init__(self, p):
+        self.degree = p.degree
+        self.terms = [(a, b, Fraction(c)) for (a, b), c in np.ndenumerate(p.coeffs) if c]
+
+    def __call__(self, points):
+        return np.array([float(sum(c * Fraction(x) ** a * Fraction(y) ** b
+                                   for a, b, c in self.terms)) for x, y in points])
+
+
+def test_edge_advection_vector_against_exactly_evaluated_beta():
+    # the benchmark's beta, expanded into monomials with coefficients up to
+    # 1.2e8, rounds near the corner (1, 1) where it vanishes, and edge nodes
+    # lie there. On the two grid-16 cells whose t is furthest from t with
+    # exactly evaluated beta at the same nodes (by 5.2e-11 and 5.0e-11,
+    # 5.7e-10 of the mesh's max |t|), t stays within 1e-9 of that max
+    mesh, spec = MESHES["grid16"](), PROBLEMS["benchmark"]
+    exact = tuple(_ExactPoly(p) for p in spec.beta)
+    (stack,) = cell_stacks(mesh, lambda n: 1)
+    cells, _, poly = stack
+    ell = effective_ell(poly.vertices.shape[1])
+    t = cell_data(poly, spec, ell).t
+    for cell in (238, 255):
+        i = int(np.flatnonzero(cells == cell)[0])
+        basis = HarmonicBasis(poly.frame[i:i + 1], ell)
+        want = loop_boundary_flux(poly.vertices[i], exact,
+                                  lambda p: basis.values(p[None])[0], ell + 1)
+        assert np.abs(t[i] - want).max() <= 1e-9 * np.abs(t).max(), cell
 
 
 @pytest.mark.parametrize("mesh_name", ["grid16", "voronoi256"])
 def test_shared_table_matches_each_poly_on_every_chunk(monkeypatch, mesh_name):
-    # both passes evaluate their data once per rule chunk of each stack
-    # (element.rule_chunks, at 8 floats per rule point), on exactly
-    # the chunk's rule points, and each value equals its polynomial's own
-    # Poly2 call on those points
+    # both passes evaluate their rule data once per rule chunk of each stack
+    # (element.rule_chunks, at 8 floats per rule point), on exactly the
+    # chunk's rule points, and the build evaluates beta once per stack, on
+    # exactly its edge nodes (element.advection_nodes) in runs; each value
+    # equals its polynomial's own Poly2 call on those points
     import sfvem.analysis
     import sfvem.system
 
@@ -589,14 +664,22 @@ def test_shared_table_matches_each_poly_on_every_chunk(monkeypatch, mesh_name):
         return wrapper
 
     def build_chunks(poly):
+        # the rule chunks' gamma and f, then the stack's beta at its edge
+        # nodes, in runs whose table of nx + ny floats per node fits
+        # CHUNK_BYTES
+        degree = volume_degree(spec)
         ell = effective_ell(poly.vertices.shape[1])
-        degree = volume_degree(spec, ell)
-        return [((*spec.beta, spec.gamma, spec.f), degree, poly.vertices[chunk])
-                for chunk in rule_chunks(poly, degree)]
+        nodes = edge_points(poly, advection_nodes(spec, ell))[0].reshape(-1, 2)
+        width = sum(max(p.coeffs.shape[a] for p in spec.beta) for a in (0, 1))
+        run = CHUNK_BYTES // (8 * width)
+        return ([((spec.gamma, spec.f), polygon_rules(poly.vertices[chunk], degree).points)
+                 for chunk in rule_chunks(poly, degree)]
+                + [(spec.beta, nodes[s:s + run]) for s in range(0, len(nodes), run)])
 
     def error_chunks(poly):
         degree = 2 * spec.exact_u.degree + 2
-        return [((spec.exact_u, *spec.exact_grad_u), degree, poly.vertices[chunk])
+        return [((spec.exact_u, *spec.exact_grad_u),
+                 polygon_rules(poly.vertices[chunk], degree).points)
                 for chunk in rule_chunks(poly, degree)]
 
     for module in (sfvem.element, sfvem.analysis):
@@ -606,9 +689,9 @@ def test_shared_table_matches_each_poly_on_every_chunk(monkeypatch, mesh_name):
     systems = assemble_many(mesh, spec)
     error_norms_many([solve(s) for s in systems.values()], spec)
     assert len(calls) == len(want) > 2
-    for (polys, points, values), (want_polys, degree, vertices) in zip(calls, want):
-        assert polys == want_polys
-        assert np.array_equal(points, polygon_rules(vertices, degree).points.reshape(-1, 2))
+    for (polys, points, values), (want_polys, want_points) in zip(calls, want):
+        assert polys == tuple(want_polys)
+        assert np.array_equal(points, want_points.reshape(-1, 2))
         for p, got in zip(polys, values):
             assert np.array_equal(got, p(points))
 
@@ -701,9 +784,9 @@ def test_stacked_projectors_match_edge_loops(polygons):
 def test_anisotropic_build_evaluates_the_edge_nodes_once(monkeypatch, polygons):
     # G and MK share one basis evaluation at the ell + 1 Gauss nodes per
     # edge and the right-hand side takes one at its (ell + 3) // 2 nodes per
-    # edge; the advection vector t, which cell_data builds chunk by chunk,
-    # takes one power table at the rule points of each chunk
-    # (element.rule_chunks)
+    # edge; the advection vector t, which cell_data builds once per stack,
+    # takes one power table at the advection nodes of the edges
+    # (element.advection_nodes) and none at a rule point
     spec = PROBLEMS["benchmark"]
     evaluated, built = [], []
     powers, hgrad = HarmonicBasis.powers, sfvem.element.hgrad_matrices
@@ -721,17 +804,15 @@ def test_anisotropic_build_evaluates_the_edge_nodes_once(monkeypatch, polygons):
     for stack in _stacks(polygons):
         poly = polygon_stack(stack)
         ell = effective_ell(stack.shape[1])
-        degree = volume_degree(spec, ell)
         evaluated.clear()
         data = cell_data(poly, spec, ell)
-        assert len(evaluated) == len(rule_chunks(poly, degree))
-        rule_points = polygon_rules(stack, degree).points
-        assert np.array_equal(np.concatenate(evaluated), rule_points)
+        assert len(evaluated) == 1
+        assert np.array_equal(evaluated[0], edge_points(poly, advection_nodes(spec, ell))[0])
         evaluated.clear()
         sfvem_locals(data, spec)
         assert len(evaluated) == 2
-        assert np.array_equal(evaluated[0], _edge_points(poly, ell + 1)[0])
-        assert np.array_equal(evaluated[1], _edge_points(poly, (ell + 3) // 2)[0])
+        assert np.array_equal(evaluated[0], edge_points(poly, ell + 1)[0])
+        assert np.array_equal(evaluated[1], edge_points(poly, (ell + 3) // 2)[0])
         MK = built[-1][2]
         for i, v in enumerate(stack):
             assert_close(MK[i], loop_diffusion_gram(v, spec.K, ell), "gram", i)
@@ -749,7 +830,7 @@ def test_stacked_builders_match_standalone_build(polygons, problem):
             local, vem = sfvem_locals(data, spec), standard_vem_locals(data, spec)
             for i, v in enumerate(stack):
                 assert_close_local(local.cell(i), loop_sfvem_local(v, spec, ell), i)
-                assert_close_local(vem.cell(i), loop_vem_local(v, spec), i)
+                assert_close_local(vem.cell(i), loop_vem_local(v, spec, ell), i)
 
 
 @pytest.mark.parametrize("degree", [33, 36])
