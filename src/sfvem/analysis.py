@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgejsv
 
-from .element import cell_stacks, effective_ell, rule_chunks
+from .element import cell_stacks, effective_ell, rule_values
 from .mesh import (
     CatalogPolygon,
     catalog_polygons,
@@ -23,10 +23,8 @@ from .mesh import (
     generate_voronoi,
     quality_report,
 )
-from .poly import evaluate_polys
 from .problem import ProblemSpec
 from .projectors import hgrad_matrix, nabla_matrices
-from .quadrature import polygon_rules
 # not called here; the benchmark's tracer re-binds them by this module's
 # name, with the other names in perfbench/tracing.py
 from .projectors import nabla_matrix  # noqa: F401
@@ -133,8 +131,9 @@ def error_norms_many(solutions, spec: ProblemSpec) -> list:
     its cells.
 
     The cells go in stacks of one vertex count (element.cell_stacks). Per
-    stack, the linear projection matrices are built once; per rule chunk
-    (element.rule_chunks), the exact solution's moments (_exact_moments).
+    stack, the linear projection matrices are built once, and the exact
+    solution's moments (_exact_moments) are element.rule_values' reduction
+    of u and grad u on each rule chunk.
     Each solution's numerators are then per-cell algebra on the moments,
     with no work per rule point, and all share the denominators, so every
     pair equals what ``error_norms`` returns for that solution alone.
@@ -173,10 +172,9 @@ def _error_terms(poly, index, solutions, spec: ProblemSpec, degree: int) -> tupl
     # vertex indices
     K = spec.K
     nabla = nabla_matrices(poly)
-    coef_u, gram, r0, r1, grad_u, area = (
-        np.concatenate(parts)
-        for parts in zip(*(_exact_moments(poly, spec, degree, chunk)
-                           for chunk in rule_chunks(poly, degree))))
+    coef_u, gram, r0, r1, grad_u, area = rule_values(
+        poly, degree, (spec.exact_u, *spec.exact_grad_u),
+        lambda chunk, rule, values: _exact_moments(poly.frame[chunk], K, rule, values))
     den = np.empty((2, len(poly)))
     num = np.empty((len(solutions), 2, len(poly)))
     den[0] = r0 + np.einsum("ci,cij,cj->c", coef_u, gram, coef_u)
@@ -190,9 +188,10 @@ def _error_terms(poly, index, solutions, spec: ProblemSpec, degree: int) -> tupl
     return den, num
 
 
-def _exact_moments(poly, spec: ProblemSpec, degree: int, chunk: slice) -> tuple:
+def _exact_moments(frame, K, rule, values) -> tuple:
     # What the error norms need of the exact solution u on a chunk of a
-    # stack of cells, each from its own polygon rule of the given degree:
+    # stack of cells with these frames, each from its own polygon rule,
+    # given the values (3, c, P) of u and grad u at the rule points:
     # with m = (1, xhat, yhat) in the cell's frame and M the rule's Gram
     # matrix of m, the rule-L2 projection c_u = M^-1 integral of u m; the
     # rule's area |E| and mean gradient g_u; and the residuals
@@ -206,15 +205,12 @@ def _exact_moments(poly, spec: ProblemSpec, degree: int, chunk: slice) -> tuple:
     # grid 64 drifted 2.6e-13 relative), and an M from the shoelace moments
     # leaves a cross term that the rule's M cancels (3.7e-13 on grid 64).
     # Returns c_u (c, 3), M (c, 3, 3), R0 (c,), R1 (c,), g_u (c, 2), |E| (c,).
-    rule = polygon_rules(poly.vertices[chunk], degree)
     w = rule.weights
-    exact = (spec.exact_u, *spec.exact_grad_u)
-    values = evaluate_polys(exact, rule.points.reshape(-1, 2)).reshape((3,) + w.shape)
     u, grads = values[0], values[1:].transpose(1, 0, 2)  # (c, P), (c, 2, P)
     # m at the rule points, (c, 3, P)
     m = np.empty((len(w), 3, w.shape[1]))
     m[:, 0] = 1.0
-    m[:, 1:] = poly.frame[chunk].local(rule.points).transpose(0, 2, 1)
+    m[:, 1:] = frame.local(rule.points).transpose(0, 2, 1)
     wm = w[:, None, :] * m
     M = wm @ m.transpose(0, 2, 1)
     c = np.linalg.solve(M, wm @ u[..., None])[..., 0]
@@ -224,7 +220,7 @@ def _exact_moments(poly, spec: ProblemSpec, degree: int, chunk: slice) -> tuple:
     dg = grads - g[..., None]
     # the rule's integrals of (grad u - g_u)(grad u - g_u)^T, (c, 2, 2)
     second = (dg * w[:, None, :]) @ dg.transpose(0, 2, 1)
-    return (c, M, np.einsum("cp,cp->c", w, d0 * d0), np.einsum("cij,ij->c", second, spec.K),
+    return (c, M, np.einsum("cp,cp->c", w, d0 * d0), np.einsum("cij,ij->c", second, K),
             g, area)
 
 

@@ -17,18 +17,20 @@ rule, of the degree volume_degree.
 The builders work on stacks of cells with one vertex count, which
 ``cell_stacks`` cuts from a mesh: ``cell_data`` records a ``PolygonStack``
 at its degree parameter ell, its per-cell algebra and advection vectors
-once and its polygon rules and load data by ``rule_chunks``, and
-``sfvem_locals`` and ``standard_vem_locals`` both read that one record
-and return every cell's matrices with a leading cell axis (the
-comparator's integral of beta is h times the first two entries of
-sfvem's advection vector). ``sfvem_local`` and ``standard_vem_local``
-take the vertices of one polygon and return cell 0 of the stacked build
-on that polygon as a stack of one. The integrals are
-batched contractions over the stack; a cell's matrices agree with its own
-one-polygon build to rounding (the tolerances are in
-tests/test_oracle_identity.py), not bit for bit. The rule points do not
-depend on the contractions, and a data value depends on its point alone
-(poly.evaluate_polys), so chunks are a memory choice.
+once and its load integrals by ``rule_values``, and ``sfvem_locals`` and
+``standard_vem_locals`` both read that one record and return every cell's
+matrices with a leading cell axis (the comparator's integral of beta is h
+times the first two entries of sfvem's advection vector).
+``sfvem_local`` and ``standard_vem_local`` take the vertices of one
+polygon and return cell 0 of the stacked build on that polygon as a stack
+of one. The integrals are batched contractions over the stack; a cell's
+matrices agree with its own one-polygon build to rounding (the tolerances
+are in tests/test_oracle_identity.py), not bit for bit.
+
+Polygon rules meet data only in ``rule_values``, which both passes' data
+integrals reduce, and every cut of cells into memory-sized runs is
+``whole_cells``. A data value depends on its point alone
+(poly.evaluate_polys), so the cuts are a memory choice.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ import numpy as np
 from .geometry import PolygonStack, polygon_stack
 from .poly import HarmonicBasis, evaluate_polys, harmonic_basis
 from .problem import ProblemSpec
-from .projectors import dof_matrix, edge_points, hgrad_matrices, nabla_matrices, pi0_rows
+from .projectors import dof_matrix, edge_points, hgrad_matrices, nabla_matrices
 from .quadrature import polygon_rules, rule_size
 # not called here; the benchmark's tracer re-binds them by this module's name
 from .projectors import hgrad_matrix, nabla_matrix  # noqa: F401
@@ -55,18 +57,18 @@ __all__ = [
     "cell_data",
     "cell_stacks",
     "effective_ell",
-    "rule_chunks",
+    "rule_values",
     "sfvem_local",
     "sfvem_locals",
     "standard_vem_local",
     "standard_vem_locals",
     "volume_degree",
+    "whole_cells",
 ]
 
-# Byte budget of a chunk of cells at 8 floats per rule point, as both passes
-# cut them (see rule_chunks), and of the largest temporary a pass holds for
-# a stack of cells, as the pass sizes it per cell (see cell_stacks); each
-# takes as many whole cells as fit
+# Byte budget of a run of whole cells (see whole_cells): of the largest
+# temporary a pass holds for a stack of cells, of a rule chunk at 8 floats
+# per rule point and of the build's table of beta at the advection nodes
 CHUNK_BYTES = 2**19
 
 
@@ -128,33 +130,51 @@ def build_floats_per_cell(spec: ProblemSpec, n: int, ell: int) -> int:
     advection_nodes(spec, ell) per edge, 2 ell + 4 floats at each, or the
     edge-node arrays of hgrad_matrices, about 4 arrays of 2 ell + 2
     gradients at n (ell + 1) nodes. The table of beta at the advection
-    nodes goes in runs of points that keep it within CHUNK_BYTES."""
+    nodes goes in runs of whole cells (whole_cells) that keep it within
+    CHUNK_BYTES."""
     return n * max(2 * (ell + 2) * advection_nodes(spec, ell), 16 * (ell + 1) ** 2)
+
+
+def whole_cells(n_cells: int, floats_per_cell: int) -> list:
+    """Slices that cut n_cells cells into runs of as many whole cells as
+    keep floats_per_cell floats per cell within CHUNK_BYTES (at least one
+    cell a run)."""
+    size = max(1, CHUNK_BYTES // (8 * floats_per_cell))
+    return [slice(s, s + size) for s in range(0, n_cells, size)]
 
 
 def cell_stacks(mesh, floats_per_cell):
     """The mesh's cells as stacks for the stacked builders: grouped by vertex
-    count, each group cut into stacks of as many whole cells as keep
+    count, each group cut into stacks of whole cells (whole_cells) by
     floats_per_cell(n), the size per cell of the caller's largest per-cell
-    temporary on n-gons, within CHUNK_BYTES (at least one).
+    temporary on n-gons.
 
     Yields (cells, index, poly): the ascending cell ids, their (C, N) vertex
     indices and their PolygonStack.
     """
     for cells, index in mesh.cell_groups():
-        size = max(1, CHUNK_BYTES // (8 * floats_per_cell(index.shape[1])))
-        for s in range(0, len(cells), size):
-            part = index[s:s + size]
-            yield cells[s:s + size], part, polygon_stack(mesh.vertices[part])
+        for part in whole_cells(len(cells), floats_per_cell(index.shape[1])):
+            yield cells[part], index[part], polygon_stack(mesh.vertices[index[part]])
 
 
-def rule_chunks(poly: PolygonStack, degree: int) -> list:
-    """Slices that cut a stack into chunks of as many whole cells as keep
-    8 floats per point of their polygon rules of this degree within
-    CHUNK_BYTES, i.e. CHUNK_BYTES // 64 points (at least one cell); every
-    N-gon's rule has N triangles (quadrature.polygon_rules)."""
-    size = max(1, CHUNK_BYTES // 64 // rule_size(poly.vertices.shape[1], degree))
-    return [slice(s, s + size) for s in range(0, len(poly), size)]
+def rule_values(poly: PolygonStack, degree: int, polys, reduce) -> tuple:
+    """Per rule chunk of a stack (whole_cells at 8 floats per rule point;
+    an N-gon's rule has N triangles): the chunk's polygon rules of this
+    degree, the polys at their points from one evaluate_polys call, and
+    reduce(chunk, rule, values) of the chunk's slice, its PolygonRule and
+    the values (len(polys), c, P), a tuple of per-cell arrays. Returns each
+    of them concatenated over the stack; a chunk's points and values go
+    when its reduce returns."""
+    size = 8 * rule_size(poly.vertices.shape[1], degree)
+    parts = [_reduce_chunk(poly, chunk, degree, polys, reduce)
+             for chunk in whole_cells(len(poly), size)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _reduce_chunk(poly: PolygonStack, chunk: slice, degree: int, polys, reduce) -> tuple:
+    rule = polygon_rules(poly.vertices[chunk], degree)
+    values = evaluate_polys(polys, rule.points.reshape(-1, 2))
+    return reduce(chunk, rule, values.reshape((len(polys),) + rule.weights.shape))
 
 
 @dataclass(frozen=True)
@@ -163,17 +183,17 @@ class CellData:
     ell.
 
     The geometry stack (which carries the frames), the H1 projection
-    matrices and the element-mean rows, the harmonic basis of degree
-    parameter ell, the advection vectors t_i = integral of grad h_i . beta,
-    (C, 2 ell + 2), from the edge nodes (advection_nodes), and the rule
-    integrals of gamma and f at the rule degree volume_degree(spec). The
-    rule points, the load data values at them and the data values at the
-    edge nodes live only while their chunk or stack is built.
+    matrices, whose constant rows nabla[:, 0] are the element means of the
+    linear projection, the harmonic basis of degree parameter ell, the
+    advection vectors t_i = integral of grad h_i . beta, (C, 2 ell + 2),
+    from the edge nodes (advection_nodes), and the rule integrals of gamma
+    and f at the rule degree volume_degree(spec). The rule points, the load
+    data values at them and the data values at the edge nodes live only
+    while their chunk or run of cells is built.
     """
 
     poly: PolygonStack
     nabla: np.ndarray
-    pi0: np.ndarray
     basis: HarmonicBasis
     t: np.ndarray
     int_gamma: np.ndarray
@@ -183,34 +203,31 @@ class CellData:
 def cell_data(poly: PolygonStack, spec: ProblemSpec, ell: int) -> CellData:
     """The record of a PolygonStack at degree parameter ell. The projections
     and the advection vectors are built once for the stack (beta in runs of
-    advection nodes, see build_floats_per_cell); the polygon rules of degree
-    volume_degree(spec), the values of gamma and f at their points (one
-    evaluate_polys call) and the integrals chunk by chunk (rule_chunks)."""
+    whole cells, see build_floats_per_cell); the integrals of gamma and f on
+    the polygon rules of degree volume_degree(spec) come from rule_values."""
     nabla = nabla_matrices(poly)
     basis = harmonic_basis(poly.frame, ell)
-    degree = volume_degree(spec)
-    integrals = [_rule_integrals(poly, chunk, spec, degree)
-                 for chunk in rule_chunks(poly, degree)]
-    int_gamma, int_f = (np.concatenate(parts) for parts in zip(*integrals))
-    return CellData(poly, nabla, pi0_rows(poly, nabla), basis,
-                    _advection_vectors(poly, spec, basis), int_gamma, int_f)
+    int_gamma, int_f = rule_values(
+        poly, volume_degree(spec), (spec.gamma, spec.f),
+        lambda chunk, rule, values: tuple(np.einsum("cp,cp->c", rule.weights, v)
+                                          for v in values))
+    return CellData(poly, nabla, basis, _advection_vectors(poly, spec, basis),
+                    int_gamma, int_f)
 
 
 def _advection_vectors(poly: PolygonStack, spec: ProblemSpec, basis: HarmonicBasis):
     # t (C, 2 ell + 2) from the boundary form: t_{2k-1} + i t_{2k} is the sum
     # over edges e and their advection nodes x_ej of |e| w_j z^k beta . n_e,
     # k = 1..ell + 1, from one power table for the stack. evaluate_polys'
-    # table holds nx + ny floats per point, so beta comes in runs of nodes
-    # whose table fits CHUNK_BYTES
+    # table holds nx + ny floats per point, so beta comes in runs of whole
+    # cells whose table fits CHUNK_BYTES
     ell = basis.ell
     pts, _, w = edge_points(poly, advection_nodes(spec, ell))
-    nodes = pts.reshape(-1, 2)
     width = (max(p.coeffs.shape[0] for p in spec.beta)
              + max(p.coeffs.shape[1] for p in spec.beta))
-    run = max(1, CHUNK_BYTES // (8 * width))
-    beta = np.concatenate([evaluate_polys(spec.beta, nodes[s:s + run])
-                           for s in range(0, len(nodes), run)], axis=1)
     n_cells, n = poly.lengths.shape
+    beta = np.concatenate([evaluate_polys(spec.beta, pts[cells].reshape(-1, 2))
+                           for cells in whole_cells(n_cells, width * pts.shape[1])], axis=1)
     beta = beta.reshape(2, n_cells, n, -1)
     flux = beta[0] * poly.normals[..., :1] + beta[1] * poly.normals[..., 1:]
     flux *= poly.lengths[..., None] * w
@@ -219,21 +236,10 @@ def _advection_vectors(poly: PolygonStack, spec: ProblemSpec, basis: HarmonicBas
     return t.view(float)
 
 
-def _rule_integrals(poly: PolygonStack, chunk: slice, spec: ProblemSpec,
-                    degree: int) -> tuple:
-    # the rule integrals of gamma (c,) and f (c,) on a chunk of the stack;
-    # the chunk's rule points and data values go when it returns
-    rule = polygon_rules(poly.vertices[chunk], degree)
-    w = rule.weights
-    values = evaluate_polys((spec.gamma, spec.f), rule.points.reshape(-1, 2))
-    values = values.reshape((2,) + w.shape)
-    return np.einsum("cp,cp->c", w, values[0]), np.einsum("cp,cp->c", w, values[1])
-
-
 def sfvem_locals(data: CellData, spec: ProblemSpec) -> LocalElementMatrices:
     """Local matrices of the stabilization-free form on every cell of a
     record; see sfvem_local."""
-    r, basis = data.pi0, data.basis
+    r, basis = data.nabla[:, 0], data.basis
     P, _, MK = hgrad_matrices(data.poly, basis, spec.K)
     A_diff = P.transpose(0, 2, 1) @ MK @ P
     A_diff = 0.5 * (A_diff + A_diff.transpose(0, 2, 1))
@@ -267,7 +273,7 @@ def standard_vem_locals(data: CellData, spec: ProblemSpec) -> LocalElementMatric
     record, at any ell; see standard_vem_local. Its advection integral
     of beta is h t[:, :2], since h_1 and h_2 are the scaled x and y, whose
     gradients are (1/h, 0) and (0, 1/h)."""
-    frame, nabla, r = data.poly.frame, data.nabla, data.pi0
+    frame, nabla, r = data.poly.frame, data.nabla, data.nabla[:, 0]
     D = dof_matrix(data.poly.vertices, frame)
     h = frame.scale
     K = spec.K

@@ -8,14 +8,15 @@ and returns the cells' matrices with a leading cell axis:
 
 * ``nabla_matrices``: H1 projection onto linears, gradient from the
   divergence identity, constant from boundary-mean matching;
-  ``dof_matrix`` evaluates the result back at the vertices.
+  ``dof_matrix`` evaluates the result back at the vertices. The L2
+  projection onto constants, the element mean of the linear projection,
+  is its constant row nabla[:, 0]: the frame is centred at the centroid,
+  where the means of xhat and yhat vanish.
 * ``hgrad_matrices``: L2 projection of the gradient onto gradients of
   harmonic polynomials of degree ell+1, via the Gram system G d = b; it
   returns the boundary Gram matrix G with the projection, and the
   diffusion Gram MK_ij = integral of grad h_i . K grad h_j from the same
   edge nodes, by the boundary formula for homogeneous integrands.
-* ``pi0_rows``: L2 projection onto constants, the mean of the linear
-  projection.
 
 ``nabla_matrix`` and ``hgrad_matrix`` take the vertices of one polygon and
 return cell 0 of their kernel on that polygon as a stack of one. The
@@ -59,7 +60,9 @@ def nabla_matrices(poly: PolygonStack) -> np.ndarray:
 
     The gradient rows come from (1/|E|) integral over the boundary of v n ds
     with the piecewise linear trace integrated by the trapezoid rule (exact);
-    the constant row matches the boundary mean of v.
+    the constant row matches the boundary mean of v. Since the frame is
+    centred at the centroid, that row is also the element mean of the
+    projection.
     """
     _check_elements(poly)
     area, lengths, frame = poly.area[:, None], poly.lengths, poly.frame
@@ -89,20 +92,6 @@ def dof_matrix(vertices: np.ndarray, frame: ScaledFrame) -> np.ndarray:
     cell's (C, N, 2) vertices, in its frame."""
     loc = frame.local(np.asarray(vertices, dtype=float))
     return np.stack([np.ones(loc.shape[:-1]), loc[..., 0], loc[..., 1]], axis=-1)
-
-
-def pi0_rows(poly: PolygonStack, nabla: np.ndarray) -> np.ndarray:
-    """Rows (C, N) such that row @ values is the mean of each cell's linear
-    projection, given nabla = nabla_matrices(poly).
-
-    Exact for the linear integrand: the element mean of a1 + a2 xhat + a3 yhat
-    uses the shoelace first moments, no quadrature.
-    """
-    frame = poly.frame
-    mean_xhat = (poly.moments[:, 0] / poly.area - frame.center[:, 0]) / frame.scale
-    mean_yhat = (poly.moments[:, 1] / poly.area - frame.center[:, 1]) / frame.scale
-    return (nabla[:, 0] + mean_xhat[:, None] * nabla[:, 1]
-            + mean_yhat[:, None] * nabla[:, 2])
 
 
 def edge_points(poly: PolygonStack, n_nodes: int):

@@ -17,7 +17,10 @@ cell) and the mesh checks, and within the per-kernel tolerances of
 ``test_oracle_identity.RTOL`` for the element kernels, assembly and error
 norms, whose batched contractions add in another order. ``area_gram`` integrates the harmonic-gradient Gram matrix
 over the element area, the reference for the boundary Gram that
-``hgrad_matrix`` solves against. ``loop_boundary_flux`` integrates
+``hgrad_matrix`` solves against. ``moment_mean_rows`` are the element-mean
+rows from the shoelace first moments that nabla's constant row replaced:
+on mesh cells that row must stay as close to a rule's mean as they are.
+``loop_boundary_flux`` integrates
 v beta . n edge by edge, the reference for the advection vector and the
 comparator's integral of beta, which equal volume integrals since
 div beta = 0. ``loop_jacobi_singular_values`` is
@@ -241,6 +244,18 @@ def loop_nabla_matrix(vertices) -> np.ndarray:
     return P
 
 
+def moment_mean_rows(poly, nabla) -> np.ndarray:
+    """Rows (C, N) whose product with the vertex values is each cell's mean
+    of its linear projection nabla (C, 3, N), from the first moments of the
+    PolygonStack poly: nabla[:, 0] plus the frame means of xhat and yhat
+    times the gradient rows."""
+    frame = poly.frame
+    mean_xhat = (poly.moments[:, 0] / poly.area - frame.center[:, 0]) / frame.scale
+    mean_yhat = (poly.moments[:, 1] / poly.area - frame.center[:, 1]) / frame.scale
+    return (nabla[:, 0] + mean_xhat[:, None] * nabla[:, 1]
+            + mean_yhat[:, None] * nabla[:, 2])
+
+
 def area_gram(vertices, basis) -> np.ndarray:
     """Gram matrix G_ij = <grad h_i, grad h_j> of a basis on one frame,
     integrated over the element with the degree-2 ell polygon rule,
@@ -449,14 +464,12 @@ def loop_sfvem_local(vertices, spec, ell):
     vector t_i = integral of grad h_i . beta from the edge loop
     ``loop_boundary_flux`` of h_i beta . n, and the load integrals through
     ``PolygonRule.integrate`` on one polygon rule; ``sfvem_local`` must match
-    them."""
+    them. The element mean is the constant row of ``loop_nabla_matrix``."""
     from sfvem.element import LocalElementMatrices
-    from sfvem.projectors import nabla_matrices, pi0_rows
 
     vertices = np.asarray(vertices, dtype=float)
-    poly = polygon_stack(vertices[None])
     P, G = loop_hgrad_matrix(vertices, ell)
-    r = pi0_rows(poly, nabla_matrices(poly))[0]
+    r = loop_nabla_matrix(vertices)[0]
     rule = polygon_rule(vertices, _loop_volume_degree(spec))
     K = spec.K
     if abs(K[0, 1]) == 0.0 and K[0, 0] == K[1, 1]:
@@ -479,16 +492,14 @@ def loop_vem_local(vertices, spec, ell=0):
     of (x - x_E) beta . n about the centroid x_E, on the edge nodes of the
     record at degree parameter ell that the comparator reads;
     ``standard_vem_local`` (ell = 0) and ``standard_vem_locals`` must match
-    them."""
+    them. The element mean is the constant row of ``loop_nabla_matrix``."""
     from sfvem.element import LocalElementMatrices
-    from sfvem.projectors import dof_matrix, nabla_matrices, pi0_rows
+    from sfvem.projectors import dof_matrix
 
     vertices = np.asarray(vertices, dtype=float)
-    poly = polygon_stack(vertices[None])
-    nabla = nabla_matrices(poly)
+    nabla = loop_nabla_matrix(vertices)
     D = dof_matrix(vertices[None], one_frame(vertices))[0]
-    r = pi0_rows(poly, nabla)[0]
-    nabla = nabla[0]
+    r = nabla[0]
     h = diameter(vertices)
     K = spec.K
     S = nabla[1:]

@@ -20,6 +20,10 @@ import goes when the tracer stops re-binding the name.
 A private name (one leading underscore) belongs to the module or class
 that defines it: no module of src/sfvem imports another module's _name or
 uses an attribute obj._attr of anything but self or cls.
+
+Rule points meet data in one module: apart from the modules that define
+them, only element references polygon_rules, evaluate_polys and
+CHUNK_BYTES, as a name, an attribute or an imported name.
 """
 import ast
 from pathlib import Path
@@ -218,3 +222,46 @@ def test_foreign_private_checker_flags_imports_and_attributes():
     assert foreign_private_names(source) == [(3, "_pairs"), (4, "_impl"), (5, "_path"),
                                              (7, "_core"), (10, "_derivatives"),
                                              (13, "_cells")]
+
+
+# name -> the module that defines it; element is the one other module that
+# may reference it
+SEAM_NAMES = {"polygon_rules": "quadrature", "evaluate_polys": "poly", "CHUNK_BYTES": "element"}
+
+
+def seam_references(source: str, module: str) -> list:
+    """(line, name) of each reference to a SEAM_NAMES name in a module that
+    neither defines it nor is element: a name, an attribute or an imported
+    name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [part for alias in node.names for part in alias.name.split(".")]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name in SEAM_NAMES and module not in (SEAM_NAMES[name], "element")]
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_element_meets_rules_and_data(path):
+    assert seam_references(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_seam_checker_flags_names_attributes_and_imports():
+    source = ("from .poly import evaluate_polys\n"
+              "from . import quadrature\n"
+              "from .element import CHUNK_BYTES, rule_values\n"
+              "rule = quadrature.polygon_rules(v, 2)\n"
+              "x = evaluate_polys(polys, rule.points) + CHUNK_BYTES\n")
+    assert seam_references(source, "analysis") == [(1, "evaluate_polys"), (3, "CHUNK_BYTES"),
+                                                   (4, "polygon_rules"), (5, "CHUNK_BYTES"),
+                                                   (5, "evaluate_polys")]
+    assert seam_references(source, "element") == []
+    assert seam_references(source, "poly") == [(3, "CHUNK_BYTES"), (4, "polygon_rules"),
+                                               (5, "CHUNK_BYTES")]

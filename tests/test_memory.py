@@ -1,10 +1,10 @@
 """The traced memory of the build and error passes against a fixed budget.
 
 Each pass builds a stack of cells at a time (element.cell_stacks) and keeps
-only one rule chunk's points and data values alive. Its peak of traced
-allocations must stay within 1 MiB of what the chunk-by-chunk passes
-traced on the same meshes, so that whole stacks of per-cell algebra do not
-grow the footprint that the chunks bound. The table of beta at the edge
+only one rule chunk's points and data values alive (element.rule_values).
+Its peak of traced allocations must stay within 1 MiB of what the
+chunk-by-chunk passes traced on the same meshes, so that whole stacks of
+per-cell algebra do not grow the footprint that the chunks bound. The table of beta at the edge
 nodes, the build's largest per point, must fit CHUNK_BYTES.
 """
 import tracemalloc
@@ -13,7 +13,7 @@ import pytest
 
 import sfvem.element
 from sfvem.analysis import error_norms_many
-from sfvem.element import CHUNK_BYTES
+from sfvem.element import CHUNK_BYTES, advection_nodes, effective_ell
 from sfvem.mesh import generate_distorted_grid, generate_voronoi
 from sfvem.poly import build_benchmark_coefficients
 from sfvem.system import assemble_many, solve
@@ -52,7 +52,8 @@ def test_passes_stay_within_a_mib_of_the_chunked_passes(mesh_name):
 def test_build_holds_the_beta_table_within_chunk_bytes(monkeypatch, mesh_name):
     # evaluate_polys' table holds nx + ny floats per point (its largest
     # coefficient table dimensions); the build evaluates beta at a stack's
-    # edge nodes in runs that keep it within CHUNK_BYTES
+    # edge nodes in runs of whole cells (element.whole_cells) that keep it
+    # within CHUNK_BYTES, each cell's nodes once
     mesh, spec = MESHES[mesh_name](), build_benchmark_coefficients()
     width = (max(p.coeffs.shape[0] for p in spec.beta)
              + max(p.coeffs.shape[1] for p in spec.beta))
@@ -68,3 +69,5 @@ def test_build_holds_the_beta_table_within_chunk_bytes(monkeypatch, mesh_name):
     assemble_many(mesh, spec)
     assert len(sizes) > 1
     assert all(8 * width * n <= CHUNK_BYTES for n in sizes), (max(sizes), width)
+    assert sum(sizes) == sum(len(c) * advection_nodes(spec, effective_ell(len(c)))
+                             for c in mesh.cells)

@@ -25,9 +25,9 @@ import pytest
 import sfvem.element
 import sfvem.mesh
 from sfvem.analysis import error_norms_many, unit_diffusion_matrix
-from sfvem.element import (CHUNK_BYTES, advection_nodes, cell_data, cell_stacks, effective_ell,
-                           rule_chunks, sfvem_local, sfvem_locals, standard_vem_local,
-                           standard_vem_locals, volume_degree)
+from sfvem.element import (advection_nodes, cell_data, cell_stacks, effective_ell, sfvem_local,
+                           sfvem_locals, standard_vem_local, standard_vem_locals, volume_degree,
+                           whole_cells)
 from sfvem.errors import DegenerateElementError, MeshGenerationError, SfvemError
 from sfvem.geometry import are_simple, is_simple, polygon_stack, signed_area, signed_areas
 from sfvem.mesh import (PolyMesh, _centroids, _check_unit_area,
@@ -38,7 +38,7 @@ from sfvem.poly import (HarmonicBasis, Poly2, build_benchmark_coefficients, bubb
                         evaluate_polys, harmonic_basis)
 from sfvem.problem import ProblemSpec
 from sfvem.projectors import (edge_points, hgrad_matrices, hgrad_matrix, nabla_matrices,
-                              nabla_matrix, pi0_rows)
+                              nabla_matrix)
 from sfvem.quadrature import polygon_rule, polygon_rules, rule_size
 from sfvem.system import METHODS, assemble, assemble_many, solve
 
@@ -66,7 +66,7 @@ USHAPE = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.6, 3.0],
 # split is the drift the error pass on moments may show against the
 # pointwise pass (6.2e-16 measured).
 RTOL = {
-    "nabla": 1e-15,       # nabla_matrices and pi0_rows
+    "nabla": 1e-15,       # nabla_matrices
     "gram": 1e-14,        # the boundary Gram G, MK and the audit's P^T G P
     "projection": 1e-13,  # P = G^-1 B, the batched solve against the Gram
     "local": 1e-13,       # A_diff, A_adv, A_reac and pi0 of a local build
@@ -641,11 +641,12 @@ def test_edge_advection_vector_against_exactly_evaluated_beta():
 
 @pytest.mark.parametrize("mesh_name", ["grid16", "voronoi256"])
 def test_shared_table_matches_each_poly_on_every_chunk(monkeypatch, mesh_name):
-    # both passes evaluate their rule data once per rule chunk of each stack
-    # (element.rule_chunks, at 8 floats per rule point), on exactly the
-    # chunk's rule points, and the build evaluates beta once per stack, on
-    # exactly its edge nodes (element.advection_nodes) in runs; each value
-    # equals its polynomial's own Poly2 call on those points
+    # both passes evaluate their rule data through element.rule_values, once
+    # per rule chunk of each stack (whole_cells at 8 floats per rule point),
+    # on exactly the chunk's rule points, and the build evaluates beta once
+    # per stack, on exactly its edge nodes (element.advection_nodes) in runs
+    # of whole cells; each value equals its polynomial's own Poly2 call on
+    # those points
     import sfvem.analysis
     import sfvem.system
 
@@ -663,27 +664,26 @@ def test_shared_table_matches_each_poly_on_every_chunk(monkeypatch, mesh_name):
                 yield stack
         return wrapper
 
+    def rule_chunks(poly, degree, polys):
+        n = poly.vertices.shape[1]
+        return [(polys, polygon_rules(poly.vertices[chunk], degree).points)
+                for chunk in whole_cells(len(poly), 8 * rule_size(n, degree))]
+
     def build_chunks(poly):
         # the rule chunks' gamma and f, then the stack's beta at its edge
-        # nodes, in runs whose table of nx + ny floats per node fits
-        # CHUNK_BYTES
-        degree = volume_degree(spec)
+        # nodes, in runs of whole cells whose table of nx + ny floats per
+        # node fits CHUNK_BYTES
         ell = effective_ell(poly.vertices.shape[1])
-        nodes = edge_points(poly, advection_nodes(spec, ell))[0].reshape(-1, 2)
+        pts = edge_points(poly, advection_nodes(spec, ell))[0]
         width = sum(max(p.coeffs.shape[a] for p in spec.beta) for a in (0, 1))
-        run = CHUNK_BYTES // (8 * width)
-        return ([((spec.gamma, spec.f), polygon_rules(poly.vertices[chunk], degree).points)
-                 for chunk in rule_chunks(poly, degree)]
-                + [(spec.beta, nodes[s:s + run]) for s in range(0, len(nodes), run)])
+        return (rule_chunks(poly, volume_degree(spec), (spec.gamma, spec.f))
+                + [(spec.beta, pts[cells])
+                   for cells in whole_cells(len(poly), width * pts.shape[1])])
 
     def error_chunks(poly):
-        degree = 2 * spec.exact_u.degree + 2
-        return [((spec.exact_u, *spec.exact_grad_u),
-                 polygon_rules(poly.vertices[chunk], degree).points)
-                for chunk in rule_chunks(poly, degree)]
+        return rule_chunks(poly, 2 * spec.exact_u.degree + 2, (spec.exact_u, *spec.exact_grad_u))
 
-    for module in (sfvem.element, sfvem.analysis):
-        monkeypatch.setattr(module, "evaluate_polys", evaluate_seen)
+    monkeypatch.setattr(sfvem.element, "evaluate_polys", evaluate_seen)
     monkeypatch.setattr(sfvem.system, "cell_stacks", stacks_seen(build_chunks))
     monkeypatch.setattr(sfvem.analysis, "cell_stacks", stacks_seen(error_chunks))
     systems = assemble_many(mesh, spec)
@@ -763,7 +763,6 @@ def test_stacked_projectors_match_edge_loops(polygons):
     for stack in _stacks(polygons):
         poly = polygon_stack(stack)
         nabla = nabla_matrices(poly)
-        rows = pi0_rows(poly, nabla)
         for offset in (-1, 0, 2):
             basis = harmonic_basis(poly.frame, effective_ell(stack.shape[1], offset))
             P, G, _ = hgrad_matrices(poly, basis, np.eye(2))
@@ -778,7 +777,7 @@ def test_stacked_projectors_match_edge_loops(polygons):
         for i, v in enumerate(stack):
             assert_close(nabla[i], loop_nabla_matrix(v), "nabla", i)
             one = polygon_stack(v[None])
-            assert_close(rows[i], pi0_rows(one, nabla_matrices(one))[0], "nabla", i)
+            assert_close(nabla[i, 0], nabla_matrices(one)[0, 0], "nabla", i)
 
 
 def test_anisotropic_build_evaluates_the_edge_nodes_once(monkeypatch, polygons):
