@@ -133,13 +133,14 @@ def error_norms_many(solutions, spec: ProblemSpec) -> list:
     The cells go in stacks of one vertex count (element.cell_stacks). Per
     stack, the linear projection matrices are built once, and the exact
     solution's moments (_exact_moments) are element.rule_values' reduction
-    of u and grad u on each rule chunk.
+    of u and grad u on each rule chunk. Only spec.exact_u is required:
+    ProblemSpec derives grad u from it.
     Each solution's numerators are then per-cell algebra on the moments,
     with no work per rule point, and all share the denominators, so every
     pair equals what ``error_norms`` returns for that solution alone.
     """
-    if spec.exact_u is None or spec.exact_grad_u is None:
-        raise ValueError("error norms require exact_u and exact_grad_u")
+    if spec.exact_u is None:
+        raise ValueError("error norms require exact_u")
     solutions = list(solutions)
     if not solutions:
         return []

@@ -53,22 +53,26 @@ def _cell_edges(cells):
 
 @dataclass(frozen=True)
 class PolyMesh:
-    """Immutable polygonal tessellation with validated topology."""
+    """Immutable polygonal tessellation with validated topology.
+
+    Built from its vertices and counterclockwise cells alone. The Dirichlet
+    set `boundary_vertices` is derived, not given: the endpoints of the
+    edges that only one cell uses.
+    """
 
     vertices: np.ndarray
     cells: tuple
-    boundary_vertices: frozenset
+    boundary_vertices: frozenset = field(init=False)
 
     def __post_init__(self):
         verts = np.asarray(self.vertices, dtype=float)
         cells = tuple(tuple(int(i) for i in cell) for cell in self.cells)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "boundary_vertices",
-                           frozenset(int(i) for i in self.boundary_vertices))
-        self._validate()
+        object.__setattr__(self, "boundary_vertices", self._validate())
 
-    def _validate(self):
+    def _validate(self) -> frozenset:
+        # raises the first failing check; returns the boundary vertices
         nv = len(self.vertices)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshFormatError("vertices must be an (n, 2) array")
@@ -116,19 +120,11 @@ class PolyMesh:
                 raise MeshTopologyError(
                     f"{edge} is shared by {count[inverse[e]]} cells")
             raise MeshTopologyError(f"{edge} is traversed twice in the same direction")
-        once = first[count == 1]
-        derived = np.union1d(lo[once], hi[once])
-        given = np.array(sorted(self.boundary_vertices), dtype=derived.dtype)
-        if not np.array_equal(derived, given):
-            missing = np.setdiff1d(derived, given)[:5].tolist()
-            extra = np.setdiff1d(given, derived)[:5].tolist()
-            raise MeshTopologyError(
-                f"boundary vertex set inconsistent with cell edges "
-                f"(missing {missing}, extra {extra})"
-            )
         unused = np.flatnonzero(np.bincount(a, minlength=nv) == 0)
         if unused.size:
             raise MeshTopologyError(f"vertex {unused[0]} belongs to no cell")
+        once = first[count == 1]
+        return frozenset(np.union1d(lo[once], hi[once]).tolist())
 
     @property
     def n_vertices(self) -> int:
@@ -192,7 +188,8 @@ def read_mesh(path) -> PolyMesh:
 
     Raises MeshFormatError with a line number on malformed input,
     MeshIndexError on out-of-range vertex references, MeshTopologyError
-    on orientation or edge-sharing violations.
+    on orientation or edge-sharing violations, and, after PolyMesh's own
+    checks, on a boundary section other than the set PolyMesh derives.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -268,12 +265,20 @@ def read_mesh(path) -> PolyMesh:
     for i in boundary:
         if not 0 <= i < nv:
             raise MeshIndexError(f"boundary vertex {i} out of range (mesh has {nv})")
-    return PolyMesh(verts, tuple(cells), frozenset(boundary))
+    mesh = PolyMesh(verts, tuple(cells))
+    if boundary != mesh.boundary_vertices:
+        missing = sorted(mesh.boundary_vertices - boundary)[:5]
+        extra = sorted(boundary - mesh.boundary_vertices)[:5]
+        raise MeshTopologyError(
+            f"boundary vertex set inconsistent with cell edges "
+            f"(missing {missing}, extra {extra})"
+        )
+    return mesh
 
 
 def write_mesh(mesh: PolyMesh, path) -> None:
     """Write the canonical text form; read_mesh(write_mesh(m)) is identity."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("vem-mesh 1\n")
         fh.write(f"vertices {mesh.n_vertices}\n")
         for x, y in mesh.vertices:
@@ -298,6 +303,12 @@ def generate_distorted_grid(n: int, delta: float = 0.3, seed: int = 42) -> PolyM
     Each interior vertex moves by independent uniform offsets in
     [-delta/n, delta/n] per coordinate (x drawn before y, vertices in row
     major order); boundary vertices stay put. delta must lie in [0, 0.5).
+
+    One draw always builds: with h = 1/n, every vertex stays within
+    delta h < h/2 of its lattice point in each coordinate. A cell's bottom
+    and top edges therefore lie in disjoint horizontal strips, and its
+    left and right edges in disjoint vertical strips, so no cell can fold
+    or invert.
     """
     if n < 1:
         raise MeshGenerationError(f"need n >= 1 cells per side, got {n}")
@@ -305,33 +316,15 @@ def generate_distorted_grid(n: int, delta: float = 0.3, seed: int = 42) -> PolyM
         raise MeshGenerationError(f"delta must lie in [0, 0.5), got {delta}")
     rng = XorShift(seed)
     xs = np.linspace(0.0, 1.0, n + 1)
-    base = np.array([[x, y] for y in xs for x in xs])
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            a = j * (n + 1) + i
-            cells.append((a, a + 1, a + n + 2, a + n + 1))
-    boundary = set()
-    for i in range(n + 1):
-        boundary |= {i, n * (n + 1) + i, i * (n + 1), i * (n + 1) + n}
-
-    for attempt in range(20):
-        verts = base.copy()
-        for j in range(1, n):
-            for i in range(1, n):
-                k = j * (n + 1) + i
-                verts[k, 0] += rng.uniform(-delta / n, delta / n)
-                verts[k, 1] += rng.uniform(-delta / n, delta / n)
-        try:
-            mesh = PolyMesh(verts, tuple(cells), frozenset(boundary))
-        except MeshTopologyError as exc:
-            last = exc
-            continue
-        _check_unit_area(mesh)
-        return mesh
-    raise MeshGenerationError(
-        f"distorted grid kept inverting cells after 20 attempts (delta={delta})"
-    ) from last
+    # lattice point k = j (n + 1) + i at (xs[i], xs[j])
+    verts = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
+    a = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    cells = np.column_stack([a, a + 1, a + n + 2, a + n + 1])
+    jitter = np.array([rng.uniform(-delta / n, delta / n) for _ in range(2 * (n - 1) ** 2)])
+    verts.reshape(n + 1, n + 1, 2)[1:n, 1:n] += jitter.reshape(n - 1, n - 1, 2)
+    mesh = PolyMesh(verts, cells)
+    _check_unit_area(mesh)
+    return mesh
 
 
 def _halfplane_clip(poly, nx, ny, c):
@@ -454,10 +447,12 @@ def generate_voronoi(n_seeds: int, lloyd_iters: int = 0, seed: int = 0,
     those of clipping against every seed pair, with about 40 to 70 clips per
     seed instead of n_seeds - 1; finding the candidates stays a vectorized
     O(n_seeds) pass per seed. The cells are optionally relaxed by Lloyd
-    centroid sweeps, then distorted by moving each interior vertex a
-    fraction of its shortest incident edge in a random direction. Inverted
-    cells trigger halved displacements; repeated failure raises
-    MeshGenerationError.
+    centroid sweeps, then distorted by moving each vertex off the square's
+    sides a fraction of its shortest incident edge in a random direction.
+    Inverted cells trigger halved displacements; repeated failure raises
+    MeshGenerationError. At distortion 0 every move is zero and the first
+    try builds the undistorted mesh. The boundary set is the one PolyMesh
+    derives from the cells.
 
     Passing `points` (an (n, 2) array inside the open unit square) uses
     those seeds verbatim instead of drawing them, which pins the cell
@@ -496,34 +491,26 @@ def generate_voronoi(n_seeds: int, lloyd_iters: int = 0, seed: int = 0,
 
     verts, cells = _weld(float_cells)
     cells = tuple(cells)
-    boundary = frozenset(
-        i for i, (x, y) in enumerate(verts)
-        if x == 0.0 or x == 1.0 or y == 0.0 or y == 1.0
-    )
-
-    if distortion == 0.0:
-        mesh = PolyMesh(verts, cells, boundary)
+    # the vertices on the square's sides, which distortion must not move
+    fixed = ((verts == 0.0) | (verts == 1.0)).any(axis=1)
+    min_edge = _shortest_edges(verts, cells)
+    moves = np.zeros_like(verts)
+    for i in np.flatnonzero(~fixed):
+        phi = 2.0 * math.pi * rng.random()
+        moves[i] = distortion * min_edge[i] * np.array([math.cos(phi),
+                                                        math.sin(phi)])
+    factor = 1.0
+    for _ in range(20):
+        try:
+            mesh = PolyMesh(verts + factor * moves, cells)
+            break
+        except MeshTopologyError as exc:
+            last = exc
+        factor *= 0.5
     else:
-        min_edge = _shortest_edges(verts, cells)
-        moves = np.zeros_like(verts)
-        for i in range(len(verts)):
-            if i in boundary:
-                continue
-            phi = 2.0 * math.pi * rng.random()
-            moves[i] = distortion * min_edge[i] * np.array([math.cos(phi),
-                                                            math.sin(phi)])
-        factor = 1.0
-        for _ in range(20):
-            try:
-                mesh = PolyMesh(verts + factor * moves, cells, boundary)
-                break
-            except MeshTopologyError as exc:
-                last = exc
-            factor *= 0.5
-        else:
-            raise MeshGenerationError(
-                "vertex distortion kept inverting cells after 20 halvings"
-            ) from last
+        raise MeshGenerationError(
+            "vertex distortion kept inverting cells after 20 halvings"
+        ) from last
 
     _check_unit_area(mesh)
     return mesh

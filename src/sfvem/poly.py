@@ -230,7 +230,8 @@ def harmonic_basis(frame: ScaledFrame, ell: int) -> HarmonicBasis:
 
 
 def manufactured_problem(K, beta, gamma, exact_u: Poly2, **params) -> ProblemSpec:
-    """Derive f = -div(K grad u) + beta . grad u + gamma u symbolically."""
+    """Derive f = -div(K grad u) + beta . grad u + gamma u symbolically;
+    the spec derives grad u from exact_u as this does."""
     K = np.asarray(K, dtype=float)
     ux, uy = exact_u.dx(), exact_u.dy()
     f = (
@@ -241,7 +242,7 @@ def manufactured_problem(K, beta, gamma, exact_u: Poly2, **params) -> ProblemSpe
     )
     return ProblemSpec(
         K=K, beta=beta, gamma=gamma, f=f,
-        exact_u=exact_u, exact_grad_u=(ux, uy), **params,
+        exact_u=exact_u, **params,
     )
 
 

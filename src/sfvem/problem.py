@@ -23,9 +23,10 @@ class ProblemSpec:
     """Problem coefficients plus optional exact solution for error studies.
 
     K is a constant 2x2 SPD array. beta is a pair of Poly2, gamma and f are
-    Poly2, and the exact solution, when given, is a Poly2 with a Poly2
-    gradient pair, all with finite entries. Polynomial data is what lets
-    every integral be exact; anything else raises ValueError.
+    Poly2, and the exact solution, when given, is a Poly2, all with finite
+    entries. Polynomial data is what lets every integral be exact; anything
+    else raises ValueError. exact_grad_u is derived, not given: the pair
+    (exact_u.dx(), exact_u.dy()), or None without an exact solution.
 
     beta must be divergence free, and that makes the advection integral of
     grad h . beta over a cell equal to the boundary integral of h beta . n,
@@ -43,7 +44,7 @@ class ProblemSpec:
     gamma: object
     f: object
     exact_u: object = None
-    exact_grad_u: tuple = None
+    exact_grad_u: tuple = field(init=False, default=None)
     theta: float = None
     R1: float = None
     R2: float = None
@@ -70,13 +71,14 @@ class ProblemSpec:
         polys = [("beta", bx), ("beta", by), ("gamma", self.gamma), ("f", self.f)]
         if self.exact_u is not None:
             polys.append(("exact_u", self.exact_u))
-        if self.exact_grad_u is not None:
-            polys += [("exact_grad_u", g) for g in self.exact_grad_u]
         for label, p in polys:
             if not isinstance(p, Poly2):
                 raise ValueError(f"{label} must be a Poly2, got {type(p).__name__}")
             if not np.isfinite(p.coeffs).all():
                 raise ValueError(f"{label} must have finite coefficients")
+        if self.exact_u is not None:
+            object.__setattr__(self, "exact_grad_u",
+                               (self.exact_u.dx(), self.exact_u.dy()))
         # the divergence check runs on coefficients: high-order stream
         # functions carry coefficients far larger than their values, and
         # mixed-partial rounding is an ulp at coefficient scale

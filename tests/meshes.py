@@ -13,7 +13,7 @@ def pulled_grid():
     grid = generate_distorted_grid(4, 0.0)
     vertices = grid.vertices.copy()
     vertices[6] = 0.06
-    return PolyMesh(vertices, grid.cells, grid.boundary_vertices)
+    return PolyMesh(vertices, grid.cells)
 
 
 def hanging_node_grid():
@@ -31,4 +31,4 @@ def hanging_node_grid():
     cells = list(grid.cells)
     cells[0] = (0, 1, 6, a, b, 5)
     cells[4] = (5, b, a, 6, 11, 10)
-    return PolyMesh(vertices, cells, grid.boundary_vertices)
+    return PolyMesh(vertices, cells)

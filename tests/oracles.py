@@ -762,9 +762,10 @@ def loop_is_simple(vertices) -> bool:
     return True
 
 
-def loop_validate(vertices, cells, boundary_vertices) -> None:
+def loop_validate(vertices, cells) -> frozenset:
     """PolyMesh's checks cell by cell, then edge by edge through a
-    dictionary of edge orientations; raises the first failure."""
+    dictionary of edge orientations; raises the first failure, or returns
+    the vertices of the edges that only one cell uses."""
     from sfvem.errors import MeshIndexError, MeshTopologyError
 
     vertices = np.asarray(vertices, dtype=float)
@@ -793,7 +794,7 @@ def loop_validate(vertices, cells, boundary_vertices) -> None:
             a, b = cell[k], cell[(k + 1) % len(cell)]
             key = (a, b) if a < b else (b, a)
             edge_count.setdefault(key, []).append(1 if a < b else -1)
-    derived_boundary = set()
+    boundary = set()
     for (a, b), orients in edge_count.items():
         if len(orients) > 2:
             raise MeshTopologyError(
@@ -804,18 +805,12 @@ def loop_validate(vertices, cells, boundary_vertices) -> None:
                 f"edge ({a}, {b}) is traversed twice in the same direction"
             )
         if len(orients) == 1:
-            derived_boundary.update((a, b))
-    if derived_boundary != set(boundary_vertices):
-        missing = sorted(derived_boundary - set(boundary_vertices))[:5]
-        extra = sorted(set(boundary_vertices) - derived_boundary)[:5]
-        raise MeshTopologyError(
-            f"boundary vertex set inconsistent with cell edges "
-            f"(missing {missing}, extra {extra})"
-        )
+            boundary.update((a, b))
     used = {i for cell in cells for i in cell}
     for i in range(nv):
         if i not in used:
             raise MeshTopologyError(f"vertex {i} belongs to no cell")
+    return frozenset(boundary)
 
 
 def loop_centroids(float_cells) -> np.ndarray:

@@ -14,6 +14,7 @@ from sfvem.element import effective_ell
 from sfvem.mesh import CatalogPolygon, catalog_polygons, generate_distorted_grid, generate_voronoi
 from sfvem.poly import (Poly2, build_benchmark_coefficients, bubble_problem,
                         manufactured_problem)
+from sfvem.problem import ProblemSpec
 from sfvem.system import METHODS, DiscreteSolution, assemble, solve
 
 from meshes import hanging_node_grid, pulled_grid
@@ -189,6 +190,17 @@ def test_error_norms_zero_exact_nonzero_discrete_raises():
     sol = interpolant_solution(mesh, lambda pts: pts[:, 0] * (1 - pts[:, 0]))
     with pytest.raises(ValueError, match="zero norm"):
         error_norms(sol, spec)
+
+
+def test_error_norms_need_only_the_exact_solution():
+    # ProblemSpec derives grad u from exact_u, so none is passed
+    u = Poly2([[0.25], [2.0]]) + Poly2([[0.0, -1.5]])  # 0.25 + 2x - 1.5y
+    zero = Poly2.zero()
+    spec = ProblemSpec(K=np.eye(2), beta=(zero, zero), gamma=zero, f=zero, exact_u=u)
+    sol = interpolant_solution(generate_distorted_grid(4, delta=0.3, seed=6), u)
+    e0, e1 = error_norms(sol, spec)
+    assert e0 <= 1e-12
+    assert e1 <= 1e-12
 
 
 def test_error_norms_missing_exact_solution():

@@ -24,6 +24,9 @@ uses an attribute obj._attr of anything but self or cls.
 Rule points meet data in one module: apart from the modules that define
 them, only element references polygon_rules, evaluate_polys and
 CHUNK_BYTES, as a name, an attribute or an imported name.
+
+Every file src/sfvem writes ends its lines in "\n" on every platform: each
+text-mode ``open`` for writing passes ``newline="\n"``.
 """
 import ast
 from pathlib import Path
@@ -251,6 +254,40 @@ def seam_references(source: str, module: str) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_element_meets_rules_and_data(path):
     assert seam_references(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def platform_newline_writes(source: str) -> list:
+    """Lines of the ``open`` calls that write text (mode with w, a or x
+    and no b) without ``newline="\\n"``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+        mode = mode.value if isinstance(mode, ast.Constant) else "r"
+        newline = keywords.get("newline")
+        if (set(mode) & set("wax") and "b" not in mode
+                and not (isinstance(newline, ast.Constant) and newline.value == "\n")):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_text_writes_pin_the_newline(path):
+    assert platform_newline_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_newline_checker_flags_text_writes_only():
+    source = ('open(p, "w", encoding="utf-8")\n'
+              'open(p, mode="a")\n'
+              'open(p, "w", newline="")\n'
+              'open(p, "w", encoding="utf-8", newline="\\n")\n'
+              'open(p, "wb")\n'
+              'open(p)\n'
+              'open(p, "r", encoding="utf-8")\n')
+    assert platform_newline_writes(source) == [1, 2, 3]
 
 
 def test_seam_checker_flags_names_attributes_and_imports():

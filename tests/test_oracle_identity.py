@@ -244,7 +244,7 @@ def test_stacked_area_and_simplicity_match_loops():
 @pytest.mark.parametrize("mesh", ["grid8", "grid16", "voronoi64", "voronoi256"])
 def test_mesh_validation_and_areas_match_cell_loop(mesh):
     mesh = MESHES[mesh]()
-    loop_validate(mesh.vertices, mesh.cells, mesh.boundary_vertices)  # no error
+    assert loop_validate(mesh.vertices, mesh.cells) == mesh.boundary_vertices
     areas = mesh.cell_areas()
     assert np.array_equal(areas, [loop_signed_area(mesh.cell_points(i))
                                   for i in range(mesh.n_cells)])
@@ -254,8 +254,7 @@ def test_unit_area_check_sums_cell_areas_in_cell_order():
     # the generators' check adds the stacked areas as the loop added its
     # per-cell areas, so a failure reports the same total
     grid = MESHES["grid16"]()
-    mesh = PolyMesh(grid.vertices * np.array([1.1, 0.7]), grid.cells,
-                    grid.boundary_vertices)
+    mesh = PolyMesh(grid.vertices * np.array([1.1, 0.7]), grid.cells)
     total = sum(loop_signed_area(mesh.cell_points(i)) for i in range(mesh.n_cells))
     with pytest.raises(MeshGenerationError, match=re.escape(f"sum to {total!r},")):
         _check_unit_area(mesh)
@@ -270,55 +269,49 @@ def _failing_meshes():
     fan = sq + [[0.5, 0.5]]
     pent = fan + [[3.0, 0.0], [3.0, 1.0], [5.0, 0.0], [5.0, 1.0], [4.0, 2.0]]
     return {
-        "fewer than 3": (sq, ((0, 1, 2), (0, 2)), {0, 1, 2}),
-        "negative index": (sq, ((0, 1, 2), (0, -1, 2)), {0, 1, 2}),
-        "index past the end": (sq, ((0, 1, 2, 3), (1, 4, 2)), {0, 1, 2, 3}),
-        "repeated index": (sq, ((0, 1, 1, 2),), set()),
-        "clockwise": (sq, ((0, 3, 2, 1),), {0, 1, 2, 3}),
-        "degenerate bow-tie": (sq, ((0, 2, 1, 3),), {0, 1, 2, 3}),
-        "bow-tie": (bow, ((0, 1, 2, 3),), {0, 1, 2, 3}),
-        "edge used three times": (tri, ((0, 1, 2), (0, 3, 1), (0, 1, 4)), set(range(5))),
-        "edge traversed twice one way": (tri, ((0, 1, 2), (0, 1, 5)), {0, 1, 2, 5}),
+        "fewer than 3": (sq, ((0, 1, 2), (0, 2))),
+        "negative index": (sq, ((0, 1, 2), (0, -1, 2))),
+        "index past the end": (sq, ((0, 1, 2, 3), (1, 4, 2))),
+        "repeated index": (sq, ((0, 1, 1, 2),)),
+        "clockwise": (sq, ((0, 3, 2, 1),)),
+        "degenerate bow-tie": (sq, ((0, 2, 1, 3),)),
+        "bow-tie": (bow, ((0, 1, 2, 3),)),
+        "edge used three times": (tri, ((0, 1, 2), (0, 3, 1), (0, 1, 4))),
+        "edge traversed twice one way": (tri, ((0, 1, 2), (0, 1, 5))),
         "one way before three times": (tri, ((0, 2, 4), (0, 1, 2), (0, 1, 5), (2, 0, 4),
-                                             (0, 3, 1)), set(range(6))),
-        "boundary missing": (sq, ((0, 1, 2, 3),), {0, 1}),
-        "boundary extra": (fan, ((0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)),
-                           {0, 1, 2, 3, 4, 7, -2}),
+                                             (0, 3, 1))),
         "first failure in the larger group": (
-            pent, ((5, 6, 8, 7, 9), (0, 1, 4), (1, 4, 2), (2, 3, 4), (3, 0, 4)),
-            {0, 1, 2, 3}),
+            pent, ((5, 6, 8, 7, 9), (0, 1, 4), (1, 4, 2), (2, 3, 4), (3, 0, 4))),
         "first failure before an index error": (
-            fan, ((0, 1, 4), (2, 1, 4), (2, 3, 9), (3, 0, 4)), {0, 1, 2, 3}),
-        "vertex in no cell": (fan + [[2.0, 2.0]], ((0, 1, 2, 3),), {0, 1, 2, 3}),
-        "boundary before a vertex in no cell": (fan, ((0, 1, 2, 3),), {0, 1, 2}),
+            fan, ((0, 1, 4), (2, 1, 4), (2, 3, 9), (3, 0, 4))),
+        "vertex in no cell": (fan + [[2.0, 2.0]], ((0, 1, 2, 3),)),
     }
 
 
 @pytest.mark.parametrize("case", sorted(_failing_meshes()))
 def test_mesh_validation_errors_match_cell_loop(case):
-    verts, cells, boundary = _failing_meshes()[case]
+    verts, cells = _failing_meshes()[case]
     with pytest.raises(SfvemError) as want:
-        loop_validate(np.array(verts), cells, boundary)
+        loop_validate(np.array(verts), cells)
     with pytest.raises(SfvemError) as got:
-        PolyMesh(np.array(verts), cells, frozenset(boundary))
+        PolyMesh(np.array(verts), cells)
     assert type(got.value) is type(want.value), case
     assert str(got.value) == str(want.value), case
 
 
 def test_mesh_validation_matches_cell_loop_on_broken_grids():
-    # grids with jittered vertices, a cell dropped, reversed or given a
-    # foreign vertex, or a boundary vertex dropped or added: the first
-    # failure (or none) of the loop, type and message
+    # grids with jittered vertices, a cell dropped, reversed, repeated or
+    # given a foreign vertex: the first failure of the loop, type and
+    # message, or else its boundary set
     rng = np.random.default_rng(5)
     outcomes = set()
     for trial in range(300):
         mesh = generate_distorted_grid(int(rng.integers(1, 5)), 0.0)
         verts = mesh.vertices + rng.normal(0.0, 0.4 * rng.random(), mesh.vertices.shape)
         cells = list(mesh.cells)
-        boundary = set(mesh.boundary_vertices)
         for _ in range(int(rng.integers(0, 3))):
             ci = int(rng.integers(len(cells)))
-            change = int(rng.integers(5))
+            change = int(rng.integers(4))
             if change == 0 and len(cells) > 1:
                 cells.pop(ci)
             elif change == 1:
@@ -327,23 +320,19 @@ def test_mesh_validation_matches_cell_loop_on_broken_grids():
                 cell = list(cells[ci])
                 cell[int(rng.integers(len(cell)))] = int(rng.integers(-1, len(verts) + 1))
                 cells[ci] = tuple(cell)
-            elif change == 3:
-                boundary ^= {int(rng.integers(len(verts)))}
             else:
                 cells.insert(ci, cells[int(rng.integers(len(cells)))])
         cells = tuple(cells)
         try:
-            loop_validate(verts, cells, boundary)
-            want = None
+            want = loop_validate(verts, cells)
         except SfvemError as exc:
             want = (type(exc), str(exc))
         try:
-            PolyMesh(verts, cells, frozenset(boundary))
-            got = None
+            got = PolyMesh(verts, cells).boundary_vertices
         except SfvemError as exc:
             got = (type(exc), str(exc))
         assert got == want, trial
-        outcomes.add(want and want[1].split()[2])
+        outcomes.add(want[1].split()[2] if isinstance(want, tuple) else None)
     assert len(outcomes) >= 6, outcomes
 
 
@@ -852,8 +841,8 @@ def test_stacked_element_error_names_the_cell():
     quads = [[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
              [[2.0, 0.0], [3.0, 0.9], [4.0, 0.0], [3.0, 1.0]],
              [[5.0, 0.0], [6.0, 0.0], [6.0, 1e-17], [5.0, 1e-17]]]
-    mesh = PolyMesh(np.concatenate(quads), ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)),
-                    set(range(12)))
+    mesh = PolyMesh(np.concatenate(quads),
+                    ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)))
     for method in ("sfvem", "vem"):
         with pytest.raises(DegenerateElementError, match="^element 2: "):
             assemble(mesh, bubble_problem(), method=method)

@@ -341,6 +341,18 @@ def test_manufactured_source_against_hand_derivation():
     np.testing.assert_allclose(spec.exact_grad_u[1](pts), uy, rtol=1e-13)
 
 
+def test_manufactured_gradient_is_the_derivative_pair():
+    # the spec derives grad u itself, the pair that built f
+    u = Poly2([[0.5, -1.0, 2.0], [0.25, 3.0, 0.0], [-7.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    spec = manufactured_problem(np.eye(2), (Poly2.zero(), Poly2.zero()), Poly2.zero(), u)
+    for got, want in zip(spec.exact_grad_u, (u.dx(), u.dy())):
+        assert np.array_equal(got.coeffs, want.coeffs)
+    for spec in (bubble_problem(), build_benchmark_coefficients()):
+        gx, gy = spec.exact_grad_u
+        assert np.array_equal(gx.coeffs, spec.exact_u.dx().coeffs)
+        assert np.array_equal(gy.coeffs, spec.exact_u.dy().coeffs)
+
+
 def test_manufactured_source_against_finite_differences():
     spec = bubble_problem()
     h = 1e-5
@@ -477,8 +489,7 @@ def test_problem_spec_rejects_bad_tensor():
 def test_problem_spec_rejects_non_polynomial_data(field, value):
     zero = Poly2.zero()
     data = dict(K=np.eye(2), beta=(zero, zero), gamma=zero,
-                f=Poly2.const(1.0), exact_u=Poly2.zero(),
-                exact_grad_u=(zero, zero))
+                f=Poly2.const(1.0), exact_u=Poly2.zero())
     data[field] = value
     with pytest.raises(ValueError, match=field):
         ProblemSpec(**data)

@@ -17,7 +17,7 @@ ZERO = Poly2.zero()
 
 def unit_square_mesh():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    return PolyMesh(verts, ((0, 1, 2, 3),), frozenset({0, 1, 2, 3}))
+    return PolyMesh(verts, ((0, 1, 2, 3),))
 
 
 def octagon_mesh():
@@ -32,7 +32,7 @@ def octagon_mesh():
         a, b = k, (k + 1) % 8
         cells.append((a, 8 + a, 8 + b))
         cells.append((b, a, 8 + b))
-    return PolyMesh(verts, tuple(cells), frozenset(range(8, 16)))
+    return PolyMesh(verts, tuple(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +109,7 @@ def test_assemble_many_rejects_no_methods():
 
 def test_element_errors_carry_element_id():
     # a sliver passes mesh validation but not the element area check
-    mesh = PolyMesh([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-16]], ((0, 1, 2),),
-                    {0, 1, 2})
+    mesh = PolyMesh([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-16]], ((0, 1, 2),))
     for method in ("sfvem", "vem"):
         with pytest.raises(DegenerateElementError, match="element 0"):
             assemble(mesh, poisson_problem(), method=method)
@@ -118,8 +117,7 @@ def test_element_errors_carry_element_id():
 
 def test_permuting_elements_preserves_solution():
     mesh = generate_distorted_grid(4, delta=0.25, seed=8)
-    permuted = PolyMesh(mesh.vertices, tuple(mesh.cells[::-1]),
-                        mesh.boundary_vertices)
+    permuted = PolyMesh(mesh.vertices, tuple(mesh.cells[::-1]))
     spec = bubble_problem()
     a = solve(assemble(mesh, spec))
     b = solve(assemble(permuted, spec))
