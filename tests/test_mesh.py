@@ -181,14 +181,16 @@ def mesh_text(vertices, cells, boundary):
 FAN = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.5)]
 
 
-@pytest.mark.parametrize("cells, boundary, message", [
-    (((0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)), (0, 1, 2, 3, 4),
+@pytest.mark.parametrize("vertices, cells, boundary, message", [
+    (FAN[:4], ((0, 1, 2, 3),), (0, 1),
+     "boundary vertex set inconsistent with cell edges (missing [2, 3], extra [])"),
+    (FAN, ((0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)), (0, 1, 2, 3, 4),
      "boundary vertex set inconsistent with cell edges (missing [], extra [4])"),
     # PolyMesh's checks run first, so its unused vertex is the error
-    (((0, 1, 2, 3),), (0, 1, 2), "vertex 4 belongs to no cell"),
-], ids=["boundary-extra", "unused-vertex-first"])
-def test_read_mesh_checks_the_boundary_section(tmp_path, cells, boundary, message):
-    path = write_text(tmp_path, mesh_text(FAN, cells, boundary))
+    (FAN, ((0, 1, 2, 3),), (0, 1, 2), "vertex 4 belongs to no cell"),
+], ids=["boundary-missing", "boundary-extra", "unused-vertex-first"])
+def test_read_mesh_checks_the_boundary_section(tmp_path, vertices, cells, boundary, message):
+    path = write_text(tmp_path, mesh_text(vertices, cells, boundary))
     with pytest.raises(MeshTopologyError) as info:
         read_mesh(path)
     assert str(info.value) == message
