@@ -17,7 +17,6 @@ from .analysis import (
     jacobi_singular_values,
     spectral_audit,
     write_audit_csv,
-    write_convergence_csv,
 )
 from .element import (
     LocalElementMatrices,
@@ -51,6 +50,7 @@ from .mesh import (
 from .poly import (
     HarmonicBasis,
     Poly2,
+    ProblemSpec,
     ScaledFrame,
     build_benchmark_coefficients,
     bubble_problem,
@@ -58,9 +58,8 @@ from .poly import (
     manufactured_problem,
     poisson_problem,
 )
-from .problem import ProblemSpec
 from .projectors import hgrad_matrix, nabla_matrix
-from .quadrature import EdgeRule, PolygonRule, gauss_legendre, polygon_rule
+from .quadrature import PolygonRule, gauss_legendre, polygon_rule
 from .system import (
     DiscreteSolution,
     GlobalSystem,
@@ -77,7 +76,6 @@ __all__ = [
     "ConvergenceRecord",
     "DegenerateElementError",
     "DiscreteSolution",
-    "EdgeRule",
     "GlobalSystem",
     "HarmonicBasis",
     "LocalElementMatrices",
@@ -126,7 +124,6 @@ __all__ = [
     "spectral_audit",
     "standard_vem_local",
     "write_audit_csv",
-    "write_convergence_csv",
     "write_mesh",
     "write_solution_csv",
 ]

@@ -23,7 +23,7 @@ from .mesh import (
     generate_voronoi,
     quality_report,
 )
-from .problem import ProblemSpec
+from .poly import ProblemSpec
 from .projectors import hgrad_matrix, nabla_matrices
 # not called here; the benchmark's tracer re-binds them by this module's
 # name, with the other names in perfbench/tracing.py
@@ -307,7 +307,8 @@ def convergence_study(spec: ProblemSpec, levels, generator: str = "grid",
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization (shared by batch writers and the CLI's streaming mode)
+# CSV serialization: rows for write_audit_csv and the CLI's streamed
+# convergence.csv
 
 AUDIT_HEADER = "name,N_E,ell_E,sigma_min,sigma_r,sigma_max,sigma_r_over_max"
 CONVERGENCE_HEADER = ("level,h,ndof,e0_sfvem,e1_sfvem,e0_vem,e1_vem,"
@@ -332,10 +333,3 @@ def write_audit_csv(audits: list, path) -> None:
         fh.write(AUDIT_HEADER + "\n")
         for a in audits:
             fh.write(audit_row(a) + "\n")
-
-
-def write_convergence_csv(records: list, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CONVERGENCE_HEADER + "\n")
-        for r in records:
-            fh.write(convergence_row(r) + "\n")

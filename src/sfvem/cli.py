@@ -360,9 +360,11 @@ _SERIES_STYLE = {
     ("vem", 0): ("#1f77b4", "6 4"),
     ("vem", 1): ("#d62728", "6 4"),
 }
+# canvas size and the margin around the plot area, in pixels
+_SVG_WIDTH, _SVG_HEIGHT, _SVG_MARGIN = 640, 480, 70
 
 
-def _write_loglog_svg(records, rates, path, width=640, height=480, margin=70):
+def _write_loglog_svg(records, rates, path):
     xs = np.log10([r.h for r in records])
     series = []
     for method in METHODS:
@@ -380,40 +382,40 @@ def _write_loglog_svg(records, rates, path, width=640, height=480, margin=70):
     ypad = 0.05 * (y1 - y0 or 1.0)
     x0, x1 = x0 - xpad, x1 + xpad
     y0, y1 = y0 - ypad, y1 + ypad
-    pw, ph = width - 2 * margin, height - 2 * margin
+    pw, ph = _SVG_WIDTH - 2 * _SVG_MARGIN, _SVG_HEIGHT - 2 * _SVG_MARGIN
 
     def px(x):
-        return margin + (x - x0) / (x1 - x0) * pw
+        return _SVG_MARGIN + (x - x0) / (x1 - x0) * pw
 
     def py(y):
-        return height - margin - (y - y0) / (y1 - y0) * ph
+        return _SVG_HEIGHT - _SVG_MARGIN - (y - y0) / (y1 - y0) * ph
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<rect x="{margin}" y="{margin}" width="{pw}" height="{ph}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '
+        f'height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
+        f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
+        f'<rect x="{_SVG_MARGIN}" y="{_SVG_MARGIN}" width="{pw}" height="{ph}" '
         f'fill="none" stroke="black"/>',
-        f'<text x="{width / 2:.1f}" y="{height - 15}" text-anchor="middle" '
+        f'<text x="{_SVG_WIDTH / 2:.1f}" y="{_SVG_HEIGHT - 15}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">log10 h</text>',
-        f'<text x="20" y="{height / 2:.1f}" text-anchor="middle" '
+        f'<text x="20" y="{_SVG_HEIGHT / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14" '
-        f'transform="rotate(-90 20 {height / 2:.1f})">log10 error</text>',
+        f'transform="rotate(-90 20 {_SVG_HEIGHT / 2:.1f})">log10 error</text>',
     ]
     for r, x in zip(records, xs):
         parts.append(
-            f'<line x1="{px(x):.2f}" y1="{height - margin}" '
-            f'x2="{px(x):.2f}" y2="{height - margin + 6}" stroke="black"/>')
+            f'<line x1="{px(x):.2f}" y1="{_SVG_HEIGHT - _SVG_MARGIN}" '
+            f'x2="{px(x):.2f}" y2="{_SVG_HEIGHT - _SVG_MARGIN + 6}" stroke="black"/>')
         parts.append(
-            f'<text x="{px(x):.2f}" y="{height - margin + 20}" '
+            f'<text x="{px(x):.2f}" y="{_SVG_HEIGHT - _SVG_MARGIN + 20}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="11">'
             f'{r.h:.3g}</text>')
     for ytick in np.linspace(y0 + ypad, y1 - ypad, 5):
         parts.append(
-            f'<line x1="{margin - 6}" y1="{py(ytick):.2f}" x2="{margin}" '
+            f'<line x1="{_SVG_MARGIN - 6}" y1="{py(ytick):.2f}" x2="{_SVG_MARGIN}" '
             f'y2="{py(ytick):.2f}" stroke="black"/>')
         parts.append(
-            f'<text x="{margin - 10}" y="{py(ytick) + 4:.2f}" '
+            f'<text x="{_SVG_MARGIN - 10}" y="{py(ytick) + 4:.2f}" '
             f'text-anchor="end" font-family="sans-serif" font-size="11">'
             f'{ytick:.2f}</text>')
     for label, ys, color, dash in series:
@@ -424,13 +426,13 @@ def _write_loglog_svg(records, rates, path, width=640, height=480, margin=70):
         for x, y in zip(xs, ys):
             parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" '
                          f'fill="{color}"/>')
-    ly = margin + 16
+    ly = _SVG_MARGIN + 16
     for label, _, color, dash in series:
         dash_attr = f' stroke-dasharray="{dash}"' if dash != "none" else ""
-        parts.append(f'<line x1="{width - margin - 180}" y1="{ly}" '
-                     f'x2="{width - margin - 150}" y2="{ly}" '
+        parts.append(f'<line x1="{_SVG_WIDTH - _SVG_MARGIN - 180}" y1="{ly}" '
+                     f'x2="{_SVG_WIDTH - _SVG_MARGIN - 150}" y2="{ly}" '
                      f'stroke="{color}" stroke-width="1.5"{dash_attr}/>')
-        parts.append(f'<text x="{width - margin - 144}" y="{ly + 4}" '
+        parts.append(f'<text x="{_SVG_WIDTH - _SVG_MARGIN - 144}" y="{ly + 4}" '
                      f'font-family="sans-serif" font-size="12">{label}</text>')
         ly += 18
     parts.append("</svg>")

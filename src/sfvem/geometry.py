@@ -4,8 +4,9 @@ signed_areas, are_simple and polygon_stack take a (C, N, 2) stack of C
 polygons with N vertices each; signed_area and is_simple are their cases
 for one (N, 2) array of CCW vertex coordinates. polygon_stack builds the
 one geometry record, PolygonStack, in one pass, including the scaled frame
-(centroid, diameter) every projector works in; one polygon is a stack of
-one, polygon_stack(vertices[None]).
+every projector works in: each cell's centre is its centroid and its scale
+its diameter, and the record keeps them there only. One polygon is a
+stack of one, polygon_stack(vertices[None]).
 """
 from __future__ import annotations
 
@@ -72,9 +73,8 @@ class PolygonStack:
     vertices each; every field has a leading cell axis.
 
     Edge i runs from vertex i to vertex i+1 (cyclic); the normals are the
-    outward unit normals of a CCW loop. moments are the exact integrals of
-    x and y over each polygon. frame is the scaled frame of the centroids
-    and the diameters.
+    outward unit normals of a CCW loop. frame is the scaled frame whose
+    center is each cell's centroid and whose scale is its diameter.
     """
 
     vertices: np.ndarray   # (C, N, 2)
@@ -82,9 +82,6 @@ class PolygonStack:
     lengths: np.ndarray    # (C, N)
     normals: np.ndarray    # (C, N, 2)
     area: np.ndarray       # (C,)
-    moments: np.ndarray    # (C, 2)
-    centroid: np.ndarray   # (C, 2)
-    diameter: np.ndarray   # (C,)
     frame: ScaledFrame
 
     def __len__(self):
@@ -102,19 +99,19 @@ def polygon_stack(vertices) -> PolygonStack:
     x, y, xn, yn = v[..., 0], v[..., 1], nxt[..., 0], nxt[..., 1]
     cross = x * yn - xn * y
     area = 0.5 * cross.sum(axis=1)
-    moments = np.empty((len(v), 2))
-    moments[:, 0] = ((x + xn) * cross).sum(axis=1)
-    moments[:, 1] = ((y + yn) * cross).sum(axis=1)
+    # six times the first moments, over six times the area: the centroid
+    center = np.empty((len(v), 2))
+    center[:, 0] = ((x + xn) * cross).sum(axis=1)
+    center[:, 1] = ((y + yn) * cross).sum(axis=1)
+    center /= 6.0 * area[:, None]
     e = nxt - v
     lengths = np.sqrt((e * e).sum(axis=2))
     normals = np.empty_like(e)
     normals[..., 0] = e[..., 1] / lengths
     normals[..., 1] = -e[..., 0] / lengths
-    center = moments / (6.0 * area[:, None])
     d = v[:, :, None, :] - v[:, None, :, :]
     diam = np.sqrt((d * d).sum(axis=-1).max(axis=(1, 2)))
-    return PolygonStack(v, e, lengths, normals, area, moments / 6.0, center, diam,
-                        ScaledFrame(center, diam))
+    return PolygonStack(v, e, lengths, normals, area, ScaledFrame(center, diam))
 
 
 def is_simple(vertices: np.ndarray) -> bool:

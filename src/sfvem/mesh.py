@@ -186,10 +186,11 @@ class CatalogPolygon:
 def read_mesh(path) -> PolyMesh:
     """Read the `vem-mesh 1` text format and validate all invariants.
 
-    Raises MeshFormatError with a line number on malformed input,
-    MeshIndexError on out-of-range vertex references, MeshTopologyError
-    on orientation or edge-sharing violations, and, after PolyMesh's own
-    checks, on a boundary section other than the set PolyMesh derives.
+    Raises MeshFormatError with a line number on malformed input, a
+    boundary index listed twice included, MeshIndexError on out-of-range
+    vertex references, MeshTopologyError on orientation or edge-sharing
+    violations, and, after PolyMesh's own checks, on a boundary section
+    other than the set PolyMesh derives.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -254,9 +255,12 @@ def read_mesh(path) -> PolyMesh:
         if len(tok) != 1:
             raise MeshFormatError(f"line {ln + 1}: expected one vertex index")
         try:
-            boundary.add(int(tok[0]))
+            i = int(tok[0])
         except ValueError:
             raise MeshFormatError(f"line {ln + 1}: bad vertex index") from None
+        if i in boundary:
+            raise MeshFormatError(f"line {ln + 1}: boundary vertex {i} listed twice")
+        boundary.add(i)
         ln += 1
     if ln < len(lines):
         raise MeshFormatError(
@@ -525,7 +529,7 @@ def _centroids(float_cells) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         for n in np.unique(sizes):
             ids = np.flatnonzero(sizes == n)
-            out[ids] = polygon_stack(np.array([float_cells[i] for i in ids])).centroid
+            out[ids] = polygon_stack(np.array([float_cells[i] for i in ids])).frame.center
     return out
 
 
@@ -609,7 +613,7 @@ def _hanging_polygon(n: int) -> np.ndarray:
 
 def _collapsing_polygon(n: int) -> np.ndarray:
     V = _irregular_polygon(n, seed=99)
-    d = polygon_stack(V[None]).diameter[0]
+    d = polygon_stack(V[None]).frame.scale[0]
     mid = 0.5 * (V[0] + V[1])
     direction = (V[1] - V[0]) / np.hypot(*(V[1] - V[0]))
     V[0] = mid - 0.5e-3 * d * direction
@@ -660,7 +664,7 @@ def quality_report(mesh: PolyMesh) -> MeshQualityReport:
     ratios = np.empty(mesh.n_cells)
     for cells, index in mesh.cell_groups():
         poly = polygon_stack(mesh.vertices[index])
-        diams[cells] = poly.diameter
-        ratios[cells] = poly.lengths.min(axis=1) / poly.diameter
+        diams[cells] = poly.frame.scale
+        ratios[cells] = poly.lengths.min(axis=1) / poly.frame.scale
     return MeshQualityReport(diams, ratios, float(diams.max()),
                              float(ratios.min()))

@@ -1,4 +1,4 @@
-"""Bivariate polynomial calculus, scaled harmonic bases, and canned problems.
+"""Bivariate polynomial calculus, scaled harmonic bases, and the problem data.
 
 Poly2 stores an explicit coefficient table so that manufactured right-hand
 sides can be produced by exact differentiation instead of numerical
@@ -7,15 +7,22 @@ differencing. The harmonic basis h_1..h_{2l+2} on an element is
 z = ((x - x_E) + i(y - y_E)) / h_E, read from one table of the powers
 p_k = p_{k-1} * z. The zero-mean normalization of the harmonic space is
 deliberately dropped; it changes conditioning, not the spanned gradients.
+
+ProblemSpec bundles the data of the model problem
+    -div(K grad u) + beta . grad u + gamma u = f   on the unit square,
+    u = 0 on the boundary,
+with K a constant SPD tensor, beta a divergence-free Poly2 field and
+gamma a nonnegative Poly2. manufactured_problem derives f from an exact
+solution, and the canned problems (benchmark, poisson, bubble) are built
+from it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import ScaledFrame
-from .problem import ProblemSpec
 
 
 # OpenBLAS runs a GEMM on one thread while m * n * k stays below this; a
@@ -229,7 +236,78 @@ def harmonic_basis(frame: ScaledFrame, ell: int) -> HarmonicBasis:
     return HarmonicBasis(frame, int(ell))
 
 
-def manufactured_problem(K, beta, gamma, exact_u: Poly2, **params) -> ProblemSpec:
+# 7 x 7 interior points where gamma's sign is checked
+_SAMPLE_GRID = np.column_stack(
+    [g.ravel() for g in np.meshgrid(np.linspace(0.05, 0.95, 7),
+                                    np.linspace(0.05, 0.95, 7))])
+
+
+@dataclass(frozen=True)
+class ProblemSpec:
+    """Problem coefficients plus optional exact solution for error studies.
+
+    K is a constant 2x2 SPD array. beta is a pair of Poly2, gamma and f are
+    Poly2, and the exact solution, when given, is a Poly2, all with finite
+    entries. Polynomial data is what lets every integral be exact; anything
+    else raises ValueError. exact_grad_u is derived, not given: the pair
+    (exact_u.dx(), exact_u.dy()), or None without an exact solution.
+
+    beta must be divergence free, and that makes the advection integral of
+    grad h . beta over a cell equal to the boundary integral of h beta . n,
+    which the build takes from edge nodes (element.advection_nodes). The
+    check holds every coefficient of div beta within 1e-12 of the largest
+    coefficient of d beta_x / dx and d beta_y / dy (or of 1); the boundary
+    form drops the integral of h div beta, which that tolerance bounds.
+    """
+
+    K: np.ndarray
+    beta: tuple
+    gamma: Poly2
+    f: Poly2
+    exact_u: Poly2 = None
+    exact_grad_u: tuple = field(init=False, default=None)
+
+    def __post_init__(self):
+        try:
+            K = np.asarray(self.K, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError("K must be a constant 2x2 tensor") from None
+        if K.shape != (2, 2):
+            raise ValueError("K must be a constant 2x2 tensor")
+        if not np.isfinite(K).all():
+            raise ValueError("K must be finite")
+        scale = np.abs(K).max()
+        if np.abs(K - K.T).max() > 1e-12 * scale:
+            raise ValueError("K must be symmetric")
+        if np.linalg.eigvalsh(K).min() <= 0:
+            raise ValueError("K must have positive eigenvalues")
+        object.__setattr__(self, "K", K)
+        bx, by = self.beta
+        polys = [("beta", bx), ("beta", by), ("gamma", self.gamma), ("f", self.f)]
+        if self.exact_u is not None:
+            polys.append(("exact_u", self.exact_u))
+        for label, p in polys:
+            if not isinstance(p, Poly2):
+                raise ValueError(f"{label} must be a Poly2, got {type(p).__name__}")
+            if not np.isfinite(p.coeffs).all():
+                raise ValueError(f"{label} must have finite coefficients")
+        if self.exact_u is not None:
+            object.__setattr__(self, "exact_grad_u",
+                               (self.exact_u.dx(), self.exact_u.dy()))
+        # the divergence check runs on coefficients: high-order stream
+        # functions carry coefficients far larger than their values, and
+        # mixed-partial rounding is an ulp at coefficient scale
+        dxx, dyy = bx.dx(), by.dy()
+        div = dxx + dyy
+        scale = max(1.0, np.abs(dxx.coeffs).max(), np.abs(dyy.coeffs).max())
+        if np.abs(div.coeffs).max() > 1e-12 * scale:
+            raise ValueError("beta must be divergence free")
+        g = self.gamma(_SAMPLE_GRID)
+        if g.min() < -1e-12 * max(1.0, np.abs(g).max()):
+            raise ValueError("gamma must be nonnegative on the domain")
+
+
+def manufactured_problem(K, beta, gamma, exact_u: Poly2) -> ProblemSpec:
     """Derive f = -div(K grad u) + beta . grad u + gamma u symbolically;
     the spec derives grad u from exact_u as this does."""
     K = np.asarray(K, dtype=float)
@@ -240,10 +318,7 @@ def manufactured_problem(K, beta, gamma, exact_u: Poly2, **params) -> ProblemSpe
         + beta[1] * uy
         + gamma * exact_u
     )
-    return ProblemSpec(
-        K=K, beta=beta, gamma=gamma, f=f,
-        exact_u=exact_u, **params,
-    )
+    return ProblemSpec(K=K, beta=beta, gamma=gamma, f=f, exact_u=exact_u)
 
 
 def _bump_factor(R: float) -> np.ndarray:
@@ -274,19 +349,17 @@ def build_benchmark_coefficients(R1: float = 0.9, R2: float = 0.3,
     c, s = np.cos(theta), np.sin(theta)
     G = np.array([[c, -s], [s, c]])
     K = G @ np.diag([1.0, 1.0e-9]) @ G.T
-    return manufactured_problem(K, beta, gamma, beta[0],
-                                theta=theta, R1=R1, R2=R2, name="benchmark")
+    return manufactured_problem(K, beta, gamma, beta[0])
 
 
 def poisson_problem() -> ProblemSpec:
     """Poisson with unit load, no advection or reaction, no exact solution."""
     zero = Poly2.zero()
-    return ProblemSpec(K=np.eye(2), beta=(zero, zero), gamma=zero,
-                       f=Poly2.const(1.0), name="poisson")
+    return ProblemSpec(K=np.eye(2), beta=(zero, zero), gamma=zero, f=Poly2.const(1.0))
 
 
 def bubble_problem() -> ProblemSpec:
     """Poisson with manufactured solution u = x(1-x)y(1-y)."""
     u = Poly2.from_separable([0.0, 1.0, -1.0], [0.0, 1.0, -1.0])
     zero = Poly2.zero()
-    return manufactured_problem(np.eye(2), (zero, zero), zero, u, name="bubble")
+    return manufactured_problem(np.eye(2), (zero, zero), zero, u)

@@ -46,7 +46,7 @@ GRAM_RANK_TOL = 1e-12
 
 
 def _check_elements(poly: PolygonStack) -> None:
-    bad = poly.area <= 1e-14 * poly.diameter * poly.diameter
+    bad = poly.area <= 1e-14 * poly.frame.scale * poly.frame.scale
     if bad.any():
         bad = np.flatnonzero(bad)
         raise at_index(DegenerateElementError(
@@ -99,11 +99,10 @@ def edge_points(poly: PolygonStack, n_nodes: int):
     edge-major (C, N * n_nodes, 2), with the node parameters t in [0, 1]
     and the weights w of the rule on [0, 1]; exact for edge integrands of
     degree 2 n_nodes - 1."""
-    rule = gauss_legendre(n_nodes)
-    t = 0.5 * (rule.nodes + 1.0)
+    t, w = gauss_legendre(n_nodes)
     v = poly.vertices
     pts = v[:, :, None, :] + t[:, None] * poly.edges[:, :, None, :]
-    return pts.reshape(len(v), -1, 2), t, 0.5 * rule.weights
+    return pts.reshape(len(v), -1, 2), t, w
 
 
 def _normal_derivatives(poly: PolygonStack, grads: np.ndarray) -> np.ndarray:

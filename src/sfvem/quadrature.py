@@ -1,4 +1,9 @@
-"""Gauss-Legendre edge rules and exact polygon quadrature.
+"""Gauss-Legendre rules on [0, 1] and exact polygon quadrature.
+
+gauss_legendre(n) is the one edge rule: the n nodes t and weights w on
+[0, 1], cached and read only. An edge from p to q takes the points
+p + t (q - p) and the weights |q - p| w; the polygon rules below take
+both factors of their Duffy map from it.
 
 The polygon rule splits an N-gon into the N fan triangles (c, v_i, v_i+1)
 about its vertex average c and applies a collapsed-square tensor Gauss rule
@@ -23,17 +28,6 @@ from .geometry import cyclic_roll, signed_areas
 
 
 @dataclass(frozen=True)
-class EdgeRule:
-    """Nodes and weights on the reference interval [-1, 1]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __len__(self):
-        return len(self.nodes)
-
-
-@dataclass(frozen=True)
 class PolygonRule:
     """Quadrature points and weights on one polygon; weights sum to its area.
 
@@ -44,7 +38,6 @@ class PolygonRule:
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
 
     def integrate(self, f):
         """Integral of f, a map of (n, 2) points to (n,) values; (C,) on a stack."""
@@ -55,7 +48,12 @@ class PolygonRule:
 
 
 @lru_cache(maxsize=None)
-def _gauss_legendre_cached(n: int):
+def gauss_legendre(n: int) -> tuple:
+    """n-point Gauss-Legendre rule on [0, 1], exact through degree 2n - 1:
+    the nodes t and the weights w, which sum to 1, as read-only arrays
+    that every call with this n shares."""
+    if n < 1:
+        raise QuadratureError(f"need at least one node, got n={n}")
     # Newton iteration on P_n from Chebyshev initial guesses; the recurrence
     # (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1} gives P_n and P_n'.
     k = np.arange(1, n + 1)
@@ -74,25 +72,13 @@ def _gauss_legendre_cached(n: int):
         p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
     dp = n * (x * p1 - p0) / (x * x - 1.0)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    # enforce exact symmetry about 0
+    # exact symmetry about 0 on [-1, 1], then the map onto [0, 1]
     x = 0.5 * (x - x[::-1])
     w = 0.5 * (w + w[::-1])
-    x.setflags(write=False)
+    t, w = 0.5 * (x + 1.0), 0.5 * w
+    t.setflags(write=False)
     w.setflags(write=False)
-    return x, w
-
-
-def gauss_legendre(n: int) -> EdgeRule:
-    """n-point Gauss-Legendre rule on [-1, 1], exact through degree 2n - 1."""
-    if n < 1:
-        raise QuadratureError(f"need at least one node, got n={n}")
-    nodes, weights = _gauss_legendre_cached(int(n))
-    return EdgeRule(nodes, weights)
-
-
-def _gauss01(n: int):
-    rule = gauss_legendre(n)
-    return 0.5 * (rule.nodes + 1.0), 0.5 * rule.weights
+    return t, w
 
 
 @lru_cache(maxsize=None)
@@ -102,8 +88,8 @@ def _duffy_reference(degree: int):
     # node coordinates u and u v and the weights, shared by every triangle.
     nu = (degree + 3) // 2
     nv = (degree + 2) // 2
-    xu, wu = _gauss01(nu)
-    xv, wv = _gauss01(nv)
+    xu, wu = gauss_legendre(nu)
+    xv, wv = gauss_legendre(nv)
     u = np.repeat(xu, nv)
     v = np.tile(xv, nu)
     w = np.repeat(wu, nv) * np.tile(wv, nu) * u
@@ -152,7 +138,7 @@ def polygon_rules(vertices, degree: int) -> PolygonRule:
     pts = (v0 + u * e1 + uv * e2).transpose(0, 1, 3, 2)
     area2 = e1[:, :, 0] * d[:, :, 1] - e1[:, :, 1] * d[:, :, 0]
     n = len(vertices)
-    return PolygonRule(pts.reshape(n, -1, 2), (w * area2).reshape(n, -1), int(degree))
+    return PolygonRule(pts.reshape(n, -1, 2), (w * area2).reshape(n, -1))
 
 
 def polygon_rule(vertices, degree: int) -> PolygonRule:
@@ -166,4 +152,4 @@ def polygon_rule(vertices, degree: int) -> PolygonRule:
         Highest total polynomial degree integrated exactly.
     """
     rule = polygon_rules(np.asarray(vertices, dtype=float)[None], degree)
-    return PolygonRule(rule.points[0], rule.weights[0], rule.degree)
+    return PolygonRule(rule.points[0], rule.weights[0])

@@ -22,7 +22,7 @@ from .element import (build_floats_per_cell, cell_data, cell_stacks, effective_e
 from .element import sfvem_local, standard_vem_local  # noqa: F401
 from .errors import SfvemError, SingularSystemError
 from .mesh import PolyMesh
-from .problem import ProblemSpec
+from .poly import ProblemSpec
 
 log = logging.getLogger(__name__)
 

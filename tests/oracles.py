@@ -4,11 +4,12 @@ The monomial integrator here reduces area integrals to boundary integrals
 by the divergence theorem and never triangulates, so it shares no code
 path with the production polygon rule; ``star_monomial_integrals`` is its
 cancellation-free form for polygons star shaped about the origin, from the
-boundary formula for homogeneous functions. ``centroid``, ``first_moments``,
+boundary formula for homogeneous functions. ``centroid``,
 ``edge_lengths_normals`` and ``diameter`` are the one-quantity geometry
 functions that ``geometry.polygon_stack`` replaced, kept as the references
-its record must match bit for bit; ``one_frame`` is the scaled frame of one
-polygon from them, as a stack of one. ``as_poly2`` expands a harmonic
+its record and frame must match bit for bit; ``one_frame`` is the scaled
+frame of one polygon from them, as a stack of one. ``first_moments`` are
+the shoelace integrals of x and y, which the record no longer keeps. ``as_poly2`` expands a harmonic
 basis into ``Poly2`` members, the reference for its values and gradients. The ``loop_*`` functions are the loop versions of
 the array-level, shared-pass and stacked production code, kept as the
 references it must match: bit for bit for the polygon rules, ``Poly2``
@@ -105,9 +106,7 @@ def monomial_integral(vertices, a: int, b: int) -> float:
     """
     vertices = np.asarray(vertices, dtype=float)
     n = len(vertices)
-    rule = gauss_legendre((a + b + 3) // 2 + 1)
-    t = 0.5 * (rule.nodes + 1.0)
-    w = 0.5 * rule.weights
+    t, w = gauss_legendre((a + b + 3) // 2 + 1)
     total = 0.0
     for i in range(n):
         p, q = vertices[i], vertices[(i + 1) % n]
@@ -136,21 +135,16 @@ def star_monomial_integrals(vertices, degree: int) -> np.ndarray:
     formula of monomial_integral far from the origin.
     """
     vertices = np.asarray(vertices, dtype=float)
-    rule = gauss_legendre(degree // 2 + 1)
-    t = 0.5 * (rule.nodes + 1.0)
+    t, w = gauss_legendre(degree // 2 + 1)
     p, q = vertices, np.roll(vertices, -1, axis=0)
     x = p[:, 0, None] + t * (q - p)[:, 0, None]
     y = p[:, 1, None] + t * (q - p)[:, 1, None]
     k = np.arange(degree + 1)
     cross = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
-    weights = (cross[:, None] * (0.5 * rule.weights)).ravel()
+    weights = (cross[:, None] * w).ravel()
     edge = (np.vander(x.ravel(), degree + 1, increasing=True).T * weights
             ) @ np.vander(y.ravel(), degree + 1, increasing=True)
     return edge / (k[:, None] + k + 2)
-
-
-def polygon_area(vertices) -> float:
-    return monomial_integral(vertices, 0, 0)
 
 
 def trapezoid_boundary_flux(vertices, values) -> np.ndarray:
@@ -190,16 +184,14 @@ def loop_polygon_rule(vertices, degree: int):
     operations per point as ``polygon_rule``, one triangle at a time, so the
     two must agree bit for bit. Returns (points, weights).
     """
-    from sfvem.quadrature import _gauss01
-
     vertices = np.asarray(vertices, dtype=float)
     c = vertices.mean(axis=0)
     n = len(vertices)
     tris = [(c, vertices[i], vertices[(i + 1) % n]) for i in range(n)]
     nu = (degree + 3) // 2
     nv = (degree + 2) // 2
-    xu, wu = _gauss01(nu)
-    xv, wv = _gauss01(nv)
+    xu, wu = gauss_legendre(nu)
+    xv, wv = gauss_legendre(nv)
     u = np.repeat(xu, nv)
     v = np.tile(xv, nu)
     w = np.repeat(wu, nv) * np.tile(wv, nu) * u
@@ -250,8 +242,9 @@ def moment_mean_rows(poly, nabla) -> np.ndarray:
     PolygonStack poly: nabla[:, 0] plus the frame means of xhat and yhat
     times the gradient rows."""
     frame = poly.frame
-    mean_xhat = (poly.moments[:, 0] / poly.area - frame.center[:, 0]) / frame.scale
-    mean_yhat = (poly.moments[:, 1] / poly.area - frame.center[:, 1]) / frame.scale
+    moments = np.array([first_moments(v) for v in poly.vertices])
+    mean_xhat = (moments[:, 0] / poly.area - frame.center[:, 0]) / frame.scale
+    mean_yhat = (moments[:, 1] / poly.area - frame.center[:, 1]) / frame.scale
     return (nabla[:, 0] + mean_xhat[:, None] * nabla[:, 1]
             + mean_yhat[:, None] * nabla[:, 2])
 
@@ -298,20 +291,20 @@ def loop_hgrad_matrix(vertices, ell: int):
     n = len(vertices)
     _, lengths, normals = edge_lengths_normals(vertices)
 
-    def edge_points(e, rule):
-        t = 0.5 * (rule.nodes + 1.0)
+    def edge_points(e, n_nodes):
+        t, w = gauss_legendre(n_nodes)
         a, b = vertices[e], vertices[(e + 1) % n]
-        return a[None, :] + t[:, None] * (b - a)[None, :], t, 0.5 * rule.weights
+        return a[None, :] + t[:, None] * (b - a)[None, :], t, w
 
     G = np.zeros((basis.size, basis.size))
     for e in range(n):
-        pts, _, w = edge_points(e, gauss_legendre(basis.ell + 1))
+        pts, _, w = edge_points(e, basis.ell + 1)
         dn = basis.gradients(pts[None])[0] @ normals[e]
         G += lengths[e] * (dn * w) @ basis.values(pts[None])[0].T
     G = 0.5 * (G + G.T)
     B = np.zeros((basis.size, n))
     for e in range(n):
-        pts, t, w = edge_points(e, gauss_legendre((basis.ell + 3) // 2))
+        pts, t, w = edge_points(e, (basis.ell + 3) // 2)
         dn = basis.gradients(pts[None])[0] @ normals[e]
         B[:, e] += lengths[e] * dn @ (w * (1.0 - t))
         B[:, (e + 1) % n] += lengths[e] * dn @ (w * t)
@@ -405,9 +398,8 @@ def loop_diffusion_gram(vertices, K, ell: int) -> np.ndarray:
     center = centroid(vertices)
     n = len(vertices)
     _, lengths, normals = edge_lengths_normals(vertices)
-    rule = gauss_legendre(ell + 1)
-    t = 0.5 * (rule.nodes + 1.0)
-    w = np.repeat(0.5 * rule.weights, 2)
+    t, w = gauss_legendre(ell + 1)
+    w = np.repeat(w, 2)
     MK = np.zeros((basis.size, basis.size))
     for e in range(n):
         a, b = vertices[e], vertices[(e + 1) % n]
@@ -447,14 +439,13 @@ def loop_boundary_flux(vertices, beta, values, degree: int) -> np.ndarray:
     vertices = np.asarray(vertices, dtype=float)
     n = len(vertices)
     _, lengths, normals = edge_lengths_normals(vertices)
-    rule = gauss_legendre((max(beta[0].degree, beta[1].degree) + degree + 2) // 2)
-    t = 0.5 * (rule.nodes + 1.0)
+    t, w = gauss_legendre((max(beta[0].degree, beta[1].degree) + degree + 2) // 2)
     out = 0.0
     for e in range(n):
         a, b = vertices[e], vertices[(e + 1) % n]
         pts = a[None, :] + t[:, None] * (b - a)[None, :]
         flux = beta[0](pts) * normals[e][0] + beta[1](pts) * normals[e][1]
-        out = out + lengths[e] * values(pts) @ (0.5 * rule.weights * flux)
+        out = out + lengths[e] * values(pts) @ (w * flux)
     return out
 
 

@@ -8,13 +8,12 @@ from sfvem.analysis import (AUDIT_HEADER, CONVERGENCE_HEADER,
                             convergence_row, convergence_study, error_norms,
                             error_norms_many,
                             fit_rates, jacobi_singular_values, spectral_audit,
-                            unit_diffusion_matrix, write_audit_csv,
-                            write_convergence_csv)
+                            unit_diffusion_matrix, write_audit_csv)
+from sfvem.cli import main
 from sfvem.element import effective_ell
 from sfvem.mesh import CatalogPolygon, catalog_polygons, generate_distorted_grid, generate_voronoi
-from sfvem.poly import (Poly2, build_benchmark_coefficients, bubble_problem,
+from sfvem.poly import (Poly2, ProblemSpec, build_benchmark_coefficients, bubble_problem,
                         manufactured_problem)
-from sfvem.problem import ProblemSpec
 from sfvem.system import METHODS, DiscreteSolution, assemble, solve
 
 from meshes import hanging_node_grid, pulled_grid
@@ -562,13 +561,15 @@ def test_audit_csv_format(tmp_path):
 
 
 def test_convergence_csv_format(tmp_path):
-    records = synthetic_records([0.5, 0.25], [0.1, 0.025], [0.2, 0.1])
-    path = tmp_path / "conv.csv"
-    write_convergence_csv(records, path)
-    lines = path.read_text().splitlines()
+    # the CLI's streamed convergence.csv is the header, then one
+    # convergence_row per record of the same study
+    assert main(["convergence", "--problem", "bubble", "--levels", "2,4", "--delta", "0.1",
+                 "--seed", "3", "--out", str(tmp_path)]) == 0
+    records = convergence_study(bubble_problem(), [2, 4], delta=0.1, seed=3)
+    lines = (tmp_path / "convergence.csv").read_text().splitlines()
     assert lines[0] == CONVERGENCE_HEADER
-    assert len(lines) == 3
-    assert lines[1] == convergence_row(records[0])
+    assert lines[1:] == [convergence_row(r) for r in records]
     fields = lines[1].split(",")
-    assert fields[0] == "0" and fields[2] == "10"
-    assert float(fields[1]) == 0.5
+    assert fields[0] == "2" and fields[2] == str(records[0].ndof)
+    # full-precision scientific notation round-trips
+    assert float(fields[1]) == records[0].h and float(fields[3]) == records[0].e0_sfvem

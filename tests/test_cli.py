@@ -113,6 +113,18 @@ def test_readme_flag_table_matches_parser():
     assert rows == registered
 
 
+def test_readme_library_use_runs():
+    # README's Library use block runs as written, so its imports and names
+    # follow the code
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", text, re.S).group(1)
+    scope = {}
+    exec(compile(block, str(README), "exec"), scope)
+    assert scope["square"].boundary_vertices == {0, 1, 2, 3}
+    assert scope["linear"].exact_grad_u[0].coeffs.tolist() == [[2.0]]
+    assert 0.0 < scope["e0"] < 1.0 and 0.0 < scope["e0_vem"] < 1.0
+
+
 # ---------------------------------------------------------------------------
 # check-polygon
 

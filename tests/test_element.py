@@ -5,8 +5,7 @@ import sfvem.element
 from sfvem.element import effective_ell, sfvem_local, standard_vem_local, volume_degree
 from sfvem.geometry import polygon_stack
 from sfvem.mesh import catalog_polygons
-from sfvem.poly import Poly2, manufactured_problem
-from sfvem.problem import ProblemSpec
+from sfvem.poly import Poly2, ProblemSpec, manufactured_problem
 from sfvem.projectors import dof_matrix, nabla_matrix
 from sfvem.quadrature import polygon_rule, polygon_rules
 

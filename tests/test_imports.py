@@ -27,6 +27,10 @@ CHUNK_BYTES, as a name, an attribute or an imported name.
 
 Every file src/sfvem writes ends its lines in "\n" on every platform: each
 text-mode ``open`` for writing passes ``newline="\n"``.
+
+Every module-level function, class and constant of tests/oracles.py is
+read somewhere in tests/ outside its own definition, so that an oracle
+whose production path has gone goes with it.
 """
 import ast
 from pathlib import Path
@@ -302,3 +306,58 @@ def test_seam_checker_flags_names_attributes_and_imports():
     assert seam_references(source, "element") == []
     assert seam_references(source, "poly") == [(3, "CHUNK_BYTES"), (4, "polygon_rules"),
                                                (5, "CHUNK_BYTES")]
+
+
+def unread_definitions(source: str, others) -> list:
+    """(line, name) of each module-level function, class or assigned name
+    of source that is read neither in source outside its own definition
+    nor, as a name or an attribute, in any of the other sources."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        else:
+            continue
+        for name in names:
+            defined.setdefault(name, node)
+    read = {sub.id for node in tree.body for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            and defined.get(sub.id) is not node}
+    for other in others:
+        for node in ast.walk(ast.parse(other)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted((node.lineno, name) for name, node in defined.items() if name not in read)
+
+
+def test_every_oracle_is_read():
+    oracles = next(p for p in TESTS if p.name == "oracles.py")
+    others = [p.read_text(encoding="utf-8") for p in TESTS if p != oracles]
+    assert unread_definitions(oracles.read_text(encoding="utf-8"), others) == []
+
+
+def test_unread_checker_skips_self_reads_and_counts_other_files():
+    source = ("import numpy as np\n"
+              "TOL = 1e-14\n"
+              "UNUSED_TOL = 1e-9\n"
+              "def area(v):\n"
+              "    return area(v[1:]) if len(v) > 3 else TOL\n"
+              "def _helper(v):\n"
+              "    return np.abs(v)\n"
+              "def loop_rule(v):\n"
+              "    return _helper(v)\n"
+              "class Record:\n"
+              "    pass\n"
+              "def by_attribute(v):\n"
+              "    return v\n")
+    others = ["from oracles import loop_rule\nloop_rule(1)\n",
+              "import oracles\noracles.by_attribute(2)\n"]
+    assert unread_definitions(source, others) == [(3, "UNUSED_TOL"), (4, "area"),
+                                                  (10, "Record")]

@@ -181,17 +181,22 @@ def mesh_text(vertices, cells, boundary):
 FAN = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.5)]
 
 
-@pytest.mark.parametrize("vertices, cells, boundary, message", [
-    (FAN[:4], ((0, 1, 2, 3),), (0, 1),
+@pytest.mark.parametrize("vertices, cells, boundary, error, message", [
+    (FAN[:4], ((0, 1, 2, 3),), (0, 1), MeshTopologyError,
      "boundary vertex set inconsistent with cell edges (missing [2, 3], extra [])"),
-    (FAN, ((0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)), (0, 1, 2, 3, 4),
+    (FAN, ((0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)), (0, 1, 2, 3, 4), MeshTopologyError,
      "boundary vertex set inconsistent with cell edges (missing [], extra [4])"),
     # PolyMesh's checks run first, so its unused vertex is the error
-    (FAN, ((0, 1, 2, 3),), (0, 1, 2), "vertex 4 belongs to no cell"),
-], ids=["boundary-missing", "boundary-extra", "unused-vertex-first"])
-def test_read_mesh_checks_the_boundary_section(tmp_path, vertices, cells, boundary, message):
+    (FAN, ((0, 1, 2, 3),), (0, 1, 2), MeshTopologyError, "vertex 4 belongs to no cell"),
+    # README's four triangles: the set {0, 1, 2, 3} is right, but the
+    # section must list each vertex once, and line 18 repeats vertex 3
+    (FAN, ((0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)), (0, 1, 2, 3, 3), MeshFormatError,
+     "line 18: boundary vertex 3 listed twice"),
+], ids=["boundary-missing", "boundary-extra", "unused-vertex-first", "repeated-index"])
+def test_read_mesh_checks_the_boundary_section(tmp_path, vertices, cells, boundary, error,
+                                               message):
     path = write_text(tmp_path, mesh_text(vertices, cells, boundary))
-    with pytest.raises(MeshTopologyError) as info:
+    with pytest.raises(error) as info:
         read_mesh(path)
     assert str(info.value) == message
 

@@ -34,9 +34,8 @@ from sfvem.mesh import (PolyMesh, _centroids, _check_unit_area,
                         _closest_pair_too_close, _halfplane_clip, _shortest_edges,
                         _voronoi_cells, catalog_polygons, generate_distorted_grid,
                         generate_voronoi)
-from sfvem.poly import (HarmonicBasis, Poly2, build_benchmark_coefficients, bubble_problem,
-                        evaluate_polys, harmonic_basis)
-from sfvem.problem import ProblemSpec
+from sfvem.poly import (HarmonicBasis, Poly2, ProblemSpec, build_benchmark_coefficients,
+                        bubble_problem, evaluate_polys, harmonic_basis)
 from sfvem.projectors import (edge_points, hgrad_matrices, hgrad_matrix, nabla_matrices,
                               nabla_matrix)
 from sfvem.quadrature import polygon_rule, polygon_rules, rule_size
@@ -44,8 +43,7 @@ from sfvem.system import METHODS, assemble, assemble_many, solve
 
 from meshes import hanging_node_grid, pulled_grid
 from oracles import (array_halfplane_clip, centroid, diameter, edge_lengths_normals,
-                     first_moments, loop_assemble, loop_boundary_flux, loop_centroids,
-                     loop_closest_pair,
+                     loop_assemble, loop_boundary_flux, loop_centroids, loop_closest_pair,
                      loop_diffusion_gram, loop_error_norms, loop_hgrad_matrix,
                      loop_is_simple, loop_nabla_matrix, loop_poly2_eval, loop_polygon_rule,
                      loop_sfvem_local, loop_shortest_edges, loop_signed_area,
@@ -131,9 +129,6 @@ def test_polygon_stack_of_one_matches_reference_functions(polygons):
         assert np.array_equal(poly.lengths[0], lengths), i
         assert np.array_equal(poly.normals[0], normals), i
         assert poly.area[0] == loop_signed_area(v), i
-        assert tuple(poly.moments[0]) == first_moments(v), i
-        assert np.array_equal(poly.centroid[0], centroid(v)), i
-        assert poly.diameter[0] == diameter(v), i
         assert np.array_equal(poly.frame.center[0], centroid(v)), i
         assert poly.frame.scale[0] == diameter(v), i
 
@@ -205,7 +200,7 @@ def test_lloyd_centroids_match_per_cell_records(name, seeds):
     assert np.array_equal(got, loop_centroids(cells)), name
     for c, g in zip(cells, got):
         if len(np.unique(c, axis=0)) == len(c):
-            assert np.array_equal(g, polygon_stack(c[None]).centroid[0]), name
+            assert np.array_equal(g, polygon_stack(c[None]).frame.center[0]), name
 
 
 @pytest.mark.parametrize("mesh", ["grid8", "voronoi64", "voronoi256"])
@@ -714,9 +709,6 @@ def test_polygon_stack_matches_reference_functions(polygons):
             assert np.array_equal(poly.lengths[i], lengths)
             assert np.array_equal(poly.normals[i], normals)
             assert poly.area[i] == signed_area(v)
-            assert tuple(poly.moments[i]) == first_moments(v)
-            assert np.array_equal(poly.centroid[i], centroid(v))
-            assert poly.diameter[i] == diameter(v)
             assert np.array_equal(poly.frame.center[i], centroid(v))
             assert poly.frame.scale[i] == diameter(v)
 

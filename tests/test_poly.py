@@ -3,11 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from sfvem.poly import (GEMM_ONE_THREAD, HarmonicBasis, Poly2,
+from sfvem.poly import (GEMM_ONE_THREAD, HarmonicBasis, Poly2, ProblemSpec,
                         ScaledFrame, build_benchmark_coefficients, bubble_problem,
                         evaluate_polys, harmonic_basis, manufactured_problem,
                         poisson_problem)
-from sfvem.problem import ProblemSpec
 
 from oracles import as_poly2, loop_poly2_eval
 
@@ -446,9 +445,19 @@ def test_benchmark_rejects_bad_cutoffs():
 
 
 def test_benchmark_parameters_recorded():
+    # the parameters are recorded in the data they shape: psi =
+    # 250000 F(x; R1) F(y; R2) vanishes on x = R1 and on y = R2, so beta_x =
+    # dpsi/dy does on x = R1 and beta_y = -dpsi/dx on y = R2, and theta
+    # turns K's strong axis to (cos theta, sin theta)
     spec = build_benchmark_coefficients(R1=0.8, R2=0.4, theta=0.5)
-    assert (spec.R1, spec.R2, spec.theta) == (0.8, 0.4, 0.5)
-    assert spec.name == "benchmark"
+    t = np.linspace(0.0, 1.0, 101)
+    g = np.linspace(0.01, 0.99, 50)
+    interior = np.array([[x, y] for x in g for y in g])
+    for comp, line in ((spec.beta[0], np.stack([np.full_like(t, 0.8), t], 1)),
+                       (spec.beta[1], np.stack([t, np.full_like(t, 0.4)], 1))):
+        assert np.abs(comp(line)).max() <= 1e-7 * np.abs(comp(interior)).max()
+    strong = np.linalg.eigh(spec.K)[1][:, 1]
+    assert abs(abs(strong @ [np.cos(0.5), np.sin(0.5)]) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------

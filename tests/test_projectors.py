@@ -29,9 +29,7 @@ def boundary_rhs_oracle(vertices, basis, n_nodes=24):
     the projector right-hand side (exact: the trace is piecewise linear)."""
     vertices = np.asarray(vertices, dtype=float)
     n = len(vertices)
-    rule = gauss_legendre(n_nodes)
-    t = 0.5 * (rule.nodes + 1.0)
-    w = 0.5 * rule.weights
+    t, w = gauss_legendre(n_nodes)
     B = np.zeros((basis.size, n))
     for e in range(n):
         j = (e + 1) % n

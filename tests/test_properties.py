@@ -31,8 +31,7 @@ from sfvem.analysis import (jacobi_singular_values, spectral_audit,
 from sfvem.element import effective_ell
 from sfvem.geometry import polygon_stack
 from sfvem.mesh import CatalogPolygon, catalog_polygons, generate_voronoi
-from sfvem.poly import Poly2, harmonic_basis
-from sfvem.problem import ProblemSpec
+from sfvem.poly import Poly2, ProblemSpec, harmonic_basis
 from sfvem.projectors import hgrad_matrix
 from sfvem.system import assemble, solve
 

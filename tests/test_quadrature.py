@@ -21,47 +21,51 @@ HEXAGON = np.array([[0.75, 0.75], [-0.5, 0.5], [-0.25, 0.25], [-0.25, -0.125],
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre rules
+# Gauss-Legendre rules on [0, 1]
 
 
 def test_one_point_rule():
-    rule = gauss_legendre(1)
-    np.testing.assert_allclose(rule.nodes, [0.0], atol=1e-16)
-    np.testing.assert_allclose(rule.weights, [2.0], atol=1e-16)
+    t, w = gauss_legendre(1)
+    np.testing.assert_allclose(t, [0.5], atol=1e-16)
+    np.testing.assert_allclose(w, [1.0], atol=1e-16)
 
 
 def test_two_point_rule():
-    rule = gauss_legendre(2)
-    r = 1.0 / np.sqrt(3.0)
-    np.testing.assert_allclose(np.sort(rule.nodes), [-r, r], atol=1e-15)
-    np.testing.assert_allclose(rule.weights, [1.0, 1.0], atol=1e-15)
+    t, w = gauss_legendre(2)
+    r = 0.5 / np.sqrt(3.0)
+    np.testing.assert_allclose(np.sort(t), [0.5 - r, 0.5 + r], atol=1e-15)
+    np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-15)
 
 
 def test_three_point_rule():
-    rule = gauss_legendre(3)
-    r = np.sqrt(0.6)
-    np.testing.assert_allclose(np.sort(rule.nodes), [-r, 0.0, r], atol=1e-15)
-    np.testing.assert_allclose(np.sort(rule.weights), [5 / 9, 5 / 9, 8 / 9],
-                               atol=1e-15)
+    t, w = gauss_legendre(3)
+    r = 0.5 * np.sqrt(0.6)
+    np.testing.assert_allclose(np.sort(t), [0.5 - r, 0.5, 0.5 + r], atol=1e-15)
+    np.testing.assert_allclose(np.sort(w), [5 / 18, 5 / 18, 4 / 9], atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 17, 32])
 def test_rule_symmetry_and_weight_sum(n):
-    rule = gauss_legendre(n)
-    assert len(rule) == n
-    np.testing.assert_array_equal(rule.nodes, -rule.nodes[::-1])
-    np.testing.assert_array_equal(rule.weights, rule.weights[::-1])
-    assert rule.weights.sum() == pytest.approx(2.0, rel=1e-15)
-    assert np.all(rule.weights > 0)
+    t, w = gauss_legendre(n)
+    assert len(t) == len(w) == n
+    # the nodes mirror about 1/2 to the rounding of the map, the weights exactly
+    np.testing.assert_allclose(t + t[::-1], np.ones(n), rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(w, w[::-1])
+    assert w.sum() == pytest.approx(1.0, rel=1e-15)
+    assert np.all(w > 0) and np.all((t > 0) & (t < 1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 7, 12, 20])
 def test_polynomial_exactness_to_2n_minus_1(n):
-    rule = gauss_legendre(n)
+    t, w = gauss_legendre(n)
     for k in range(2 * n):
-        exact = 0.0 if k % 2 else 2.0 / (k + 1)
-        got = float(rule.weights @ rule.nodes**k)
-        assert got == pytest.approx(exact, abs=5e-15)
+        assert float(w @ t**k) == pytest.approx(1.0 / (k + 1), abs=5e-15)
+
+
+def test_rule_is_shared_and_read_only():
+    t, w = gauss_legendre(4)
+    assert gauss_legendre(4)[0] is t and gauss_legendre(4)[1] is w
+    assert not t.flags.writeable and not w.flags.writeable
 
 
 def test_rule_requires_positive_count():

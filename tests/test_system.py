@@ -6,8 +6,7 @@ import pytest
 from sfvem.element import sfvem_local
 from sfvem.errors import DegenerateElementError, SingularSystemError
 from sfvem.mesh import PolyMesh, generate_distorted_grid
-from sfvem.poly import Poly2, bubble_problem, poisson_problem
-from sfvem.problem import ProblemSpec
+from sfvem.poly import Poly2, ProblemSpec, bubble_problem, poisson_problem
 from sfvem.system import assemble, assemble_many, solve, write_solution_csv
 
 from meshes import hanging_node_grid
