@@ -10,7 +10,7 @@ polygon scale, so thresholds apply to sigma_r / sigma_max.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg.lapack import dgejsv
@@ -311,8 +311,10 @@ def convergence_study(spec: ProblemSpec, levels, generator: str = "grid",
 # convergence.csv
 
 AUDIT_HEADER = "name,N_E,ell_E,sigma_min,sigma_r,sigma_max,sigma_r_over_max"
-CONVERGENCE_HEADER = ("level,h,ndof,e0_sfvem,e1_sfvem,e0_vem,e1_vem,"
-                      "ratio_e0,ratio_e1")
+CONVERGENCE_HEADER = ",".join(f.name for f in fields(ConvergenceRecord))
+# an int field as is, a float field in full (f.type is the annotation string)
+_CONVERGENCE_FORMAT = ",".join("{}" if f.type == "int" else "{:.16e}"
+                               for f in fields(ConvergenceRecord))
 
 
 def audit_row(audit: SpectralAudit) -> str:
@@ -322,10 +324,7 @@ def audit_row(audit: SpectralAudit) -> str:
 
 
 def convergence_row(r: ConvergenceRecord) -> str:
-    return (f"{r.level},{r.h:.16e},{r.ndof},"
-            f"{r.e0_sfvem:.16e},{r.e1_sfvem:.16e},"
-            f"{r.e0_vem:.16e},{r.e1_vem:.16e},"
-            f"{r.ratio_e0:.16e},{r.ratio_e1:.16e}")
+    return _CONVERGENCE_FORMAT.format(*(getattr(r, f.name) for f in fields(r)))
 
 
 def write_audit_csv(audits: list, path) -> None:

@@ -234,7 +234,7 @@ def cmd_generate_mesh(config: RunConfig) -> int:
 
 
 def _read_polygon_file(path: str) -> CatalogPolygon:
-    points = []
+    seen = {}  # point -> its line, in file order
     with open(path, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -249,8 +249,10 @@ def _read_polygon_file(path: str) -> CatalogPolygon:
                 raise ValueError(f"{path}:{ln}: bad coordinate") from None
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"{path}:{ln}: non-finite coordinate")
-            points.append([x, y])
-    pts = np.asarray(points, dtype=float)
+            if (x, y) in seen:
+                raise ValueError(f"{path}:{ln}: repeats the point of line {seen[x, y]}")
+            seen[x, y] = ln
+    pts = np.asarray(list(seen), dtype=float)
     if len(pts) < 3:
         raise ValueError(f"{path}: polygon needs at least 3 vertices")
     if signed_area(pts) <= 0.0:

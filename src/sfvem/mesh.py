@@ -643,19 +643,21 @@ _CATALOG_RECIPES = {
 }
 
 
-def catalog_polygons() -> list:
+# built on import, so that no audit pays for it (about a millisecond)
+_CATALOG = tuple(CatalogPolygon(name, recipe(n)) for n, (name, recipe) in _CATALOG_RECIPES.items())
+for _polygon in _CATALOG:
+    _polygon.vertices.setflags(write=False)
+
+
+def catalog_polygons() -> tuple:
     """The 18 audit polygons, one per vertex count 3..20.
 
     Shapes cover regular, irregular, star, concave, hanging-node, and
     collapsing-edge geometry; all are simple and counterclockwise and are
-    bit-reproducible (jitter comes from fixed xorshift seeds).
+    bit-reproducible (jitter comes from fixed xorshift seeds). Every call
+    returns the same tuple, built once, whose vertex arrays are read only.
     """
-    out = []
-    for n in range(3, 21):
-        name, recipe = _CATALOG_RECIPES[n]
-        V = recipe(n)
-        out.append(CatalogPolygon(name, V))
-    return out
+    return _CATALOG
 
 
 def quality_report(mesh: PolyMesh) -> MeshQualityReport:

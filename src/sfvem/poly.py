@@ -5,8 +5,11 @@ sides can be produced by exact differentiation instead of numerical
 differencing. The harmonic basis h_1..h_{2l+2} on an element is
 {Re(z^k), Im(z^k) : k = 1..l+1} in the scaled complex coordinate
 z = ((x - x_E) + i(y - y_E)) / h_E, read from one table of the powers
-p_k = p_{k-1} * z. The zero-mean normalization of the harmonic space is
-deliberately dropped; it changes conditioning, not the spanned gradients.
+p_k = p_{k-1} * z, in one of two ways: the advection vector takes the
+table itself (HarmonicBasis.powers), the projection takes the values and
+gradients it yields (HarmonicBasis.values_and_gradients). The zero-mean
+normalization of the harmonic space is deliberately dropped; it changes
+conditioning, not the spanned gradients.
 
 ProblemSpec bundles the data of the model problem
     -div(K grad u) + beta . grad u + gamma u = f   on the unit square,
@@ -183,8 +186,8 @@ def evaluate_polys(polys, points) -> np.ndarray:
 class HarmonicBasis:
     """The 2l+2 scaled harmonic polynomials h_1..h_{2l+2} on each element of
     a stack, in its frame (see ScaledFrame), read from the powers of z:
-    values and gradients take (C, P, 2) points, put the cell axis first
-    and pair the real and imaginary parts of z^k and its derivatives."""
+    values_and_gradients takes (C, P, 2) points, puts the cell axis first
+    and pairs the real and imaginary parts of z^k and its derivatives."""
 
     frame: ScaledFrame
     ell: int
@@ -203,23 +206,13 @@ class HarmonicBasis:
             pows[k] = pows[k - 1] * z
         return pows
 
-    def values(self, points) -> np.ndarray:
-        """h_i at the given points, shape (C, 2l+2, npts)."""
-        return _pairs(self.powers(points, self.ell + 1)[1:])
-
-    def gradients(self, points) -> np.ndarray:
-        """grad h_i at the given points, shape (C, 2l+2, npts, 2)."""
-        return self._derivatives(self.powers(points, self.ell))
-
     def values_and_gradients(self, points) -> tuple:
-        """values(points) and gradients(points) from one power table."""
+        """h_i, shape (C, 2l+2, P), and grad h_i, shape (C, 2l+2, P, 2), at
+        (C, P, 2) points, from one power table z^0..z^(l+1)."""
         pows = self.powers(points, self.ell + 1)
-        return _pairs(pows[1:]), self._derivatives(pows[:-1])
-
-    def _derivatives(self, pows) -> np.ndarray:
-        # from z^0..z^l: d = (k/h) z^(k-1) and i d are z^k's x- and y-derivatives
-        d = np.arange(1, len(pows) + 1)[:, None, None] / self.frame.scale[:, None] * pows
-        return np.stack([_pairs(d), _pairs(1j * d)], axis=-1)
+        # (k/h) z^(k-1) and i (k/h) z^(k-1) are z^k's x- and y-derivatives
+        d = np.arange(1, self.ell + 2)[:, None, None] / self.frame.scale[:, None] * pows[:-1]
+        return _pairs(pows[1:]), np.stack([_pairs(d), _pairs(1j * d)], axis=-1)
 
 
 def _pairs(table: np.ndarray) -> np.ndarray:

@@ -15,8 +15,9 @@ and returns the cells' matrices with a leading cell axis:
 * ``hgrad_matrices``: L2 projection of the gradient onto gradients of
   harmonic polynomials of degree ell+1, via the Gram system G d = b; it
   returns the boundary Gram matrix G with the projection, and the
-  diffusion Gram MK_ij = integral of grad h_i . K grad h_j from the same
-  edge nodes, by the boundary formula for homogeneous integrands.
+  diffusion Gram MK_ij = integral of grad h_i . K grad h_j, by the
+  boundary formula for homogeneous integrands. G, b and MK all come from
+  one basis evaluation at ell + 1 Gauss nodes per edge.
 
 ``nabla_matrix`` and ``hgrad_matrix`` take the vertices of one polygon and
 return cell 0 of their kernel on that polygon as a stack of one. The
@@ -144,11 +145,12 @@ def hgrad_matrices(poly: PolygonStack, basis: HarmonicBasis, K: np.ndarray):
     grad h_i . K grad h_j over each cell (same shape) for a constant K, for
     a basis on the stack's frame.
 
-    G sums the edge integrals of h_j dh_i/dn with ell + 1 Gauss nodes per
-    edge (exact, degree 2 ell + 1 integrands) and is symmetrized as
-    (A + A^T)/2. The right-hand side B_ij = <phi_j, dh_i/dn> over the
-    boundary pairs the piecewise linear hat trace with the degree-ell normal
-    derivative, so ceil((ell + 2)/2) Gauss nodes per edge are exact.
+    Everything comes from one basis evaluation at ell + 1 Gauss nodes per
+    edge. G sums the edge integrals of h_j dh_i/dn (exact, degree 2 ell + 1
+    integrands) and is symmetrized as (A + A^T)/2. The right-hand side
+    B_ij = <phi_j, dh_i/dn> over the boundary pairs the piecewise linear hat
+    trace with the same normal derivatives, an integrand of degree ell + 1,
+    which those nodes also integrate exactly.
 
     MK is K[0, 0] G for a multiple of the identity. Otherwise it comes from
     the basis gradients at the same ell + 1 nodes per edge: h_i has degree
@@ -160,7 +162,7 @@ def hgrad_matrices(poly: PolygonStack, basis: HarmonicBasis, K: np.ndarray):
     """
     _check_elements(poly)
     n_cells, size = len(poly), basis.size
-    pts, _, w = edge_points(poly, basis.ell + 1)
+    pts, t, w = edge_points(poly, basis.ell + 1)
     vals, grads = basis.values_and_gradients(pts)
     dn = _normal_derivatives(poly, grads)
     edge_w = (poly.lengths[:, :, None] * w).reshape(n_cells, 1, -1)
@@ -179,8 +181,7 @@ def hgrad_matrices(poly: PolygonStack, basis: HarmonicBasis, K: np.ndarray):
         MK = (grads * node_w).reshape(n_cells, size, -1) @ KG.transpose(0, 2, 1)
         k = np.arange(size) // 2 + 1
         MK /= k[:, None] + k[None, :]
-    pts, t, w = edge_points(poly, (basis.ell + 3) // 2)
-    dn = poly.lengths[:, None, :, None] * _normal_derivatives(poly, basis.gradients(pts))
+    dn = poly.lengths[:, None, :, None] * dn
     # edge e feeds its start vertex with weight 1 - t and its end vertex with t
     B = dn @ (w * (1.0 - t)) + cyclic_roll(dn @ (w * t), 1, axis=2)
     return _solve_grams(G, B), G, MK

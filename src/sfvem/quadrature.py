@@ -47,6 +47,15 @@ class PolygonRule:
         return np.einsum("cp,cp->c", self.weights, values)
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple:
+    # P_n(x) and P_n'(x) off [-1, 1]'s ends, by the recurrence
+    # (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}
+    p0, p1 = np.ones_like(x), x.copy()
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> tuple:
     """n-point Gauss-Legendre rule on [0, 1], exact through degree 2n - 1:
@@ -54,23 +63,16 @@ def gauss_legendre(n: int) -> tuple:
     that every call with this n shares."""
     if n < 1:
         raise QuadratureError(f"need at least one node, got n={n}")
-    # Newton iteration on P_n from Chebyshev initial guesses; the recurrence
-    # (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1} gives P_n and P_n'.
+    # Newton iteration on P_n from Chebyshev initial guesses
     k = np.arange(1, n + 1)
     x = np.cos(np.pi * (k - 0.25) / (n + 0.5))
     for _ in range(100):
-        p0, p1 = np.ones_like(x), x.copy()
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = n * (x * p1 - p0) / (x * x - 1.0)
-        dx = p1 / dp
+        p, dp = _legendre(n, x)
+        dx = p / dp
         x -= dx
         if np.max(np.abs(dx)) < 1e-15:
             break
-    p0, p1 = np.ones_like(x), x.copy()
-    for j in range(2, n + 1):
-        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-    dp = n * (x * p1 - p0) / (x * x - 1.0)
+    dp = _legendre(n, x)[1]
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     # exact symmetry about 0 on [-1, 1], then the map onto [0, 1]
     x = 0.5 * (x - x[::-1])

@@ -254,7 +254,7 @@ def area_gram(vertices, basis) -> np.ndarray:
     integrated over the element with the degree-2 ell polygon rule,
     symmetrized as (A + A^T)/2."""
     rule = polygon_rule(vertices, 2 * basis.ell)
-    grads = basis.gradients(rule.points[None])[0]
+    grads = basis.values_and_gradients(rule.points[None])[1][0]
     G = np.einsum("ipd,jpd,p->ij", grads, grads, rule.weights)
     return 0.5 * (G + G.T)
 
@@ -284,8 +284,10 @@ def loop_solve_gram(G, rhs):
 def loop_hgrad_matrix(vertices, ell: int):
     """Harmonic-gradient projector (P, G) for the basis of degree parameter
     ell on the polygon's frame (``one_frame``), with the boundary Gram and
-    the right-hand side accumulated edge by edge, three basis evaluations
-    per edge; ``hgrad_matrix`` must match both."""
+    the right-hand side accumulated edge by edge: G at ell + 1 Gauss nodes
+    per edge and the right-hand side at its own (ell + 3) // 2, where
+    ``hgrad_matrix`` reads both from the ell + 1 nodes. ``hgrad_matrix``
+    must match both."""
     vertices = np.asarray(vertices, dtype=float)
     basis = HarmonicBasis(one_frame(vertices), ell)
     n = len(vertices)
@@ -299,13 +301,14 @@ def loop_hgrad_matrix(vertices, ell: int):
     G = np.zeros((basis.size, basis.size))
     for e in range(n):
         pts, _, w = edge_points(e, basis.ell + 1)
-        dn = basis.gradients(pts[None])[0] @ normals[e]
-        G += lengths[e] * (dn * w) @ basis.values(pts[None])[0].T
+        vals, grads = basis.values_and_gradients(pts[None])
+        dn = grads[0] @ normals[e]
+        G += lengths[e] * (dn * w) @ vals[0].T
     G = 0.5 * (G + G.T)
     B = np.zeros((basis.size, n))
     for e in range(n):
         pts, t, w = edge_points(e, (basis.ell + 3) // 2)
-        dn = basis.gradients(pts[None])[0] @ normals[e]
+        dn = basis.values_and_gradients(pts[None])[1][0] @ normals[e]
         B[:, e] += lengths[e] * dn @ (w * (1.0 - t))
         B[:, (e + 1) % n] += lengths[e] * dn @ (w * t)
     return loop_solve_gram(G, B), G
@@ -403,7 +406,8 @@ def loop_diffusion_gram(vertices, K, ell: int) -> np.ndarray:
     MK = np.zeros((basis.size, basis.size))
     for e in range(n):
         a, b = vertices[e], vertices[(e + 1) % n]
-        g = basis.gradients((a[None, :] + t[:, None] * (b - a)[None, :])[None])[0]
+        pts = a[None, :] + t[:, None] * (b - a)[None, :]
+        g = basis.values_and_gradients(pts[None])[1][0]
         gx, gy = g[..., 0], g[..., 1]
         KG = np.stack([K[0, 0] * gx + K[0, 1] * gy, K[1, 0] * gx + K[1, 1] * gy],
                       axis=-1).reshape(basis.size, -1)
@@ -420,7 +424,8 @@ def volume_diffusion_gram(vertices, K, ell: int, degree: int) -> np.ndarray:
     At degree 33 it is the diffusion Gram the element build computed on the
     benchmark load's rule before it came from edge nodes."""
     rule = polygon_rule(vertices, degree)
-    grads = HarmonicBasis(one_frame(vertices), ell).gradients(rule.points[None])[0]
+    basis = HarmonicBasis(one_frame(vertices), ell)
+    grads = basis.values_and_gradients(rule.points[None])[1][0]
     KG = np.einsum("ab,iqb->iqa", K, grads)
     return np.einsum("jqa,iqa,q->ij", grads, KG, rule.weights)
 
@@ -470,7 +475,8 @@ def loop_sfvem_local(vertices, spec, ell):
     A_diff = P.T @ MK @ P
     A_diff = 0.5 * (A_diff + A_diff.T)
     basis = HarmonicBasis(one_frame(vertices), ell)
-    t = loop_boundary_flux(vertices, spec.beta, lambda p: basis.values(p[None])[0], ell + 1)
+    t = loop_boundary_flux(vertices, spec.beta,
+                           lambda p: basis.values_and_gradients(p[None])[0][0], ell + 1)
     A_adv = np.outer(r, t @ P)
     A_reac = rule.integrate(spec.gamma) * np.outer(r, r)
     b = rule.integrate(spec.f) * r

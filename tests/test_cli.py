@@ -15,7 +15,7 @@ import pytest
 
 import sfvem
 from sfvem import analysis
-from sfvem.analysis import SpectralAudit
+from sfvem.analysis import ConvergenceRecord, SpectralAudit
 from sfvem.cli import _build_parser, main
 from sfvem.mesh import read_mesh, write_mesh
 
@@ -208,6 +208,22 @@ def test_check_polygon_rejects_bad_coordinate_with_line(tmp_path, capsys, line,
     assert f"{poly}:2: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, line, first", [
+    # pinched: the fourth and sixth points coincide, with no proper crossing
+    ("0 0\n2 0\n2 2\n1 1\n0 2\n1 1\n", 6, 4),
+    # one point on two consecutive lines
+    ("0 0\n1 0\n1.0 0.0\n0.4 0.9\n", 3, 2),
+], ids=["pinched", "consecutive"])
+def test_check_polygon_rejects_repeated_point_with_both_lines(tmp_path, capsys, text,
+                                                               line, first):
+    poly = tmp_path / "repeat.poly"
+    poly.write_text(text)
+    code = run("check-polygon", "--polygon", str(poly), "--out", str(tmp_path))
+    assert code == 1
+    assert f"{poly}:{line}: repeats the point of line {first}" in capsys.readouterr().err
+    assert not (tmp_path / "audit.csv").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_mesh_file_rejected_with_line(tmp_path, capsys, value):
     mesh = tmp_path / "mesh.txt"
@@ -315,6 +331,22 @@ def test_convergence_bubble_two_levels(tmp_path, capsys):
     assert svg.startswith("<svg")
     assert svg.count("<polyline") >= 4  # e0, e1 for both methods
     assert "rate" in svg
+
+
+def test_convergence_rows_read_back_into_records(tmp_path):
+    # the header lists ConvergenceRecord's fields in order, and every row
+    # reads back into a record (as the benchmark's rate fit reads it) that
+    # writes the same row again
+    code = run("convergence", "--problem", "bubble", "--levels", "3,5",
+               "--out", str(tmp_path))
+    assert code == 0
+    lines = (tmp_path / "convergence.csv").read_text().splitlines()
+    assert lines[0] == "level,h,ndof,e0_sfvem,e1_sfvem,e0_vem,e1_vem,ratio_e0,ratio_e1"
+    records = [ConvergenceRecord(**{k: int(v) if k in ("level", "ndof") else float(v)
+                                    for k, v in row.items()})
+               for row in csv.DictReader(lines)]
+    assert [r.level for r in records] == [3, 5]
+    assert [analysis.convergence_row(r) for r in records] == lines[1:]
 
 
 def test_convergence_single_level_skips_rates(tmp_path, capsys):

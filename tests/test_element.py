@@ -136,7 +136,7 @@ def _dense_quadrature_diffusion(vertices, K, ell):
     basis = harmonic_basis(polygon_stack(vertices[None]).frame, ell)
     P, _G = hgrad_matrix(vertices, ell)
     rule = polygon_rule(vertices, 2 * ell + 6)
-    grads = basis.gradients(rule.points[None])[0]
+    grads = basis.values_and_gradients(rule.points[None])[1][0]
     KG = np.einsum("ab,iqb->iqa", K, grads)
     MK = np.einsum("jqa,iqa,q->ij", grads, KG, rule.weights)
     return P.T @ MK @ P

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -550,10 +553,26 @@ def test_concave_entries_have_reflex_angle():
 
 
 def test_catalog_is_reproducible():
+    # another interpreter builds the same catalog, bit for bit
+    dump = ("from sfvem.mesh import catalog_polygons\n"
+            "for p in catalog_polygons():\n"
+            "    print(p.name, p.vertices.tobytes().hex())\n")
+    src = str(Path(sfvem.mesh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    fresh = subprocess.run([sys.executable, "-c", dump], env=env, check=True,
+                           capture_output=True, text=True, timeout=120).stdout
+    assert fresh == "".join(f"{p.name} {p.vertices.tobytes().hex()}\n"
+                            for p in catalog_polygons())
+
+
+def test_catalog_is_built_once_and_read_only():
     a = catalog_polygons()
-    b = catalog_polygons()
-    for p, q in zip(a, b):
-        np.testing.assert_array_equal(p.vertices, q.vertices)
+    assert catalog_polygons() is a
+    for p in a:
+        assert not p.vertices.flags.writeable, p.name
+        with pytest.raises(ValueError, match="read-only"):
+            p.vertices[0, 0] = 0.0
 
 
 def test_regular_entries_on_unit_circle():

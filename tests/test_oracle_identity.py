@@ -533,8 +533,8 @@ def test_advection_vector_matches_the_gradient_contraction(mesh_name):
             assert data.t.shape == (len(poly), 2 * ell + 2)
             for i, v in enumerate(poly.vertices):
                 basis = HarmonicBasis(poly.frame[i:i + 1], ell)
-                want = loop_boundary_flux(v, spec.beta, lambda p: basis.values(p[None])[0],
-                                          ell + 1)
+                want = loop_boundary_flux(
+                    v, spec.beta, lambda p: basis.values_and_gradients(p[None])[0][0], ell + 1)
                 assert_close(data.t[i], want, "advection", (offset, i))
 
 
@@ -588,7 +588,8 @@ def test_edge_advection_vector_matches_the_volume_contraction(mesh_name):
             pts = rule.points.reshape(-1, 2)
             beta = np.stack([spec.beta[0](pts), spec.beta[1](pts)], axis=-1)
             wbeta = rule.weights[..., None] * beta.reshape(rule.weights.shape + (2,))
-            want = np.einsum("cipa,cpa->ci", data.basis.gradients(rule.points), wbeta)
+            grads = data.basis.values_and_gradients(rule.points)[1]
+            want = np.einsum("cipa,cpa->ci", grads, wbeta)
             assert_close(data.t, want, "advection", (offset, poly.vertices.shape[1]))
 
 
@@ -619,7 +620,7 @@ def test_edge_advection_vector_against_exactly_evaluated_beta():
         i = int(np.flatnonzero(cells == cell)[0])
         basis = HarmonicBasis(poly.frame[i:i + 1], ell)
         want = loop_boundary_flux(poly.vertices[i], exact,
-                                  lambda p: basis.values(p[None])[0], ell + 1)
+                                  lambda p: basis.values_and_gradients(p[None])[0][0], ell + 1)
         assert np.abs(t[i] - want).max() <= 1e-9 * np.abs(t).max(), cell
 
 
@@ -762,11 +763,10 @@ def test_stacked_projectors_match_edge_loops(polygons):
 
 
 def test_anisotropic_build_evaluates_the_edge_nodes_once(monkeypatch, polygons):
-    # G and MK share one basis evaluation at the ell + 1 Gauss nodes per
-    # edge and the right-hand side takes one at its (ell + 3) // 2 nodes per
-    # edge; the advection vector t, which cell_data builds once per stack,
-    # takes one power table at the advection nodes of the edges
-    # (element.advection_nodes) and none at a rule point
+    # G, MK and the right-hand side share one basis evaluation at the
+    # ell + 1 Gauss nodes per edge; the advection vector t, which cell_data
+    # builds once per stack, takes one power table at the advection nodes of
+    # the edges (element.advection_nodes) and none at a rule point
     spec = PROBLEMS["benchmark"]
     evaluated, built = [], []
     powers, hgrad = HarmonicBasis.powers, sfvem.element.hgrad_matrices
@@ -790,9 +790,8 @@ def test_anisotropic_build_evaluates_the_edge_nodes_once(monkeypatch, polygons):
         assert np.array_equal(evaluated[0], edge_points(poly, advection_nodes(spec, ell))[0])
         evaluated.clear()
         sfvem_locals(data, spec)
-        assert len(evaluated) == 2
+        assert len(evaluated) == 1
         assert np.array_equal(evaluated[0], edge_points(poly, ell + 1)[0])
-        assert np.array_equal(evaluated[1], edge_points(poly, (ell + 3) // 2)[0])
         MK = built[-1][2]
         for i, v in enumerate(stack):
             assert_close(MK[i], loop_diffusion_gram(v, spec.K, ell), "gram", i)

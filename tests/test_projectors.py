@@ -37,7 +37,7 @@ def boundary_rhs_oracle(vertices, basis, n_nodes=24):
         L = float(np.hypot(*(b - a)))
         pts = a[None, :] + t[:, None] * (b - a)[None, :]
         normal = np.array([(b - a)[1], -(b - a)[0]]) / L
-        dn = basis.gradients(pts[None])[0] @ normal
+        dn = basis.values_and_gradients(pts[None])[1][0] @ normal
         B[:, e] += L * dn @ (w * (1.0 - t))
         B[:, j] += L * dn @ (w * t)
     return B
@@ -171,7 +171,7 @@ def test_linear_dofs_project_to_first_pair():
         d = P @ linear(p.vertices, 2.0, 3.0, -1.0)
         # projected gradient is the constant (2, 3)
         pts = frame.center + RNG.uniform(-0.2, 0.2, (9, 2))
-        grads = np.einsum("j,jpd->pd", d, basis.gradients(pts[None])[0])
+        grads = np.einsum("j,jpd->pd", d, basis.values_and_gradients(pts[None])[1][0])
         np.testing.assert_allclose(grads[:, 0], 2.0, atol=1e-12)
         np.testing.assert_allclose(grads[:, 1], 3.0, atol=1e-12)
         # all energy sits on the k=1 coefficients
@@ -191,7 +191,7 @@ def test_orthogonality_residual_z2_on_square():
     P, G = hgrad_matrix(SQUARE, 2)
     B_oracle = boundary_rhs_oracle(SQUARE, basis)
     for row in (2, 3):  # Re(zhat^2), Im(zhat^2)
-        values = basis.values(SQUARE[None])[0, row]
+        values = basis.values_and_gradients(SQUARE[None])[0][0, row]
         d = P @ values
         b = B_oracle @ values
         scale = (np.abs(G).max() * np.abs(d).max() + np.abs(b).max()
