@@ -5,7 +5,9 @@ writes a mesh file, check-polygon the stability audit CSV, solve a nodal
 solution CSV, convergence (and its alias compare) both methods' error
 table, rate summary, and a dependency-free SVG log-log plot. All outputs
 are bit-reproducible from the flags and seed. Configuration comes from
-defaults, then an optional key=value file, then flags (flags win).
+defaults, then an optional key=value file, then flags (flags win). Each key
+is written once, in _FLAGS, and a file's value goes through its flag's type
+and choices; a file error names its file and line.
 """
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -41,76 +42,12 @@ AUDIT_THRESHOLD = 1e-8
 KERNEL_THRESHOLD = 1e-11
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved parameters of one CLI invocation."""
-
-    mesh: str | None = None
-    generator: str = "grid"
-    n: int = 16
-    seeds: int = 64
-    delta: float = 0.3
-    distortion: float = 0.25
-    lloyd_iters: int = 3
-    seed: int = 42
-    method: str = "sfvem"
-    ell_offset: int = 0
-    theta: float = math.pi / 6
-    r1: float = 0.9
-    r2: float = 0.3
-    levels: tuple = (8, 16, 32, 64)
-    out: str = "."
-    problem: str = "benchmark"
-    polygon: str | None = None
-
-    def validate(self):
-        if self.generator not in ("grid", "voronoi"):
-            raise ValueError(f"generator must be grid or voronoi, got {self.generator!r}")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.problem not in ("benchmark", "poisson", "bubble"):
-            raise ValueError(f"unknown problem {self.problem!r}")
-        if self.n < 1 or self.seeds < 1 or self.lloyd_iters < 0:
-            raise ValueError("n and seeds must be >= 1, lloyd-iters >= 0")
-        if not 0.0 <= self.delta < 0.5:
-            raise ValueError(f"delta must lie in [0, 0.5), got {self.delta}")
-        if not 0.0 <= self.distortion < 1.0:
-            raise ValueError(f"distortion must lie in [0, 1), got {self.distortion}")
-        if not (0.0 <= self.r1 <= 1.0 and 0.0 <= self.r2 <= 1.0):
-            raise ValueError("r1 and r2 must lie in [0, 1]")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"K must be finite: theta rotates it and must be "
-                             f"finite, got {self.theta}")
-        if not self.levels or any(n < 1 for n in self.levels):
-            raise ValueError("levels must be positive integers")
-
-
 def _parse_levels(text: str) -> tuple:
     try:
         return tuple(int(t) for t in text.replace(",", " ").split())
     except ValueError:
-        raise ValueError(f"levels must be a comma-separated integer list, got {text!r}") from None
-
-
-def _read_config_file(path: str) -> dict:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{ln}: expected key=value")
-            key, value = (s.strip() for s in line.split("=", 1))
-            key = key.replace("-", "_")
-            try:
-                if key == "levels":
-                    out[key] = _parse_levels(value)
-                else:
-                    out[key] = _FLAGS.get(key, {}).get("type", str)(value)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: {exc}") from None
-    return out
+        raise argparse.ArgumentTypeError(
+            f"levels must be a comma-separated integer list, got {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,26 +63,28 @@ class _UsageError(SystemExit):
         super().__init__(1)
 
 
-# every flag, in --help order; each subcommand registers only those it reads
+# every key, in --help order, with its default and its flag's settings (which
+# a file's value goes through too); each subcommand registers those it reads
 _FLAGS = {
-    "mesh": dict(help="mesh file (overrides the generator)"),
-    "generator": dict(choices=["grid", "voronoi"]),
-    "n": dict(type=int, help="grid cells per side"),
-    "seeds": dict(type=int, help="voronoi seed count"),
-    "delta": dict(type=float, help="grid distortion fraction"),
-    "distortion": dict(type=float, help="voronoi vertex distortion"),
-    "lloyd_iters": dict(type=int, help="voronoi relaxation sweeps"),
-    "seed": dict(type=int, help="RNG seed"),
-    "method": dict(choices=METHODS),
-    "ell_offset": dict(type=int,
+    "mesh": dict(default=None, help="mesh file (overrides the generator)"),
+    "generator": dict(default="grid", choices=["grid", "voronoi"]),
+    "n": dict(default=16, type=int, help="grid cells per side"),
+    "seeds": dict(default=64, type=int, help="voronoi seed count"),
+    "delta": dict(default=0.3, type=float, help="grid distortion fraction"),
+    "distortion": dict(default=0.25, type=float, help="voronoi vertex distortion"),
+    "lloyd_iters": dict(default=3, type=int, help="voronoi relaxation sweeps"),
+    "seed": dict(default=42, type=int, help="RNG seed"),
+    "method": dict(default="sfvem", choices=METHODS),
+    "ell_offset": dict(default=0, type=int,
                        help="added to the per-cell degree rule (may be negative)"),
-    "theta": dict(type=float, help="diffusion rotation angle"),
-    "r1": dict(type=float, help="benchmark parameter R1"),
-    "r2": dict(type=float, help="benchmark parameter R2"),
-    "levels": dict(help="comma-separated refinement levels"),
-    "out": dict(help="output directory"),
-    "problem": dict(choices=["benchmark", "poisson", "bubble"]),
-    "polygon": dict(help="polygon file (one 'x y' pair per line, CCW)"),
+    "theta": dict(default=math.pi / 6, type=float, help="diffusion rotation angle"),
+    "r1": dict(default=0.9, type=float, help="benchmark parameter R1"),
+    "r2": dict(default=0.3, type=float, help="benchmark parameter R2"),
+    "levels": dict(default=(8, 16, 32, 64), type=_parse_levels,
+                   help="comma-separated refinement levels"),
+    "out": dict(default=".", help="output directory"),
+    "problem": dict(default="benchmark", choices=["benchmark", "poisson", "bubble"]),
+    "polygon": dict(default=None, help="polygon file (one 'x y' pair per line, CCW)"),
 }
 _MESH_FLAGS = {"mesh", "generator", "n", "seeds", "delta", "distortion",
                "lloyd_iters", "seed", "out"}
@@ -162,9 +101,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, help_text, flags):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value file; flags override it")
-        for flag, kwargs in _FLAGS.items():
+        for flag, entry in _FLAGS.items():
             if flag in flags:
-                p.add_argument("--" + flag.replace("_", "-"), **kwargs)
+                # a flag not given sets no attribute, so it cannot mask the file
+                p.add_argument("--" + flag.replace("_", "-"),
+                               **{**entry, "default": argparse.SUPPRESS})
 
     add("generate-mesh", "write a mesh file for the chosen generator",
         _MESH_FLAGS)
@@ -178,27 +119,65 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
+def _read_config_file(path: str) -> dict:
+    """The keys a key=value file sets, each converted and choice-checked as
+    its flag would be. Any key may be set, read or not, but only once."""
+    values, lines = {}, {}  # lines: key -> the line that set it
+    with open(path, "r", encoding="utf-8") as fh:
+        for ln, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{ln}: expected key=value")
+            key, text = (s.strip() for s in line.split("=", 1))
+            key = key.replace("-", "_")
+            if key in lines:
+                raise ValueError(f"{path}:{ln}: repeats the key {key} of line {lines[key]}")
+            lines[key] = ln
+            entry = _FLAGS.get(key)
+            if entry is None:
+                continue  # named below, with every other unknown key
+            try:
+                value = entry.get("type", str)(text)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from None
+            choices = entry.get("choices")
+            if choices is not None and value not in choices:
+                raise ValueError(f"{path}:{ln}: {key} must be one of "
+                                 f"{', '.join(choices)}, got {value!r}")
+            values[key] = value
+    unknown = sorted(lines.keys() - _FLAGS.keys())
+    if unknown:
+        raise ValueError(f"{path}: unknown keys {unknown}")
+    return values
+
+
+def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Each key's default, then the --config file's value, then the flag's;
+    range-checked before any output is written."""
+    values = {key: entry["default"] for key, entry in _FLAGS.items()}
     if args.config:
-        file_values = _read_config_file(args.config)
-        unknown = set(file_values) - {f.name for f in fields(RunConfig)}
-        if unknown:
-            raise ValueError(f"{args.config}: unknown keys {sorted(unknown)}")
-        config = replace(config, **file_values)
-    flag_values = {}
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            flag_values[f.name] = value
-    if "levels" in flag_values:
-        flag_values["levels"] = _parse_levels(flag_values["levels"])
-    config = replace(config, **flag_values)
-    config.validate()
+        values.update(_read_config_file(args.config))
+    values.update((key, v) for key, v in vars(args).items() if key in _FLAGS)
+    config = argparse.Namespace(**values)
+    if config.n < 1 or config.seeds < 1 or config.lloyd_iters < 0:
+        raise ValueError("n and seeds must be >= 1, lloyd-iters >= 0")
+    if not 0.0 <= config.delta < 0.5:
+        raise ValueError(f"delta must lie in [0, 0.5), got {config.delta}")
+    if not 0.0 <= config.distortion < 1.0:
+        raise ValueError(f"distortion must lie in [0, 1), got {config.distortion}")
+    if not (0.0 <= config.r1 <= 1.0 and 0.0 <= config.r2 <= 1.0):
+        raise ValueError("r1 and r2 must lie in [0, 1]")
+    if not math.isfinite(config.theta):
+        raise ValueError(f"K must be finite: theta rotates it and must be "
+                         f"finite, got {config.theta}")
+    if not config.levels or any(n < 1 for n in config.levels):
+        raise ValueError("levels must be positive integers")
     return config
 
 
-def _make_problem(config: RunConfig):
+def _make_problem(config: argparse.Namespace):
     if config.problem == "benchmark":
         return build_benchmark_coefficients(config.r1, config.r2, config.theta)
     if config.problem == "poisson":
@@ -206,7 +185,7 @@ def _make_problem(config: RunConfig):
     return bubble_problem()
 
 
-def _load_or_generate_mesh(config: RunConfig):
+def _load_or_generate_mesh(config: argparse.Namespace):
     if config.mesh is not None:
         return read_mesh(config.mesh)
     if config.generator == "grid":
@@ -215,7 +194,7 @@ def _load_or_generate_mesh(config: RunConfig):
                             config.distortion)
 
 
-def _outpath(config: RunConfig, name: str) -> str:
+def _outpath(config: argparse.Namespace, name: str) -> str:
     os.makedirs(config.out, exist_ok=True)
     return os.path.join(config.out, name)
 
@@ -224,7 +203,7 @@ def _outpath(config: RunConfig, name: str) -> str:
 # subcommands
 
 
-def cmd_generate_mesh(config: RunConfig) -> int:
+def cmd_generate_mesh(config: argparse.Namespace) -> int:
     mesh = _load_or_generate_mesh(config)
     path = _outpath(config, "mesh.txt")
     write_mesh(mesh, path)
@@ -263,7 +242,7 @@ def _read_polygon_file(path: str) -> CatalogPolygon:
     return CatalogPolygon(name, pts)
 
 
-def cmd_check_polygon(config: RunConfig) -> int:
+def cmd_check_polygon(config: argparse.Namespace) -> int:
     if config.polygon is not None:
         poly = _read_polygon_file(config.polygon)
         ell = effective_ell(poly.n_vertices, config.ell_offset)
@@ -300,7 +279,7 @@ def cmd_check_polygon(config: RunConfig) -> int:
     return 0
 
 
-def cmd_solve(config: RunConfig) -> int:
+def cmd_solve(config: argparse.Namespace) -> int:
     mesh = _load_or_generate_mesh(config)
     spec = _make_problem(config)
     system = assemble(mesh, spec, config.method, config.ell_offset)
@@ -312,7 +291,7 @@ def cmd_solve(config: RunConfig) -> int:
     return 0
 
 
-def cmd_convergence(config: RunConfig) -> int:
+def cmd_convergence(config: argparse.Namespace) -> int:
     spec = _make_problem(config)
     if spec.exact_u is None:
         raise ValueError(f"problem {config.problem!r} has no exact solution "

@@ -35,6 +35,7 @@ integrals reduce, and every cut of cells into memory-sized runs is
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,10 +99,14 @@ def effective_ell(n_vertices: int, offset: int = 0) -> int:
     The rule degree is the smallest ell >= 0 with 2 ell + 2 >= n_vertices - 1,
     which guarantees local solvability. The offset is added to it and the
     result clamped at 0, so a negative offset probes below the rule on
-    purpose.
+    purpose. The offset must be an integer (a bool or numpy int counts).
     """
     if n_vertices < 3:
         raise ValueError(f"a polygon needs at least 3 vertices, got {n_vertices}")
+    try:
+        offset = operator.index(offset)
+    except TypeError:
+        raise ValueError(f"ell offset must be an integer, got {offset!r}") from None
     return max(0, math.ceil((n_vertices - 3) / 2) + offset)
 
 

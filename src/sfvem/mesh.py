@@ -8,6 +8,7 @@ and the text format round-trips exactly through repr floats.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -51,6 +52,16 @@ def _cell_edges(cells):
     return a, a[nxt]
 
 
+def _vertex_ids(ci: int, cell) -> tuple:
+    """Cell ci's vertex indices as ints. An entry that is not an integer (a
+    float, a string) is an error, not truncated or parsed."""
+    try:
+        return tuple(map(operator.index, cell))
+    except TypeError:
+        raise MeshFormatError(f"cell {ci} has a vertex index that is not an "
+                              f"integer: {cell!r}") from None
+
+
 @dataclass(frozen=True)
 class PolyMesh:
     """Immutable polygonal tessellation with validated topology.
@@ -66,7 +77,7 @@ class PolyMesh:
 
     def __post_init__(self):
         verts = np.asarray(self.vertices, dtype=float)
-        cells = tuple(tuple(int(i) for i in cell) for cell in self.cells)
+        cells = tuple(_vertex_ids(ci, cell) for ci, cell in enumerate(self.cells))
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "boundary_vertices", self._validate())

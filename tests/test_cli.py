@@ -481,10 +481,40 @@ def test_config_file_malformed_line(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["n = abc", "levels = 4,x"])
+@pytest.mark.parametrize("line", ["n = abc", "levels = 4,x", "generator = hex",
+                                  "problem = heat", "method = VEM"])
 def test_config_file_bad_value_names_its_line(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
     code = run("convergence", "--config", str(cfg), "--out", str(tmp_path))
     assert code == 1
     assert f"{cfg}:1: " in capsys.readouterr().err
+
+
+def test_config_file_repeated_key_names_both_lines(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 4\n# finer\nlloyd-iters = 2\nn = 8\n")
+    code = run("generate-mesh", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 1
+    assert f"{cfg}:4: repeats the key n of line 1" in capsys.readouterr().err
+    assert not (tmp_path / "mesh.txt").exists()
+
+
+def test_config_file_of_every_default_changes_nothing(tmp_path):
+    # each key goes through its flag's conversion: a file that sets every key
+    # to its default (mesh and polygon have none to write) writes the same mesh
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("generator = grid\nn = 16\nseeds = 64\ndelta = 0.3\n"
+                   "distortion = 0.25\nlloyd-iters = 3\nseed = 42\nmethod = sfvem\n"
+                   "ell-offset = 0\ntheta = 0.5235987755982988\nr1 = 0.9\nr2 = 0.3\n"
+                   "levels = 8,16,32,64\nout = .\nproblem = benchmark\n")
+    keys = {line.split(" = ")[0] for line in cfg.read_text().splitlines()}
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {opt[2:] for parser in sub.choices.values() for action in parser._actions
+             for opt in action.option_strings if opt.startswith("--")}
+    assert keys == flags - {"help", "config", "mesh", "polygon"}
+    assert run("generate-mesh", "--out", str(tmp_path / "a")) == 0
+    assert run("generate-mesh", "--config", str(cfg), "--out", str(tmp_path / "b")) == 0
+    assert ((tmp_path / "a" / "mesh.txt").read_bytes()
+            == (tmp_path / "b" / "mesh.txt").read_bytes())

@@ -48,6 +48,17 @@ def test_degree_rule_offset():
         effective_ell(2)
 
 
+@pytest.mark.parametrize("offset", [0.5, 1.0, "1", None],
+                         ids=["half", "float-one", "string", "none"])
+def test_degree_rule_rejects_a_non_integer_offset(offset):
+    with pytest.raises(ValueError, match="ell offset must be an integer"):
+        effective_ell(4, offset)
+
+
+def test_degree_rule_takes_any_integer_offset():
+    assert effective_ell(4, np.int64(1)) == effective_ell(4, True) == 2
+
+
 def test_effective_degree_clamps_below_zero():
     assert effective_ell(8, -1) == 2
     assert effective_ell(8, -10) == 0

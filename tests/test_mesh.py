@@ -228,6 +228,15 @@ def test_repeated_vertex_rejected():
         PolyMesh(verts, ((0, 1, 1, 2),))
 
 
+@pytest.mark.parametrize("entry", [1.7, "1", np.nan], ids=["float", "string", "nan"])
+def test_non_integer_vertex_index_rejected(entry):
+    # each entry is taken as an index, never truncated (1.7 -> 1) or parsed
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(MeshFormatError, match="^cell 1 has a vertex index that is "
+                                              "not an integer"):
+        PolyMesh(verts, ((0, 1, 2), (0, entry, 3)))
+
+
 def test_self_intersecting_cell_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshTopologyError):

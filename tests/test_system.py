@@ -100,6 +100,12 @@ def test_assemble_many_rejects_a_bare_method_string():
         assemble_many(unit_square_mesh(), poisson_problem(), "vem")
 
 
+def test_assemble_rejects_a_non_integer_offset():
+    # named where the offset enters, not a TypeError from the Gauss rule
+    with pytest.raises(ValueError, match="^ell offset must be an integer, got 0.5"):
+        assemble(unit_square_mesh(), poisson_problem(), ell_offset=0.5)
+
+
 def test_assemble_many_rejects_no_methods():
     # no cell is built for a result that would be empty
     with pytest.raises(ValueError, match="^methods must name at least one"):
